@@ -11,17 +11,16 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
+from dataclasses import replace
 
-from .dsl import parse_ci_query, parse_estimand, parse_graph, to_dot
+from .dsl import emit_graph, parse_ci_query, parse_estimand, parse_graph, to_dot
 from .engine import Derivation, Strategy, identify, verify
-from .errors import SwigIdentError
+from .errors import SwigIdentError, malformed
 from .expr import to_text
+from .figures import FIXTURES
 from .graphs import d_separated
-from .model import BaseDag, Regime, Variable, to_swig
+from .model import Regime, Swig, to_swig
 from .oracle import load_model, random_model, sample
-
-FIXTURES = ("fig1", "fig1_ablated", "fig2_n2", "fig3_n2")
 
 
 def _default_seed() -> int:
@@ -31,24 +30,20 @@ def _default_seed() -> int:
         return 0
 
 
-def _load_base(path: str, unobserved: list[str]) -> BaseDag:
-    with open(path, "r", encoding="utf-8") as fh:
+def _load_swig(args) -> Swig:
+    """The split graph of the graph file, with --unobserved applied."""
+    with open(args.graph, "r", encoding="utf-8") as fh:
         base = parse_graph(fh.read())
-    hidden = {name for group in unobserved for name in group.split(",") if name}
+    hidden = {name for group in args.unobserved for name in group.split(",") if name}
     if hidden:
         unknown = hidden - set(base.names)
         if unknown:
             raise SwigIdentError(f"--unobserved names not in graph: {sorted(unknown)}")
-        base = BaseDag(
-            name=base.name,
-            variables=tuple(
-                Variable(v.name, v.time, v.role, v.name not in hidden and v.observed, v.cardinality)
-                for v in base.variables
-            ),
-            edges=base.edges,
-            targets=base.targets,
+        variables = tuple(
+            replace(v, observed=v.name not in hidden and v.observed) for v in base.variables
         )
-    return base
+        base = replace(base, variables=variables)
+    return to_swig(base)
 
 
 def _emit(args, text: str) -> None:
@@ -64,8 +59,7 @@ def _json_dump(obj) -> str:
 
 
 def cmd_identify(args) -> int:
-    base = _load_base(args.graph, args.unobserved)
-    swig = to_swig(base)
+    swig = _load_swig(args)
     estimand = parse_estimand(args.query, swig)
     strategy = Strategy.parse(args.strategy, depth=args.depth)
     derivation = identify(swig, estimand, strategy)
@@ -81,10 +75,10 @@ def cmd_identify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    base = _load_base(args.graph, args.unobserved)
-    swig = to_swig(base)
-    with open(args.derivation, "r", encoding="utf-8") as fh:
-        derivation = Derivation.from_json(json.load(fh))
+    swig = _load_swig(args)
+    with open(args.derivation, "r", encoding="utf-8") as fh, malformed("derivation"):
+        obj = json.load(fh)
+    derivation = Derivation.from_json(obj)
     report = verify(derivation, swig, n_models=args.models, seed=args.seed, tol=args.tol)
     if args.json:
         _emit(args, _json_dump(report.to_json()))
@@ -94,8 +88,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dsep(args) -> int:
-    base = _load_base(args.graph, args.unobserved)
-    swig = to_swig(base)
+    swig = _load_swig(args)
     query = parse_ci_query(args.query, swig)
     result = d_separated(swig, query)
     if args.json:
@@ -106,11 +99,9 @@ def cmd_dsep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    base = _load_base(args.graph, args.unobserved)
-    swig = to_swig(base)
+    swig = _load_swig(args)
     if args.model:
-        with open(args.model, "r", encoding="utf-8") as fh:
-            model = load_model(fh)
+        model = load_model(args.model)
         if model.swig.graph != swig.graph:
             raise SwigIdentError("model file does not match the graph")
     else:
@@ -127,8 +118,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    base = _load_base(args.graph, args.unobserved)
-    swig = to_swig(base)
+    swig = _load_swig(args)
     regime = Regime.prefix(args.regime)
     swig.check_regime(regime)
     _emit(args, to_dot(swig, regime))
@@ -138,8 +128,7 @@ def cmd_dot(args) -> int:
 def cmd_fixture(args) -> int:
     if args.name not in FIXTURES:
         raise SwigIdentError(f"unknown fixture {args.name!r}; choose from {', '.join(FIXTURES)}")
-    text = resources.files("swigident").joinpath(f"fixtures/{args.name}.swig").read_text("utf-8")
-    _emit(args, text)
+    _emit(args, emit_graph(FIXTURES[args.name]()))
     return 0
 
 

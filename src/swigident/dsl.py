@@ -1,4 +1,5 @@
-"""Text surfaces: the graph description language, query strings, and DOT.
+"""Text surfaces: the graph description language, query strings,
+probability expressions, and DOT.
 
 Graph files hold one graph each:
 
@@ -11,8 +12,9 @@ Graph files hold one graph each:
     }
 
 Estimand queries look like ``q[1](Y1 | do D1=d1)``; conditional-independence
-queries like ``q[1]: Y1 _||_ Do1 | M1, D1``.  parse_graph and emit_graph
-round-trip exactly.
+queries like ``q[1]: Y1 _||_ Do1 | M1, D1``; expressions are the text form
+of expr.to_text, like ``sum{l} q0(Y1 | L=l, D1=d1) * q0(L=l)``.  parse_graph
+and emit_graph round-trip exactly, and so do parse_expr and to_text.
 """
 
 from __future__ import annotations
@@ -20,18 +22,9 @@ from __future__ import annotations
 import re
 
 from .errors import GraphValidationError, ParseError
+from .expr import Entry, Estimand, ProbExpr, Product, Sum, Term
 from .graphs import CiQuery
-from .model import (
-    BaseDag,
-    Estimand,
-    Lit,
-    Regime,
-    Role,
-    Swig,
-    Sym,
-    Variable,
-    validate,
-)
+from .model import BaseDag, Lit, Regime, Role, Swig, Sym, Variable, validate
 
 _TOKEN = re.compile(
     r"""
@@ -42,7 +35,7 @@ _TOKEN = re.compile(
   | (?P<sep>_\|\|_)
   | (?P<num>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*'*)
-  | (?P<punct>[{};=@|,:\[\]()])
+  | (?P<punct>[{};=@|,:\[\]()*])
     """,
     re.VERBOSE,
 )
@@ -191,13 +184,15 @@ def emit_graph(base: BaseDag) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_regime_index(toks: _Tokens) -> int:
+def _parse_regime_index(toks: _Tokens, swig: Swig) -> int:
     tok = toks.expect("ident")
     if tok[1] != "q":
         raise ParseError("expected regime marker 'q[n]'", tok[2], tok[3])
     toks.expect("punct", "[")
     n = int(toks.expect("num")[1])
     toks.expect("punct", "]")
+    if n > swig.n_interventions:
+        raise ParseError(f"regime index {n} exceeds the {swig.n_interventions} declared targets", 1, 1)
     return n
 
 
@@ -207,75 +202,113 @@ def _parse_value(toks: _Tokens):
         return Lit(int(value))
     if kind == "ident":
         return Sym(value)
-    raise ParseError(f"expected a value, found {value!r}", line, col)
+    raise ParseError(f"expected a value, found {value or 'end of input'!r}", line, col)
+
+
+def _name(toks: _Tokens) -> str:
+    return toks.expect("ident")[1]
+
+
+def _parse_entry(toks: _Tokens) -> Entry:
+    name = _name(toks)
+    return (name, _parse_value(toks) if toks.accept("punct", "=") else None)
+
+
+def _parse_list(toks: _Tokens, item=_parse_entry) -> tuple:
+    """One or more comma-separated items; entries by default."""
+    items = [item(toks)]
+    while toks.accept("punct", ","):
+        items.append(item(toks))
+    return tuple(items)
 
 
 def parse_estimand(text: str, swig: Swig) -> Estimand:
     """Parse ``q[n](Y | do D1=d1, do D2=d2)`` against a SWIG: each ``do X=v``
     pins X's intervention node, plain entries condition as written."""
     toks = _Tokens(text)
-    n = _parse_regime_index(toks)
-    if n > swig.n_interventions:
-        raise ParseError(f"regime index {n} exceeds the {swig.n_interventions} declared targets", 1, 1)
+    n = _parse_regime_index(toks, swig)
     toks.expect("punct", "(")
 
-    dependents = []
-    while True:
-        name = toks.expect("ident")[1]
-        ref = _parse_value(toks) if toks.accept("punct", "=") else None
-        dependents.append((name, ref))
-        if not toks.accept("punct", ","):
-            break
+    def conditioner(toks: _Tokens) -> Entry:
+        if not toks.accept("ident", "do"):
+            return _parse_entry(toks)
+        tok = toks.expect("ident")
+        tname = tok[1]
+        if tname not in swig.intervention_of:
+            raise ParseError(f"{tname!r} is not an intervention target", tok[2], tok[3])
+        toks.expect("punct", "=")
+        return (swig.intervention_of[tname], _parse_value(toks))
 
-    conditioners = []
-    if toks.accept("punct", "|"):
-        while True:
-            if toks.accept("ident", "do"):
-                tok = toks.expect("ident")
-                tname = tok[1]
-                if tname not in swig.intervention_of:
-                    raise ParseError(f"{tname!r} is not an intervention target", tok[2], tok[3])
-                toks.expect("punct", "=")
-                conditioners.append((swig.intervention_of[tname], _parse_value(toks)))
-            else:
-                name = toks.expect("ident")[1]
-                ref = _parse_value(toks) if toks.accept("punct", "=") else None
-                conditioners.append((name, ref))
-            if not toks.accept("punct", ","):
-                break
+    dependents = _parse_list(toks)
+    conditioners = _parse_list(toks, conditioner) if toks.accept("punct", "|") else ()
     toks.expect("punct", ")")
     toks.expect("eof")
-    return Estimand(
-        regime=Regime.prefix(n),
-        dependents=tuple(dependents),
-        conditioners=tuple(conditioners),
-    )
+    return Estimand(Regime.prefix(n), dependents, conditioners)
 
 
 def parse_ci_query(text: str, swig: Swig) -> CiQuery:
     """Parse ``q[s]: X _||_ Y | Z1, Z2`` into a CiQuery."""
     toks = _Tokens(text)
-    n = _parse_regime_index(toks)
-    if n > swig.n_interventions:
-        raise ParseError(f"regime index {n} exceeds the {swig.n_interventions} declared targets", 1, 1)
+    n = _parse_regime_index(toks, swig)
     toks.expect("punct", ":")
-
-    def name_list() -> frozenset[str]:
-        names = [toks.expect("ident")[1]]
-        while toks.accept("punct", ","):
-            names.append(toks.expect("ident")[1])
-        return frozenset(names)
-
-    x = name_list()
+    x = frozenset(_parse_list(toks, _name))
     toks.expect("sep")
-    y = name_list()
-    z: frozenset[str] = frozenset()
-    if toks.accept("punct", "|"):
-        z = name_list()
+    y = frozenset(_parse_list(toks, _name))
+    z = frozenset(_parse_list(toks, _name)) if toks.accept("punct", "|") else frozenset()
     toks.expect("eof")
     for name in (*x, *y, *z):
         swig.var(name)
     return CiQuery(regime=Regime.prefix(n), x=x, y=y, z=z)
+
+
+def _parse_regime(toks: _Tokens) -> Regime:
+    kind, value, line, col = toks.expect("ident")
+    if value == "q" and toks.accept("punct", "{"):
+        active = _parse_list(toks, lambda toks: int(toks.expect("num")[1]))
+        toks.expect("punct", "}")
+        return Regime(frozenset(active))
+    if value.startswith("q") and value[1:].isdigit():
+        return Regime.prefix(int(value[1:]))
+    raise ParseError(f"expected a regime like q0 or q{{1,2}}, found {value!r}", line, col)
+
+
+def _parse_term(toks: _Tokens) -> Term:
+    regime = _parse_regime(toks)
+    toks.expect("punct", "(")
+    deps = _parse_list(toks)
+    conds = _parse_list(toks) if toks.accept("punct", "|") else ()
+    toks.expect("punct", ")")
+    return Term(regime, deps, conds)
+
+
+def _parse_expression(toks: _Tokens) -> ProbExpr:
+    if toks.accept("ident", "sum"):
+        toks.expect("punct", "{")
+        binders = _parse_list(toks, _name)
+        toks.expect("punct", "}")
+        return Sum(binders, _parse_expression(toks))
+    factors = [_parse_factor(toks)]
+    while toks.accept("punct", "*"):
+        factors.append(_parse_factor(toks))
+    return factors[0] if len(factors) == 1 else Product(tuple(factors))
+
+
+def _parse_factor(toks: _Tokens) -> ProbExpr:
+    if not toks.accept("punct", "("):
+        return _parse_term(toks)
+    e = _parse_expression(toks)
+    toks.expect("punct", ")")
+    return e
+
+
+def parse_expr(text: str) -> ProbExpr:
+    """Parse the text form written by expr.to_text."""
+    toks = _Tokens(text)
+    e = _parse_expression(toks)
+    kind, value, line, col = toks.peek()
+    if kind != "eof":
+        raise ParseError(f"trailing input {value!r}", line, col)
+    return e
 
 
 def to_dot(swig: Swig, regime: Regime | None = None) -> str:

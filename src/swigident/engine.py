@@ -16,9 +16,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ExprError, RuleRefusedError, SwigIdentError, ZeroProbabilityError
+from .errors import ExprError, RuleRefusedError, SwigIdentError, ZeroProbabilityError, malformed
 from .expr import (
     DerivationStep,
+    Estimand,
     ProbExpr,
     Sum,
     Product,
@@ -27,26 +28,14 @@ from .expr import (
     free_variables,
     from_json as expr_from_json,
     fresh_symbol,
-    ref_from_json,
-    ref_json,
     regimes_used,
-    term_of,
     terms,
     to_json as expr_to_json,
     to_text,
-)
-from .graphs import CiQuery
-from .model import (
-    BaseDag,
-    Estimand,
-    Regime,
-    Swig,
-    Sym,
-    ValueRef,
-    same_skeleton,
-    to_swig,
     validate_estimand,
 )
+from .graphs import CiQuery
+from .model import BaseDag, Swig, Sym, ValueRef, same_skeleton, to_swig
 from .oracle import (
     LabeledTable,
     eval_estimand,
@@ -111,7 +100,7 @@ class Derivation:
 
     @property
     def initial(self) -> ProbExpr:
-        return term_of(self.estimand)
+        return self.estimand
 
     def trace(self) -> str:
         lines = [f"estimand: {to_text(self.initial)}"]
@@ -125,22 +114,19 @@ class Derivation:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
+        estimand = expr_to_json(self.estimand)
+        del estimand["node"]
         return {
-            "estimand": estimand_to_json(self.estimand),
+            "estimand": estimand,
             "status": self.status,
             "blocking": None if self.blocking is None else self.blocking.to_json(),
             "final": to_text(self.final),
             "final_ast": expr_to_json(self.final),
             "steps": [
                 {
-                    "rule": s.rule,
-                    "input": to_text(s.input),
-                    "output": to_text(s.output),
+                    **s.to_json(),
                     "input_ast": expr_to_json(s.input),
                     "output_ast": expr_to_json(s.output),
-                    "justification": None
-                    if s.justification is None or not hasattr(s.justification, "to_json")
-                    else s.justification.to_json(),
                 }
                 for s in self.steps
             ],
@@ -148,48 +134,24 @@ class Derivation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Derivation":
-        steps = tuple(
-            DerivationStep(
-                rule=s["rule"],
-                input=expr_from_json(s["input_ast"]),
-                output=expr_from_json(s["output_ast"]),
-                justification=_justification_from_json(s.get("justification")),
+        with malformed("derivation"):
+            steps = tuple(
+                DerivationStep(
+                    rule=s["rule"],
+                    input=expr_from_json(s["input_ast"]),
+                    output=expr_from_json(s["output_ast"]),
+                    justification=_justification_from_json(s.get("justification")),
+                )
+                for s in obj["steps"]
             )
-            for s in obj["steps"]
-        )
-        blocking = obj.get("blocking")
-        return cls(
-            estimand=estimand_from_json(obj["estimand"]),
-            steps=steps,
-            final=expr_from_json(obj["final_ast"]),
-            status=obj["status"],
-            blocking=None if blocking is None else _ci_query_from_json(blocking),
-        )
-
-
-def estimand_to_json(est: Estimand) -> dict:
-    return {
-        "regime": sorted(est.regime.active),
-        "dependents": [[n, ref_json(r)] for n, r in est.dependents],
-        "conditioners": [[n, ref_json(r)] for n, r in est.conditioners],
-    }
-
-
-def estimand_from_json(obj: dict) -> Estimand:
-    return Estimand(
-        regime=Regime(frozenset(int(i) for i in obj["regime"])),
-        dependents=tuple((n, ref_from_json(r)) for n, r in obj["dependents"]),
-        conditioners=tuple((n, ref_from_json(r)) for n, r in obj["conditioners"]),
-    )
-
-
-def _ci_query_from_json(obj: dict) -> CiQuery:
-    return CiQuery(
-        regime=Regime(frozenset(int(i) for i in obj["regime"])),
-        x=frozenset(obj["x"]),
-        y=frozenset(obj["y"]),
-        z=frozenset(obj["z"]),
-    )
+            blocking = obj.get("blocking")
+            return cls(
+                estimand=expr_from_json({**obj["estimand"], "node": "term"}),
+                steps=steps,
+                final=expr_from_json(obj["final_ast"]),
+                status=obj["status"],
+                blocking=None if blocking is None else CiQuery.from_json(blocking),
+            )
 
 
 def _justification_from_json(obj):
@@ -197,14 +159,14 @@ def _justification_from_json(obj):
         return None
     kind = obj.get("kind")
     if kind == "ci":
-        return CiJustification(_ci_query_from_json(obj["query"]))
+        return CiJustification(CiQuery.from_json(obj["query"]))
     if kind == "consistency":
         return ConsistencyJustification(
             int(obj["t"]), obj["target"], obj["intervention"], obj["value"]
         )
     if kind == "drop_later":
         return DropLaterJustification(
-            int(obj["t"]), tuple(_ci_query_from_json(q) for q in obj["checks"])
+            int(obj["t"]), tuple(CiQuery.from_json(q) for q in obj["checks"])
         )
     if kind == "redundancy":
         return RedundancyJustification(tuple((t, o) for t, o in obj["pairs"]))
@@ -278,7 +240,7 @@ class _Builder:
         validate_estimand(swig, estimand)
         self.swig = swig
         self.estimand = estimand
-        self.expr: ProbExpr = term_of(estimand)
+        self.expr: ProbExpr = estimand
         self.steps: list[DerivationStep] = []
 
     def apply(self, rule, path: tuple[int, ...], *args, **kwargs) -> DerivationStep:
@@ -316,7 +278,7 @@ class _Builder:
 
 
 def _not_identified(estimand: Estimand, blocking: CiQuery | None) -> Derivation:
-    return Derivation(estimand, (), term_of(estimand), NOT_IDENTIFIED, blocking)
+    return Derivation(estimand, (), estimand, NOT_IDENTIFIED, blocking)
 
 
 def _single_intervention(swig: Swig, estimand: Estimand) -> tuple[int, ValueRef]:
@@ -386,6 +348,15 @@ def _try_candidates(
     return _not_identified(estimand, blocking)
 
 
+def _dose_blocking(swig: Swig, estimand: Estimand) -> CiQuery:
+    """Fallback blocking query of the mediator recipes: the dependents
+    independent of the intervention nodes given their targets."""
+    deps = frozenset(n for n, _ in estimand.dependents)
+    dos = frozenset(swig.intervention(j) for j in estimand.regime.active)
+    tgts = frozenset(swig.target(j) for j in estimand.regime.active)
+    return CiQuery(estimand.regime, deps, dos, tgts)
+
+
 # ---------------------------------------------------------------------------
 # back-door and front-door recipes
 
@@ -452,17 +423,15 @@ def _frontdoor_attempt(builder: _Builder, mediators: tuple[str, ...]) -> Derivat
 def identify_frontdoor(
     swig: Swig, estimand: Estimand, mediators: Sequence[str] | None = None
 ) -> Derivation:
-    t, _ = _single_intervention(swig, estimand)
-    tgt, do = swig.target(t), swig.intervention(t)
-    deps = frozenset(n for n, _ in estimand.dependents)
+    _single_intervention(swig, estimand)
     if mediators is not None:
         _check_explicit(swig, mediators)
         candidates: Iterable[tuple[str, ...]] = [tuple(mediators)]
     else:
-        pool = _mediator_pool(swig, estimand)
-        candidates = _subsets(pool, min_size=1)
-    fallback = CiQuery(estimand.regime, deps, frozenset({do}), frozenset({tgt}))
-    return _try_candidates(swig, estimand, candidates, _frontdoor_attempt, fallback)
+        candidates = _subsets(_mediator_pool(swig, estimand), min_size=1)
+    return _try_candidates(
+        swig, estimand, candidates, _frontdoor_attempt, _dose_blocking(swig, estimand)
+    )
 
 
 def _mediator_pool(swig: Swig, estimand: Estimand) -> list[str]:
@@ -502,55 +471,59 @@ def _chain_conditioners(swig: Swig, estimand: Estimand) -> dict[str, ValueRef]:
     return conds
 
 
-def _time_cut(swig: Swig, active: Sequence[int], time: int) -> int:
-    """Largest active index whose target is at or before the given time."""
-    cut = 0
-    for j in active:
-        if swig.var(swig.target(j)).time <= time:
-            cut = j
-    return cut
+# (target variable, ci_modify action, value) for intervention j, or None
+AlignMove = Callable[[int, dict[str, ValueRef]], "tuple[str, str, ValueRef] | None"]
 
 
 def _reduce_factor(
     builder: _Builder,
     dep_names: tuple[str, ...],
-    do_values: dict[str, ValueRef],
+    align: AlignMove,
+    time: int | None = None,
 ) -> None:
-    """Shared tail of the sequential recipes: on the factor over dep_names,
-    drop the interventions after its time, align the targets' conditioned
-    values with the intervention values, deactivate by consistency, and
-    erase the intervention nodes."""
+    """Shared tail of every sequential factor: bring the factor over
+    dep_names to regime 0.  Given a time, first drop the active
+    interventions after the last one whose target is at or before it.  Then
+    for each remaining index j apply the ci_modify move align(j,
+    conditioners) returns (target, action, value), if any; deactivate by
+    consistency, latest first; and erase the intervention nodes."""
     swig = builder.swig
     path = builder.path_of(dep_names)
-    term = builder.term(path)
-    active = sorted(term.regime.active)
-    time = max(swig.var(n).time for n in dep_names)
-    cut = _time_cut(swig, active, time)
-    if any(j > cut for j in active):
-        builder.apply(rule_drop_later, path, cut)
-    kept = [j for j in active if j <= cut]
-    for j in kept:
-        tgt = swig.target(j)
-        do = swig.intervention(j)
+    active = sorted(builder.term(path).regime.active)
+    if time is not None:
+        cut = max((j for j in active if swig.var(swig.target(j)).time <= time), default=0)
+        if any(j > cut for j in active):
+            builder.apply(rule_drop_later, path, cut)
+        active = [j for j in active if j <= cut]
+    for j in active:
         path = builder.path_of(dep_names)
-        term = builder.term(path)
-        conds = dict(term.conditioners)
-        want = do_values[do]
-        if tgt not in conds:
-            builder.apply(rule_ci_modify, path, tgt, "insert", want)
-        elif conds[tgt] != want:
-            builder.apply(rule_ci_modify, path, tgt, "change", want)
-    for j in reversed(kept):
+        move = align(j, dict(builder.term(path).conditioners))
+        if move is not None:
+            builder.apply(rule_ci_modify, path, *move)
+    for j in reversed(active):
         builder.apply(rule_consistency, builder.path_of(dep_names), j)
     path = builder.path_of(dep_names)
-    term = builder.term(path)
-    if any(do in dict(term.conditioners) for _, do in swig.pairs):
+    if any(do in dict(builder.term(path).conditioners) for _, do in swig.pairs):
         builder.apply(rule_redundancy, path)
+
+
+def _pin_targets(swig: Swig, do_values: dict[str, ValueRef]) -> AlignMove:
+    """Align move that conditions each target on its intervention's value."""
+
+    def align(j: int, conds: dict[str, ValueRef]):
+        tgt, want = swig.target(j), do_values[swig.intervention(j)]
+        if tgt not in conds:
+            return tgt, "insert", want
+        if conds[tgt] != want:
+            return tgt, "change", want
+        return None
+
+    return align
 
 
 def _sequential_backdoor_attempt(builder: _Builder) -> Derivation:
     swig, est = builder.swig, builder.estimand
-    do_values = _chain_conditioners(swig, est)
+    align = _pin_targets(swig, _chain_conditioners(swig, est))
     order = sorted(
         (n for n, _ in est.dependents), key=lambda n: (swig.var(n).time, n)
     )
@@ -561,7 +534,7 @@ def _sequential_backdoor_attempt(builder: _Builder) -> Derivation:
             [[n] for n in reversed(order)],
         )
     for name in order:
-        _reduce_factor(builder, (name,), do_values)
+        _reduce_factor(builder, (name,), align, swig.var(name).time)
     return builder.identified()
 
 
@@ -577,9 +550,8 @@ def _sequential_frontdoor_attempt(
     builder: _Builder, mediators: tuple[str, ...]
 ) -> Derivation:
     swig, est = builder.swig, builder.estimand
-    do_values = _chain_conditioners(swig, est)
-    active = sorted(est.regime.active)
-    targets = [swig.target(j) for j in active]
+    pin = _pin_targets(swig, _chain_conditioners(swig, est))
+    targets = [swig.target(j) for j in sorted(est.regime.active)]
     deps = tuple(n for n, _ in est.dependents)
 
     # interleave targets and mediators by time, mediators after their dose
@@ -589,45 +561,24 @@ def _sequential_frontdoor_attempt(
     )
     step = builder.apply(rule_total_probability, builder.path_of(deps), introduced)
     binder_of = dict(step.justification.introduced)
-    natural = {swig.intervention(j): Sym(binder_of[swig.target(j)]) for j in active}
     builder.apply(
         rule_product,
         builder.path_of(deps + tuple(introduced)),
         [list(deps)] + [[n] for n in reversed(introduced)],
     )
 
-    # outcome factor: swap every intervention node to the natural value
-    for j in active:
-        do = swig.intervention(j)
-        builder.apply(rule_ci_modify, builder.path_of(deps), do, "change", natural[do])
-    for j in reversed(active):
-        builder.apply(rule_consistency, builder.path_of(deps), j)
-    builder.apply(rule_redundancy, builder.path_of(deps))
+    def to_natural(j: int, conds: dict[str, ValueRef]):
+        return swig.intervention(j), "change", Sym(binder_of[swig.target(j)])
 
+    # outcome factor: swap every intervention node to the natural value
+    _reduce_factor(builder, deps, to_natural)
     # mediator factors: align the targets with the intervention values
     for m in mediators:
-        _reduce_factor(builder, (m,), do_values)
-
+        _reduce_factor(builder, (m,), pin, swig.var(m).time)
     # dose factors: drop own and later interventions, swap earlier ones to
     # the natural values, deactivate
-    for j in active:
-        tgt = swig.target(j)
-        path = builder.path_of((tgt,))
-        term = builder.term(path)
-        cut = _time_cut(swig, sorted(term.regime.active), swig.var(tgt).time - 1)
-        if any(i > cut for i in term.regime.active):
-            builder.apply(rule_drop_later, path, cut)
-        kept = [i for i in sorted(term.regime.active) if i <= cut]
-        for i in kept:
-            do_i = swig.intervention(i)
-            builder.apply(
-                rule_ci_modify, builder.path_of((tgt,)), do_i, "change", natural[do_i]
-            )
-        for i in reversed(kept):
-            builder.apply(rule_consistency, builder.path_of((tgt,)), i)
-        path = builder.path_of((tgt,))
-        if any(do in dict(builder.term(path).conditioners) for _, do in swig.pairs):
-            builder.apply(rule_redundancy, path)
+    for tgt in targets:
+        _reduce_factor(builder, (tgt,), to_natural, swig.var(tgt).time - 1)
     return builder.identified()
 
 
@@ -642,12 +593,8 @@ def identify_sequential_frontdoor(
     else:
         pool = _mediator_pool(swig, estimand)
         candidates = [tuple(pool)] if pool else []
-    deps = frozenset(n for n, _ in estimand.dependents)
-    dos = frozenset(swig.intervention(j) for j in estimand.regime.active)
-    tgts = frozenset(swig.target(j) for j in estimand.regime.active)
-    fallback = CiQuery(estimand.regime, deps, dos, tgts)
     return _try_candidates(
-        swig, estimand, candidates, _sequential_frontdoor_attempt, fallback
+        swig, estimand, candidates, _sequential_frontdoor_attempt, _dose_blocking(swig, estimand)
     )
 
 
@@ -661,7 +608,6 @@ def _compose_outcome_attempt(
     chain, inserting the natural mediators next to their intervention nodes,
     and deactivating."""
     swig, est = builder.swig, builder.estimand
-    active = sorted(est.regime.active)
     deps = tuple(n for n, _ in est.dependents)
     order = sorted(chain, key=lambda n: (swig.var(n).time, n))
 
@@ -672,36 +618,16 @@ def _compose_outcome_attempt(
         [list(deps)] + [[n] for n in reversed(order)],
     )
 
-    # outcome factor: insert every natural mediator, then deactivate all
-    for j in active:
+    def insert_mediator(j: int, conds: dict[str, ValueRef]):
         tgt = swig.target(j)
-        builder.apply(
-            rule_ci_modify, builder.path_of(deps), tgt, "insert", med_values[tgt]
-        )
-    for j in reversed(active):
-        builder.apply(rule_consistency, builder.path_of(deps), j)
-    builder.apply(rule_redundancy, builder.path_of(deps))
+        return tgt, "insert", med_values[tgt]
 
+    # outcome factor: insert every natural mediator, then deactivate all
+    _reduce_factor(builder, deps, insert_mediator)
     # chain factors: drop interventions at or after the variable's time,
     # insert the earlier natural mediators, deactivate
     for name in order:
-        path = builder.path_of((name,))
-        term = builder.term(path)
-        act = sorted(term.regime.active)
-        cut = _time_cut(swig, act, swig.var(name).time - 1)
-        if any(i > cut for i in act):
-            builder.apply(rule_drop_later, path, cut)
-        kept = [i for i in act if i <= cut]
-        for i in kept:
-            tgt = swig.target(i)
-            builder.apply(
-                rule_ci_modify, builder.path_of((name,)), tgt, "insert", med_values[tgt]
-            )
-        for i in reversed(kept):
-            builder.apply(rule_consistency, builder.path_of((name,)), i)
-        path = builder.path_of((name,))
-        if any(do in dict(builder.term(path).conditioners) for _, do in swig.pairs):
-            builder.apply(rule_redundancy, path)
+        _reduce_factor(builder, (name,), insert_mediator, swig.var(name).time - 1)
     return builder.identified()
 
 
@@ -758,7 +684,7 @@ def compose_mediator_intervention(
     assembled: ProbExpr = Sum(tuple(binders), Product((outcome.final, mediator_law.final)))
     step = DerivationStep(
         rule="mediator_composition",
-        input=term_of(estimand),
+        input=estimand,
         output=assembled,
         justification=CompositionJustification(
             mediator_targets=tuple(mediators),
@@ -888,10 +814,10 @@ def _search(swig: Swig, estimand: Estimand, mode: str, depth: int) -> Derivation
     budget = 0
     while found is None and budget < depth:
         budget = min(budget + 2, depth)
-        found = dfs(term_of(estimand), [], budget, set())
+        found = dfs(estimand, [], budget, set())
     if found is None:
         return _not_identified(estimand, refusals[0] if refusals else None)
-    final = found[-1].output if found else term_of(estimand)
+    final = found[-1].output if found else estimand
     return Derivation(estimand, tuple(found), final, IDENTIFIED)
 
 
@@ -918,17 +844,9 @@ def identify(
     if strategy.kind == "mediator_intervention":
         mediators = list(variables) if variables else _mediator_pool(swig, estimand)
         if not mediators:
-            deps = frozenset(n for n, _ in estimand.dependents)
-            dos = frozenset(swig.intervention(j) for j in estimand.regime.active)
-            tgts = frozenset(swig.target(j) for j in estimand.regime.active)
-            return _not_identified(estimand, CiQuery(estimand.regime, deps, dos, tgts))
-        base_m = BaseDag(
-            variables=swig.base.variables,
-            edges=swig.base.edges,
-            targets=tuple(sorted(mediators, key=lambda n: (swig.var(n).time, n))),
-            name=f"{swig.base.name}_mediators",
-        )
-        return compose_mediator_intervention(swig, to_swig(base_m), estimand)
+            return _not_identified(estimand, _dose_blocking(swig, estimand))
+        targets = tuple(sorted(mediators, key=lambda n: (swig.var(n).time, n)))
+        return compose_mediator_intervention(swig, _mediators_swig(swig, targets), estimand)
     return _search(swig, estimand, strategy.kind, strategy.depth)
 
 
@@ -1003,11 +921,12 @@ def _max_dev(a: LabeledTable, b: LabeledTable) -> float:
     return float(np.max(np.abs(a.aligned(labels) - b.aligned(labels))))
 
 
-def _mediators_swig(swig: Swig, just: CompositionJustification) -> Swig:
+def _mediators_swig(swig: Swig, targets: tuple[str, ...]) -> Swig:
+    """The same skeleton split at the mediators instead of the doses."""
     base = BaseDag(
         variables=swig.base.variables,
         edges=swig.base.edges,
-        targets=just.mediator_targets,
+        targets=targets,
         name=f"{swig.base.name}_mediators",
     )
     return to_swig(base)
@@ -1027,7 +946,7 @@ def _verify_models(
     for idx, step in enumerate(derivation.steps, start=1):
         if step.rule == "mediator_composition":
             just = step.justification
-            swig_m = _mediators_swig(swig, just)
+            swig_m = _mediators_swig(swig, just.mediator_targets)
             nested = (
                 _verify_models(just.mediator_law, swig, cpts_list, tol, seed),
                 _verify_models(just.outcome, swig_m, cpts_list, tol, seed),

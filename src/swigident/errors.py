@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class SwigIdentError(Exception):
     """Base class for all package errors."""
@@ -44,3 +46,13 @@ class ParseError(SwigIdentError):
         self.column = column
         where = f" at line {line}, column {column}" if line is not None else ""
         super().__init__(f"{message}{where}")
+
+
+@contextmanager
+def malformed(what: str):
+    """Report the errors that decoding a malformed document raises (a
+    missing key, a value of the wrong type or shape) as SwigIdentError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise SwigIdentError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc

@@ -5,17 +5,17 @@ pair a variable name with a value reference: a literal level, a symbol, or
 None for a distribution-valued (bare) entry whose levels form an output
 axis.  Canonical form puts every binder at the top (sums lifted out of
 products), sorts entries and factors, and alpha-renames bound symbols, so
-structural equality is equality of canonical forms.
+structural equality is equality of canonical forms.  An estimand is a
+Term: the query q_s(dependents | conditioners) a derivation starts from.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-from .errors import ExprError, ParseError
-from .model import Estimand, Lit, Regime, Sym, ValueRef
+from .errors import ExprError
+from .model import Lit, Regime, Swig, Sym, ValueRef
 
 Entry = tuple[str, Union[ValueRef, None]]
 
@@ -43,11 +43,17 @@ class Term:
     def cond_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.conditioners)
 
-    def value_of(self, name: str) -> ValueRef | None:
-        for n, ref in (*self.dependents, *self.conditioners):
-            if n == name:
-                return ref
-        raise ExprError(f"{name!r} not in term")
+    @classmethod
+    def of(
+        cls,
+        regime: Regime,
+        dependents: Iterable[str | Entry],
+        conditioners: Iterable[Entry] = (),
+    ) -> Term:
+        """Build a term; a bare name among the dependents is a
+        distribution-valued entry."""
+        deps = tuple((d, None) if isinstance(d, str) else (d[0], d[1]) for d in dependents)
+        return cls(regime, deps, tuple(conditioners))
 
 
 @dataclass(frozen=True)
@@ -75,9 +81,21 @@ class Product:
 
 ProbExpr = Union[Term, Sum, Product]
 
+# An interventional query q_s(dependents | conditioners); dependents may be
+# bare or pinned, conditioners typically pin the intervention nodes.
+Estimand = Term
+
 
 def term_of(estimand: Estimand) -> Term:
-    return Term(estimand.regime, estimand.dependents, estimand.conditioners)
+    """The estimand's term, which is the estimand itself."""
+    return estimand
+
+
+def validate_estimand(swig: Swig, estimand: Estimand) -> None:
+    """Require the estimand's regime and variables to exist in the graph."""
+    swig.check_regime(estimand.regime)
+    for name, _ in (*estimand.dependents, *estimand.conditioners):
+        swig.var(name)
 
 
 # ---------------------------------------------------------------------------
@@ -274,31 +292,19 @@ def _normalize(e: ProbExpr) -> ProbExpr:
     return flat
 
 
-def _entry_text(name: str, ref: ValueRef | None, erase: frozenset[str]) -> str:
+def _entry_text(name: str, ref: ValueRef | None, color: dict[str, str]) -> str:
     if ref is None:
         return name
-    if isinstance(ref, Sym) and ref.name in erase:
-        return f"{name}=?"
+    if isinstance(ref, Sym) and ref.name in color:
+        return f"{name}=?{color[ref.name]}"
     return f"{name}={ref}"
 
 
-def _term_text(t: Term, erase: frozenset[str] = frozenset()) -> str:
-    deps = ", ".join(_entry_text(n, r, erase) for n, r in t.dependents)
-    conds = ", ".join(_entry_text(n, r, erase) for n, r in t.conditioners)
-    inner = f"{deps} | {conds}" if conds else deps
-    return f"{t.regime}({inner})"
-
-
-def _term_text_colored(t: Term, color: dict[str, str]) -> str:
-    def entry(name: str, ref: ValueRef | None) -> str:
-        if ref is None:
-            return name
-        if isinstance(ref, Sym) and ref.name in color:
-            return f"{name}=?{color[ref.name]}"
-        return f"{name}={ref}"
-
-    deps = ", ".join(entry(n, r) for n, r in t.dependents)
-    conds = ", ".join(entry(n, r) for n, r in t.conditioners)
+def _term_text(t: Term, color: dict[str, str] = {}) -> str:
+    """Text of a term; symbols in color print as ``=?`` plus their color,
+    the keys the ordering pass sorts by."""
+    deps = ", ".join([_entry_text(n, r, color) for n, r in t.dependents])
+    conds = ", ".join([_entry_text(n, r, color) for n, r in t.conditioners])
     inner = f"{deps} | {conds}" if conds else deps
     return f"{t.regime}({inner})"
 
@@ -322,7 +328,7 @@ def _order(e: ProbExpr) -> ProbExpr:
     free = frozenset().union(*(frozenset(_term_syms(f)) for f in factors)) - bound
 
     color = {b: "" for b in binders}
-    keys = [_term_text_colored(f, color) for f in factors]
+    keys = [_term_text(f, color) for f in factors]
     for _ in range(len(binders) + len(factors) + 2):
         occurrences: dict[str, list[str]] = {b: [] for b in binders}
         for key, f in zip(keys, factors):
@@ -333,7 +339,7 @@ def _order(e: ProbExpr) -> ProbExpr:
         raw = {b: "|".join(sorted(occurrences[b])) for b in binders}
         ranks = {c: str(i) for i, c in enumerate(sorted(set(raw.values())))}
         new_color = {b: ranks[raw[b]] for b in binders}
-        new_keys = [_term_text_colored(f, new_color) for f in factors]
+        new_keys = [_term_text(f, new_color) for f in factors]
         if new_keys == keys and new_color == color:
             break
         color, keys = new_color, new_keys
@@ -396,162 +402,6 @@ def to_text(e: ProbExpr) -> str:
     return " * ".join(parts)
 
 
-_PUNCT = ("{", "}", "(", ")", "|", "=", ",", "*")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    """Tokens as (kind, value, line, column); kinds: ident, num, punct, end."""
-    out = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch in _PUNCT:
-            out.append(("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            while j < len(text) and text[j] == "'":
-                j += 1
-            out.append(("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(("end", "", line, col))
-    return out
-
-
-class _ExprParser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int, int]:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple[str, str, int, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, value: str | None = None) -> tuple[str, str, int, int]:
-        kind_, value_, line, col = self.peek()
-        if kind_ != kind or (value is not None and value_ != value):
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {value_!r}", line, col)
-        return self.next()
-
-    def at_punct(self, value: str) -> bool:
-        kind, value_, _, _ = self.peek()
-        return kind == "punct" and value_ == value
-
-    def parse(self) -> ProbExpr:
-        e = self.parse_expr()
-        kind, value, line, col = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {value!r}", line, col)
-        return e
-
-    def parse_expr(self) -> ProbExpr:
-        kind, value, _, _ = self.peek()
-        if kind == "ident" and value == "sum":
-            self.next()
-            self.expect("punct", "{")
-            binders = [self.expect("ident")[1]]
-            while self.at_punct(","):
-                self.next()
-                binders.append(self.expect("ident")[1])
-            self.expect("punct", "}")
-            body = self.parse_expr()
-            return Sum(tuple(binders), body)
-        return self.parse_product()
-
-    def parse_product(self) -> ProbExpr:
-        factors = [self.parse_atom()]
-        while self.at_punct("*"):
-            self.next()
-            factors.append(self.parse_atom())
-        return factors[0] if len(factors) == 1 else Product(tuple(factors))
-
-    def parse_atom(self) -> ProbExpr:
-        if self.at_punct("("):
-            self.next()
-            e = self.parse_expr()
-            self.expect("punct", ")")
-            return e
-        return self.parse_term()
-
-    def parse_regime(self) -> Regime:
-        kind, value, line, col = self.expect("ident")
-        if value == "q" and self.at_punct("{"):
-            self.next()
-            active = [int(self.expect("num")[1])]
-            while self.at_punct(","):
-                self.next()
-                active.append(int(self.expect("num")[1]))
-            self.expect("punct", "}")
-            return Regime(frozenset(active))
-        if value.startswith("q") and value[1:].isdigit():
-            return Regime.prefix(int(value[1:]))
-        raise ParseError(f"expected a regime like q0 or q{{1,2}}, found {value!r}", line, col)
-
-    def parse_term(self) -> Term:
-        regime = self.parse_regime()
-        self.expect("punct", "(")
-        deps = self.parse_entries()
-        conds: tuple[Entry, ...] = ()
-        if self.at_punct("|"):
-            self.next()
-            conds = self.parse_entries()
-        self.expect("punct", ")")
-        return Term(regime, deps, conds)
-
-    def parse_entries(self) -> tuple[Entry, ...]:
-        entries = [self.parse_entry()]
-        while self.at_punct(","):
-            self.next()
-            entries.append(self.parse_entry())
-        return tuple(entries)
-
-    def parse_entry(self) -> Entry:
-        name = self.expect("ident")[1]
-        if not self.at_punct("="):
-            return (name, None)
-        self.next()
-        kind, value, line, col = self.next()
-        if kind == "num":
-            return (name, Lit(int(value)))
-        if kind == "ident":
-            return (name, Sym(value))
-        raise ParseError(f"expected a value, found {value!r}", line, col)
-
-
-def parse_expr(text: str) -> ProbExpr:
-    return _ExprParser(text).parse()
-
-
 # ---------------------------------------------------------------------------
 # JSON form
 
@@ -599,10 +449,6 @@ def from_json(obj: dict) -> ProbExpr:
     if node == "product":
         return Product(tuple(from_json(f) for f in obj["factors"]))
     raise ExprError(f"bad expression node: {node!r}")
-
-
-def dumps(e: ProbExpr) -> str:
-    return json.dumps(to_json(e), sort_keys=True)
 
 
 @dataclass(frozen=True)

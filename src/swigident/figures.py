@@ -4,7 +4,7 @@ figure1 is the four-variable dose/mediator/outcome graph with a common cause
 L; figure2 generalizes it to n alternating dose and mediator steps with L
 unmeasured; figure3 is the same skeleton with the mediators as intervention
 targets.  ablated_figure1 removes the mediator and hides L, leaving nothing
-to adjust for.
+to adjust for.  FIXTURES names the graphs that ``swigident fixture`` prints.
 """
 
 from __future__ import annotations
@@ -86,3 +86,11 @@ def figure3(n: int = 2) -> BaseDag:
         edges=edges,
         targets=tuple(f"M{t}" for t in range(1, n + 1)),
     )
+
+
+FIXTURES = {
+    "fig1": figure1,
+    "fig1_ablated": ablated_figure1,
+    "fig2_n2": lambda: figure2(2),
+    "fig3_n2": lambda: figure3(2),
+}

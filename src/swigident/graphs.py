@@ -139,6 +139,17 @@ class CiQuery:
             "z": sorted(self.z),
         }
 
+    @classmethod
+    def from_json(cls, obj: dict) -> CiQuery:
+        from .model import Regime
+
+        return cls(
+            regime=Regime(frozenset(int(i) for i in obj["regime"])),
+            x=frozenset(obj["x"]),
+            y=frozenset(obj["y"]),
+            z=frozenset(obj["z"]),
+        )
+
 
 def d_separated_nodes(
     graph: Graph,
@@ -193,7 +204,8 @@ def d_separated(swig: Swig, query: CiQuery) -> bool:
 
 
 def drop_later_obstruction(swig: Swig, estimand, t: int):
-    """First obstacle to truncating the regime after time t, or None.
+    """First obstacle to truncating the regime after time t, and the
+    d-separation checks made on the way.
 
     Walking active indices j > t from the latest down, intervention j may be
     deactivated when (a) if its node sits in the conditioning set, the
@@ -203,40 +215,37 @@ def drop_later_obstruction(swig: Swig, estimand, t: int):
     smuggling dependence past check (a): non-descendants of the node keep
     their joint law when the copy edge is restored.
 
-    Returns None if every later intervention can be dropped, otherwise a
-    (reason, CiQuery) pair describing the first failure.
+    Returns (obstruction, checks).  obstruction is None if every later
+    intervention can be dropped, otherwise a (reason, CiQuery) pair
+    describing the first failure; checks are the passed d-separations of
+    (a), latest intervention first, which justify the drop.
     """
     regime = estimand.regime
     deps = frozenset(name for name, _ in estimand.dependents)
     conds = {name for name, _ in estimand.conditioners}
+    checks: list[CiQuery] = []
     cur = regime
     for j in sorted((i for i in regime.active if i > t), reverse=True):
         do = swig.intervention(j)
         rest = frozenset(conds - {do})
         if do in deps:
             query = CiQuery(cur, x=deps - {do}, y=frozenset({do}), z=rest)
-            return (f"{do} is a dependent of the term", query)
+            return (f"{do} is a dependent of the term", query), tuple(checks)
         if do in conds:
             query = CiQuery(cur, x=deps, y=frozenset({do}), z=rest)
             if not d_separated(swig, query):
-                return (f"dependents not d-separated from {do}", query)
+                return (f"dependents not d-separated from {do}", query), tuple(checks)
+            checks.append(query)
         graph = swig.regime_graph(cur)
         offenders = ((deps | rest) & graph.descendants({do})) - {do}
         if offenders:
             query = CiQuery(cur, x=frozenset(offenders), y=frozenset({do}), z=rest - offenders)
-            return (f"{', '.join(sorted(offenders))} descend from {do}", query)
+            return (f"{', '.join(sorted(offenders))} descend from {do}", query), tuple(checks)
         cur = cur.without(j)
         conds = set(rest)
-    return None
+    return None, tuple(checks)
 
 
 def later_interventions_droppable(swig: Swig, estimand, t: int) -> bool:
     """True iff every intervention after time t can be removed from the term."""
-    return drop_later_obstruction(swig, estimand, t) is None
-
-
-def brute_force_ci(model, query: CiQuery, tol: float = 1e-9) -> bool:
-    """Numeric CI check by full enumeration; see oracle.brute_force_ci."""
-    from .oracle import brute_force_ci as impl
-
-    return impl(model, query, tol)
+    return drop_later_obstruction(swig, estimand, t)[0] is None

@@ -1,4 +1,4 @@
-"""Base DAGs, node splitting, regimes, and estimands.
+"""Base DAGs, node splitting, and regimes.
 
 Splitting a target X_t yields the pair (X_t, Xo_t): X_t keeps its incoming
 edges and stands for the natural value, Xo_t takes over the outgoing edges
@@ -11,11 +11,11 @@ exogenous root.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import GraphValidationError, SwigIdentError
 from .graphs import Graph
@@ -121,20 +121,10 @@ class Violation:
         return f"{self.rule}: {self.message}"
 
 
-@dataclass(frozen=True)
-class BaseDag:
-    """Pre-split causal DAG: variables in declaration order, edges, and the
-    ordered list of intervention targets (order gives indices 1..n)."""
+class _Variables:
+    """Name lookup over a graph's variables field."""
 
     variables: tuple[Variable, ...]
-    edges: frozenset[tuple[str, str]]
-    targets: tuple[str, ...] = ()
-    name: str = "graph"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-        object.__setattr__(self, "targets", tuple(self.targets))
 
     @cached_property
     def by_name(self) -> dict[str, Variable]:
@@ -149,6 +139,22 @@ class BaseDag:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
+
+
+@dataclass(frozen=True)
+class BaseDag(_Variables):
+    """Pre-split causal DAG: variables in declaration order, edges, and the
+    ordered list of intervention targets (order gives indices 1..n)."""
+
+    variables: tuple[Variable, ...]
+    edges: frozenset[tuple[str, str]]
+    targets: tuple[str, ...] = ()
+    name: str = "graph"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
+        object.__setattr__(self, "targets", tuple(self.targets))
 
 
 def validate(base: BaseDag) -> list[Violation]:
@@ -227,7 +233,7 @@ def intervention_name(name: str) -> str:
 
 
 @dataclass(frozen=True)
-class Swig:
+class Swig(_Variables):
     """Node-split graph with its regime-0 edge set.
 
     pairs holds (target, intervention) names in intervention order 1..n.
@@ -239,20 +245,6 @@ class Swig:
     variables: tuple[Variable, ...]
     pairs: tuple[tuple[str, str], ...]
     edges: frozenset[tuple[str, str]]
-
-    @cached_property
-    def by_name(self) -> dict[str, Variable]:
-        return {v.name: v for v in self.variables}
-
-    def var(self, name: str) -> Variable:
-        try:
-            return self.by_name[name]
-        except KeyError:
-            raise SwigIdentError(f"unknown variable {name!r}") from None
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
 
     @cached_property
     def intervention_of(self) -> dict[str, str]:
@@ -382,46 +374,3 @@ def same_skeleton(a: BaseDag, b: BaseDag) -> bool:
         ):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class Estimand:
-    """An interventional query q_s(dependents | conditioners).
-
-    Dependents may be bare (distribution-valued) or pinned to a value;
-    conditioners always carry a value, typically the intervention nodes
-    pinned to symbols d1..dn.
-    """
-
-    regime: Regime
-    dependents: tuple[tuple[str, ValueRef | None], ...]
-    conditioners: tuple[tuple[str, ValueRef], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dependents", tuple(tuple(d) for d in self.dependents))
-        object.__setattr__(self, "conditioners", tuple(tuple(c) for c in self.conditioners))
-        dep_names = [n for n, _ in self.dependents]
-        cond_names = [n for n, _ in self.conditioners]
-        all_names = dep_names + cond_names
-        if len(set(all_names)) != len(all_names):
-            raise SwigIdentError("estimand mentions a variable twice")
-        if not dep_names:
-            raise SwigIdentError("estimand needs at least one dependent")
-
-    @classmethod
-    def of(
-        cls,
-        regime: Regime,
-        dependents: Iterable[str | tuple[str, ValueRef | None]],
-        conditioners: Iterable[tuple[str, ValueRef]] = (),
-    ) -> Estimand:
-        deps = tuple(
-            (d, None) if isinstance(d, str) else (d[0], d[1]) for d in dependents
-        )
-        return cls(regime=regime, dependents=deps, conditioners=tuple(conditioners))
-
-
-def validate_estimand(swig: Swig, estimand: Estimand) -> None:
-    swig.check_regime(estimand.regime)
-    for name, _ in (*estimand.dependents, *estimand.conditioners):
-        swig.var(name)

@@ -23,10 +23,11 @@ from .errors import (
     StateSpaceLimitError,
     SwigIdentError,
     ZeroProbabilityError,
+    malformed,
 )
-from .expr import ProbExpr, Product, Sum, Term, regimes_used, term_of
+from .expr import Estimand, ProbExpr, Product, Sum, Term, regimes_used
 from .graphs import CiQuery, Graph
-from .model import BaseDag, Estimand, Lit, Regime, Role, Swig, Sym, Variable, to_swig
+from .model import BaseDag, Regime, Role, Swig, Sym, Variable, to_swig
 
 STATE_LIMIT = 2**22
 ZERO_EPS = 1e-12
@@ -196,11 +197,6 @@ class LabeledTable:
     labels: tuple[str, ...]
     values: np.ndarray
 
-    def scalar(self) -> float:
-        if self.labels:
-            raise ExprError(f"table still has free axes {self.labels}")
-        return float(self.values)
-
     def select(self, assignment: Mapping[str, int]) -> "LabeledTable":
         labels = []
         idx: list = []
@@ -315,7 +311,7 @@ def eval_expr(
 
 def eval_estimand(model: DiscreteModel, estimand: Estimand) -> LabeledTable:
     """Oracle value of an estimand, as a table over its bare/symbol axes."""
-    return eval_expr(model, term_of(estimand))
+    return eval_expr(model, estimand)
 
 
 # ---------------------------------------------------------------------------
@@ -507,32 +503,33 @@ def model_to_json(model: DiscreteModel) -> dict:
 
 
 def model_from_json(obj: dict) -> DiscreteModel:
-    g = obj["graph"]
-    variables = tuple(
-        Variable(
-            name=v["name"],
-            time=int(v.get("time", 0)),
-            role=Role(v.get("role", "other")),
-            observed=bool(v.get("observed", True)),
-            cardinality=int(v.get("levels", 2)),
+    with malformed("model"):
+        g = obj["graph"]
+        variables = tuple(
+            Variable(
+                name=v["name"],
+                time=int(v.get("time", 0)),
+                role=Role(v.get("role", "other")),
+                observed=bool(v.get("observed", True)),
+                cardinality=int(v.get("levels", 2)),
+            )
+            for v in g["variables"]
         )
-        for v in g["variables"]
-    )
-    base = BaseDag(
-        variables=variables,
-        edges=frozenset((a, b) for a, b in g["edges"]),
-        targets=tuple(g.get("targets", ())),
-        name=g.get("name", "graph"),
-    )
-    swig = to_swig(base)
-    cpts: dict[str, Cpt] = {}
-    for name, spec in obj["cpts"].items():
-        parents = tuple(spec["parents"])
-        shape = tuple(swig.var(p).cardinality for p in parents) + (
-            swig.var(name).cardinality,
+        base = BaseDag(
+            variables=variables,
+            edges=frozenset((a, b) for a, b in g["edges"]),
+            targets=tuple(g.get("targets", ())),
+            name=g.get("name", "graph"),
         )
-        cpts[name] = (parents, np.asarray(spec["table"], float).reshape(shape))
-    return DiscreteModel(swig, cpts)
+        swig = to_swig(base)
+        cpts: dict[str, Cpt] = {}
+        for name, spec in obj["cpts"].items():
+            parents = tuple(spec["parents"])
+            shape = tuple(swig.var(p).cardinality for p in parents) + (
+                swig.var(name).cardinality,
+            )
+            cpts[name] = (parents, np.asarray(spec["table"], float).reshape(shape))
+        return DiscreteModel(swig, cpts)
 
 
 def save_model(model: DiscreteModel, fh) -> None:
@@ -546,4 +543,6 @@ def load_model(fh) -> DiscreteModel:
     if isinstance(fh, (str, os.PathLike)):
         with open(fh, encoding="utf-8") as f:
             return load_model(f)
-    return model_from_json(json.load(fh))
+    with malformed("model"):
+        obj = json.load(fh)
+    return model_from_json(obj)

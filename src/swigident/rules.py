@@ -216,12 +216,7 @@ def rule_ci_modify(
 
     z = frozenset(n for n in conds if n != var)
     query = CiQuery(term.regime, frozenset(term.dep_names()), frozenset({var}), z)
-    if justification is not None and (
-        justification.regime != query.regime
-        or justification.x != query.x
-        or justification.y != query.y
-        or justification.z != query.z
-    ):
+    if justification is not None and justification != query:
         raise ExprError("supplied justification does not match the rewrite")
     if not d_separated(swig, query):
         raise RuleRefusedError(f"not d-separated: {query}", blocking=query)
@@ -289,22 +284,10 @@ def rule_drop_later(
     later = sorted(j for j in term.regime.active if j > t)
     if not later:
         raise RuleRefusedError(f"no active intervention after {t}")
-    obstruction = drop_later_obstruction(swig, term, t)
+    obstruction, checks = drop_later_obstruction(swig, term, t)
     if obstruction is not None:
         reason, query = obstruction
         raise RuleRefusedError(f"cannot drop interventions after {t}: {reason}", blocking=query)
-
-    deps = frozenset(term.dep_names())
-    checks: list[CiQuery] = []
-    cur = term.regime
-    conds = {n for n, _ in term.conditioners}
-    for j in reversed(later):
-        do = swig.intervention(j)
-        rest = frozenset(conds - {do})
-        if do in conds:
-            checks.append(CiQuery(cur, deps, frozenset({do}), rest))
-        cur = cur.without(j)
-        conds = set(rest)
 
     dropped = {swig.intervention(j) for j in later}
     new_conds = tuple((n, r) for n, r in term.conditioners if n not in dropped)
@@ -313,7 +296,7 @@ def rule_drop_later(
         rule="drop_later",
         input=e,
         output=out,
-        justification=DropLaterJustification(t, tuple(checks)),
+        justification=DropLaterJustification(t, checks),
     )
 
 

@@ -177,3 +177,31 @@ def test_usage_errors_exit_1(fig1_path, tmp_path, capsys):
 
     assert main(["identify", fig1_path, "q[1](Y1 | do D1=d1)", "--strategy", "magic"]) == 1
     assert "unknown strategy" in capsys.readouterr().err
+
+
+MALFORMED_DERIVATIONS = {
+    "step_without_ast": '{"steps": [{"rule": "x"}]}',
+    "not_json": "not json",
+    "bad_dependent": (
+        '{"steps": [], "estimand": {"regime": [1], "dependents": [5], "conditioners": []}}'
+    ),
+    "list": "[]",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DERIVATIONS))
+def test_verify_malformed_derivation_exits_1(name, fig1_path, tmp_path, capsys):
+    path = tmp_path / "derivation.json"
+    path.write_text(MALFORMED_DERIVATIONS[name])
+    assert main(["verify", fig1_path, str(path), "--models", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed derivation:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ['{"graph": {}}', "not json", "[]"])
+def test_simulate_malformed_model_exits_1(text, fig1_path, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["simulate", fig1_path, "--model", str(path), "--n", "5"]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed model:")

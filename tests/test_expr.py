@@ -20,7 +20,6 @@ from swigident import (
     parse_expr,
     regimes_used,
     struct_eq,
-    term_of,
     to_text,
 )
 from swigident.expr import free_symbols, from_json, replace_at, terms, to_json
@@ -54,6 +53,13 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError) as exc:
             parse_expr(bad)
         assert "line" in str(exc.value)
+
+
+def test_parse_error_at_end_of_input_names_it():
+    with pytest.raises(ParseError, match=r"expected '\)', found 'end of input' at line 1, column 6"):
+        parse_expr("q1(Y1")
+    with pytest.raises(ParseError, match="expected a value, found 'end of input'"):
+        parse_expr("q1(Y1=")
 
 
 def test_term_rejects_duplicate_variable():
@@ -92,7 +98,7 @@ def test_regimes_used_single():
 
 def test_term_of_estimand():
     est = Estimand.of(Q1, ("Y1",), [("Do1", Sym("d1"))])
-    assert term_of(est) == t(Q1, [("Y1", None)], [("Do1", Sym("d1"))])
+    assert est == Term(Q1, (("Y1", None),), (("Do1", Sym("d1")),))
 
 
 def test_struct_eq_alpha_invariance():

@@ -147,14 +147,24 @@ def test_generic_dependence_with_direct_edge(fig1):
 def test_drop_later_allows_mediator_history(fig2_n2):
     est = dose_estimand(fig2_n2, ("M1",))
     assert later_interventions_droppable(fig2_n2, est, 1)
-    assert drop_later_obstruction(fig2_n2, est, 1) is None
+    assert drop_later_obstruction(fig2_n2, est, 1)[0] is None
     # Dropping after the horizon asks for nothing.
     assert later_interventions_droppable(fig2_n2, est, 2)
 
 
+def test_drop_later_returns_the_checks_it_made(fig2_n2):
+    est = dose_estimand(fig2_n2, ("M1",))
+    passed = CiQuery(Regime.prefix(2), {"M1"}, {"Do2"}, {"Do1"})
+    assert drop_later_obstruction(fig2_n2, est, 1) == (None, (passed,))
+    # A blocked walk still reports the checks that passed before the block.
+    obstruction, checks = drop_later_obstruction(fig2_n2, est, 0)
+    assert "not d-separated from Do1" in obstruction[0]
+    assert checks == (passed,)
+
+
 def test_drop_later_blocks_conditioned_outcome(fig2_n2):
     est = dose_estimand(fig2_n2, ("Y",))
-    reason, query = drop_later_obstruction(fig2_n2, est, 1)
+    reason, query = drop_later_obstruction(fig2_n2, est, 1)[0]
     assert "not d-separated from Do2" in reason
     assert isinstance(query, CiQuery)
     assert not later_interventions_droppable(fig2_n2, est, 0)
@@ -163,13 +173,13 @@ def test_drop_later_blocks_conditioned_outcome(fig2_n2):
 def test_drop_later_blocks_descendant_outcome(fig2_n2):
     # Do2 active but not conditioned on: the outcome still descends from it.
     est = Estimand.of(Regime.prefix(2), ("Y",), [("Do1", Sym("d1"))])
-    reason, _ = drop_later_obstruction(fig2_n2, est, 1)
+    reason, _ = drop_later_obstruction(fig2_n2, est, 1)[0]
     assert "Y descend from Do2" in reason
 
 
 def test_drop_later_blocks_dependent_intervention(fig2_n2):
     est = Estimand.of(Regime.prefix(2), ("Do2",), [("Do1", Sym("d1"))])
-    reason, _ = drop_later_obstruction(fig2_n2, est, 1)
+    reason, _ = drop_later_obstruction(fig2_n2, est, 1)[0]
     assert "dependent" in reason
 
 
@@ -177,6 +187,6 @@ def test_drop_later_counterexample_is_real(fig2_n2):
     """The blocked truncation would actually change the number: Y depends on
     Do2 in q2."""
     est = dose_estimand(fig2_n2, ("Y",))
-    _, query = drop_later_obstruction(fig2_n2, est, 1)
+    _, query = drop_later_obstruction(fig2_n2, est, 1)[0]
     model = random_model(fig2_n2, seed=5)
     assert not brute_force_ci(model, CiQuery(query.regime, {"Y"}, {"Do2"}, frozenset()))

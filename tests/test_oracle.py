@@ -10,6 +10,7 @@ from swigident import (
     Regime,
     Role,
     StateSpaceLimitError,
+    SwigIdentError,
     Sym,
     Variable,
     ZeroProbabilityError,
@@ -217,6 +218,14 @@ def test_model_json_round_trip(fig1, tmp_path):
     assert np.allclose(
         query(loaded, Q0, ("Y1",)), query(model, Q0, ("Y1",)), atol=1e-15
     )
+
+
+@pytest.mark.parametrize("text", ['{"graph": {}}', "not json", "[]"])
+def test_load_model_malformed_raises_swigident_error(text, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(SwigIdentError, match="^malformed model:"):
+        load_model(path)
 
 
 def test_consistency_spot_check(fig1):
