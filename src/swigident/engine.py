@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ExprError, RuleRefusedError, SwigIdentError, ZeroProbabilityError, malformed
+from .errors import ExprError, RuleRefusedError, SwigIdentError, malformed
 from .expr import (
     DerivationStep,
     Estimand,
@@ -36,13 +36,7 @@ from .expr import (
 )
 from .graphs import CiQuery
 from .model import BaseDag, Swig, Sym, ValueRef, same_skeleton, to_swig
-from .oracle import (
-    LabeledTable,
-    eval_estimand,
-    eval_expr,
-    model_from_base_cpts,
-    random_base_cpts,
-)
+from .oracle import LabeledTable, eval_expr, model_batches, random_base_cpts
 from .rules import (
     CiJustification,
     ConsistencyJustification,
@@ -350,11 +344,12 @@ def _try_candidates(
 
 def _dose_blocking(swig: Swig, estimand: Estimand) -> CiQuery:
     """Fallback blocking query of the mediator recipes: the dependents
-    independent of the intervention nodes given their targets."""
+    independent of the intervention nodes given their targets, less the
+    dependents themselves (a dependent may be a target)."""
     deps = frozenset(n for n, _ in estimand.dependents)
     dos = frozenset(swig.intervention(j) for j in estimand.regime.active)
     tgts = frozenset(swig.target(j) for j in estimand.regime.active)
-    return CiQuery(estimand.regime, deps, dos, tgts)
+    return CiQuery(estimand.regime, deps, dos - deps, tgts - deps)
 
 
 # ---------------------------------------------------------------------------
@@ -916,9 +911,12 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _max_dev(a: LabeledTable, b: LabeledTable) -> float:
+def _deviations(a: LabeledTable, b: LabeledTable) -> tuple[np.ndarray, np.ndarray]:
+    """Per model of two batch tables: the largest absolute difference over
+    the union of their axes, and whether neither skips the model."""
     labels = a.labels + tuple(l for l in b.labels if l not in a.labels)
-    return float(np.max(np.abs(a.aligned(labels) - b.aligned(labels))))
+    diff = np.abs(a.aligned(labels) - b.aligned(labels))
+    return diff.reshape(len(diff), -1).max(axis=1), ~(a.skipped | b.skipped)
 
 
 def _mediators_swig(swig: Swig, targets: tuple[str, ...]) -> Swig:
@@ -940,53 +938,51 @@ def _verify_models(
     seed: int,
 ) -> VerifyReport:
     validate_derivation(derivation)
-    models = [model_from_base_cpts(swig, c) for c in cpts_list]
-    reports: list[StepReport] = []
-    all_passed = True
+    nested: dict[int, tuple[VerifyReport, ...]] = {}
     for idx, step in enumerate(derivation.steps, start=1):
         if step.rule == "mediator_composition":
             just = step.justification
             swig_m = _mediators_swig(swig, just.mediator_targets)
-            nested = (
+            nested[idx] = (
                 _verify_models(just.mediator_law, swig, cpts_list, tol, seed),
                 _verify_models(just.outcome, swig_m, cpts_list, tol, seed),
             )
-        else:
-            nested = ()
-        dev = 0.0
-        used = skipped = 0
-        for model in models:
-            try:
-                a = eval_expr(model, step.input)
-                b = eval_expr(model, step.output)
-            except ZeroProbabilityError:
-                skipped += 1
-                continue
-            dev = max(dev, _max_dev(a, b))
-            used += 1
-        passed = dev <= tol and used > 0 and all(r.passed for r in nested)
+
+    # Chained expressions: step i maps exprs[i - 1] to exprs[i]; the final
+    # check compares the last one with the estimand, exprs[0].
+    exprs = [derivation.initial, *(step.output for step in derivation.steps)]
+    pairs = list(zip(range(len(exprs) - 1), range(1, len(exprs))))
+    if derivation.identified:
+        pairs.append((len(exprs) - 1, 0))
+    dev = [0.0] * len(pairs)
+    used = [0] * len(pairs)
+    for batch in model_batches(swig, cpts_list):
+        tables = [eval_expr(batch, e) for e in exprs]
+        for k, (i, j) in enumerate(pairs):
+            d, ok = _deviations(tables[i], tables[j])
+            dev[k] = max(dev[k], float(np.max(d[ok], initial=0.0)))
+            used[k] += int(ok.sum())
+
+    reports: list[StepReport] = []
+    all_passed = True
+    for k, step in enumerate(derivation.steps):
+        inner = nested.get(k + 1, ())
+        passed = dev[k] <= tol and used[k] > 0 and all(r.passed for r in inner)
         all_passed &= passed
-        reports.append(StepReport(idx, step.rule, dev, used, skipped, passed, nested))
+        skipped = len(cpts_list) - used[k]
+        reports.append(StepReport(k + 1, step.rule, dev[k], used[k], skipped, passed, inner))
 
     final_dev = None
     final_used = 0
     if derivation.identified:
-        final_dev = 0.0
-        for model in models:
-            try:
-                a = eval_expr(model, derivation.final)
-                b = eval_estimand(model, derivation.estimand)
-            except ZeroProbabilityError:
-                continue
-            final_dev = max(final_dev, _max_dev(a, b))
-            final_used += 1
+        final_dev, final_used = dev[-1], used[-1]
         all_passed &= final_dev <= tol and final_used > 0
     return VerifyReport(
         steps=tuple(reports),
         final_deviation=final_dev,
         final_models=final_used,
         passed=all_passed,
-        n_models=len(models),
+        n_models=len(cpts_list),
         seed=seed,
         tol=tol,
     )

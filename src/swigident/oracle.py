@@ -6,6 +6,16 @@ when inactive, a uniform full-support law when active.  The uniform choice
 only matters up to conditioning on the intervention nodes and is verified
 inert by the test suite.  Joints are dense arrays built by broadcasting,
 which keeps every query exact at desk scale.
+
+A model may also be a batch: N models of one graph with their CPTs stacked
+on a leading axis, so that joints, conditionals and expression values carry
+one table per model.  Expressions are evaluated by one batched evaluator: a
+term is a view of the cached conditional plus a per-model mask of the models
+for which it conditions on a zero-probability event, and each sum or product
+is contracted by one einsum over the batch axis and the labels.  Values are
+memoised per model (or batch), so each distinct expression is evaluated once.
+A single model is a batch of one.  model_batches bounds a batch so that its
+joint has at most STATE_LIMIT entries, as large as one model's joint may be.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,11 +47,21 @@ Cpt = tuple[tuple[str, ...], np.ndarray]
 
 @dataclass(eq=False)
 class DiscreteModel:
-    """CPTs keyed by variable name; parents listed in table axis order."""
+    """CPTs keyed by variable name; parents listed in table axis order.
+
+    A batch of `batch` models stacks every CPT on a leading axis; batch is
+    None for a single model.  Joints and expression values are cached."""
 
     swig: Swig
     cpts: dict[str, Cpt]
+    batch: int | None = None
     _joints: dict[Regime, "RegimeJoint"] = field(default_factory=dict, repr=False)
+    _values: dict[ProbExpr, "LabeledTable"] = field(default_factory=dict, repr=False)
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """Shape of the leading batch axes: () or (batch,)."""
+        return () if self.batch is None else (self.batch,)
 
     def __post_init__(self) -> None:
         swig = self.swig
@@ -60,7 +80,8 @@ class DiscreteModel:
                 raise SwigIdentError(
                     f"CPT parents for {v.name!r} do not match the graph"
                 )
-            want = tuple(swig.var(p).cardinality for p in parents) + (v.cardinality,)
+            want = self.batch_shape + tuple(swig.var(p).cardinality for p in parents)
+            want += (v.cardinality,)
             if table.shape != want:
                 raise SwigIdentError(
                     f"CPT for {v.name!r} has shape {table.shape}, expected {want}"
@@ -73,7 +94,8 @@ class DiscreteModel:
 
 @dataclass(eq=False)
 class RegimeJoint:
-    """Full joint table under one regime, axes in swig variable order."""
+    """Full joint table under one regime, axes in swig variable order after
+    the model's batch axis, if any."""
 
     regime: Regime
     order: tuple[str, ...]
@@ -81,27 +103,35 @@ class RegimeJoint:
     axis: dict[str, int]
     _conditionals: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
 
+    @property
+    def lead(self) -> int:
+        """Number of leading batch axes (0 or 1)."""
+        return self.table.ndim - len(self.order)
+
     def marginal(self, names: Sequence[str]) -> np.ndarray:
-        """Marginal table with axes in the order given."""
-        keep = [self.axis[n] for n in names]
-        drop = tuple(i for i in range(self.table.ndim) if i not in set(keep))
+        """Marginal table with axes in the order given, after the batch axis."""
+        lead = self.lead
+        keep = [lead + self.axis[n] for n in names]
+        drop = tuple(i for i in range(lead, self.table.ndim) if i not in set(keep))
         t = self.table.sum(axis=drop)
         ascending = sorted(keep)
-        perm = [ascending.index(a) for a in keep]
+        perm = [*range(lead), *(lead + ascending.index(a) for a in keep)]
         return np.transpose(t, perm)
 
     def conditional(self, deps: tuple[str, ...], conds: tuple[str, ...]) -> np.ndarray:
-        """P(deps | conds) with axes deps + conds; NaN where the conditioning
-        event has (numerically) zero probability."""
+        """P(deps | conds) with axes deps + conds after the batch axis; NaN
+        where the conditioning event has (numerically) zero probability."""
         key = (deps, conds)
         cached = self._conditionals.get(key)
         if cached is not None:
             return cached
         m = self.marginal(tuple(deps) + tuple(conds))
-        denom = m.sum(axis=tuple(range(len(deps))))
+        lead = self.lead
+        denom = m.sum(axis=tuple(range(lead, lead + len(deps))), keepdims=True)
         with np.errstate(invalid="ignore", divide="ignore"):
-            out = m / denom
-        out = np.where(denom > ZERO_EPS, out, np.nan)
+            out = np.divide(m, denom, out=m)  # in place: m is a fresh array
+        np.copyto(out, np.nan, where=~(denom > ZERO_EPS))
+        out.flags.writeable = False  # shared by every caller and by term views
         self._conditionals[key] = out
         return out
 
@@ -134,18 +164,18 @@ def joint(
         return model._joints[regime]
 
     names = swig.names
-    cards = [swig.var(n).cardinality for n in names]
-    size = 1
-    for c in cards:
-        size *= c
+    size = joint_states(swig)
     if size > STATE_LIMIT:
         raise StateSpaceLimitError(f"joint has {size} states (limit {STATE_LIMIT})")
 
+    lead = model.batch_shape
     axis = {n: i for i, n in enumerate(names)}
-    rank = len(names)
-    table = np.ones(cards)
+    at = {n: len(lead) + i for n, i in axis.items()}  # table axis, after the batch axis
+    rank = len(lead) + len(names)
+    batch_axes = list(range(len(lead)))
+    table = np.ones(lead + tuple(swig.var(n).cardinality for n in names))
     for name, (parents, cpt) in model.cpts.items():
-        table *= _expand(cpt, [axis[p] for p in parents] + [axis[name]], rank)
+        table *= _expand(cpt, batch_axes + [at[p] for p in parents] + [at[name]], rank)
     for i, (tgt, do) in enumerate(swig.pairs, start=1):
         k = swig.var(tgt).cardinality
         if i in regime.active:
@@ -155,17 +185,26 @@ def joint(
                 if law.shape != (k,) or (law <= 0).any():
                     raise SwigIdentError(f"active law for index {i} must be full support")
                 law = law / law.sum()
-            table *= _expand(law, [axis[do]], rank)
+            table *= _expand(law, [at[do]], rank)
         else:
-            table *= _expand(np.eye(k), [axis[tgt], axis[do]], rank)
+            table *= _expand(np.eye(k), [at[tgt], at[do]], rank)
 
-    total = table.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise SwigIdentError(f"joint does not normalize: sum = {total!r}")
+    totals = table.reshape(lead + (-1,)).sum(axis=-1)
+    worst = totals.flat[np.argmax(np.abs(totals - 1.0))]
+    if abs(worst - 1.0) > 1e-9:
+        raise SwigIdentError(f"joint does not normalize: sum = {worst!r}")
     out = RegimeJoint(regime, names, table, axis)
     if active_laws is None:
         model._joints[regime] = out
     return out
+
+
+def joint_states(swig: Swig) -> int:
+    """Number of entries of one model's joint table."""
+    size = 1
+    for v in swig.variables:
+        size *= v.cardinality
+    return size
 
 
 def query(
@@ -174,8 +213,8 @@ def query(
     dependents: Sequence[str],
     conditioners: Mapping[str, int] | Iterable[tuple[str, int]] = (),
 ) -> np.ndarray:
-    """Exact conditional P(dependents | conditioners = values); axes follow
-    the dependents, in the order given."""
+    """Exact conditional P(dependents | conditioners = values) of a single
+    model; axes follow the dependents, in the order given."""
     cond_items = sorted(dict(conditioners).items())
     j = joint(model, regime)
     table = j.conditional(tuple(dependents), tuple(n for n, _ in cond_items))
@@ -192,40 +231,47 @@ def query(
 
 @dataclass(frozen=True)
 class LabeledTable:
-    """A numeric table with one named axis per free symbol or bare variable."""
+    """A numeric table with one named axis per free symbol or bare variable.
+
+    A batch table has one more, leading axis, one table per model, and
+    skipped[m] is true where model m's expression conditions on a
+    zero-probability event; a single table has skipped None."""
 
     labels: tuple[str, ...]
     values: np.ndarray
+    skipped: np.ndarray | None = None
 
     def select(self, assignment: Mapping[str, int]) -> "LabeledTable":
         labels = []
-        idx: list = []
+        idx: list = [slice(None)] * (self.values.ndim - len(self.labels))
         for i, label in enumerate(self.labels):
             if label in assignment:
                 idx.append(int(assignment[label]))
             else:
                 idx.append(slice(None))
                 labels.append(label)
-        return LabeledTable(tuple(labels), self.values[tuple(idx)])
+        return LabeledTable(tuple(labels), self.values[tuple(idx)], self.skipped)
 
     def aligned(self, labels: tuple[str, ...]) -> np.ndarray:
+        lead = self.values.ndim - len(self.labels)
         missing = [l for l in labels if l not in self.labels]
         v = self.values.reshape(self.values.shape + (1,) * len(missing))
         cur = self.labels + tuple(missing)
-        return np.transpose(v, [cur.index(l) for l in labels])
+        return np.transpose(v, [*range(lead), *(lead + cur.index(l) for l in labels)])
 
 
+# P(deps | conds) for a regime, with axes batch + deps + conds.
 TableProvider = Callable[[Regime, tuple[str, ...], tuple[str, ...]], np.ndarray]
 
 
 def _eval_term(swig: Swig, t: Term, provider: TableProvider) -> LabeledTable:
-    entries = (*t.dependents, *t.conditioners)
     table = provider(t.regime, t.dep_names(), t.cond_names())
 
     labels: list[str] = []
     sizes: dict[str, int] = {}
-    per_entry: list[tuple[str | None, int]] = []
-    for name, ref in entries:
+    idx: list = [slice(None)]
+    subscripts = [0]  # einsum subscript of each kept axis; 0 is the batch axis
+    for name, ref in (*t.dependents, *t.conditioners):
         card = swig.var(name).cardinality
         if ref is None:
             label = name
@@ -234,7 +280,7 @@ def _eval_term(swig: Swig, t: Term, provider: TableProvider) -> LabeledTable:
         else:
             if not 0 <= ref.value < card:
                 raise ExprError(f"level {ref.value} out of range for {name!r}")
-            per_entry.append((None, ref.value))
+            idx.append(ref.value)
             continue
         if label in sizes:
             if sizes[label] != card:
@@ -244,51 +290,72 @@ def _eval_term(swig: Swig, t: Term, provider: TableProvider) -> LabeledTable:
         else:
             sizes[label] = card
             labels.append(label)
-        per_entry.append((label, card))
+        idx.append(slice(None))
+        subscripts.append(1 + labels.index(label))
 
-    rank = len(labels)
-    pos = {label: i for i, label in enumerate(labels)}
-    idx: list = []
-    for label, value in per_entry:
-        if label is None:
-            idx.append(value)
+    # Pinned levels are basic indices and a repeated label takes a diagonal,
+    # so the term stays a view of the provider's (cached) table.
+    out = table[tuple(idx)]
+    if len(subscripts) > 1 + len(labels):
+        out = np.einsum(out, subscripts, list(range(1 + len(labels))))
+    skipped = np.isnan(out).any(axis=tuple(range(1, out.ndim)))
+    return LabeledTable(tuple(labels), out, skipped)
+
+
+def _contract(
+    swig: Swig, e: Sum | Product, provider: TableProvider, memo: dict
+) -> LabeledTable:
+    """A sum of products (or either alone) as one einsum over the batch
+    axis and the factors' labels, with the binders summed out."""
+    binders = e.binders if isinstance(e, Sum) else ()
+    body = e.body if isinstance(e, Sum) else e
+    factors = body.factors if isinstance(body, Product) else (body,)
+    tables = [_eval(swig, f, provider, memo) for f in factors]
+    sizes: dict[str, int] = {}
+    for t in tables:
+        for label, n in zip(t.labels, t.values.shape[1:]):
+            if sizes.setdefault(label, n) != n:
+                raise ExprError(
+                    f"axis {label!r} has inconsistent sizes {sizes[label]} and {n}"
+                )
+    for b in binders:
+        if b not in sizes:
+            raise ExprError(f"binder {b!r} never used in the sum body")
+    kept = tuple(l for l in sizes if l not in binders)
+    subscript = {label: i for i, label in enumerate(sizes, start=1)}
+    operands: list = []
+    for t in tables:
+        operands += [t.values, [0, *(subscript[l] for l in t.labels)]]
+    values = np.einsum(*operands, [0, *(subscript[l] for l in kept)], optimize="greedy")
+    skipped = np.logical_or.reduce([t.skipped for t in tables])
+    return LabeledTable(kept, values, skipped)
+
+
+def _eval(swig: Swig, e: ProbExpr, provider: TableProvider, memo: dict) -> LabeledTable:
+    """Batch table of an expression, memoised by expression in memo; its
+    values are read-only, as every later caller gets the same array."""
+    out = memo.get(e)
+    if out is None:
+        if isinstance(e, Term):
+            out = _eval_term(swig, e, provider)
         else:
-            shape = [1] * rank
-            shape[pos[label]] = -1
-            idx.append(np.arange(value).reshape(shape))
-    out = np.asarray(table[tuple(idx)])
-    if out.size and np.isnan(out).any():
+            out = _contract(swig, e, provider, memo)
+        out.values.flags.writeable = False
+        memo[e] = out
+    return out
+
+
+def _only_model(out: LabeledTable) -> LabeledTable:
+    """The single table of a batch of one."""
+    if out.skipped[0]:
         raise ZeroProbabilityError("term conditions on a zero-probability event")
-    return LabeledTable(tuple(labels), out)
-
-
-def _eval(swig: Swig, e: ProbExpr, provider: TableProvider) -> LabeledTable:
-    if isinstance(e, Term):
-        return _eval_term(swig, e, provider)
-    if isinstance(e, Sum):
-        body = _eval(swig, e.body, provider)
-        for b in e.binders:
-            if b not in body.labels:
-                raise ExprError(f"binder {b!r} never used in the sum body")
-        axes = tuple(body.labels.index(b) for b in e.binders)
-        kept = tuple(l for l in body.labels if l not in set(e.binders))
-        return LabeledTable(kept, body.values.sum(axis=axes))
-    acc = _eval(swig, e.factors[0], provider)
-    for f in e.factors[1:]:
-        nxt = _eval(swig, f, provider)
-        for shared in set(acc.labels) & set(nxt.labels):
-            a = acc.values.shape[acc.labels.index(shared)]
-            b = nxt.values.shape[nxt.labels.index(shared)]
-            if a != b:
-                raise ExprError(f"axis {shared!r} has inconsistent sizes {a} and {b}")
-        labels = acc.labels + tuple(l for l in nxt.labels if l not in acc.labels)
-        acc = LabeledTable(labels, acc.aligned(labels) * nxt.aligned(labels))
-    return acc
+    return LabeledTable(out.labels, out.values[0])
 
 
 def oracle_provider(model: DiscreteModel) -> TableProvider:
     def provider(regime: Regime, deps: tuple[str, ...], conds: tuple[str, ...]):
-        return joint(model, regime).conditional(deps, conds)
+        table = joint(model, regime).conditional(deps, conds)
+        return table if model.batch is not None else table[None]
 
     return provider
 
@@ -301,12 +368,14 @@ def eval_expr(
     """Evaluate an expression against the exact oracle.
 
     Free symbols and bare variables become named axes of the result; params
-    pins named axes to levels afterwards.
+    pins named axes to levels afterwards.  A batch gives a batch table; a
+    single model raises ZeroProbabilityError if the expression conditions
+    on a zero-probability event.
     """
-    out = _eval(model.swig, e, oracle_provider(model))
-    if params:
-        out = out.select(params)
-    return out
+    out = _eval(model.swig, e, oracle_provider(model), model._values)
+    if model.batch is None:
+        out = _only_model(out)
+    return out.select(params) if params else out
 
 
 def eval_estimand(model: DiscreteModel, estimand: Estimand) -> LabeledTable:
@@ -363,14 +432,29 @@ def random_base_cpts(
     return out
 
 
-def model_from_base_cpts(swig: Swig, base_cpts: Mapping[str, Cpt]) -> DiscreteModel:
+def model_from_base_cpts(
+    swig: Swig, base_cpts: Mapping[str, Cpt], batch: int | None = None
+) -> DiscreteModel:
     """Attach base-graph CPTs to a split graph: any parent that was split is
     read through its intervention node, same table."""
     split = dict(swig.pairs)
     cpts: dict[str, Cpt] = {}
     for name, (parents, table) in base_cpts.items():
         cpts[name] = (tuple(split.get(p, p) for p in parents), np.asarray(table, float))
-    return DiscreteModel(swig, cpts)
+    return DiscreteModel(swig, cpts, batch)
+
+
+def model_batches(swig: Swig, cpts_list: Sequence[Mapping[str, Cpt]]) -> Iterator[DiscreteModel]:
+    """The models of a list of base-graph CPTs (same parent orders), in
+    order, as batches whose joints have at most STATE_LIMIT entries."""
+    size = max(1, STATE_LIMIT // joint_states(swig))
+    for start in range(0, len(cpts_list), size):
+        chunk = cpts_list[start : start + size]
+        stacked = {
+            name: (parents, np.stack([cpts[name][1] for cpts in chunk]))
+            for name, (parents, _) in chunk[0].items()
+        }
+        yield model_from_base_cpts(swig, stacked, len(chunk))
 
 
 def random_model(swig: Swig, seed: int = 0, concentration: float = 1.0) -> DiscreteModel:
@@ -451,7 +535,7 @@ def empirical_provider(dataset: Dataset, smoothing: float = 1.0) -> TableProvide
         counts = np.bincount(flat, minlength=size).reshape(cards).astype(float)
         counts += smoothing
         denom = counts.sum(axis=tuple(range(len(deps))))
-        return counts / denom
+        return (counts / denom)[None]
 
     return provider
 
@@ -468,10 +552,8 @@ def plugin_estimate(
     bad = [r for r in regimes_used(e) if not r.is_observational]
     if bad:
         raise SwigIdentError("formula still uses interventional regimes; identify first")
-    out = _eval(swig, e, empirical_provider(dataset, smoothing))
-    if params:
-        out = out.select(params)
-    return out
+    out = _only_model(_eval(swig, e, empirical_provider(dataset, smoothing), {}))
+    return out.select(params) if params else out
 
 
 # ---------------------------------------------------------------------------

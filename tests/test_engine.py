@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from swigident import (
@@ -14,7 +15,10 @@ from swigident import (
     Strategy,
     SwigIdentError,
     Sym,
+    ZeroProbabilityError,
+    d_separated,
     identify,
+    parse_estimand,
     parse_expr,
     regimes_used,
     struct_eq,
@@ -22,6 +26,9 @@ from swigident import (
     validate_derivation,
     verify,
 )
+from swigident import oracle
+from swigident.cli import main
+from swigident.engine import _verify_models
 
 from conftest import corrupt_step, dose_estimand
 
@@ -99,6 +106,45 @@ def test_mediator_intervention_without_mediators(fig1_ablated):
     d = identify(fig1_ablated, est, "mediator_intervention")
     assert not d.identified
     assert isinstance(d.blocking, CiQuery)
+
+
+MEDIATOR_RECIPES = ("frontdoor", "sequential_frontdoor", "mediator_intervention")
+
+
+@pytest.mark.parametrize(
+    "graph, query, strategies",
+    [
+        ("fig2_n2", "q[2](D1 | do D1=d1, do D2=d2)", MEDIATOR_RECIPES[1:]),
+        ("fig1", "q[1](D1 | do D1=d1)", MEDIATOR_RECIPES),
+    ],
+)
+def test_mediator_recipes_with_a_dose_target_dependent(
+    graph, query, strategies, fig1, fig2_n2, tmp_path, capsys
+):
+    # A dependent that is also a dose target used to end in "CI query sets
+    # must be pairwise disjoint" when the recipes built their fallback
+    # blocking query.
+    swig = {"fig1": fig1, "fig2_n2": fig2_n2}[graph]
+    path = tmp_path / f"{graph}.swig"
+    assert main(["fixture", graph, "--out", str(path)]) == 0
+    est = parse_estimand(query, swig)
+    for strategy in strategies:
+        d = identify(swig, est, strategy)
+        assert not d.identified
+        q = d.blocking
+        assert q.x == {"D1"} and not (q.x & q.y or q.x & q.z or q.y & q.z)
+        assert q.y == {swig.intervention(j) for j in est.regime.active}
+        if graph == "fig2_n2":
+            assert not d_separated(swig, q)  # the reported blocker does fail
+        capsys.readouterr()
+        assert main(["identify", str(path), query, "--strategy", strategy]) == 2
+        out = capsys.readouterr().out
+        assert "status: not_identified" in out
+        assert f"blocking: {q}" in out
+    # the search shows the estimand is identified all the same
+    found = identify(swig, est, Strategy("top_down", depth=3))
+    assert found.identified and to_text(found.final) == "q0(D1)"
+    assert verify(found, swig, n_models=5).passed
 
 
 def test_search_finds_backdoor(fig1, fig1_estimand):
@@ -195,6 +241,84 @@ def test_verify_composition_checks_nested(fig2_n2):
     comp = next(s for s in report.steps if s.rule == "mediator_composition")
     assert len(comp.nested) == 2
     assert all(r.passed for r in comp.nested)
+
+
+def _split_deviations(blob, out):
+    """Move every deviation value of a verify report's JSON into out."""
+    if isinstance(blob, dict):
+        for key, value in blob.items():
+            if key in ("max_deviation", "final_deviation") and value is not None:
+                out.append(value)
+                blob[key] = "dev"
+            else:
+                _split_deviations(value, out)
+    elif isinstance(blob, list):
+        for value in blob:
+            _split_deviations(value, out)
+    return blob
+
+
+def _cpts_with_a_deterministic_row(swig):
+    """Base CPTs of 20 models; model 3 never has M1=1 when D1=0, so steps
+    that condition on that event skip it."""
+    cpts_list = [
+        oracle.random_base_cpts(swig.base, np.random.default_rng((3, i))) for i in range(20)
+    ]
+    parents, table = cpts_list[3]["M1"]
+    table = table.copy()
+    table[0] = [1.0, 0.0]
+    cpts_list[3]["M1"] = (parents, table)
+    return cpts_list
+
+
+def _verify_with_a_skipped_model(d, swig):
+    return _verify_models(d, swig, _cpts_with_a_deterministic_row(swig), 1e-9, 3)
+
+
+@pytest.mark.parametrize("strategy", ["sequential_frontdoor", "mediator_intervention"])
+def test_verify_skips_the_models_that_fail_alone(strategy, fig2_n2):
+    d = identify(fig2_n2, dose_estimand(fig2_n2, ("Y",)), strategy)
+    models = [
+        oracle.model_from_base_cpts(fig2_n2, cpts)
+        for cpts in _cpts_with_a_deterministic_row(fig2_n2)
+    ]
+
+    def fails_alone(model, e):
+        try:
+            oracle.eval_expr(model, e)
+        except ZeroProbabilityError:
+            return True
+        return False
+
+    report = _verify_with_a_skipped_model(d, fig2_n2)
+    pairs = [(s.input, s.output) for s in d.steps] + [(d.final, d.estimand)]
+    want = [sum(fails_alone(m, a) or fails_alone(m, b) for m in models) for a, b in pairs]
+    got = [s.models_skipped for s in report.steps] + [20 - report.final_models]
+    assert got == want and 0 < max(want) < 20
+
+
+@pytest.mark.parametrize("strategy", ["sequential_frontdoor", "mediator_intervention"])
+@pytest.mark.parametrize("per_batch", [1, 6])
+@pytest.mark.parametrize("run", ["verify", "skipping"])
+def test_verify_in_chunks_matches_one_batch(strategy, per_batch, run, fig2_n2, monkeypatch):
+    d = identify(fig2_n2, dose_estimand(fig2_n2, ("Y",)), strategy)
+
+    def report():
+        if run == "verify":
+            return verify(d, fig2_n2, n_models=20, seed=3)
+        return _verify_with_a_skipped_model(d, fig2_n2)
+
+    whole_devs: list = []
+    whole = _split_deviations(report().to_json(), whole_devs)
+    monkeypatch.setattr(oracle, "STATE_LIMIT", per_batch * oracle.joint_states(fig2_n2))
+    cpts = oracle.random_base_cpts(fig2_n2.base, np.random.default_rng(0))
+    assert len(list(oracle.model_batches(fig2_n2, [cpts] * 20))) == -(-20 // per_batch)
+    chunked_devs: list = []
+    chunked = _split_deviations(report().to_json(), chunked_devs)
+    assert chunked == whole
+    assert np.allclose(chunked_devs, whole_devs, rtol=0, atol=1e-12)
+    skips = [step["models_skipped"] for step in whole["steps"]]
+    assert whole["passed"] and (max(skips) == 1 if run == "skipping" else max(skips) == 0)
 
 
 def test_search_outperforms_rigid_recipe_on_nonprefix_regime(fig2_n2):

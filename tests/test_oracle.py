@@ -1,5 +1,7 @@
 """Exact discrete inference, sampling, and plug-in estimation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from swigident import (
     eval_expr,
     figure2,
     figure3,
+    identify,
     joint,
     load_model,
     model_from_json,
@@ -30,7 +33,10 @@ from swigident import (
     save_model,
     to_swig,
 )
-from swigident.oracle import model_from_base_cpts, random_base_cpts
+from swigident.expr import terms
+from swigident.oracle import model_batches, model_from_base_cpts, random_base_cpts
+
+from conftest import dose_estimand
 
 Q0 = Regime.observational()
 Q1 = Regime.prefix(1)
@@ -108,6 +114,17 @@ def test_eval_term_shared_symbol_diagonal(fig1):
     j = joint(model, Q0).marginal(("Y1", "L"))
     got = out.aligned(("Y1", "l"))
     assert np.allclose(got, j, atol=1e-12)
+
+
+def test_eval_results_are_shared_read_only(fig1):
+    # Values are memoised per model and terms are views of the cached
+    # conditionals, so a caller must not be able to write through them.
+    model = random_model(fig1, seed=6)
+    for text in ("q0(Y1 | L=l)", "q0(Y1 | L=l) * q0(L=l)"):
+        first = eval_expr(model, parse_expr(text))
+        with pytest.raises(ValueError):
+            first.values[...] = 0.0
+        assert np.shares_memory(eval_expr(model, parse_expr(text)).values, first.values)
 
 
 def test_eval_sum_of_everything_is_one(fig1):
@@ -234,3 +251,69 @@ def test_consistency_spot_check(fig1):
         a = query(model, Q1, ("Y1",), {"D1": v, "Do1": v})
         b = query(model, Q0, ("Y1",), {"D1": v, "Do1": v})
         assert np.allclose(a, b, atol=1e-12)
+
+
+def _models_with_a_deterministic_row(swig, n=7, seed=21):
+    """Base CPTs of n random models; in model 3, M1 is never 1 when its
+    parents are all 0, so terms conditioning on that event skip model 3."""
+    cpts_list = [random_base_cpts(swig.base, np.random.default_rng((seed, i))) for i in range(n)]
+    parents, table = cpts_list[3]["M1"]
+    table = table.copy()
+    table[(0,) * len(parents)] = [1.0, 0.0]
+    cpts_list[3]["M1"] = (parents, table)
+    return cpts_list
+
+
+def _level(ref, name, assignment):
+    if ref is None:
+        return assignment[name]
+    return assignment[ref.name] if isinstance(ref, Sym) else ref.value
+
+
+@pytest.mark.parametrize(
+    "n, strategy",
+    [(1, "sequential_frontdoor"), (2, "sequential_frontdoor"), (2, "mediator_intervention")],
+)
+def test_batched_evaluation_matches_single_models(n, strategy):
+    swig = to_swig(figure2(n))
+    d = identify(swig, dose_estimand(swig, ("Y",)), strategy)
+    cpts_list = _models_with_a_deterministic_row(swig)
+    [batch] = model_batches(swig, cpts_list)
+    singles = [model_from_base_cpts(swig, cpts) for cpts in cpts_list]
+    exprs = [d.initial, *(step.output for step in d.steps)]
+
+    masks = []
+    for e in exprs:
+        got = eval_expr(batch, e)
+        assert got.values.shape[0] == len(singles)
+        for m, model in enumerate(singles):
+            try:
+                alone = eval_expr(model, e)
+            except ZeroProbabilityError:
+                assert got.skipped[m]
+                continue
+            assert not got.skipped[m]
+            assert got.labels == alone.labels
+            assert np.max(np.abs(got.values[m] - alone.values), initial=0.0) <= 1e-12
+        masks.append(got.skipped)
+    masks = np.array(masks)
+    only_model_3 = np.arange(len(singles)) == 3
+    assert any((row == only_model_3).all() for row in masks)
+    assert not masks[:, 3].all()
+
+    # every term against the dense joint of each model alone
+    for t in {t for e in exprs for _, t in terms(e)}:
+        got = eval_expr(batch, t)
+        for m, model in enumerate(singles):
+            skipped = False
+            for levels in itertools.product(*map(range, got.values.shape[1:])):
+                at = dict(zip(got.labels, levels))
+                conds = {name: _level(ref, name, at) for name, ref in t.conditioners}
+                try:
+                    table = query(model, t.regime, t.dep_names(), conds)
+                except ZeroProbabilityError:
+                    skipped = True
+                    continue
+                want = table[tuple(_level(ref, name, at) for name, ref in t.dependents)]
+                assert abs(got.values[(m, *levels)] - want) <= 1e-12
+            assert got.skipped[m] == skipped
