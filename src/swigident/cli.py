@@ -63,6 +63,8 @@ def cmd_identify(args) -> int:
     estimand = parse_estimand(args.query, swig)
     strategy = Strategy.parse(args.strategy, depth=args.depth)
     derivation = identify(swig, estimand, strategy)
+    if args.stats and derivation.stats is not None:
+        print(json.dumps(derivation.stats.to_json(), sort_keys=True), file=sys.stderr)
     if args.json:
         _emit(args, _json_dump(derivation.to_json()))
     else:
@@ -163,6 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--depth", type=int, default=16, help="search depth bound")
     p.add_argument("--json", action="store_true", help="emit the derivation as JSON")
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="write what a top_down or bottom_up search did as one JSON line to stderr",
+    )
     p.set_defaults(fn=cmd_identify)
 
     p = sub.add_parser("verify", help="replay a derivation JSON against random models")

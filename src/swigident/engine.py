@@ -11,7 +11,8 @@ against the exact oracle on batches of random models.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -87,6 +88,9 @@ class Derivation:
     final: ProbExpr
     status: str
     blocking: CiQuery | None = None
+    # What the search did (top_down and bottom_up only); not part of the
+    # derivation's JSON, trace or equality.
+    stats: "SearchStats | None" = field(default=None, compare=False, repr=False)
 
     @property
     def identified(self) -> bool:
@@ -352,6 +356,24 @@ def _dose_blocking(swig: Swig, estimand: Estimand) -> CiQuery:
     return CiQuery(estimand.regime, deps, dos - deps, tgts - deps)
 
 
+def _or_unreached(swig: Swig, estimand: Estimand, derivation: Derivation) -> Derivation:
+    """A mediator recipe's answer, unless it is a refusal and drop_later
+    removes the estimand's whole regime: then the doses do not reach the
+    dependents, q_s(dependents | doses) = q0(dependents), and the recipe's
+    blocking query may well hold.  The answer is that one-step derivation,
+    or, when a dependent is unobserved, a refusal with no blocking query."""
+    if derivation.identified:
+        return derivation
+    builder = _Builder(swig, estimand)
+    try:
+        builder.apply(rule_drop_later, (), 0)
+    except RuleRefusedError:
+        return derivation
+    if not all(swig.var(n).observed for n in free_variables(builder.expr)):
+        return _not_identified(estimand, None)
+    return builder.identified()
+
+
 # ---------------------------------------------------------------------------
 # back-door and front-door recipes
 
@@ -424,9 +446,10 @@ def identify_frontdoor(
         candidates: Iterable[tuple[str, ...]] = [tuple(mediators)]
     else:
         candidates = _subsets(_mediator_pool(swig, estimand), min_size=1)
-    return _try_candidates(
+    derivation = _try_candidates(
         swig, estimand, candidates, _frontdoor_attempt, _dose_blocking(swig, estimand)
     )
+    return _or_unreached(swig, estimand, derivation)
 
 
 def _mediator_pool(swig: Swig, estimand: Estimand) -> list[str]:
@@ -588,9 +611,10 @@ def identify_sequential_frontdoor(
     else:
         pool = _mediator_pool(swig, estimand)
         candidates = [tuple(pool)] if pool else []
-    return _try_candidates(
+    derivation = _try_candidates(
         swig, estimand, candidates, _sequential_frontdoor_attempt, _dose_blocking(swig, estimand)
     )
+    return _or_unreached(swig, estimand, derivation)
 
 
 # ---------------------------------------------------------------------------
@@ -694,10 +718,58 @@ def compose_mediator_intervention(
 # ---------------------------------------------------------------------------
 # search
 
+@dataclass
+class SearchStats:
+    """What one top_down or bottom_up search did.  Derivation carries it
+    outside its JSON and trace, so the output of identify does not depend on
+    it.  Refusals count every refused move the search met, replays of
+    cached refusals included, by rule."""
+
+    expanded: int = 0  # states whose moves were tried
+    duplicates: int = 0  # states pruned as seen earlier in the same deepening pass
+    successor_hits: int = 0  # move outcomes taken from the successor cache
+    dsep_hits: int = 0  # d_separated calls answered by the Swig's cache
+    dsep_misses: int = 0  # d_separated calls worked out on the graph
+    refusals: dict[str, int] = field(default_factory=dict)
+    depth: int = 0  # most moves on one path the search reached
+    seconds: float = 0.0
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
+class _State:
+    """A simplified search state: its goal test, its canonical key and the
+    outcomes of its moves, filled in as the search first reaches them."""
+
+    __slots__ = ("goal", "key", "moves", "outcomes")
+
+    def __init__(self, goal: bool):
+        self.goal = goal
+        self.key: str | None = None
+        self.moves: list | None = None
+        self.outcomes: list = []
+
+
 def _search(swig: Swig, estimand: Estimand, mode: str, depth: int) -> Derivation:
+    """Iterative deepening over the move set.  Every piece of work is done
+    once per call: each expression's simplification, and each simplified
+    state's goal test, key and move outcomes (worked out when the search
+    first reaches them), are kept for the later deepening passes.  Leaves
+    (budget 0) and the outcomes of budget-1 states are not kept: they are
+    most of the states and are reached again, one level up, in the next
+    pass.  A refusal reports the first blocking query met; a cached
+    refusal was met when it was first worked out, so replaying it cannot
+    change which query that is."""
     observed = set(swig.observed)
     intervention_nodes = set(swig.target_of)
-    refusals: list[CiQuery] = []
+    first_blocking: CiQuery | None = None
+    stats = SearchStats()
+    cache = swig.cache
+    dsep_hits, dsep_size = cache.d_separated_hits, len(cache.d_separated)
+    start = time.perf_counter()
+    simplified: dict[ProbExpr, tuple[ProbExpr, list[DerivationStep]]] = {}
+    states: dict[ProbExpr, _State] = {}
 
     def goal(expr: ProbExpr) -> bool:
         if any(not t.regime.is_observational for _, t in terms(expr)):
@@ -739,6 +811,8 @@ def _search(swig: Swig, estimand: Estimand, mode: str, depth: int) -> Derivation
         return expr, steps
 
     def moves(expr: ProbExpr):
+        """(rule, attempt) pairs in the mode's order; attempt(expr) returns
+        the steps of the move."""
         drops, cis, intros = [], [], []
         for path, term in terms(expr):
             conds = dict(term.conditioners)
@@ -779,28 +853,79 @@ def _search(swig: Swig, estimand: Estimand, mode: str, depth: int) -> Derivation
                     return [s1, s2]
 
                 intros.append(intro)
-        if mode == "top_down":
-            return [*drops, *cis, *intros]
-        return [*intros, *cis, *drops]
+        groups = [("drop_later", drops), ("ci_modify", cis), ("total_probability", intros)]
+        if mode != "top_down":
+            groups.reverse()
+        return [(rule, attempt) for rule, group in groups for attempt in group]
 
-    def dfs(expr: ProbExpr, steps: list[DerivationStep], budget: int, seen: set[str]):
-        expr, steps = simplify(expr, steps)
-        if goal(expr):
+    def state(expr: ProbExpr, budget: int):
+        """The simplified expression, the steps simplify added and the
+        state; leaves (budget 0) are not kept."""
+        hit = simplified.get(expr)
+        if hit is None:
+            hit = simplify(expr, [])
+            if budget > 0:
+                simplified[expr] = hit
+        simple, added = hit
+        st = states.get(simple)
+        if st is None:
+            st = _State(goal(simple))
+            if budget > 0:
+                states[simple] = st
+        return simple, added, st
+
+    def outcomes(expr: ProbExpr, st: _State, budget: int):
+        """(rule, steps, None) or (rule, None, blocking) for each move of
+        the state, in order.  New outcomes are kept above budget 1.  At
+        budget 1 total_probability moves are skipped: they never refuse,
+        and the term they split keeps its active regime and conditioners,
+        so their leaf cannot be a goal."""
+        keep = budget > 1
+        if st.moves is None:
+            todo = moves(expr)
+            if keep:
+                st.moves = todo
+        else:
+            todo = st.moves
+        done = st.outcomes
+        for i, (rule, attempt) in enumerate(todo):
+            if i < len(done):
+                stats.successor_hits += 1
+                yield done[i]
+                continue
+            if not keep and rule == "total_probability":
+                continue
+            try:
+                outcome = (rule, attempt(expr), None)
+            except RuleRefusedError as exc:
+                outcome = (rule, None, exc.blocking)
+            if keep:
+                done.append(outcome)
+            yield outcome
+
+    def dfs(expr: ProbExpr, steps: list[DerivationStep], budget: int, seen: set[str], moved: int):
+        nonlocal first_blocking
+        stats.depth = max(stats.depth, moved)
+        expr, added, st = state(expr, budget)
+        steps = steps + added
+        if st.goal:
             return steps
         if budget <= 0:
             return None
-        key = to_text(canonicalize(expr))
-        if key in seen:
+        if st.key is None:
+            st.key = to_text(canonicalize(expr))
+        if st.key in seen:
+            stats.duplicates += 1
             return None
-        seen.add(key)
-        for attempt in moves(expr):
-            try:
-                new_steps = attempt(expr)
-            except RuleRefusedError as exc:
-                if exc.blocking is not None:
-                    refusals.append(exc.blocking)
+        seen.add(st.key)
+        stats.expanded += 1
+        for rule, new_steps, blocking in outcomes(expr, st, budget):
+            if new_steps is None:
+                stats.refusals[rule] = stats.refusals.get(rule, 0) + 1
+                if first_blocking is None:
+                    first_blocking = blocking
                 continue
-            found = dfs(new_steps[-1].output, steps + new_steps, budget - 1, seen)
+            found = dfs(new_steps[-1].output, steps + new_steps, budget - 1, seen, moved + 1)
             if found is not None:
                 return found
         return None
@@ -809,11 +934,14 @@ def _search(swig: Swig, estimand: Estimand, mode: str, depth: int) -> Derivation
     budget = 0
     while found is None and budget < depth:
         budget = min(budget + 2, depth)
-        found = dfs(estimand, [], budget, set())
+        found = dfs(estimand, [], budget, set(), 0)
+    stats.dsep_hits = cache.d_separated_hits - dsep_hits
+    stats.dsep_misses = len(cache.d_separated) - dsep_size
+    stats.seconds = time.perf_counter() - start
     if found is None:
-        return _not_identified(estimand, refusals[0] if refusals else None)
+        return Derivation(estimand, (), estimand, NOT_IDENTIFIED, first_blocking, stats)
     final = found[-1].output if found else estimand
-    return Derivation(estimand, tuple(found), final, IDENTIFIED)
+    return Derivation(estimand, tuple(found), final, IDENTIFIED, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -839,9 +967,12 @@ def identify(
     if strategy.kind == "mediator_intervention":
         mediators = list(variables) if variables else _mediator_pool(swig, estimand)
         if not mediators:
-            return _not_identified(estimand, _dose_blocking(swig, estimand))
-        targets = tuple(sorted(mediators, key=lambda n: (swig.var(n).time, n)))
-        return compose_mediator_intervention(swig, _mediators_swig(swig, targets), estimand)
+            derivation = _not_identified(estimand, _dose_blocking(swig, estimand))
+        else:
+            targets = tuple(sorted(mediators, key=lambda n: (swig.var(n).time, n)))
+            mediators_swig = _mediators_swig(swig, targets)
+            derivation = compose_mediator_intervention(swig, mediators_swig, estimand)
+        return _or_unreached(swig, estimand, derivation)
     return _search(swig, estimand, strategy.kind, strategy.depth)
 
 

@@ -7,6 +7,8 @@ axis.  Canonical form puts every binder at the top (sums lifted out of
 products), sorts entries and factors, and alpha-renames bound symbols, so
 structural equality is equality of canonical forms.  An estimand is a
 Term: the query q_s(dependents | conditioners) a derivation starts from.
+Each node computes its structural hash once, so the search's dict and set
+lookups do not re-hash whole trees.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ class Term:
             raise ExprError(f"variable mentioned twice in term: {names}")
         if not self.dependents:
             raise ExprError("term needs at least one dependent")
+
+    def __hash__(self) -> int:
+        return _hash_once(self, (self.regime, self.dependents, self.conditioners))
 
     def dep_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.dependents)
@@ -68,6 +73,9 @@ class Sum:
         if len(set(self.binders)) != len(self.binders):
             raise ExprError(f"duplicate binder in sum: {self.binders}")
 
+    def __hash__(self) -> int:
+        return _hash_once(self, (self.binders, self.body))
+
 
 @dataclass(frozen=True)
 class Product:
@@ -77,6 +85,18 @@ class Product:
         object.__setattr__(self, "factors", tuple(self.factors))
         if len(self.factors) < 1:
             raise ExprError("empty product")
+
+    def __hash__(self) -> int:
+        return _hash_once(self, self.factors)
+
+
+def _hash_once(node, fields: tuple) -> int:
+    """The dataclass hash of a node's fields, stored on the node the first
+    time it is asked for (nodes are immutable)."""
+    h = node.__dict__.get("_hash")
+    if h is None:
+        h = node.__dict__["_hash"] = hash(fields)
+    return h
 
 
 ProbExpr = Union[Term, Sum, Product]

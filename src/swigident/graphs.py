@@ -9,7 +9,7 @@ graph; that single bridge is what every rule's side condition rests on.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from typing import TYPE_CHECKING, Iterable
@@ -197,10 +197,32 @@ def d_separated_nodes(
     return True
 
 
+@dataclass
+class GraphCache:
+    """What a Swig has worked out about itself: its regime graphs, the
+    answers of d_separated (with a count of the calls they answered) and
+    the results of drop_later_obstruction, which depend on a term only
+    through its regime and its dependent and conditioner names.  Each value
+    is a function of its key and the Swig alone, and each key ranges over a
+    finite set for a given graph."""
+
+    regime_graphs: dict[Regime, Graph] = field(default_factory=dict)
+    d_separated: dict[CiQuery, bool] = field(default_factory=dict)
+    d_separated_hits: int = 0
+    # (regime, dependent names, conditioner names, t) -> (obstruction, checks)
+    drop_later: dict[tuple, tuple] = field(default_factory=dict)
+
+
 def d_separated(swig: Swig, query: CiQuery) -> bool:
     """d-separation of query.x and query.y given query.z in the regime graph."""
-    graph = swig.regime_graph(query.regime)
-    return d_separated_nodes(graph, query.x, query.y, query.z)
+    cache = swig.cache
+    answer = cache.d_separated.get(query)
+    if answer is None:
+        graph = swig.regime_graph(query.regime)
+        answer = cache.d_separated[query] = d_separated_nodes(graph, query.x, query.y, query.z)
+    else:
+        cache.d_separated_hits += 1
+    return answer
 
 
 def drop_later_obstruction(swig: Swig, estimand, t: int):
@@ -220,9 +242,18 @@ def drop_later_obstruction(swig: Swig, estimand, t: int):
     describing the first failure; checks are the passed d-separations of
     (a), latest intervention first, which justify the drop.
     """
-    regime = estimand.regime
     deps = frozenset(name for name, _ in estimand.dependents)
-    conds = {name for name, _ in estimand.conditioners}
+    conds = frozenset(name for name, _ in estimand.conditioners)
+    key = (estimand.regime, deps, conds, t)
+    cache = swig.cache.drop_later
+    if key not in cache:
+        cache[key] = _drop_later_obstruction(swig, estimand.regime, deps, conds, t)
+    return cache[key]
+
+
+def _drop_later_obstruction(
+    swig: Swig, regime: Regime, deps: frozenset[str], conds: frozenset[str], t: int
+):
     checks: list[CiQuery] = []
     cur = regime
     for j in sorted((i for i in regime.active if i > t), reverse=True):
@@ -242,7 +273,7 @@ def drop_later_obstruction(swig: Swig, estimand, t: int):
             query = CiQuery(cur, x=frozenset(offenders), y=frozenset({do}), z=rest - offenders)
             return (f"{', '.join(sorted(offenders))} descend from {do}", query), tuple(checks)
         cur = cur.without(j)
-        conds = set(rest)
+        conds = rest
     return None, tuple(checks)
 
 

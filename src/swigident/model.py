@@ -18,7 +18,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Union
 
 from .errors import GraphValidationError, SwigIdentError
-from .graphs import Graph
+from .graphs import Graph, GraphCache
 
 
 class Role(str, Enum):
@@ -293,15 +293,26 @@ class Swig(_Variables):
         """Regime-0 graph (all copy edges present)."""
         return Graph(self.names, self.edges)
 
+    @cached_property
+    def cache(self) -> GraphCache:
+        """Regime graphs and graph queries worked out so far; they live as
+        long as this Swig."""
+        return GraphCache()
+
     def regime_graph(self, regime: Regime) -> Graph:
         """Edges of the SWIG with copy edges of active interventions severed."""
-        self.check_regime(regime)
-        if regime.is_observational:
-            return self.graph
-        severed = {
-            (t, o) for i, (t, o) in enumerate(self.pairs, start=1) if i in regime.active
-        }
-        return Graph(self.names, self.edges - severed)
+        graph = self.cache.regime_graphs.get(regime)
+        if graph is None:
+            self.check_regime(regime)
+            if regime.is_observational:
+                graph = self.graph
+            else:
+                severed = {
+                    (t, o) for i, (t, o) in enumerate(self.pairs, start=1) if i in regime.active
+                }
+                graph = Graph(self.names, self.edges - severed)
+            self.cache.regime_graphs[regime] = graph
+        return graph
 
     @property
     def observed(self) -> tuple[str, ...]:

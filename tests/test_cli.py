@@ -205,3 +205,16 @@ def test_simulate_malformed_model_exits_1(text, fig1_path, tmp_path, capsys):
     path.write_text(text)
     assert main(["simulate", fig1_path, "--model", str(path), "--n", "5"]) == 1
     assert capsys.readouterr().err.startswith("error: malformed model:")
+
+
+def test_identify_stats_flag_writes_one_json_line(fig1_path, capsys):
+    argv = ["identify", str(fig1_path), "q[1](Y1 | do D1=d1)", "--strategy", "top_down"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--stats"]) == 0
+    out, err = capsys.readouterr()
+    assert out == plain.out and plain.err == ""
+    (line,) = err.splitlines()
+    assert set(json.loads(line)) >= {"expanded", "dsep_hits", "refusals", "seconds"}
+    assert main(argv[:-1] + ["backdoor:L", "--stats"]) == 0
+    assert capsys.readouterr().err == ""

@@ -123,28 +123,65 @@ def test_mediator_recipes_with_a_dose_target_dependent(
 ):
     # A dependent that is also a dose target used to end in "CI query sets
     # must be pairwise disjoint" when the recipes built their fallback
-    # blocking query.
+    # blocking query, and then in a refusal whose blocking query held
+    # (q1: D1 _||_ Do1).  The doses do not reach D1, so every recipe now
+    # answers q0(D1) by dropping the whole regime, as the search does.
     swig = {"fig1": fig1, "fig2_n2": fig2_n2}[graph]
     path = tmp_path / f"{graph}.swig"
     assert main(["fixture", graph, "--out", str(path)]) == 0
     est = parse_estimand(query, swig)
     for strategy in strategies:
         d = identify(swig, est, strategy)
-        assert not d.identified
-        q = d.blocking
-        assert q.x == {"D1"} and not (q.x & q.y or q.x & q.z or q.y & q.z)
-        assert q.y == {swig.intervention(j) for j in est.regime.active}
-        if graph == "fig2_n2":
-            assert not d_separated(swig, q)  # the reported blocker does fail
+        assert d.identified, strategy
+        assert [s.rule for s in d.steps] == ["drop_later"]
+        assert to_text(d.final) == "q0(D1)"
+        assert verify(d, swig, n_models=5).passed
         capsys.readouterr()
-        assert main(["identify", str(path), query, "--strategy", strategy]) == 2
+        assert main(["identify", str(path), query, "--strategy", strategy]) == 0
         out = capsys.readouterr().out
-        assert "status: not_identified" in out
-        assert f"blocking: {q}" in out
-    # the search shows the estimand is identified all the same
+        assert "  1. drop_later: q0(D1)" in out and "status: identified" in out
+    # the search finds the same answer
     found = identify(swig, est, Strategy("top_down", depth=3))
     assert found.identified and to_text(found.final) == "q0(D1)"
-    assert verify(found, swig, n_models=5).passed
+
+
+RECIPES = ("backdoor", "frontdoor", "sequential_backdoor", *MEDIATOR_RECIPES[1:])
+
+
+def test_no_recipe_reports_a_blocking_query_that_holds(tmp_path):
+    # Every estimand of the golden and benchmark identify cases, plus the
+    # dose-target dependents and an unobserved dependent, under every
+    # recipe.  D2 descends from Do1, so the mediator recipes fall back to
+    # their dose query; q1(L | do D1) = q0(L) with L unobserved is refused
+    # with no blocking query.
+    from test_golden import IDENTIFY, _graph
+
+    from swigident.cli import _load_swig
+
+    cases = {(graph, query, flags) for graph, query, _, flags, _ in IDENTIFY.values()}
+    cases |= {
+        ("fig1", "q[1](D1 | do D1=d1)", ()),
+        ("fig1", "q[1](L | do D1=d1)", ("--unobserved", "L")),
+        ("fig2_n2", "q[2](D1 | do D1=d1, do D2=d2)", ()),
+        ("fig2_n2", "q[2](D2 | do D1=d1, do D2=d2)", ()),
+    }
+    refused = 0
+    for graph, query, flags in sorted(cases):
+        hidden = [flags[i + 1] for i, f in enumerate(flags) if f == "--unobserved"]
+        args = type("Args", (), {"graph": _graph(tmp_path, graph), "unobserved": hidden})
+        swig = _load_swig(args)
+        est = parse_estimand(query, swig)
+        for recipe in RECIPES:
+            try:
+                d = identify(swig, est, recipe)
+            except SwigIdentError:
+                continue  # the estimand does not have the recipe's shape
+            if not d.identified:
+                refused += 1
+                assert d.blocking is None or not d_separated(swig, d.blocking), (
+                    graph, query, recipe, str(d.blocking)
+                )
+    assert refused >= 5
 
 
 def test_search_finds_backdoor(fig1, fig1_estimand):
@@ -334,3 +371,30 @@ def test_search_outperforms_rigid_recipe_on_nonprefix_regime(fig2_n2):
         searched.final, parse_expr("sum{m1} q0(M2 | M1=m1, D2=d2) * q0(M1=m1)")
     )
     assert verify(searched, fig2_n2, n_models=10).passed
+
+
+STATS_KEYS = {
+    "expanded", "duplicates", "successor_hits", "dsep_hits", "dsep_misses",
+    "refusals", "depth", "seconds",
+}
+
+
+def test_search_stats_stay_out_of_the_derivation(fig1_estimand):
+    from swigident import figure1, to_swig
+
+    swig = to_swig(figure1(l_observed=False))  # a fresh, empty cache
+    d = identify(swig, fig1_estimand, "bottom_up")
+    s = d.stats
+    assert d.identified and set(s.to_json()) == STATS_KEYS
+    assert s.expanded > 0 and s.duplicates > 0 and s.seconds > 0
+    moves = [st.rule for st in d.steps if st.rule not in ("product", "consistency", "redundancy")]
+    assert s.depth >= len(moves)
+    assert s.dsep_misses == len(swig.cache.d_separated) and s.dsep_hits > 0
+    assert set(s.refusals) <= {"drop_later", "ci_modify", "total_probability"}
+    assert sum(s.refusals.values()) > 0
+    bare = Derivation(d.estimand, d.steps, d.final, d.status, d.blocking)
+    assert bare == d and bare.to_json() == d.to_json() and bare.trace() == d.trace()
+    # the same search again answers every d-separation from the cache
+    again = identify(swig, fig1_estimand, "bottom_up")
+    assert again == d and again.stats.dsep_misses == 0 and again.stats.dsep_hits > 0
+    assert identify(swig, fig1_estimand, "frontdoor").stats is None

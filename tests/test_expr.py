@@ -237,3 +237,31 @@ def test_canonicalize_permutation_invariant(e):
 def test_text_and_json_round_trip_random(e):
     assert parse_expr(to_text(e)) == e
     assert from_json(to_json(e)) == e
+
+
+@given(small_exprs())
+@settings(max_examples=200, deadline=None)
+def test_equal_expressions_built_apart_hash_alike(e):
+    # Nodes keep their hash once computed; a copy built from JSON or text
+    # must still hash like the original, whichever is hashed first.
+    for copy in (from_json(to_json(e)), parse_expr(to_text(e))):
+        assert copy == e and copy is not e
+        assert hash(copy) == hash(e)
+        assert len({e, copy}) == 1
+
+
+def test_derivation_expressions_hash_alike_after_a_round_trip(fig1, fig2_n2):
+    from swigident import identify, parse_estimand
+
+    cases = [
+        (fig1, "q[1](Y1 | do D1=d1)", "top_down"),
+        (fig2_n2, "q[2](Y | do D1=d1, do D2=d2)", "sequential_frontdoor"),
+    ]
+    for swig, query, strategy in cases:
+        d = identify(swig, parse_estimand(query, swig), strategy)
+        assert d.identified and d.steps
+        outputs = {step.output: i for i, step in enumerate(d.steps)}
+        for i, step in enumerate(d.steps):
+            copy = from_json(to_json(step.output))
+            assert hash(copy) == hash(step.output)
+            assert outputs[copy] == i

@@ -47,6 +47,8 @@ IDENTIFY = {
         ("fig1_ablated", "fig1_ablated", FIG1, (), 2),
     )
 }
+# Identifiable, but the depth-4 search stops short; pins refusals[0].
+IDENTIFY["top_down_fig2_n2_depth4"] = ("fig2_n2", fig2_query(2), "top_down", ("--depth", "4"), 2)
 IDENTIFY.update(
     {
         "backdoor_fig1": ("fig1", FIG1, "backdoor:L", (), 0),

@@ -16,8 +16,11 @@ from swigident import (
     brute_force_ci,
     d_separated,
     drop_later_obstruction,
+    figure1,
+    figure2,
     later_interventions_droppable,
     random_model,
+    to_swig,
 )
 from swigident.graphs import d_separated_nodes
 
@@ -190,3 +193,90 @@ def test_drop_later_counterexample_is_real(fig2_n2):
     _, query = drop_later_obstruction(fig2_n2, est, 1)[0]
     model = random_model(fig2_n2, seed=5)
     assert not brute_force_ci(model, CiQuery(query.regime, {"Y"}, {"Do2"}, frozenset()))
+
+
+# ---------------------------------------------------------------------------
+# the per-Swig caches
+
+
+def _fresh_regime_graph(swig, regime):
+    severed = {swig.pairs[j - 1] for j in regime.active}
+    return Graph(swig.names, swig.edges - severed)
+
+
+def _regimes(swig):
+    n = swig.n_interventions
+    return [
+        Regime(frozenset(j for j in range(1, n + 1) if mask >> (j - 1) & 1))
+        for mask in range(2**n)
+    ]
+
+
+# Fresh Swigs, whose caches start empty (the conftest ones are shared).
+FRESH = {
+    "fig1": lambda: to_swig(figure1()),
+    "fig1_hidden": lambda: to_swig(figure1(l_observed=False)),
+    "fig2_n2": lambda: to_swig(figure2(2)),
+}
+
+
+@pytest.mark.parametrize("name", FRESH)
+def test_regime_graph_cache_matches_a_fresh_graph(name):
+    swig = FRESH[name]()
+    for regime in _regimes(swig):
+        first = swig.regime_graph(regime)
+        assert first == _fresh_regime_graph(swig, regime)
+        assert swig.regime_graph(Regime(set(regime.active))) is first
+    assert len(swig.cache.regime_graphs) == len(_regimes(swig))
+
+
+@pytest.mark.parametrize("name", FRESH)
+def test_cached_d_separation_matches_a_fresh_graph(name):
+    swig = FRESH[name]()
+    rng = np.random.default_rng(7)
+    regimes = _regimes(swig)
+    names = list(swig.names)
+    queries = []
+    for _ in range(300):
+        regime = regimes[rng.integers(len(regimes))]
+        order = rng.permutation(len(names))
+        nx_, ny = rng.integers(1, 3, size=2)
+        nz = rng.integers(0, min(3, len(names) - nx_ - ny) + 1)
+        pick = [names[i] for i in order]
+        x, y = pick[:nx_], pick[nx_ : nx_ + ny]
+        z = pick[nx_ + ny : nx_ + ny + nz]
+        queries.append(CiQuery(regime, frozenset(x), frozenset(y), frozenset(z)))
+    distinct = len(set(queries))
+    assert distinct > 100
+    answers = {}
+    for q in queries:  # first calls, and repeats of earlier queries
+        want = d_separated_nodes(_fresh_regime_graph(swig, q.regime), q.x, q.y, q.z)
+        assert d_separated(swig, q) == want
+        answers[q] = want
+    for q in queries:  # every call a repeat
+        assert d_separated(swig, CiQuery(q.regime, set(q.x), set(q.y), set(q.z))) == answers[q]
+    assert len(swig.cache.d_separated) == distinct
+    assert swig.cache.d_separated_hits == 2 * len(queries) - distinct
+    assert any(answers.values()) and not all(answers.values())
+
+
+def test_cached_drop_later_matches_an_uncached_walk():
+    swig = to_swig(figure2(2))
+    doses = dose_estimand(swig, ("Y",)).conditioners
+    estimands = [
+        dose_estimand(swig, deps)
+        for deps in (("Y",), ("M1",), ("M2",), ("D1",), ("D2",), ("M1", "M2"), ("L",))
+    ]
+    estimands += [
+        Estimand.of(Regime.prefix(2), deps, doses + (("M1", Sym("m1")),))
+        for deps in (("Y",), ("M2",))
+    ]
+    cases = [(est, t) for est in estimands for t in (0, 1)]
+    for est, t in cases + cases:
+        assert drop_later_obstruction(swig, est, t) == drop_later_obstruction(
+            to_swig(figure2(2)), est, t
+        )
+    # the walk reads a term's names only, so pinned values share an entry
+    pinned = Estimand.of(Regime.prefix(2), [("Y", Sym("y"))], doses)
+    assert drop_later_obstruction(swig, pinned, 0) == drop_later_obstruction(swig, cases[0][0], 0)
+    assert len(swig.cache.drop_later) == len(cases)
