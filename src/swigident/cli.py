@@ -82,6 +82,8 @@ def cmd_verify(args) -> int:
         obj = json.load(fh)
     derivation = Derivation.from_json(obj)
     report = verify(derivation, swig, n_models=args.models, seed=args.seed, tol=args.tol)
+    if args.stats:
+        print(json.dumps(report.stats_json(), sort_keys=True), file=sys.stderr)
     if args.json:
         _emit(args, _json_dump(report.to_json()))
     else:
@@ -179,6 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="write each step's seconds and skipped models, and the oracle's "
+        "conditional counts, as one JSON line to stderr",
+    )
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("dsep", help="answer a d-separation query")

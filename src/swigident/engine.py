@@ -37,7 +37,13 @@ from .expr import (
 )
 from .graphs import CiQuery
 from .model import BaseDag, Swig, Sym, ValueRef, same_skeleton, to_swig
-from .oracle import LabeledTable, eval_expr, model_batches, random_base_cpts
+from .oracle import (
+    LabeledTable,
+    conditional_sizes,
+    eval_expr,
+    model_batches,
+    random_base_cpts,
+)
 from .rules import (
     CiJustification,
     ConsistencyJustification,
@@ -682,9 +688,12 @@ def compose_mediator_intervention(
         dependents=tuple((m, med_values[m]) for m in mediators),
         conditioners=estimand.conditioners,
     )
+    # A refusal without a CI query (say, total_probability over a dependent
+    # that is also a dose target) names the doses' query instead.
+    fallback = _dose_blocking(swig_doses, estimand)
     mediator_law = identify_sequential_backdoor(swig_doses, est_m)
     if not mediator_law.identified:
-        return _not_identified(estimand, mediator_law.blocking)
+        return _not_identified(estimand, mediator_law.blocking or fallback)
 
     est_y = Estimand(
         regime=swig_mediators.full_regime,
@@ -698,7 +707,7 @@ def compose_mediator_intervention(
     try:
         outcome = _compose_outcome_attempt(builder, chain, med_values)
     except RuleRefusedError as exc:
-        return _not_identified(estimand, exc.blocking)
+        return _not_identified(estimand, exc.blocking or fallback)
 
     assembled: ProbExpr = Sum(tuple(binders), Product((outcome.final, mediator_law.final)))
     step = DerivationStep(
@@ -988,6 +997,10 @@ class StepReport:
     models_skipped: int
     passed: bool
     nested: tuple["VerifyReport", ...] = ()
+    # Seconds spent evaluating the step's output; a subexpression shared
+    # with an earlier expression counts where it was first evaluated.
+    # Like VerifyReport.stats, it stays out of to_json() and equality.
+    seconds: float = field(default=0.0, compare=False)
 
     def to_json(self) -> dict:
         out = {
@@ -1004,6 +1017,19 @@ class StepReport:
 
 
 @dataclass(frozen=True)
+class VerifyStats:
+    """What one verify did beyond its steps: the seconds spent evaluating
+    the estimand, the oracle's conditionals built (over all batches) and the
+    most entries one of them had, batch axis included, and the seconds in
+    all."""
+
+    estimand_seconds: float = 0.0
+    conditionals: int = 0
+    largest_table: int = 0
+    seconds: float = 0.0
+
+
+@dataclass(frozen=True)
 class VerifyReport:
     steps: tuple[StepReport, ...]
     final_deviation: float | None
@@ -1012,6 +1038,19 @@ class VerifyReport:
     n_models: int
     seed: int
     tol: float
+    stats: VerifyStats = field(default_factory=VerifyStats, compare=False, repr=False)
+
+    def stats_json(self) -> dict:
+        """The stats and each step's seconds and skipped models, nested
+        reports included; what verify --stats writes."""
+        steps = []
+        for s in self.steps:
+            step = {"index": s.index, "rule": s.rule, "seconds": s.seconds,
+                    "skipped": s.models_skipped}
+            if s.nested:
+                step["nested"] = [r.stats_json() for r in s.nested]
+            steps.append(step)
+        return {**asdict(self.stats), "steps": steps}
 
     def to_json(self) -> dict:
         return {
@@ -1068,6 +1107,7 @@ def _verify_models(
     tol: float,
     seed: int,
 ) -> VerifyReport:
+    start = time.perf_counter()
     validate_derivation(derivation)
     nested: dict[int, tuple[VerifyReport, ...]] = {}
     for idx, step in enumerate(derivation.steps, start=1):
@@ -1087,8 +1127,17 @@ def _verify_models(
         pairs.append((len(exprs) - 1, 0))
     dev = [0.0] * len(pairs)
     used = [0] * len(pairs)
+    seconds = [0.0] * len(exprs)
+    conditionals = largest = 0
     for batch in model_batches(swig, cpts_list):
-        tables = [eval_expr(batch, e) for e in exprs]
+        tables = []
+        for i, e in enumerate(exprs):
+            t0 = time.perf_counter()
+            tables.append(eval_expr(batch, e))
+            seconds[i] += time.perf_counter() - t0
+        sizes = conditional_sizes(batch)
+        conditionals += len(sizes)
+        largest = max([largest, *sizes])
         for k, (i, j) in enumerate(pairs):
             d, ok = _deviations(tables[i], tables[j])
             dev[k] = max(dev[k], float(np.max(d[ok], initial=0.0)))
@@ -1101,7 +1150,9 @@ def _verify_models(
         passed = dev[k] <= tol and used[k] > 0 and all(r.passed for r in inner)
         all_passed &= passed
         skipped = len(cpts_list) - used[k]
-        reports.append(StepReport(k + 1, step.rule, dev[k], used[k], skipped, passed, inner))
+        reports.append(
+            StepReport(k + 1, step.rule, dev[k], used[k], skipped, passed, inner, seconds[k + 1])
+        )
 
     final_dev = None
     final_used = 0
@@ -1116,6 +1167,7 @@ def _verify_models(
         n_models=len(cpts_list),
         seed=seed,
         tol=tol,
+        stats=VerifyStats(seconds[0], conditionals, largest, time.perf_counter() - start),
     )
 
 
@@ -1128,6 +1180,8 @@ def verify(
 ) -> VerifyReport:
     """Replay every step on random models: input and output must evaluate
     identically, and the final formula must match the oracle estimand."""
+    if n_models < 1:
+        raise SwigIdentError(f"verify needs at least one model, got {n_models}")
     cpts_list = [
         random_base_cpts(swig.base, np.random.default_rng((seed, i)))
         for i in range(n_models)

@@ -4,18 +4,30 @@ A DiscreteModel holds one CPT per non-intervention variable; intervention
 nodes get their law from the regime: a deterministic copy of their target
 when inactive, a uniform full-support law when active.  The uniform choice
 only matters up to conditioning on the intervention nodes and is verified
-inert by the test suite.  Joints are dense arrays built by broadcasting,
-which keeps every query exact at desk scale.
+inert by the test suite.  regime_factors lists these factors in one place.
+
+There are two exact ways to a conditional q_s(A | B).  The reference is the
+dense joint: joint multiplies every factor into one 2^|V|-sized table, and
+RegimeJoint.conditional sums it down; query, brute_force_ci and the tests
+use it.  Expression evaluation takes the ancestral way instead:
+ancestral_conditional keeps only the factors of the ancestors of A and B
+in the regime graph, since every other variable is barren and sums out to 1
+(Shachter 1986), and sums the others out of their product one variable at
+a time (variable elimination; Koller & Friedman 2009, ch. 9), so no dense
+joint is built.
 
 A model may also be a batch: N models of one graph with their CPTs stacked
 on a leading axis, so that joints, conditionals and expression values carry
 one table per model.  Expressions are evaluated by one batched evaluator: a
-term is a view of the cached conditional plus a per-model mask of the models
-for which it conditions on a zero-probability event, and each sum or product
-is contracted by one einsum over the batch axis and the labels.  Values are
-memoised per model (or batch), so each distinct expression is evaluated once.
-A single model is a batch of one.  model_batches bounds a batch so that its
-joint has at most STATE_LIMIT entries, as large as one model's joint may be.
+term is a view of the model's memoised conditional plus a per-model mask of
+the models for which it conditions on a zero-probability event, and each
+sum or product is contracted by one einsum over the batch axis and the
+labels.  Values are memoised per model (or batch), so each distinct
+expression is evaluated once.  A single model is a batch of one.
+model_batches bounds a batch so that its joint would have at most
+STATE_LIMIT entries, as large as one model's joint may be; every table the
+ancestral way builds is labelled by a subset of the variables, so that bound
+holds for it too.
 """
 
 from __future__ import annotations
@@ -41,6 +53,12 @@ from .model import BaseDag, Regime, Role, Swig, Sym, Variable, to_swig
 
 STATE_LIMIT = 2**22
 ZERO_EPS = 1e-12
+# np.einsum takes at most 52 subscripts; the batch axis takes one of them.
+EINSUM_LABELS = 51
+# An elimination step whose table has more entries per model than this goes
+# through einsum's matmul-backed path; below it, that path's set-up costs more
+# than einsum's plain loop (measured on seqfd fig2 n=3-6).
+MATMUL_ENTRIES = 4096
 
 Cpt = tuple[tuple[str, ...], np.ndarray]
 
@@ -50,12 +68,14 @@ class DiscreteModel:
     """CPTs keyed by variable name; parents listed in table axis order.
 
     A batch of `batch` models stacks every CPT on a leading axis; batch is
-    None for a single model.  Joints and expression values are cached."""
+    None for a single model.  Joints, ancestral conditionals (keyed by
+    regime, dependents and conditioners) and expression values are cached."""
 
     swig: Swig
     cpts: dict[str, Cpt]
     batch: int | None = None
     _joints: dict[Regime, "RegimeJoint"] = field(default_factory=dict, repr=False)
+    _conditionals: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
     _values: dict[ProbExpr, "LabeledTable"] = field(default_factory=dict, repr=False)
 
     @property
@@ -126,14 +146,20 @@ class RegimeJoint:
         if cached is not None:
             return cached
         m = self.marginal(tuple(deps) + tuple(conds))
-        lead = self.lead
-        denom = m.sum(axis=tuple(range(lead, lead + len(deps))), keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.divide(m, denom, out=m)  # in place: m is a fresh array
-        np.copyto(out, np.nan, where=~(denom > ZERO_EPS))
-        out.flags.writeable = False  # shared by every caller and by term views
-        self._conditionals[key] = out
+        out = self._conditionals[key] = _normalized(m, self.lead, len(deps))
         return out
+
+
+def _normalized(m: np.ndarray, lead: int, n_deps: int) -> np.ndarray:
+    """A new, read-only table: m divided by its sum over the n_deps axes
+    after the lead batch axes, NaN where that sum is (numerically) zero.
+    Read-only because the table is shared by every caller and term view."""
+    denom = m.sum(axis=tuple(range(lead, lead + n_deps)), keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = m / denom
+    np.copyto(out, np.nan, where=~(denom > ZERO_EPS))
+    out.flags.writeable = False
+    return out
 
 
 def _expand(arr: np.ndarray, axes: Sequence[int], rank: int) -> np.ndarray:
@@ -147,12 +173,48 @@ def _expand(arr: np.ndarray, axes: Sequence[int], rank: int) -> np.ndarray:
     return arr.reshape(shape)
 
 
+def regime_factors(
+    model: DiscreteModel,
+    regime: Regime,
+    names: Iterable[str],
+    active_laws: Mapping[int, np.ndarray] | None = None,
+) -> list[tuple[np.ndarray, tuple[str, ...]]]:
+    """The factors of the regime-s joint that belong to the given variables,
+    each with the variables of its axes after the model's batch axis: a
+    CPT (parents, then the variable), eye(k) over (target, intervention
+    node) for an inactive intervention, and the uniform law of an active one
+    (or active_laws[i], which must have full support).  Intervention factors
+    are broadcast over the batch axis without a copy."""
+    swig = model.swig
+    names = set(names)
+    lead = model.batch_shape
+    out = [
+        (cpt, (*parents, name)) for name, (parents, cpt) in model.cpts.items() if name in names
+    ]
+    for i, (tgt, do) in enumerate(swig.pairs, start=1):
+        if do not in names:
+            continue
+        k = swig.var(tgt).cardinality
+        if i not in regime.active:
+            out.append((np.broadcast_to(np.eye(k), lead + (k, k)), (tgt, do)))
+            continue
+        law = np.full(k, 1.0 / k)
+        if active_laws is not None and i in active_laws:
+            law = np.asarray(active_laws[i], dtype=float)
+            if law.shape != (k,) or (law <= 0).any():
+                raise SwigIdentError(f"active law for index {i} must be full support")
+            law = law / law.sum()
+        out.append((np.broadcast_to(law, lead + (k,)), (do,)))
+    return out
+
+
 def joint(
     model: DiscreteModel,
     regime: Regime,
     active_laws: Mapping[int, np.ndarray] | None = None,
 ) -> RegimeJoint:
-    """Joint distribution under a regime by dense factor multiplication.
+    """Joint distribution under a regime by dense factor multiplication: the
+    reference oracle.
 
     active_laws optionally overrides the uniform law of active intervention
     nodes (used to check that the choice is inert); such joints bypass the
@@ -174,20 +236,8 @@ def joint(
     rank = len(lead) + len(names)
     batch_axes = list(range(len(lead)))
     table = np.ones(lead + tuple(swig.var(n).cardinality for n in names))
-    for name, (parents, cpt) in model.cpts.items():
-        table *= _expand(cpt, batch_axes + [at[p] for p in parents] + [at[name]], rank)
-    for i, (tgt, do) in enumerate(swig.pairs, start=1):
-        k = swig.var(tgt).cardinality
-        if i in regime.active:
-            law = np.full(k, 1.0 / k)
-            if active_laws is not None and i in active_laws:
-                law = np.asarray(active_laws[i], dtype=float)
-                if law.shape != (k,) or (law <= 0).any():
-                    raise SwigIdentError(f"active law for index {i} must be full support")
-                law = law / law.sum()
-            table *= _expand(law, [at[do]], rank)
-        else:
-            table *= _expand(np.eye(k), [at[tgt], at[do]], rank)
+    for factor, labels in regime_factors(model, regime, names, active_laws):
+        table *= _expand(factor, batch_axes + [at[n] for n in labels], rank)
 
     totals = table.reshape(lead + (-1,)).sum(axis=-1)
     worst = totals.flat[np.argmax(np.abs(totals - 1.0))]
@@ -199,12 +249,108 @@ def joint(
     return out
 
 
+def _states(swig: Swig, names: Iterable[str]) -> int:
+    """Number of entries of one model's table over the given variables."""
+    size = 1
+    for n in names:
+        size *= swig.var(n).cardinality
+    return size
+
+
 def joint_states(swig: Swig) -> int:
     """Number of entries of one model's joint table."""
-    size = 1
-    for v in swig.variables:
-        size *= v.cardinality
-    return size
+    return _states(swig, swig.names)
+
+
+def _sum_product(
+    model: DiscreteModel,
+    factors: list[tuple[np.ndarray, tuple[str, ...]]],
+    out: tuple[str, ...],
+) -> np.ndarray:
+    """The product of the factors summed down to the variables out, axes
+    after the batch axis in that order, by variable elimination (Koller &
+    Friedman 2009, ch. 9).  While a variable not in out is left, the one
+    whose new factor is smallest is summed out, merging the factors that
+    hold it two at a time, smallest first.  The factors left, all over
+    variables of out, are then merged two at a time: the smallest with the
+    partner that keeps their product smallest.  Each merge is one einsum
+    that labels only its own operands' variables, so einsum's subscript
+    limit and STATE_LIMIT bind the tables the elimination builds, never the
+    size of the ancestral set."""
+    swig = model.swig
+    lead = [0] * len(model.batch_shape)
+    factors = list(factors)
+
+    def states(names) -> int:
+        return _states(swig, names)
+
+    def contract(group, labels):
+        size = states(labels)
+        if len(labels) > EINSUM_LABELS or size > STATE_LIMIT:
+            raise StateSpaceLimitError(
+                f"a conditional over {len(out)} variables needs a table over "
+                f"{len(labels)} variables ({size} states); the limits are "
+                f"{EINSUM_LABELS} einsum subscripts and {STATE_LIMIT} states"
+            )
+        subscript: dict[str, int] = {}
+        operands: list = []
+        for table, names in group:
+            operands += [table, lead + [subscript.setdefault(n, len(subscript) + 1) for n in names]]
+        result = lead + [subscript[n] for n in labels]
+        return np.einsum(*operands, result, optimize=size > MATMUL_ENTRIES)
+
+    def merge(positions):
+        group = [factors[i] for i in positions]
+        rest = [f for i, f in enumerate(factors) if i not in positions]
+        needed = set(out).union(*(names for _, names in rest))
+        labels = tuple(dict.fromkeys(n for _, names in group for n in names if n in needed))
+        factors[:] = rest + [(contract(group, labels), labels)]
+
+    while True:
+        todo = {n for _, names in factors for n in names}.difference(out)
+        if not todo:
+            break
+        v = min(
+            todo,
+            key=lambda v: (states({n for _, ns in factors if v in ns for n in ns} - {v}), v),
+        )
+        holders = [i for i, (_, names) in enumerate(factors) if v in names]
+        merge(sorted(holders, key=lambda i: states(factors[i][1]))[:2])
+    while len(factors) > 1:
+        i = min(range(len(factors)), key=lambda i: states(factors[i][1]))
+        j = min(
+            (j for j in range(len(factors)) if j != i),
+            key=lambda j: states({*factors[i][1], *factors[j][1]}),
+        )
+        merge([i, j])
+    return contract(factors, out)
+
+
+def ancestral_conditional(
+    model: DiscreteModel, regime: Regime, deps: tuple[str, ...], conds: tuple[str, ...]
+) -> np.ndarray:
+    """P(deps | conds) under the regime with axes deps + conds after the
+    batch axis, NaN where the conditioning event has (numerically) zero
+    probability, as RegimeJoint.conditional gives it.  It is computed from
+    the factors of the ancestors of deps and conds in the regime graph
+    alone, so no dense joint is built; memoised per model.  Raises
+    StateSpaceLimitError when a table it needs has more than STATE_LIMIT
+    entries for one model."""
+    key = (regime, deps, conds)
+    cached = model._conditionals.get(key)
+    if cached is not None:
+        return cached
+    names = deps + conds
+    kept = model.swig.regime_graph(regime).ancestors(names)
+    m = _sum_product(model, regime_factors(model, regime, kept), names)
+    # m may be a view of a CPT (q0(L)); _normalized does not write into it
+    out = model._conditionals[key] = _normalized(m, len(model.batch_shape), len(deps))
+    return out
+
+
+def conditional_sizes(model: DiscreteModel) -> list[int]:
+    """Entries of each ancestral conditional memoised on the model so far."""
+    return [table.size for table in model._conditionals.values()]
 
 
 def query(
@@ -354,7 +500,7 @@ def _only_model(out: LabeledTable) -> LabeledTable:
 
 def oracle_provider(model: DiscreteModel) -> TableProvider:
     def provider(regime: Regime, deps: tuple[str, ...], conds: tuple[str, ...]):
-        table = joint(model, regime).conditional(deps, conds)
+        table = ancestral_conditional(model, regime, deps, conds)
         return table if model.batch is not None else table[None]
 
     return provider
@@ -501,6 +647,8 @@ class Dataset:
 def sample(model: DiscreteModel, regime: Regime, n: int, seed: int = 0) -> Dataset:
     """Ancestral sampling of the regime graph; intervention nodes copy their
     target when inactive and draw uniformly when active."""
+    if n < 0:
+        raise SwigIdentError(f"cannot draw a negative number of rows ({n})")
     swig = model.swig
     graph = swig.regime_graph(regime)
     rng = np.random.default_rng(seed)

@@ -218,3 +218,46 @@ def test_identify_stats_flag_writes_one_json_line(fig1_path, capsys):
     assert set(json.loads(line)) >= {"expanded", "dsep_hits", "refusals", "seconds"}
     assert main(argv[:-1] + ["backdoor:L", "--stats"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def _backdoor_derivation(fig1_path, tmp_path):
+    path = tmp_path / "derivation.json"
+    argv = ["identify", fig1_path, "q[1](Y1 | do D1=d1)", "--strategy", "backdoor:L"]
+    assert main(argv + ["--json", "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "{graph}", "--n", "-5"],
+        ["verify", "{graph}", "{derivation}", "--models", "0"],
+        ["verify", "{graph}", "{derivation}", "--models", "-3"],
+    ],
+    ids=["simulate_negative_rows", "verify_zero_models", "verify_negative_models"],
+)
+def test_bad_numbers_exit_1(argv, fig1_path, tmp_path, capsys):
+    derivation = _backdoor_derivation(fig1_path, tmp_path)
+    capsys.readouterr()
+    argv = [a.format(graph=fig1_path, derivation=derivation) for a in argv]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_verify_stats_flag_writes_one_json_line(fig1_path, tmp_path, capsys):
+    argv = ["verify", fig1_path, _backdoor_derivation(fig1_path, tmp_path), "--models", "4"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--stats"]) == 0
+    out, err = capsys.readouterr()
+    assert out == plain.out and plain.err == ""
+    (line,) = err.splitlines()
+    stats = json.loads(line)
+    assert set(stats) == {"steps", "estimand_seconds", "conditionals", "largest_table", "seconds"}
+    assert stats["conditionals"] > 0 and stats["largest_table"] > 0
+    assert len(stats["steps"]) == out.count("\nstep ") + out.startswith("step ")
+    for step in stats["steps"]:
+        assert set(step) == {"index", "rule", "seconds", "skipped"}
+        assert step["seconds"] >= 0 and step["skipped"] == 0

@@ -1,5 +1,6 @@
 """Recipes, search, derivation records, and numeric verification."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -28,7 +29,7 @@ from swigident import (
 )
 from swigident import oracle
 from swigident.cli import main
-from swigident.engine import _verify_models
+from swigident.engine import VerifyStats, _verify_models
 
 from conftest import corrupt_step, dose_estimand
 
@@ -153,7 +154,10 @@ def test_no_recipe_reports_a_blocking_query_that_holds(tmp_path):
     # dose-target dependents and an unobserved dependent, under every
     # recipe.  D2 descends from Do1, so the mediator recipes fall back to
     # their dose query; q1(L | do D1) = q0(L) with L unobserved is refused
-    # with no blocking query.
+    # with no blocking query.  A mediator recipe that refuses an estimand
+    # whose dependents are all observed names a blocking query, also when
+    # the refusing rule carries none (mediator_intervention on D2: its
+    # total_probability step refuses to sum over a dependent).
     from test_golden import IDENTIFY, _graph
 
     from swigident.cli import _load_swig
@@ -181,6 +185,9 @@ def test_no_recipe_reports_a_blocking_query_that_holds(tmp_path):
                 assert d.blocking is None or not d_separated(swig, d.blocking), (
                     graph, query, recipe, str(d.blocking)
                 )
+                observed = all(swig.var(n).observed for n in est.dep_names())
+                if recipe in MEDIATOR_RECIPES and observed:
+                    assert d.blocking is not None, (graph, query, recipe)
     assert refused >= 5
 
 
@@ -259,6 +266,31 @@ def test_verify_reports_per_step(fig1, fig1_estimand):
     assert "backdoor" not in text  # summary talks about rules, not recipes
     blob = report.to_json()
     assert blob["passed"] is True and len(blob["steps"]) == len(d.steps)
+
+
+def test_verify_needs_a_model(fig1, fig1_estimand):
+    d = identify(fig1, fig1_estimand, "backdoor:L")
+    for n in (0, -3):
+        with pytest.raises(SwigIdentError, match="at least one model"):
+            verify(d, fig1, n_models=n)
+
+
+def test_verify_stats_stay_out_of_the_report(fig2_n2):
+    d = identify(fig2_n2, dose_estimand(fig2_n2, ("Y",)), "mediator_intervention")
+    report = verify(d, fig2_n2, n_models=5)
+    stats = report.stats_json()
+    assert stats["conditionals"] > 0 and stats["largest_table"] > 0
+    assert 0 < stats["estimand_seconds"] + sum(s.seconds for s in report.steps) <= stats["seconds"]
+    (comp,) = stats["steps"]
+    assert comp["rule"] == "mediator_composition" and len(comp["nested"]) == 2
+    assert all(len(r["steps"]) > 0 for r in comp["nested"])
+    bare = dataclasses.replace(
+        report,
+        steps=tuple(dataclasses.replace(s, seconds=0.0) for s in report.steps),
+        stats=VerifyStats(),
+    )
+    assert bare == report and bare.to_json() == report.to_json()
+    assert "seconds" not in json.dumps(report.to_json())
 
 
 def test_verify_flags_corruption(fig1, fig1_estimand):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swigident import (
     BaseDag,
@@ -34,7 +36,13 @@ from swigident import (
     to_swig,
 )
 from swigident.expr import terms
-from swigident.oracle import model_batches, model_from_base_cpts, random_base_cpts
+from swigident.oracle import (
+    EINSUM_LABELS,
+    ancestral_conditional,
+    model_batches,
+    model_from_base_cpts,
+    random_base_cpts,
+)
 
 from conftest import dose_estimand
 
@@ -176,6 +184,138 @@ def test_state_space_limit():
     model = random_model(to_swig(base), seed=0)
     with pytest.raises(StateSpaceLimitError):
         joint(model, Q0)
+
+
+def _line(k, chained, cardinality=2):
+    """V0 .. V{k-1}, independent or chained V0 -> V1 -> ... -> V{k-1}."""
+    names = tuple(f"V{i}" for i in range(k))
+    return to_swig(
+        BaseDag(
+            variables=tuple(
+                Variable(n, i, Role.OTHER, True, cardinality) for i, n in enumerate(names)
+            ),
+            edges=frozenset(zip(names, names[1:])) if chained else frozenset(),
+            targets=(),
+            name="line",
+        )
+    )
+
+
+def test_a_term_of_a_wide_graph_evaluates_without_the_joint():
+    # 2^24 joint states are past STATE_LIMIT (test_state_space_limit), but
+    # the other 22 variables are barren for a term over V3 and V17.
+    swig = _line(24, chained=False)
+    model = random_model(swig, seed=0)
+    got = eval_expr(model, parse_expr("q0(V3, V17)"))
+    want = np.outer(model.cpts["V3"][1], model.cpts["V17"][1])
+    assert got.labels == ("V3", "V17")
+    assert np.max(np.abs(got.values - want)) <= 1e-15
+    assert not model._joints
+
+
+def test_an_ancestral_set_past_the_einsum_subscripts_evaluates():
+    # q0(V59) of a 60-chain has 60 ancestors, more than one einsum can
+    # label; each elimination step labels only its own operands, and the
+    # answer is the product of the chain's transition matrices.
+    swig = _line(60, chained=True)
+    model = random_model(swig, seed=1)
+    want = model.cpts["V0"][1]
+    for i in range(1, 60):
+        want = want @ model.cpts[f"V{i}"][1]
+    assert len(swig.regime_graph(Q0).ancestors({"V59"})) > EINSUM_LABELS
+    got = eval_expr(model, parse_expr("q0(V59)"))
+    assert np.max(np.abs(got.values - want)) <= 1e-12
+    got = eval_expr(model, parse_expr("q0(V59 | V0=0)"))
+    want = model.cpts["V1"][1][0]
+    for i in range(2, 60):
+        want = want @ model.cpts[f"V{i}"][1]
+    assert np.max(np.abs(got.values - want)) <= 1e-12
+
+
+def test_a_conditional_too_large_for_the_oracle_raises_state_space_limit():
+    # 2^23 states for one model, past STATE_LIMIT.
+    swig = _line(60, chained=True)
+    model = random_model(swig, seed=2)
+    deps = tuple(f"V{i}" for i in range(23))
+    with pytest.raises(StateSpaceLimitError, match="conditional over"):
+        ancestral_conditional(model, Q0, deps, ())
+    # One state but 52 variables, past numpy's einsum subscripts [0, 52)
+    # once the batch axis takes one: refused with the oracle's error, not
+    # numpy's.
+    swig = _line(52, chained=False, cardinality=1)
+    model = random_model(swig, seed=3)
+    with pytest.raises(StateSpaceLimitError, match="einsum subscripts"):
+        ancestral_conditional(model, Q0, swig.names, ())
+
+
+def test_a_conditional_that_is_one_cpt_leaves_the_cpt_alone(fig1):
+    # q0(L) contracts to L's own CPT (a view of it); the normalisation must
+    # not write into the model.  The row sums 1 - 4e-13, so dividing in
+    # place would change the CPT.
+    model = random_model(fig1, seed=17)
+    model.cpts["L"] = ((), np.array([0.25, 0.75 - 4e-13]))
+    before = {name: table.copy() for name, (_, table) in model.cpts.items()}
+    got = eval_expr(model, parse_expr("q0(L)"))
+    assert np.allclose(got.values, [0.25, 0.75], atol=1e-12)
+    assert not np.shares_memory(got.values, model.cpts["L"][1])
+    for name, (_, table) in model.cpts.items():
+        assert np.array_equal(table, before[name]) and table.flags.writeable, name
+
+
+def test_a_conditioning_event_below_zero_eps_is_nan(fig1):
+    # P(L=1) = 1e-13 is positive but below ZERO_EPS: both oracles treat it
+    # as zero, so the term skips the model instead of dividing by it.
+    model = random_model(fig1, seed=18)
+    model.cpts["L"] = ((), np.array([1 - 1e-13, 1e-13]))
+    for table in (
+        ancestral_conditional(model, Q0, ("Y1",), ("L",)),
+        joint(model, Q0).conditional(("Y1",), ("L",)),
+    ):
+        assert np.isnan(table[:, 1]).all() and not np.isnan(table[:, 0]).any()
+
+
+@st.composite
+def regime_queries(draw):
+    """A random split graph of 2-6 variables (1-3 levels each), a regime,
+    dependents and conditioners, and a seed for its models."""
+    n = draw(st.integers(2, 6))
+    names = [f"V{i}" for i in range(n)]
+    variables = tuple(
+        Variable(v, i, Role.OTHER, True, draw(st.integers(1, 3))) for i, v in enumerate(names)
+    )
+    edges = frozenset(
+        (names[i], names[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
+    )
+    targets = tuple(v for v in names[:-1] if draw(st.booleans()))[:2]
+    swig = to_swig(BaseDag(variables, edges, targets, "random"))
+    active = frozenset(i for i in range(1, len(targets) + 1) if draw(st.booleans()))
+    order = draw(st.permutations(swig.names))
+    n_deps = draw(st.integers(1, 2))
+    n_conds = draw(st.integers(0, min(3, len(order) - n_deps)))
+    deps = tuple(order[:n_deps])
+    conds = tuple(order[n_deps : n_deps + n_conds])
+    return swig, Regime(active), deps, conds, draw(st.integers(0, 2**16))
+
+
+@given(regime_queries())
+@settings(max_examples=200, deadline=None)
+def test_ancestral_conditional_matches_the_dense_joint(case):
+    swig, regime, deps, conds, seed = case
+    cpts_list = [random_base_cpts(swig.base, np.random.default_rng((seed, i))) for i in range(3)]
+    # model 1 puts all of one row of a CPT on a single level, so some
+    # conditioning events have probability zero in it alone
+    name = next((v.name for v in swig.base.variables if v.cardinality > 1), None)
+    if name is not None:
+        parents, table = cpts_list[1][name]
+        table = table.copy()
+        table[(0,) * len(parents)] = np.eye(table.shape[-1])[-1]
+        cpts_list[1][name] = (parents, table)
+    [batch] = model_batches(swig, cpts_list)
+    got = ancestral_conditional(batch, regime, deps, conds)
+    want = joint(batch, regime).conditional(deps, conds)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.max(np.abs(np.nan_to_num(got) - np.nan_to_num(want)), initial=0.0) <= 1e-12
 
 
 def test_sampling_determinism_and_coupling(fig1):
