@@ -13,8 +13,11 @@ Graph files hold one graph each:
 
 Estimand queries look like ``q[1](Y1 | do D1=d1)``; conditional-independence
 queries like ``q[1]: Y1 _||_ Do1 | M1, D1``; expressions are the text form
-of expr.to_text, like ``sum{l} q0(Y1 | L=l, D1=d1) * q0(L=l)``.  parse_graph
-and emit_graph round-trip exactly, and so do parse_expr and to_text.
+of expr.to_text, like ``sum{l} q0(Y1 | L=l, D1=d1) * q0(L=l)``, and the only
+form in which derivation files store them.  parse_graph and emit_graph
+round-trip exactly, and so do parse_expr and to_text.  All of them spell a
+variable as model.NAME and a symbol as a NAME with optional trailing quotes
+(d1'); model.validate rejects a graph with any other variable name.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from __future__ import annotations
 import re
 
 from .errors import GraphValidationError, ParseError
-from .expr import Entry, Estimand, ProbExpr, Product, Sum, Term
+from .expr import Entry, ProbExpr, Product, Sum, Term
 from .graphs import CiQuery
-from .model import BaseDag, Lit, Regime, Role, Swig, Sym, Variable, validate
+from .model import NAME, BaseDag, Lit, Regime, Role, Swig, Sym, Variable, validate
 
 _TOKEN = re.compile(
     r"""
@@ -34,7 +37,9 @@ _TOKEN = re.compile(
   | (?P<arrow>->)
   | (?P<sep>_\|\|_)
   | (?P<num>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*'*)
+  | (?P<ident>"""
+    + NAME
+    + r"""'*)
   | (?P<punct>[{};=@|,:\[\]()*])
     """,
     re.VERBOSE,
@@ -222,7 +227,7 @@ def _parse_list(toks: _Tokens, item=_parse_entry) -> tuple:
     return tuple(items)
 
 
-def parse_estimand(text: str, swig: Swig) -> Estimand:
+def parse_estimand(text: str, swig: Swig) -> Term:
     """Parse ``q[n](Y | do D1=d1, do D2=d2)`` against a SWIG: each ``do X=v``
     pins X's intervention node, plain entries condition as written."""
     toks = _Tokens(text)
@@ -243,7 +248,7 @@ def parse_estimand(text: str, swig: Swig) -> Estimand:
     conditioners = _parse_list(toks, conditioner) if toks.accept("punct", "|") else ()
     toks.expect("punct", ")")
     toks.expect("eof")
-    return Estimand(Regime.prefix(n), dependents, conditioners)
+    return Term(Regime.prefix(n), dependents, conditioners)
 
 
 def parse_ci_query(text: str, swig: Swig) -> CiQuery:

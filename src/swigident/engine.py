@@ -20,21 +20,19 @@ import numpy as np
 from .errors import ExprError, RuleRefusedError, SwigIdentError, malformed
 from .expr import (
     DerivationStep,
-    Estimand,
     ProbExpr,
     Sum,
     Product,
     Term,
     canonicalize,
     free_variables,
-    from_json as expr_from_json,
     fresh_symbol,
     regimes_used,
     terms,
-    to_json as expr_to_json,
     to_text,
     validate_estimand,
 )
+from .dsl import parse_expr
 from .graphs import CiQuery
 from .model import BaseDag, Swig, Sym, ValueRef, same_skeleton, to_swig
 from .oracle import (
@@ -89,7 +87,7 @@ class CompositionJustification:
 
 @dataclass(frozen=True)
 class Derivation:
-    estimand: Estimand
+    estimand: Term
     steps: tuple[DerivationStep, ...]
     final: ProbExpr
     status: str
@@ -118,47 +116,62 @@ class Derivation:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        estimand = expr_to_json(self.estimand)
-        del estimand["node"]
+        """Every expression as its text; a step's input is the expression
+        before it, so only its output is stored."""
         return {
-            "estimand": estimand,
+            "estimand": to_text(self.estimand),
             "status": self.status,
             "blocking": None if self.blocking is None else self.blocking.to_json(),
             "final": to_text(self.final),
-            "final_ast": expr_to_json(self.final),
-            "steps": [
-                {
-                    **s.to_json(),
-                    "input_ast": expr_to_json(s.input),
-                    "output_ast": expr_to_json(s.output),
-                }
-                for s in self.steps
-            ],
+            "steps": [s.to_json() for s in self.steps],
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Derivation":
+    def from_json(cls, obj: dict, where: str = "") -> "Derivation":
+        """Parse the text of to_json back, rebuilding each step's input as
+        the estimand or the previous step's output.  where prefixes the
+        field names in errors; it locates a derivation nested in a
+        composition step."""
         with malformed("derivation"):
-            steps = tuple(
-                DerivationStep(
-                    rule=s["rule"],
-                    input=expr_from_json(s["input_ast"]),
-                    output=expr_from_json(s["output_ast"]),
-                    justification=_justification_from_json(s.get("justification")),
+            estimand = _stored_expr(obj["estimand"], f"{where}estimand")
+            if not isinstance(estimand, Term):
+                raise SwigIdentError(
+                    f"malformed derivation: {where}estimand: "
+                    f"{to_text(estimand)!r} is not a single term"
                 )
-                for s in obj["steps"]
-            )
+            steps: list[DerivationStep] = []
+            prev: ProbExpr = estimand
+            for i, s in enumerate(obj["steps"], start=1):
+                output = _stored_expr(s["output"], f"{where}step {i} output")
+                justification = _justification_from_json(
+                    s.get("justification"), f"{where}step {i} "
+                )
+                steps.append(DerivationStep(s["rule"], prev, output, justification))
+                prev = output
             blocking = obj.get("blocking")
             return cls(
-                estimand=expr_from_json({**obj["estimand"], "node": "term"}),
-                steps=steps,
-                final=expr_from_json(obj["final_ast"]),
+                estimand=estimand,
+                steps=tuple(steps),
+                final=_stored_expr(obj["final"], f"{where}final"),
                 status=obj["status"],
                 blocking=None if blocking is None else CiQuery.from_json(blocking),
             )
 
 
-def _justification_from_json(obj):
+def _stored_expr(text: object, field: str) -> ProbExpr:
+    """The expression a derivation file stores as text in the named field;
+    a failure names the field and, for bad text, the parse position."""
+    if not isinstance(text, str):
+        raise SwigIdentError(
+            f"malformed derivation: {field}: expected expression text, found {type(text).__name__}"
+        )
+    try:
+        return parse_expr(text)
+    except SwigIdentError as exc:
+        raise SwigIdentError(f"malformed derivation: {field}: {exc}") from exc
+
+
+def _justification_from_json(obj, where: str):
     if obj is None:
         return None
     kind = obj.get("kind")
@@ -182,8 +195,8 @@ def _justification_from_json(obj):
         return CompositionJustification(
             mediator_targets=tuple(obj["mediator_targets"]),
             binders=tuple(obj["binders"]),
-            mediator_law=Derivation.from_json(obj["mediator_law"]),
-            outcome=Derivation.from_json(obj["outcome"]),
+            mediator_law=Derivation.from_json(obj["mediator_law"], f"{where}mediator_law: "),
+            outcome=Derivation.from_json(obj["outcome"], f"{where}outcome: "),
         )
     raise ExprError(f"unknown justification kind {kind!r}")
 
@@ -240,7 +253,7 @@ class Strategy:
 class _Builder:
     """Tracks the working expression while a recipe applies rules."""
 
-    def __init__(self, swig: Swig, estimand: Estimand):
+    def __init__(self, swig: Swig, estimand: Term):
         validate_estimand(swig, estimand)
         self.swig = swig
         self.estimand = estimand
@@ -281,11 +294,11 @@ class _Builder:
         return Derivation(self.estimand, tuple(self.steps), self.expr, IDENTIFIED)
 
 
-def _not_identified(estimand: Estimand, blocking: CiQuery | None) -> Derivation:
+def _not_identified(estimand: Term, blocking: CiQuery | None) -> Derivation:
     return Derivation(estimand, (), estimand, NOT_IDENTIFIED, blocking)
 
 
-def _single_intervention(swig: Swig, estimand: Estimand) -> tuple[int, ValueRef]:
+def _single_intervention(swig: Swig, estimand: Term) -> tuple[int, ValueRef]:
     """Shape check shared by the two single-shot recipes: exactly one active
     intervention whose node is the sole conditioner."""
     if len(estimand.regime.active) != 1:
@@ -307,7 +320,7 @@ def _subsets(names: Sequence[str], min_size: int = 0) -> Iterable[tuple[str, ...
         yield from itertools.combinations(sorted(names), size)
 
 
-def _adjustment_pool(swig: Swig, estimand: Estimand) -> list[str]:
+def _adjustment_pool(swig: Swig, estimand: Term) -> list[str]:
     """Observed, non-intervention variables not mentioned by the estimand."""
     used = {n for n, _ in estimand.dependents} | {n for n, _ in estimand.conditioners}
     out = []
@@ -330,7 +343,7 @@ def _check_explicit(swig: Swig, names: Sequence[str]) -> None:
 
 def _try_candidates(
     swig: Swig,
-    estimand: Estimand,
+    estimand: Term,
     candidates: Iterable[tuple[str, ...]],
     attempt: Callable[[_Builder, tuple[str, ...]], Derivation],
     fallback_blocking: CiQuery | None = None,
@@ -352,7 +365,7 @@ def _try_candidates(
     return _not_identified(estimand, blocking)
 
 
-def _dose_blocking(swig: Swig, estimand: Estimand) -> CiQuery:
+def _dose_blocking(swig: Swig, estimand: Term) -> CiQuery:
     """Fallback blocking query of the mediator recipes: the dependents
     independent of the intervention nodes given their targets, less the
     dependents themselves (a dependent may be a target)."""
@@ -362,7 +375,7 @@ def _dose_blocking(swig: Swig, estimand: Estimand) -> CiQuery:
     return CiQuery(estimand.regime, deps, dos - deps, tgts - deps)
 
 
-def _or_unreached(swig: Swig, estimand: Estimand, derivation: Derivation) -> Derivation:
+def _or_unreached(swig: Swig, estimand: Term, derivation: Derivation) -> Derivation:
     """A mediator recipe's answer, unless it is a refusal and drop_later
     removes the estimand's whole regime: then the doses do not reach the
     dependents, q_s(dependents | doses) = q0(dependents), and the recipe's
@@ -404,7 +417,7 @@ def _backdoor_attempt(builder: _Builder, adjustment: tuple[str, ...]) -> Derivat
 
 
 def identify_backdoor(
-    swig: Swig, estimand: Estimand, adjustment: Sequence[str] | None = None
+    swig: Swig, estimand: Term, adjustment: Sequence[str] | None = None
 ) -> Derivation:
     t, _ = _single_intervention(swig, estimand)
     if adjustment is not None:
@@ -444,7 +457,7 @@ def _frontdoor_attempt(builder: _Builder, mediators: tuple[str, ...]) -> Derivat
 
 
 def identify_frontdoor(
-    swig: Swig, estimand: Estimand, mediators: Sequence[str] | None = None
+    swig: Swig, estimand: Term, mediators: Sequence[str] | None = None
 ) -> Derivation:
     _single_intervention(swig, estimand)
     if mediators is not None:
@@ -458,7 +471,7 @@ def identify_frontdoor(
     return _or_unreached(swig, estimand, derivation)
 
 
-def _mediator_pool(swig: Swig, estimand: Estimand) -> list[str]:
+def _mediator_pool(swig: Swig, estimand: Term) -> list[str]:
     """Observed variables lying on a directed path from an active
     intervention node to the dependents, in the estimand's regime graph."""
     deps = [n for n, _ in estimand.dependents]
@@ -480,7 +493,7 @@ def _mediator_pool(swig: Swig, estimand: Estimand) -> list[str]:
 # ---------------------------------------------------------------------------
 # sequential recipes
 
-def _chain_conditioners(swig: Swig, estimand: Estimand) -> dict[str, ValueRef]:
+def _chain_conditioners(swig: Swig, estimand: Term) -> dict[str, ValueRef]:
     """Require the conditioners to be exactly the active intervention nodes,
     each pinned; returns node -> value."""
     conds = dict(estimand.conditioners)
@@ -562,7 +575,7 @@ def _sequential_backdoor_attempt(builder: _Builder) -> Derivation:
     return builder.identified()
 
 
-def identify_sequential_backdoor(swig: Swig, estimand: Estimand) -> Derivation:
+def identify_sequential_backdoor(swig: Swig, estimand: Term) -> Derivation:
     builder = _Builder(swig, estimand)
     try:
         return _sequential_backdoor_attempt(builder)
@@ -607,7 +620,7 @@ def _sequential_frontdoor_attempt(
 
 
 def identify_sequential_frontdoor(
-    swig: Swig, estimand: Estimand, mediators: Sequence[str] | None = None
+    swig: Swig, estimand: Term, mediators: Sequence[str] | None = None
 ) -> Derivation:
     if not estimand.regime.active:
         raise SwigIdentError("estimand has no active interventions")
@@ -657,7 +670,7 @@ def _compose_outcome_attempt(
 
 
 def compose_mediator_intervention(
-    swig_doses: Swig, swig_mediators: Swig, estimand: Estimand
+    swig_doses: Swig, swig_mediators: Swig, estimand: Term
 ) -> Derivation:
     """Express the dose effect as the mediator-intervention outcome law
     averaged over the identified mediator law, and identify both factors."""
@@ -683,7 +696,7 @@ def compose_mediator_intervention(
         binders.append(sym)
         med_values[m] = Sym(sym)
 
-    est_m = Estimand(
+    est_m = Term(
         regime=estimand.regime,
         dependents=tuple((m, med_values[m]) for m in mediators),
         conditioners=estimand.conditioners,
@@ -695,7 +708,7 @@ def compose_mediator_intervention(
     if not mediator_law.identified:
         return _not_identified(estimand, mediator_law.blocking or fallback)
 
-    est_y = Estimand(
+    est_y = Term(
         regime=swig_mediators.full_regime,
         dependents=estimand.dependents,
         conditioners=tuple(
@@ -760,7 +773,7 @@ class _State:
         self.outcomes: list = []
 
 
-def _search(swig: Swig, estimand: Estimand, mode: str, depth: int) -> Derivation:
+def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
     """Iterative deepening over the move set.  Every piece of work is done
     once per call: each expression's simplification, and each simplified
     state's goal test, key and move outcomes (worked out when the search
@@ -957,7 +970,7 @@ def _search(swig: Swig, estimand: Estimand, mode: str, depth: int) -> Derivation
 # entry point
 
 def identify(
-    swig: Swig, estimand: Estimand, strategy: Strategy | str = "top_down"
+    swig: Swig, estimand: Term, strategy: Strategy | str = "top_down"
 ) -> Derivation:
     """Derive an observed-data expression for the estimand, or report the
     blocking independence that could not be established."""
@@ -1021,7 +1034,9 @@ class VerifyStats:
     """What one verify did beyond its steps: the seconds spent evaluating
     the estimand, the oracle's conditionals built (over all batches) and the
     most entries one of them had, batch axis included, and the seconds in
-    all."""
+    all.  A step skips a model for one reason only: its expression
+    conditions on an event of probability exactly zero in that model (a
+    zero in a CPT); a positive probability, however small, is divided by."""
 
     estimand_seconds: float = 0.0
     conditionals: int = 0

@@ -31,7 +31,7 @@ class RuleRefusedError(SwigIdentError):
 
 
 class ZeroProbabilityError(SwigIdentError):
-    """A query conditioned on an event with (numerically) zero probability."""
+    """A query conditioned on an event with zero probability."""
 
 
 class StateSpaceLimitError(SwigIdentError):
@@ -51,8 +51,9 @@ class ParseError(SwigIdentError):
 @contextmanager
 def malformed(what: str):
     """Report the errors that decoding a malformed document raises (a
-    missing key, a value of the wrong type or shape) as SwigIdentError."""
+    missing key, a value of the wrong type or shape, an expression the
+    classes reject) as SwigIdentError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ExprError) as exc:
         raise SwigIdentError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc

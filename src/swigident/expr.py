@@ -9,6 +9,10 @@ structural equality is equality of canonical forms.  An estimand is a
 Term: the query q_s(dependents | conditioners) a derivation starts from.
 Each node computes its structural hash once, so the search's dict and set
 lookups do not re-hash whole trees.
+
+An expression has one serial form, the text of to_text, which
+dsl.parse_expr reads back to an equal tree; derivation files store every
+expression that way.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from .errors import ExprError
-from .model import Lit, Regime, Swig, Sym, ValueRef
+from .model import SYMBOL, Regime, Swig, Sym, ValueRef
 
 Entry = tuple[str, Union[ValueRef, None]]
 
@@ -101,21 +105,20 @@ def _hash_once(node, fields: tuple) -> int:
 
 ProbExpr = Union[Term, Sum, Product]
 
-# An interventional query q_s(dependents | conditioners); dependents may be
-# bare or pinned, conditioners typically pin the intervention nodes.
-Estimand = Term
 
-
-def term_of(estimand: Estimand) -> Term:
+def term_of(estimand: Term) -> Term:
     """The estimand's term, which is the estimand itself."""
     return estimand
 
 
-def validate_estimand(swig: Swig, estimand: Estimand) -> None:
-    """Require the estimand's regime and variables to exist in the graph."""
+def validate_estimand(swig: Swig, estimand: Term) -> None:
+    """Require the estimand's regime and variables to exist in the graph,
+    and its symbols to be names the text form can spell."""
     swig.check_regime(estimand.regime)
-    for name, _ in (*estimand.dependents, *estimand.conditioners):
+    for name, ref in (*estimand.dependents, *estimand.conditioners):
         swig.var(name)
+        if isinstance(ref, Sym) and not SYMBOL.fullmatch(ref.name):
+            raise ExprError(f"symbol {ref.name!r} is not a name with optional trailing quotes")
 
 
 # ---------------------------------------------------------------------------
@@ -422,55 +425,6 @@ def to_text(e: ProbExpr) -> str:
     return " * ".join(parts)
 
 
-# ---------------------------------------------------------------------------
-# JSON form
-
-def ref_json(ref: ValueRef | None):
-    if ref is None:
-        return None
-    if isinstance(ref, Lit):
-        return {"lit": ref.value}
-    return {"sym": ref.name}
-
-
-def ref_from_json(obj) -> ValueRef | None:
-    if obj is None:
-        return None
-    if "lit" in obj:
-        return Lit(int(obj["lit"]))
-    if "sym" in obj:
-        return Sym(str(obj["sym"]))
-    raise ExprError(f"bad value reference: {obj!r}")
-
-
-def to_json(e: ProbExpr) -> dict:
-    if isinstance(e, Term):
-        return {
-            "node": "term",
-            "regime": sorted(e.regime.active),
-            "dependents": [[n, ref_json(r)] for n, r in e.dependents],
-            "conditioners": [[n, ref_json(r)] for n, r in e.conditioners],
-        }
-    if isinstance(e, Sum):
-        return {"node": "sum", "binders": list(e.binders), "body": to_json(e.body)}
-    return {"node": "product", "factors": [to_json(f) for f in e.factors]}
-
-
-def from_json(obj: dict) -> ProbExpr:
-    node = obj.get("node")
-    if node == "term":
-        return Term(
-            Regime(frozenset(int(i) for i in obj["regime"])),
-            tuple((n, ref_from_json(r)) for n, r in obj["dependents"]),
-            tuple((n, ref_from_json(r)) for n, r in obj["conditioners"]),
-        )
-    if node == "sum":
-        return Sum(tuple(obj["binders"]), from_json(obj["body"]))
-    if node == "product":
-        return Product(tuple(from_json(f) for f in obj["factors"]))
-    raise ExprError(f"bad expression node: {node!r}")
-
-
 @dataclass(frozen=True)
 class DerivationStep:
     """One rewrite: rule name, expression before/after, and the side
@@ -491,7 +445,6 @@ class DerivationStep:
             just = self.justification.to_json()
         return {
             "rule": self.rule,
-            "input": to_text(self.input),
             "output": to_text(self.output),
             "justification": just,
         }

@@ -20,6 +20,11 @@ from typing import Union
 from .errors import GraphValidationError, SwigIdentError
 from .graphs import Graph, GraphCache
 
+# The variable names that graph files, estimands and expressions can spell;
+# a symbol may add trailing quotes (d1').
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+SYMBOL = re.compile(NAME + "'*")
+
 
 class Role(str, Enum):
     COVARIATE = "covariate"
@@ -168,6 +173,8 @@ def validate(base: BaseDag) -> list[Violation]:
         seen.add(n)
 
     for v in base.variables:
+        if not re.fullmatch(NAME, v.name):
+            out.append(Violation("name", f"{v.name!r} is not a name ({NAME})"))
         if v.cardinality < 1:
             out.append(Violation("cardinality", f"{v.name!r} must have >= 1 level"))
         if v.time < 0:

@@ -47,7 +47,7 @@ from .errors import (
     ZeroProbabilityError,
     malformed,
 )
-from .expr import Estimand, ProbExpr, Product, Sum, Term, regimes_used
+from .expr import ProbExpr, Product, Sum, Term, regimes_used
 from .graphs import CiQuery, Graph
 from .model import BaseDag, Regime, Role, Swig, Sym, Variable, to_swig
 
@@ -140,7 +140,7 @@ class RegimeJoint:
 
     def conditional(self, deps: tuple[str, ...], conds: tuple[str, ...]) -> np.ndarray:
         """P(deps | conds) with axes deps + conds after the batch axis; NaN
-        where the conditioning event has (numerically) zero probability."""
+        where the conditioning event has zero probability."""
         key = (deps, conds)
         cached = self._conditionals.get(key)
         if cached is not None:
@@ -152,12 +152,14 @@ class RegimeJoint:
 
 def _normalized(m: np.ndarray, lead: int, n_deps: int) -> np.ndarray:
     """A new, read-only table: m divided by its sum over the n_deps axes
-    after the lead batch axes, NaN where that sum is (numerically) zero.
-    Read-only because the table is shared by every caller and term view."""
+    after the lead batch axes, NaN where that sum is zero.  Every table is a
+    sum of products of non-negative numbers, so a zero sum is exact and a
+    positive one, however small, is divided by.  Read-only because the table
+    is shared by every caller and term view."""
     denom = m.sum(axis=tuple(range(lead, lead + n_deps)), keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = m / denom
-    np.copyto(out, np.nan, where=~(denom > ZERO_EPS))
+    np.copyto(out, np.nan, where=~(denom > 0))
     out.flags.writeable = False
     return out
 
@@ -330,8 +332,8 @@ def ancestral_conditional(
     model: DiscreteModel, regime: Regime, deps: tuple[str, ...], conds: tuple[str, ...]
 ) -> np.ndarray:
     """P(deps | conds) under the regime with axes deps + conds after the
-    batch axis, NaN where the conditioning event has (numerically) zero
-    probability, as RegimeJoint.conditional gives it.  It is computed from
+    batch axis, NaN where the conditioning event has zero probability, as
+    RegimeJoint.conditional gives it.  It is computed from
     the factors of the ancestors of deps and conds in the regime graph
     alone, so no dense joint is built; memoised per model.  Raises
     StateSpaceLimitError when a table it needs has more than STATE_LIMIT
@@ -524,7 +526,7 @@ def eval_expr(
     return out.select(params) if params else out
 
 
-def eval_estimand(model: DiscreteModel, estimand: Estimand) -> LabeledTable:
+def eval_estimand(model: DiscreteModel, estimand: Term) -> LabeledTable:
     """Oracle value of an estimand, as a table over its bare/symbol axes."""
     return eval_expr(model, estimand)
 

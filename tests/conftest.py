@@ -7,7 +7,6 @@ import pytest
 from swigident import (
     Derivation,
     DerivationStep,
-    Estimand,
     ExprError,
     Lit,
     Regime,
@@ -56,7 +55,7 @@ def dose_estimand(swig, dependents):
     """q_n(dependents | Do_1=d_1, ..., Do_n=d_n) with one symbol per dose."""
     n = swig.n_interventions
     conds = [(swig.intervention(t), Sym(f"d{t}")) for t in range(1, n + 1)]
-    return Estimand.of(Regime.prefix(n), dependents, conds)
+    return Term.of(Regime.prefix(n), dependents, conds)
 
 
 @pytest.fixture(scope="session")

@@ -186,6 +186,31 @@ MALFORMED_DERIVATIONS = {
         '{"steps": [], "estimand": {"regime": [1], "dependents": [5], "conditioners": []}}'
     ),
     "list": "[]",
+    "old_format": (
+        '{"estimand": {"regime": [1], "dependents": [["Y1", null]], "conditioners": []},'
+        ' "status": "not_identified", "blocking": null, "final": "q1(Y1)", "steps": []}'
+    ),
+    "bad_output_text": (
+        '{"estimand": "q1(Y1 | Do1=d1)", "status": "not_identified", "blocking": null,'
+        ' "final": "q0(Y1 | Do1=d1)",'
+        ' "steps": [{"rule": "ci_modify", "output": "q0(Y1 | Do1=d1", "justification": null}]}'
+    ),
+    "unchanged_step": (
+        '{"estimand": "q1(Y1 | Do1=d1)", "status": "not_identified", "blocking": null,'
+        ' "final": "q1(Y1 | Do1=d1)",'
+        ' "steps": [{"rule": "ci_modify", "output": "q1(Y1 | Do1=d1)", "justification": null}]}'
+    ),
+    "product_estimand": (
+        '{"estimand": "q0(Y1) * q0(L)", "status": "identified", "blocking": null,'
+        ' "final": "q0(Y1) * q0(L)", "steps": []}'
+    ),
+}
+# The field an error line must name, where the file gets that far.
+MALFORMED_FIELDS = {
+    "old_format": "estimand: expected expression text, found dict",
+    "bad_output_text": "step 1 output: expected ')', found 'end of input' at line 1, column 15",
+    "unchanged_step": "step 'ci_modify' does not change the expression",
+    "product_estimand": "estimand: 'q0(Y1) * q0(L)' is not a single term",
 }
 
 
@@ -197,6 +222,20 @@ def test_verify_malformed_derivation_exits_1(name, fig1_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: malformed derivation:")
     assert "Traceback" not in err
+    assert MALFORMED_FIELDS.get(name, "") in err and len(err.splitlines()) == 1
+
+
+def test_verify_rejects_a_final_that_is_not_the_last_output(fig1_path, tmp_path, capsys):
+    derivation = _backdoor_derivation(fig1_path, tmp_path)
+    with open(derivation) as fh:
+        payload = json.load(fh)
+    payload["final"] = "sum{l} q0(Y1 | L=l, D1=d1) * q0(L=0)"
+    with open(derivation, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert main(["verify", fig1_path, derivation, "--models", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: final expression is not the last step output\n"
 
 
 @pytest.mark.parametrize("text", ['{"graph": {}}', "not json", "[]"])

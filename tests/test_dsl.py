@@ -3,14 +3,17 @@
 import pytest
 
 from swigident import (
+    BaseDag,
     CiQuery,
-    Estimand,
     GraphValidationError,
     Lit,
     ParseError,
     Regime,
+    Role,
     SwigIdentError,
     Sym,
+    Term,
+    Variable,
     ablated_figure1,
     emit_graph,
     figure1,
@@ -21,6 +24,8 @@ from swigident import (
     parse_graph,
     to_dot,
     to_swig,
+    validate,
+    validate_estimand,
 )
 from swigident.cli import main
 
@@ -57,6 +62,49 @@ def test_emit_parse_round_trip_with_attributes():
     )
     assert wide.variables[0].cardinality == 4
     assert parse_graph(emit_graph(wide)) == wide
+
+
+@pytest.mark.parametrize(
+    "base", [*(figure2(n) for n in range(1, 8)), figure3(3)], ids=lambda base: base.name
+)
+def test_every_figure_round_trips(base):
+    # The packaged fixtures are checked above; these are the other sizes.
+    assert parse_graph(emit_graph(base)) == base
+
+
+PRIMED_TARGET = (
+    "graph primed {\n"
+    "  var D1' @0 role=target;\n"
+    "  var Y @1 role=outcome;\n"
+    "  edge D1' -> Y;\n"
+    "  target D1' order=1;\n"
+    "}\n"
+)
+
+
+def test_a_variable_name_the_text_form_cannot_spell_is_rejected(tmp_path, capsys):
+    # Split, D1' would become D1'o, which the expression text cannot spell.
+    with pytest.raises(GraphValidationError, match="name: \"D1'\" is not a name"):
+        parse_graph(PRIMED_TARGET)
+    dashed = BaseDag((Variable("D-1", 0, Role.TARGET),), frozenset(), ("D-1",), "dashed")
+    assert [v.rule for v in validate(dashed)] == ["name"]
+    with pytest.raises(GraphValidationError, match="'D-1' is not a name"):
+        to_swig(dashed)
+
+    graphs = PRIMED_TARGET, PRIMED_TARGET.replace("D1'", "D-1")
+    for i, graph in enumerate(graphs):
+        path = tmp_path / f"g{i}.swig"
+        path.write_text(graph)
+        assert main(["identify", str(path), "q[1](Y | do D1=d1)"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_an_estimand_symbol_the_text_form_cannot_spell_is_rejected(fig1):
+    validate_estimand(fig1, Term.of(Regime.prefix(1), ("Y1",), [("Do1", Sym("d1''"))]))
+    bad = Term.of(Regime.prefix(1), ("Y1",), [("Do1", Sym("d-1"))])
+    with pytest.raises(SwigIdentError, match="'d-1' is not a name"):
+        validate_estimand(fig1, bad)
 
 
 def test_parse_graph_ignores_comments_and_blank_lines():
@@ -104,7 +152,7 @@ def test_parse_graph_runs_validation():
 
 def test_parse_estimand_maps_do_to_intervention_node(fig1):
     est = parse_estimand("q[1](Y1 | do D1=d1)", fig1)
-    assert est == Estimand.of(Regime.prefix(1), ("Y1",), [("Do1", Sym("d1"))])
+    assert est == Term.of(Regime.prefix(1), ("Y1",), [("Do1", Sym("d1"))])
 
     est2 = parse_estimand("q[1](Y1=1 | do D1=0, L=l)", fig1)
     assert est2.dependents == (("Y1", Lit(1)),)

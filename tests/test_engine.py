@@ -10,12 +10,12 @@ from swigident import (
     CiQuery,
     Derivation,
     DerivationStep,
-    Estimand,
     Lit,
     Regime,
     Strategy,
     SwigIdentError,
     Sym,
+    Term,
     ZeroProbabilityError,
     d_separated,
     identify,
@@ -74,7 +74,7 @@ def test_recipes_pick_variables_automatically(fig1, fig1_hidden, fig1_estimand):
 
 
 def test_pinned_dependent_estimand(fig1):
-    est = Estimand.of(Regime.prefix(1), [("Y1", Lit(1))], [("Do1", Sym("d1"))])
+    est = Term.of(Regime.prefix(1), [("Y1", Lit(1))], [("Do1", Sym("d1"))])
     d = identify(fig1, est, "backdoor:L")
     assert d.identified
     assert struct_eq(d.final, parse_expr("sum{l} q0(Y1=1 | L=l, D1=d1) * q0(L=l)"))
@@ -89,7 +89,7 @@ def test_backdoor_blocked_without_observed_adjustment(fig1_hidden, fig1_estimand
 
 def test_identify_rejects_bad_estimand(fig1):
     with pytest.raises(SwigIdentError):
-        identify(fig1, Estimand.of(Regime.prefix(1), ("Nope",)), "backdoor")
+        identify(fig1, Term.of(Regime.prefix(1), ("Nope",)), "backdoor")
 
 
 def test_mediator_intervention_matches_frontdoor(fig1_hidden, fig1_estimand):
@@ -220,6 +220,45 @@ def test_derivation_json_round_trip(bundled_derivations):
         clone = Derivation.from_json(json.loads(blob))
         assert clone == d, name
         assert json.dumps(clone.to_json(), sort_keys=True) == blob, name
+
+
+def test_every_golden_and_bench_derivation_round_trips_through_its_text(tmp_path):
+    # The identify goldens (the benchmark's identify queries among them) and
+    # the benchmark's verify derivations: sequential front-door on fig2
+    # n=1, 2, 3 and 5, and the composition on n=2.
+    from test_golden import IDENTIFY, _graph, fig2_query
+
+    from swigident.cli import _load_swig
+
+    cases = [
+        (graph, query, strategy, flags) for graph, query, strategy, flags, _ in IDENTIFY.values()
+    ]
+    cases += [(f"fig2_n{n}", fig2_query(n), "sequential_frontdoor", ()) for n in (1, 2, 3, 5)]
+    cases += [("fig2_n2", fig2_query(2), "mediator_intervention", ())]
+    compositions = 0
+    for graph, query, strategy, flags in cases:
+        hidden = [flags[i + 1] for i, f in enumerate(flags) if f == "--unobserved"]
+        depth = int(flags[flags.index("--depth") + 1]) if "--depth" in flags else 16
+        args = type("Args", (), {"graph": _graph(tmp_path, graph), "unobserved": hidden})
+        swig = _load_swig(args)
+        d = identify(swig, parse_estimand(query, swig), Strategy.parse(strategy, depth=depth))
+        clone = Derivation.from_json(json.loads(json.dumps(d.to_json())))
+        assert clone == d and clone.trace() == d.trace(), (graph, query, strategy)
+        validate_derivation(clone)
+        compositions += any(s.rule == "mediator_composition" for s in d.steps)
+    assert compositions == 2
+
+
+def test_a_malformed_nested_derivation_is_located(bundled_derivations):
+    (d,) = [d for name, _, d in bundled_derivations if name == "compose_fig2_n2"]
+    obj = d.to_json()
+    obj["steps"][0]["justification"]["outcome"]["steps"][2]["output"] = "q0(Y"
+    with pytest.raises(SwigIdentError) as exc:
+        Derivation.from_json(obj)
+    assert str(exc.value) == (
+        "malformed derivation: step 1 outcome: step 3 output: "
+        "expected ')', found 'end of input' at line 1, column 5"
+    )
 
 
 def test_validate_derivation_rejects_broken_chain(fig1, fig1_estimand):
@@ -393,7 +432,7 @@ def test_verify_in_chunks_matches_one_batch(strategy, per_batch, run, fig2_n2, m
 def test_search_outperforms_rigid_recipe_on_nonprefix_regime(fig2_n2):
     # The recipe conditions only on intervention targets, so it refuses here;
     # search finds the M1 adjustment.
-    est = Estimand.of(Regime(frozenset({2})), ("M2",), [("Do2", Sym("d2"))])
+    est = Term.of(Regime(frozenset({2})), ("M2",), [("Do2", Sym("d2"))])
     recipe = identify(fig2_n2, est, "sequential_backdoor")
     assert not recipe.identified
     assert str(recipe.blocking) == "q{2}: M2 _||_ D2 | Do2"

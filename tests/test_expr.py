@@ -1,4 +1,6 @@
-"""Expression AST, parser, canonical form, and JSON round-trips."""
+"""Expression AST, parser, canonical form, and text round-trips."""
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 
 from swigident import (
     DerivationStep,
-    Estimand,
     ExprError,
     ParseError,
     Lit,
@@ -22,7 +23,7 @@ from swigident import (
     struct_eq,
     to_text,
 )
-from swigident.expr import free_symbols, from_json, replace_at, terms, to_json
+from swigident.expr import free_symbols, replace_at, terms
 
 Q0 = Regime.observational()
 Q1 = Regime.prefix(1)
@@ -41,6 +42,7 @@ def test_parse_round_trip_examples():
         "q0(M2 | M1, D1=d1, D2=d2) * q0(M1 | D1=d1)",
         "q0(Y1=1 | D1=0)",
         "q{2}(Y | Do2=d2)",
+        "q{2}(Y | Do2=d2) * q0(M1)",
     ]
     for text in cases:
         e = parse_expr(text)
@@ -94,11 +96,6 @@ def test_free_variables_and_symbols():
 def test_regimes_used_single():
     e = parse_expr("sum{l} q1(Y1 | L=l, Do1=d1) * q1(L=l)")
     assert regimes_used(e) == frozenset({Q1})
-
-
-def test_term_of_estimand():
-    est = Estimand.of(Q1, ("Y1",), [("Do1", Sym("d1"))])
-    assert est == Term(Q1, (("Y1", None),), (("Do1", Sym("d1")),))
 
 
 def test_struct_eq_alpha_invariance():
@@ -167,14 +164,24 @@ def test_derivation_step_must_change():
 
 
 def test_json_round_trip():
+    # A derivation file stores each expression as its text; a chain through
+    # these cases must load back equal, inputs rebuilt from the outputs.
+    from swigident import Derivation
+
     cases = [
         "q0(Y1=1 | D1=0)",
         "sum{d1', m1} q0(Y1 | D1=d1', M1=m1) * q0(D1=d1') * q0(M1=m1 | D1=d1)",
         "q{2}(Y | Do2=d2) * q0(M1)",
     ]
-    for text in cases:
-        e = parse_expr(text)
-        assert from_json(to_json(e)) == e
+    exprs = [parse_expr(text) for text in cases]
+    steps = tuple(
+        DerivationStep(rule="rewrite", input=a, output=b) for a, b in zip(exprs, exprs[1:])
+    )
+    d = Derivation(estimand=exprs[0], steps=steps, final=exprs[-1], status="identified")
+    loaded = Derivation.from_json(json.loads(json.dumps(d.to_json())))
+    assert loaded == d
+    assert [s.input for s in loaded.steps] == exprs[:-1]
+    assert [s.output for s in loaded.steps] == exprs[1:]
 
 
 NAMES = ("A", "B", "C", "D")
@@ -234,24 +241,23 @@ def test_canonicalize_permutation_invariant(e):
 
 @given(small_exprs())
 @settings(max_examples=200, deadline=None)
-def test_text_and_json_round_trip_random(e):
+def test_text_round_trip_random(e):
     assert parse_expr(to_text(e)) == e
-    assert from_json(to_json(e)) == e
 
 
 @given(small_exprs())
 @settings(max_examples=200, deadline=None)
 def test_equal_expressions_built_apart_hash_alike(e):
-    # Nodes keep their hash once computed; a copy built from JSON or text
-    # must still hash like the original, whichever is hashed first.
-    for copy in (from_json(to_json(e)), parse_expr(to_text(e))):
-        assert copy == e and copy is not e
-        assert hash(copy) == hash(e)
-        assert len({e, copy}) == 1
+    # Nodes keep their hash once computed; a copy parsed from the text must
+    # still hash like the original, whichever is hashed first.
+    copy = parse_expr(to_text(e))
+    assert copy == e and copy is not e
+    assert hash(copy) == hash(e)
+    assert len({e, copy}) == 1
 
 
 def test_derivation_expressions_hash_alike_after_a_round_trip(fig1, fig2_n2):
-    from swigident import identify, parse_estimand
+    from swigident import Derivation, identify, parse_estimand
 
     cases = [
         (fig1, "q[1](Y1 | do D1=d1)", "top_down"),
@@ -261,7 +267,8 @@ def test_derivation_expressions_hash_alike_after_a_round_trip(fig1, fig2_n2):
         d = identify(swig, parse_estimand(query, swig), strategy)
         assert d.identified and d.steps
         outputs = {step.output: i for i, step in enumerate(d.steps)}
-        for i, step in enumerate(d.steps):
-            copy = from_json(to_json(step.output))
-            assert hash(copy) == hash(step.output)
-            assert outputs[copy] == i
+        loaded = Derivation.from_json(json.loads(json.dumps(d.to_json())))
+        for i, (step, copy) in enumerate(zip(d.steps, loaded.steps)):
+            assert hash(copy.output) == hash(step.output)
+            assert hash(copy.input) == hash(step.input)
+            assert outputs[copy.output] == i

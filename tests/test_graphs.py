@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from swigident import (
     CiQuery,
-    Estimand,
     Graph,
     Regime,
     Sym,
     SwigIdentError,
+    Term,
     brute_force_ci,
     d_separated,
     drop_later_obstruction,
@@ -175,13 +175,13 @@ def test_drop_later_blocks_conditioned_outcome(fig2_n2):
 
 def test_drop_later_blocks_descendant_outcome(fig2_n2):
     # Do2 active but not conditioned on: the outcome still descends from it.
-    est = Estimand.of(Regime.prefix(2), ("Y",), [("Do1", Sym("d1"))])
+    est = Term.of(Regime.prefix(2), ("Y",), [("Do1", Sym("d1"))])
     reason, _ = drop_later_obstruction(fig2_n2, est, 1)[0]
     assert "Y descend from Do2" in reason
 
 
 def test_drop_later_blocks_dependent_intervention(fig2_n2):
-    est = Estimand.of(Regime.prefix(2), ("Do2",), [("Do1", Sym("d1"))])
+    est = Term.of(Regime.prefix(2), ("Do2",), [("Do1", Sym("d1"))])
     reason, _ = drop_later_obstruction(fig2_n2, est, 1)[0]
     assert "dependent" in reason
 
@@ -268,7 +268,7 @@ def test_cached_drop_later_matches_an_uncached_walk():
         for deps in (("Y",), ("M1",), ("M2",), ("D1",), ("D2",), ("M1", "M2"), ("L",))
     ]
     estimands += [
-        Estimand.of(Regime.prefix(2), deps, doses + (("M1", Sym("m1")),))
+        Term.of(Regime.prefix(2), deps, doses + (("M1", Sym("m1")),))
         for deps in (("Y",), ("M2",))
     ]
     cases = [(est, t) for est in estimands for t in (0, 1)]
@@ -277,6 +277,6 @@ def test_cached_drop_later_matches_an_uncached_walk():
             to_swig(figure2(2)), est, t
         )
     # the walk reads a term's names only, so pinned values share an entry
-    pinned = Estimand.of(Regime.prefix(2), [("Y", Sym("y"))], doses)
+    pinned = Term.of(Regime.prefix(2), [("Y", Sym("y"))], doses)
     assert drop_later_obstruction(swig, pinned, 0) == drop_later_obstruction(swig, cases[0][0], 0)
     assert len(swig.cache.drop_later) == len(cases)

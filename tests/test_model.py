@@ -4,13 +4,13 @@ import pytest
 
 from swigident import (
     BaseDag,
-    Estimand,
     Lit,
     Regime,
     Role,
     Swig,
     SwigIdentError,
     Sym,
+    Term,
     Variable,
     ablated_figure1,
     figure1,
@@ -193,15 +193,15 @@ def test_estimand_validation(fig1):
     est = dose_estimand(fig1, ("Y1",))
     validate_estimand(fig1, est)
     with pytest.raises(SwigIdentError):
-        Estimand.of(Regime.prefix(1), ())
+        Term.of(Regime.prefix(1), ())
     with pytest.raises(SwigIdentError):
-        Estimand.of(Regime.prefix(1), ("Y1",), [("Y1", Lit(0))])
+        Term.of(Regime.prefix(1), ("Y1",), [("Y1", Lit(0))])
     with pytest.raises(SwigIdentError):
-        validate_estimand(fig1, Estimand.of(Regime.prefix(2), ("Y1",)))
+        validate_estimand(fig1, Term.of(Regime.prefix(2), ("Y1",)))
     with pytest.raises(SwigIdentError):
-        validate_estimand(fig1, Estimand.of(Regime.prefix(1), ("Nope",)))
+        validate_estimand(fig1, Term.of(Regime.prefix(1), ("Nope",)))
 
 
 def test_estimand_of_accepts_pinned_dependents():
-    est = Estimand.of(Regime.prefix(1), [("Y1", Lit(1))], [("Do1", Sym("d1"))])
+    est = Term.of(Regime.prefix(1), [("Y1", Lit(1))], [("Do1", Sym("d1"))])
     assert est.dependents == (("Y1", Lit(1)),)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from swigident import (
     BaseDag,
-    Estimand,
     Lit,
     Regime,
     Role,
@@ -263,15 +262,26 @@ def test_a_conditional_that_is_one_cpt_leaves_the_cpt_alone(fig1):
 
 
 def test_a_conditioning_event_below_zero_eps_is_nan(fig1):
-    # P(L=1) = 1e-13 is positive but below ZERO_EPS: both oracles treat it
-    # as zero, so the term skips the model instead of dividing by it.
+    # P(L=1) = 0 exactly: both oracles mask the cells that condition on it,
+    # so the term skips the model instead of dividing by zero.
     model = random_model(fig1, seed=18)
-    model.cpts["L"] = ((), np.array([1 - 1e-13, 1e-13]))
+    model.cpts["L"] = ((), np.array([1.0, 0.0]))
     for table in (
         ancestral_conditional(model, Q0, ("Y1",), ("L",)),
         joint(model, Q0).conditional(("Y1",), ("L",)),
     ):
         assert np.isnan(table[:, 1]).all() and not np.isnan(table[:, 0]).any()
+
+
+def test_a_tiny_positive_conditioning_event_is_divided_by(fig1):
+    # P(L=1) = 1e-13 is below ZERO_EPS but positive: the conditional given
+    # L=1 is exact, so both oracles give it and agree.
+    model = random_model(fig1, seed=18)
+    model.cpts["L"] = ((), np.array([1 - 1e-13, 1e-13]))
+    fast = ancestral_conditional(model, Q0, ("Y1",), ("L",))
+    dense = joint(model, Q0).conditional(("Y1",), ("L",))
+    assert not np.isnan(fast).any() and np.allclose(fast, dense, atol=1e-12)
+    assert np.allclose(fast.sum(axis=0), 1.0, atol=1e-12)
 
 
 @st.composite
