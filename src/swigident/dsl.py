@@ -12,8 +12,9 @@ Graph files hold one graph each:
     }
 
 Estimand queries look like ``q[1](Y1 | do D1=d1)``; conditional-independence
-queries like ``q[1]: Y1 _||_ Do1 | M1, D1``; expressions are the text form
-of expr.to_text, like ``sum{l} q0(Y1 | L=l, D1=d1) * q0(L=l)``, and the only
+queries like ``q[1]: Y1 _||_ Do1 | M1, D1`` or, as a CiQuery prints,
+``q1: Y1 _||_ Do1 | M1, D1``; expressions are the text form of expr.to_text,
+like ``sum{l} q0(Y1 | L=l, D1=d1) * q0(L=l)``, and the only
 form in which derivation files store them.  parse_graph and emit_graph
 round-trip exactly, and so do parse_expr and to_text.  All of them spell a
 variable as model.NAME and a symbol as a NAME with optional trailing quotes
@@ -252,9 +253,15 @@ def parse_estimand(text: str, swig: Swig) -> Term:
 
 
 def parse_ci_query(text: str, swig: Swig) -> CiQuery:
-    """Parse ``q[s]: X _||_ Y | Z1, Z2`` into a CiQuery."""
+    """Parse ``q[n]: X _||_ Y | Z1, Z2`` into a CiQuery.  The regime may also
+    be written as in expressions (``q1``, ``q{1,2}``), which is how a
+    CiQuery prints, so a ``blocking:`` line reads back."""
     toks = _Tokens(text)
-    n = _parse_regime_index(toks, swig)
+    if toks.peek()[1] == "q" and toks.items[1][:2] == ("punct", "["):
+        regime = Regime.prefix(_parse_regime_index(toks, swig))
+    else:
+        regime = _parse_regime(toks)
+        swig.check_regime(regime)
     toks.expect("punct", ":")
     x = frozenset(_parse_list(toks, _name))
     toks.expect("sep")
@@ -263,7 +270,7 @@ def parse_ci_query(text: str, swig: Swig) -> CiQuery:
     toks.expect("eof")
     for name in (*x, *y, *z):
         swig.var(name)
-    return CiQuery(regime=Regime.prefix(n), x=x, y=y, z=z)
+    return CiQuery(regime=regime, x=x, y=y, z=z)
 
 
 def _parse_regime(toks: _Tokens) -> Regime:

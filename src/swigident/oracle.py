@@ -28,6 +28,14 @@ model_batches bounds a batch so that its joint would have at most
 STATE_LIMIT entries, as large as one model's joint may be; every table the
 ancestral way builds is labelled by a subset of the variables, so that bound
 holds for it too.
+
+The data path does no Python work per row or cell.  sample draws the regime
+graph's variables in topological order, each from the cumulative sums of its
+CPT at the row one ravel_multi_index over its parents' columns selects, so a
+seed fixes the rows.  Dataset.write_csv lays the rows out as one byte block
+and writes exactly what csv.writer would; Dataset.read_csv parses the body
+with np.loadtxt.  plugin_estimate counts cells over the levels the graph
+declares and refuses a value outside them.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -615,7 +624,9 @@ def random_model(swig: Swig, seed: int = 0, concentration: float = 1.0) -> Discr
 
 @dataclass(eq=False)
 class Dataset:
-    """Integer-coded samples, one column per variable."""
+    """Integer-coded samples, one column per variable.  levels records each
+    column's level count (the graph's when sampled, else read or inferred);
+    plug-in estimation uses the graph's levels, not these."""
 
     columns: tuple[str, ...]
     data: np.ndarray
@@ -631,56 +642,121 @@ class Dataset:
         return self.data.shape[0]
 
     def write_csv(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(self.columns)
-        writer.writerows(self.data.tolist())
+        """Write the header and rows as csv.writer would, byte for byte.
+
+        The rows are laid out as one uint8 block, column by column: a sign
+        slot, one slot per decimal digit of the column's widest value and a
+        ',' slot (the last column ends in '\\r\\n').  Slots left 0 (no sign,
+        leading zeros) are dropped, and the rest is written as one string."""
+        csv.writer(fh).writerow(self.columns)
+        n, k = self.data.shape
+        if k == 0:
+            fh.write("\r\n" * n)  # csv.writer's empty rows
+            return
+        widths = [len(str(int(np.abs(self.data[:, j]).max(initial=0)))) for j in range(k)]
+        block = np.zeros((n, sum(widths) + 2 * k + 1), dtype=np.uint8)
+        at = 0
+        for j, width in enumerate(widths):
+            column = self.data[:, j]
+            negative = column < 0
+            if negative.any():
+                block[negative, at] = ord("-")
+            mag = np.abs(column)
+            for p in range(width):
+                digit = mag // 10**p if p else mag
+                if p < width - 1:
+                    digit = digit % 10
+                slot = at + width - p
+                np.add(digit, ord("0"), out=block[:, slot], casting="unsafe")
+                if p:
+                    block[mag < 10**p, slot] = 0
+            at += width + 1
+            block[:, at] = ord(",")
+            at += 1
+        block[:, at - 1 : at + 1] = np.frombuffer(b"\r\n", dtype=np.uint8)
+        fh.write(block[block != 0].tobytes().decode("ascii"))
 
     @classmethod
     def read_csv(cls, fh, levels: Mapping[str, int] | None = None) -> "Dataset":
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[int(x) for x in row] for row in reader if row]
-        data = np.asarray(rows, dtype=int).reshape(len(rows), len(header))
+        """Read what write_csv writes: a header of names, then rows of
+        integers.  Levels not given are inferred as each column's max + 1."""
+        header = next(csv.reader([fh.readline()]))
+        if not header:
+            raise SwigIdentError("malformed CSV: no column names on the first line")
+        with warnings.catch_warnings():
+            # an empty body is a valid dataset; loadtxt warns about it
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                data = np.loadtxt(fh, dtype=int, delimiter=",", ndmin=2, comments=None)
+            except ValueError as e:
+                raise SwigIdentError(f"malformed CSV after the header line: {e}") from None
+        if data.size and data.shape[1] != len(header):
+            raise SwigIdentError(
+                f"malformed CSV: rows have {data.shape[1]} fields, the header {len(header)}"
+            )
+        data = data.reshape(-1, len(header))
         if levels is None:
+            if not len(data):
+                raise SwigIdentError("cannot infer levels from a CSV with no rows; pass levels")
             levels = {n: int(data[:, i].max()) + 1 for i, n in enumerate(header)}
         return cls(tuple(header), data, dict(levels))
 
 
 def sample(model: DiscreteModel, regime: Regime, n: int, seed: int = 0) -> Dataset:
     """Ancestral sampling of the regime graph; intervention nodes copy their
-    target when inactive and draw uniformly when active."""
+    target when inactive and draw uniformly when active.
+
+    A variable's draw is the number of levels j whose cumulative CPT entry,
+    in the row its parents select, lies below a uniform u (at most k - 1).
+    The cumulative sums are taken once over the CPT, and each sample's row
+    is found by one ravel_multi_index over its parents' columns."""
     if n < 0:
         raise SwigIdentError(f"cannot draw a negative number of rows ({n})")
     swig = model.swig
     graph = swig.regime_graph(regime)
     rng = np.random.default_rng(seed)
-    cols: dict[str, np.ndarray] = {}
+    data = np.empty((n, len(swig.names)), dtype=np.int64, order="F")
+    cols = {name: data[:, i] for i, name in enumerate(swig.names)}
     for name in graph.topological_order:
-        var = swig.var(name)
-        k = var.cardinality
+        k = swig.var(name).cardinality
+        col = cols[name]
         if name in swig.target_of:
-            idx = swig.index_of[name]
-            if idx in regime.active:
-                cols[name] = rng.integers(0, k, size=n)
+            if swig.index_of[name] in regime.active:
+                col[:] = rng.integers(0, k, size=n)
             else:
-                cols[name] = cols[swig.target_of[name]].copy()
+                col[:] = cols[swig.target_of[name]]
             continue
         parents, cpt = model.cpts[name]
-        rows = cpt[tuple(cols[p] for p in parents)] if parents else np.broadcast_to(cpt, (n, k))
+        cum = np.cumsum(cpt, axis=-1).reshape(-1, k).T.copy()
+        rows = np.ravel_multi_index([cols[p] for p in parents], cpt.shape[:-1]) if parents else 0
         u = rng.random(n)
-        draws = (u[:, None] > np.cumsum(rows, axis=-1)).sum(axis=-1)
-        cols[name] = np.minimum(draws, k - 1)
-    data = np.column_stack([cols[name] for name in swig.names])
+        col[:] = 0
+        for level in cum:
+            col += u > level[rows]
+        np.minimum(col, k - 1, out=col)
     return Dataset(swig.names, data, {v.name: v.cardinality for v in swig.variables})
 
 
-def empirical_provider(dataset: Dataset, smoothing: float = 1.0) -> TableProvider:
+def empirical_provider(dataset: Dataset, swig: Swig, smoothing: float = 1.0) -> TableProvider:
+    """Smoothed frequencies of the dataset's columns, over the levels the
+    graph declares; a value outside them is refused, not counted."""
+
     def provider(regime: Regime, deps: tuple[str, ...], conds: tuple[str, ...]):
         if not regime.is_observational:
             raise SwigIdentError("plug-in estimation needs a regime-0 expression")
         names = tuple(deps) + tuple(conds)
-        cards = [dataset.levels[n] for n in names]
-        flat = np.ravel_multi_index([dataset.col(n) for n in names], cards)
+        cols = [dataset.col(n) for n in names]
+        cards = [swig.var(n).cardinality for n in names]
+        try:
+            flat = np.ravel_multi_index(cols, cards)
+        except ValueError:  # raised for a value outside its column's levels
+            for name, col, k in zip(names, cols, cards):
+                outside = col[(col < 0) | (col >= k)]
+                if len(outside):
+                    raise SwigIdentError(
+                        f"column {name!r} holds {outside[0]}, outside the graph's levels 0..{k - 1}"
+                    ) from None
+            raise
         size = int(np.prod(cards))
         counts = np.bincount(flat, minlength=size).reshape(cards).astype(float)
         counts += smoothing
@@ -698,11 +774,11 @@ def plugin_estimate(
     smoothing: float = 1.0,
 ) -> LabeledTable:
     """Evaluate an identified (regime-0) formula with every conditional
-    replaced by its smoothed empirical frequency."""
+    replaced by its smoothed empirical frequency over the levels of swig."""
     bad = [r for r in regimes_used(e) if not r.is_observational]
     if bad:
         raise SwigIdentError("formula still uses interventional regimes; identify first")
-    out = _only_model(_eval(swig, e, empirical_provider(dataset, smoothing), {}))
+    out = _only_model(_eval(swig, e, empirical_provider(dataset, swig, smoothing), {}))
     return out.select(params) if params else out
 
 

@@ -186,6 +186,20 @@ def test_parse_ci_query(fig1):
         parse_ci_query("q[1]: Y1 Do1", fig1)
 
 
+def test_parse_ci_query_reads_the_printed_regime_marker(fig1, fig2_n2):
+    q = parse_ci_query("q[1]: Y1 _||_ Do1 | M1, D1", fig1)
+    for text in ("q1: Y1 _||_ Do1 | M1, D1", "q{1}: Y1 _||_ Do1 | D1, M1", str(q)):
+        assert parse_ci_query(text, fig1) == q
+    q2 = parse_ci_query("q{2}: Y _||_ Do2 | D2", fig2_n2)
+    assert q2.regime == Regime(frozenset({2})) and parse_ci_query(str(q2), fig2_n2) == q2
+    for text in ("q2: Y1 _||_ Do1", "q{1,2}: Y1 _||_ Do1", "q[2]: Y1 _||_ Do1"):
+        with pytest.raises(SwigIdentError, match="exceed"):
+            parse_ci_query(text, fig1)
+    for text in ("x1: Y1 _||_ Do1", "q: Y1 _||_ Do1", ""):
+        with pytest.raises(ParseError):
+            parse_ci_query(text, fig1)
+
+
 def test_to_dot_marks_roles_and_regimes(fig1, fig1_hidden):
     dot0 = to_dot(fig1)
     assert '"Do1" [shape=box];' in dot0

@@ -3,8 +3,9 @@
 Each case runs ``swigident`` through cli.main and compares stdout with a
 file under tests/golden/.  The cases cover the identify queries of the
 benchmark (every strategy, text and JSON), the sequential back-door recipe,
-verify reports of two derivations and the bundled fixtures, so a refactor
-that changes a derivation, a trace line or a JSON key shows up here.  The
+verify reports of two derivations, the bundled fixtures and simulate's CSV
+under regime 0 and the largest regime, so a refactor that changes a
+derivation, a trace line, a JSON key or a sampled row shows up here.  The
 verify reports are compared byte for byte except their deviation values,
 which need only stay within the tolerance.
 
@@ -66,6 +67,13 @@ VERIFY = {"verify_seqfd_fig2_n2": "seqfd_fig2_n2", "verify_compose_fig2_n2": "co
 
 FIXTURES = ("fig1", "fig1_ablated", "fig2_n2", "fig3_n2")
 
+# name -> (graph, regime) sampled by `simulate --n 200 --seed 3`
+SIMULATE = {
+    f"simulate_{graph}_r{regime}": (graph, regime)
+    for graph, regimes in (("fig1", (0, 1)), ("fig2_n2", (0, 2)))
+    for regime in regimes
+}
+
 
 def _run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
@@ -95,6 +103,11 @@ def render(workdir: Path, kind: str, name: str) -> tuple[int, int, str]:
     if kind == "fixture":
         code, out = _run(["fixture", name])
         return code, 0, out
+    if kind == "simulate":
+        graph, regime = SIMULATE[name]
+        argv = ["simulate", _graph(workdir, graph), "--n", "200", "--seed", "3"]
+        code, out = _run(argv + ["--regime", str(regime)])
+        return code, 0, out
     if kind == "verify":
         source = VERIFY[name]
         derivation = workdir / f"{source}.json"
@@ -115,6 +128,7 @@ CASES = {
     **{f"{n}.json": ("json", n) for n in IDENTIFY},
     **{f"{n}.json": ("verify", n) for n in VERIFY},
     **{f"fixture_{n}.swig": ("fixture", n) for n in FIXTURES},
+    **{f"{n}.csv": ("simulate", n) for n in SIMULATE},
 }
 
 
@@ -138,11 +152,28 @@ def _deviations_within_tol(text: str) -> str:
 def test_output_matches_golden(filename, tmp_path):
     kind = CASES[filename][0]
     code, want, out = render(tmp_path, *CASES[filename])
-    golden = (GOLDEN / filename).read_text(encoding="utf-8")
+    with open(GOLDEN / filename, encoding="utf-8", newline="") as fh:
+        golden = fh.read()
     assert code == want
     if kind == "verify":
         out, golden = _deviations_within_tol(out), _deviations_within_tol(golden)
     assert out == golden
+
+
+BLOCKING = {
+    f"{name}.txt": line[len("blocking: "):]
+    for name in IDENTIFY
+    for line in (GOLDEN / f"{name}.txt").read_text(encoding="utf-8").splitlines()
+    if line.startswith("blocking: ")
+}
+
+
+@pytest.mark.parametrize("filename", BLOCKING)
+def test_a_printed_blocking_query_reads_back_into_dsep(filename, tmp_path):
+    """The blocking line of a refusal is a query dsep reads and answers false."""
+    graph = _graph(tmp_path, IDENTIFY[filename[: -len(".txt")]][0])
+    code, out = _run(["dsep", graph, BLOCKING[filename]])
+    assert (code, out) == (0, "false\n")
 
 
 if __name__ == "__main__":
@@ -154,5 +185,6 @@ if __name__ == "__main__":
             code, want, out = render(Path(tmp), *CASES[filename])
             if code != want:
                 sys.exit(f"{filename}: exit code {code}, expected {want}")
-            (GOLDEN / filename).write_text(out, encoding="utf-8")
+            with open(GOLDEN / filename, "w", encoding="utf-8", newline="") as fh:
+                fh.write(out)
             print(f"wrote {filename}")

@@ -1,5 +1,8 @@
 """Exact discrete inference, sampling, and plug-in estimation."""
 
+import csv
+import dataclasses
+import io
 import itertools
 
 import numpy as np
@@ -37,6 +40,7 @@ from swigident import (
 from swigident.expr import terms
 from swigident.oracle import (
     EINSUM_LABELS,
+    Dataset,
     ancestral_conditional,
     model_batches,
     model_from_base_cpts,
@@ -285,13 +289,14 @@ def test_a_tiny_positive_conditioning_event_is_divided_by(fig1):
 
 
 @st.composite
-def regime_queries(draw):
-    """A random split graph of 2-6 variables (1-3 levels each), a regime,
-    dependents and conditioners, and a seed for its models."""
+def regime_queries(draw, max_levels=3):
+    """A random split graph of 2-6 variables (1 to max_levels levels each), a
+    regime, dependents and conditioners, and a seed for its models."""
     n = draw(st.integers(2, 6))
     names = [f"V{i}" for i in range(n)]
     variables = tuple(
-        Variable(v, i, Role.OTHER, True, draw(st.integers(1, 3))) for i, v in enumerate(names)
+        Variable(v, i, Role.OTHER, True, draw(st.integers(1, max_levels)))
+        for i, v in enumerate(names)
     )
     edges = frozenset(
         (names[i], names[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
@@ -347,6 +352,126 @@ def test_sampling_matches_joint_frequencies(fig1):
     want = joint(model, Q0).marginal(("Y1",))
     got = np.bincount(data.col("Y1"), minlength=2) / data.data.shape[0]
     assert np.allclose(got, want, atol=0.01)
+
+
+def reference_sample(model, regime, n, seed):
+    """The sampler as first written: each variable gathers an n x k table of
+    its CPT rows and counts the cumulative entries below a uniform draw."""
+    swig = model.swig
+    rng = np.random.default_rng(seed)
+    cols = {}
+    for name in swig.regime_graph(regime).topological_order:
+        k = swig.var(name).cardinality
+        if name in swig.target_of:
+            if swig.index_of[name] in regime.active:
+                cols[name] = rng.integers(0, k, size=n)
+            else:
+                cols[name] = cols[swig.target_of[name]].copy()
+            continue
+        parents, cpt = model.cpts[name]
+        rows = cpt[tuple(cols[p] for p in parents)] if parents else np.broadcast_to(cpt, (n, k))
+        u = rng.random(n)
+        draws = (u[:, None] > np.cumsum(rows, axis=-1)).sum(axis=-1)
+        cols[name] = np.minimum(draws, k - 1)
+    return np.column_stack([cols[name] for name in swig.names])
+
+
+@given(regime_queries(max_levels=4), st.integers(0, 60))
+@settings(max_examples=200, deadline=None)
+def test_sample_matches_the_gathered_reference(case, n):
+    swig, regime, _, _, seed = case
+    model = model_from_base_cpts(swig, random_base_cpts(swig.base, np.random.default_rng(seed)))
+    got = sample(model, regime, n, seed=seed)
+    assert got.columns == swig.names
+    assert np.array_equal(got.data, reference_sample(model, regime, n, seed))
+
+
+def test_a_draw_past_a_short_cpt_row_lands_on_the_last_level(fig1):
+    # Rows summing to less than 1 leave room for u above the last cumulative
+    # entry; such a draw takes the last level, as in the reference.
+    model = random_model(fig1, seed=19)
+    parents, table = model.cpts["Y1"]
+    model.cpts["Y1"] = (parents, table / 2)
+    got = sample(model, Q0, 2000, seed=7)
+    assert np.array_equal(got.data, reference_sample(model, Q0, 2000, 7))
+    assert set(np.unique(got.col("Y1"))) == {0, 1}
+
+
+@given(
+    st.integers(0, 4).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(-(10**12), 10**12), min_size=k, max_size=k), max_size=20
+        ).map(lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), k))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_write_csv_writes_csv_writer_bytes_and_reads_back(data):
+    columns = tuple(f"C{j}" for j in range(data.shape[1]))
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(columns)
+    writer.writerows(data.tolist())
+    got = io.StringIO(newline="")
+    Dataset(columns, data, {}).write_csv(got)
+    assert got.getvalue() == want.getvalue()
+    if not columns:
+        return
+    got.seek(0)
+    back = Dataset.read_csv(got, levels={c: 1 for c in columns})
+    assert back.columns == columns and np.array_equal(back.data, data)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("A,B\r\n0,1\r\n1\r\n", "number of columns changed"),
+        ("A,B\r\n0,1\r\n1,x\r\n", "could not convert string 'x'"),
+        ("A,B\r\n0,1\r\n# note\r\n", "malformed CSV"),
+        ("A,B\r\n0,1,1\r\n1,0,1\r\n", "rows have 3 fields, the header 2"),
+        ("A,B\r\n", "cannot infer levels from a CSV with no rows"),
+        ("", "no column names"),
+        ("\r\n0\r\n", "no column names"),
+    ],
+)
+def test_read_csv_refuses_malformed_input(text, message):
+    with pytest.raises(SwigIdentError, match=message):
+        Dataset.read_csv(io.StringIO(text, newline=""))
+
+
+def test_plugin_estimate_sizes_tables_by_the_graph():
+    swig = to_swig(figure2(1))
+    data = sample(random_model(swig, seed=3), Q0, 500, seed=3)
+    data.data[:, swig.names.index("Y")] = 0
+    with io.StringIO(newline="") as fh:
+        data.write_csv(fh)
+        fh.seek(0)
+        read = Dataset.read_csv(fh)
+    assert read.levels["Y"] == 1
+    got = plugin_estimate(swig, parse_expr("q0(Y | D1=d1)"), read)
+    assert got.labels == ("Y", "d1") and got.values.shape == (2, 2)
+    assert (got.values[1] < got.values[0]).all()
+
+
+def test_plugin_estimate_refuses_values_outside_the_graphs_levels(fig1):
+    data = sample(random_model(fig1, seed=3), Q0, 50, seed=3)
+    formula = parse_expr("sum{l} q0(Y1 | D1=d1, L=l) * q0(L=l)")
+    for bad in (2, -1):
+        values = data.data.copy()
+        values[7, fig1.names.index("L")] = bad
+        with pytest.raises(SwigIdentError, match=f"column 'L' holds {bad}, outside"):
+            plugin_estimate(fig1, formula, dataclasses.replace(data, data=values))
+
+
+def test_plugin_estimate_names_a_missing_column(fig1):
+    data = sample(random_model(fig1, seed=3), Q0, 50, seed=3)
+    keep = [i for i, n in enumerate(fig1.names) if n != "M1"]
+    short = Dataset(
+        tuple(fig1.names[i] for i in keep),
+        data.data[:, keep],
+        {n: 2 for n in fig1.names if n != "M1"},
+    )
+    with pytest.raises(SwigIdentError, match="dataset has no column 'M1'"):
+        plugin_estimate(fig1, parse_expr("q0(Y1 | M1=m, D1=d1)"), short)
 
 
 def test_plugin_estimate_rejects_interventional(fig1):
