@@ -42,29 +42,28 @@ _TOKEN = re.compile(
     + NAME
     + r"""'*)
   | (?P<punct>[{};=@|,:\[\]()*])
+  | (?P<error>.)
     """,
     re.VERBOSE,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, column) of each token, in one pass of _TOKEN over
+    the text; every character starts a match, an unexpected one as error."""
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    line, start = 1, 0  # start: offset of the current line's first character
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        value = m.group()
         if kind == "nl":
             line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                tokens.append((kind, value, line, col))
-            col += len(value)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
+            start = m.end()
+        elif kind == "error":
+            column = m.start() - start + 1
+            raise ParseError(f"unexpected character {m.group()!r}", line, column)
+        elif kind != "ws" and kind != "comment":
+            tokens.append((kind, m.group(), line, m.start() - start + 1))
+    tokens.append(("eof", "", line, len(text) - start + 1))
     return tokens
 
 

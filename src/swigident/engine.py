@@ -38,6 +38,7 @@ from .model import BaseDag, Swig, Sym, ValueRef, same_skeleton, to_swig
 from .oracle import (
     LabeledTable,
     conditional_sizes,
+    contraction_counts,
     eval_expr,
     model_batches,
     random_base_cpts,
@@ -1034,14 +1035,20 @@ class VerifyStats:
     """What one verify did beyond its steps: the seconds spent evaluating
     the estimand, the oracle's conditionals built (over all batches) and the
     most entries one of them had, batch axis included, and the seconds in
-    all.  A step skips a model for one reason only: its expression
-    conditions on an event of probability exactly zero in that model (a
-    zero in a CPT); a positive probability, however small, is divided by."""
+    all.  The pairwise merges of expression contractions computed and
+    reused from the expression before, and the contraction path searches
+    run, are summed over all batches and nested reports.  A step skips a
+    model for one reason only: its expression conditions on an event of
+    probability exactly zero in that model (a zero in a CPT); a positive
+    probability, however small, is divided by."""
 
     estimand_seconds: float = 0.0
     conditionals: int = 0
     largest_table: int = 0
     seconds: float = 0.0
+    merges_computed: int = 0
+    merges_reused: int = 0
+    path_searches: int = 0
 
 
 @dataclass(frozen=True)
@@ -1144,6 +1151,10 @@ def _verify_models(
     used = [0] * len(pairs)
     seconds = [0.0] * len(exprs)
     conditionals = largest = 0
+    nested_stats = [r.stats for reports in nested.values() for r in reports]
+    computed = sum(s.merges_computed for s in nested_stats)
+    reused = sum(s.merges_reused for s in nested_stats)
+    searches = sum(s.path_searches for s in nested_stats)
     for batch in model_batches(swig, cpts_list):
         tables = []
         for i, e in enumerate(exprs):
@@ -1153,6 +1164,8 @@ def _verify_models(
         sizes = conditional_sizes(batch)
         conditionals += len(sizes)
         largest = max([largest, *sizes])
+        c, r, p = contraction_counts(batch)
+        computed, reused, searches = computed + c, reused + r, searches + p
         for k, (i, j) in enumerate(pairs):
             d, ok = _deviations(tables[i], tables[j])
             dev[k] = max(dev[k], float(np.max(d[ok], initial=0.0)))
@@ -1182,7 +1195,15 @@ def _verify_models(
         n_models=len(cpts_list),
         seed=seed,
         tol=tol,
-        stats=VerifyStats(seconds[0], conditionals, largest, time.perf_counter() - start),
+        stats=VerifyStats(
+            seconds[0],
+            conditionals,
+            largest,
+            time.perf_counter() - start,
+            computed,
+            reused,
+            searches,
+        ),
     )
 
 

@@ -21,9 +21,16 @@ on a leading axis, so that joints, conditionals and expression values carry
 one table per model.  Expressions are evaluated by one batched evaluator: a
 term is a view of the model's memoised conditional plus a per-model mask of
 the models for which it conditions on a zero-probability event, and each
-sum or product is contracted by one einsum over the batch axis and the
-labels.  Values are memoised per model (or batch), so each distinct
-expression is evaluated once.  A single model is a batch of one.
+sum or product is contracted by the batch's Contractor, two tables at a
+time (one einsum over the batch axis and the pair's labels), along a
+greedy path planned once per contraction shape.  The Contractor keeps the
+pairwise products of the expression evaluated just before, keyed by the
+factor expressions under them and the labels they keep, so an expression
+that rewrites one factor of the last one's product (as most derivation
+steps do) re-contracts only the products that hold that factor; keeping
+one generation bounds the memory to two expressions' partial products.
+Values are memoised per model (or batch), so each distinct expression is
+evaluated once.  A single model is a batch of one.
 model_batches bounds a batch so that its joint would have at most
 STATE_LIMIT entries, as large as one model's joint may be; every table the
 ancestral way builds is labelled by a subset of the variables, so that bound
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -64,9 +72,10 @@ STATE_LIMIT = 2**22
 ZERO_EPS = 1e-12
 # np.einsum takes at most 52 subscripts; the batch axis takes one of them.
 EINSUM_LABELS = 51
-# An elimination step whose table has more entries per model than this goes
-# through einsum's matmul-backed path; below it, that path's set-up costs more
-# than einsum's plain loop (measured on seqfd fig2 n=3-6).
+# An elimination step whose table has more entries per model than this, or a
+# merge of an expression's factors whose product has more entries in all,
+# goes through einsum's matmul-backed path; below it, that path's set-up
+# costs more than einsum's plain loop (measured on seqfd fig2 n=3-6).
 MATMUL_ENTRIES = 4096
 
 Cpt = tuple[tuple[str, ...], np.ndarray]
@@ -78,7 +87,9 @@ class DiscreteModel:
 
     A batch of `batch` models stacks every CPT on a leading axis; batch is
     None for a single model.  Joints, ancestral conditionals (keyed by
-    regime, dependents and conditioners) and expression values are cached."""
+    regime, dependents and conditioners) and expression values are cached,
+    and the Contractor keeps the contraction plans and the last expression's
+    partial products."""
 
     swig: Swig
     cpts: dict[str, Cpt]
@@ -86,6 +97,7 @@ class DiscreteModel:
     _joints: dict[Regime, "RegimeJoint"] = field(default_factory=dict, repr=False)
     _conditionals: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
     _values: dict[ProbExpr, "LabeledTable"] = field(default_factory=dict, repr=False)
+    _contractor: "Contractor" = field(default_factory=lambda: Contractor(), repr=False)
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -117,7 +129,7 @@ class DiscreteModel:
                 )
             if (table < -ZERO_EPS).any():
                 raise SwigIdentError(f"CPT for {v.name!r} has negative entries")
-            if not np.allclose(table.sum(axis=-1), 1.0, atol=1e-12):
+            if not np.allclose(table.sum(axis=-1), 1.0, rtol=0, atol=1e-12):
                 raise SwigIdentError(f"CPT rows for {v.name!r} do not sum to 1")
 
 
@@ -289,7 +301,7 @@ def _sum_product(
     limit and STATE_LIMIT bind the tables the elimination builds, never the
     size of the ancestral set."""
     swig = model.swig
-    lead = [0] * len(model.batch_shape)
+    lead = len(model.batch_shape)
     factors = list(factors)
 
     def states(names) -> int:
@@ -303,12 +315,7 @@ def _sum_product(
                 f"{len(labels)} variables ({size} states); the limits are "
                 f"{EINSUM_LABELS} einsum subscripts and {STATE_LIMIT} states"
             )
-        subscript: dict[str, int] = {}
-        operands: list = []
-        for table, names in group:
-            operands += [table, lead + [subscript.setdefault(n, len(subscript) + 1) for n in names]]
-        result = lead + [subscript[n] for n in labels]
-        return np.einsum(*operands, result, optimize=size > MATMUL_ENTRIES)
+        return _merge(group, labels, lead, size > MATMUL_ENTRIES)
 
     def merge(positions):
         group = [factors[i] for i in positions]
@@ -362,6 +369,13 @@ def ancestral_conditional(
 def conditional_sizes(model: DiscreteModel) -> list[int]:
     """Entries of each ancestral conditional memoised on the model so far."""
     return [table.size for table in model._conditionals.values()]
+
+
+def contraction_counts(model: DiscreteModel) -> tuple[int, int, int]:
+    """The model's expression merges computed and reused so far, and the
+    contraction path searches run."""
+    c = model._contractor
+    return c.computed, c.reused, c.searches
 
 
 def query(
@@ -459,15 +473,161 @@ def _eval_term(swig: Swig, t: Term, provider: TableProvider) -> LabeledTable:
     return LabeledTable(tuple(labels), out, skipped)
 
 
+def _merge(
+    group: Sequence[tuple[np.ndarray, tuple[str, ...]]],
+    out: tuple[str, ...],
+    lead: int,
+    matmul: bool,
+) -> np.ndarray:
+    """The product of the (table, labels) factors of group summed down to
+    the labels out, with the lead batch axes first, as one einsum; matmul
+    sends a pair through einsum's matmul-backed path."""
+    batch = list(range(lead))
+    subscript: dict[str, int] = {}
+    operands: list = []
+    for table, labels in group:
+        axes = [subscript.setdefault(n, lead + len(subscript)) for n in labels]
+        operands += [table, batch + axes]
+    return np.einsum(*operands, batch + [subscript[n] for n in out], optimize=matmul)
+
+
+def _plan(
+    subs: Sequence[tuple[int, ...]], sizes: Sequence[int], out: tuple[int, ...], batch: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...], bool]]:
+    """A greedy contraction path for factors with the label numbers subs
+    (label i has sizes[i] levels) down to the labels out.  While two or more
+    factors are left, the pair whose product, summed over every label that
+    neither out nor another factor needs, has the fewest entries less those
+    of the pair is merged; a pair that shares no label only when no pair
+    shares one.  numpy's greedy einsum path (after opt_einsum) weighs merges
+    the same way.  Label sets are bit masks.  Returns the merges: the
+    positions taken, in descending order, from the list of factors, whose
+    result is appended; the labels the result keeps (out, in order, for the
+    last); and whether the pair's product, over batch models, has more than
+    MATMUL_ENTRIES entries."""
+    out_mask = sum(1 << i for i in out)
+    entries: dict[int, int] = {}
+
+    def size(mask: int) -> int:
+        n = entries.get(mask)
+        if n is None:
+            n = math.prod(sizes[i] for i in range(mask.bit_length()) if mask >> i & 1)
+            entries[mask] = n
+        return n
+
+    live = [sum(1 << i for i in s) for s in subs]
+    steps = []
+    while len(live) > 1:
+        once = twice = thrice = 0  # labels held by at least 1, 2, 3 factors left
+        for m in live:
+            thrice |= twice & m
+            twice |= once & m
+            once |= m
+        best = None
+        for j in range(1, len(live)):
+            for i in range(j):
+                a, b = live[i], live[j]
+                # a label the pair holds is kept if out or a factor outside
+                # the pair needs it
+                keep = (a | b) & out_mask | a & b & thrice | (a ^ b) & twice
+                cost = (not a & b, size(keep) - size(a) - size(b))
+                if best is None or cost < best[0]:
+                    best = (cost, i, j, keep)
+        _, i, j, keep = best
+        matmul = batch * size(live[i] | live[j]) > MATMUL_ENTRIES
+        live.pop(j)
+        live.pop(i)
+        live.append(keep)
+        labels = out if len(live) == 1 else tuple(k for k in range(len(sizes)) if keep >> k & 1)
+        steps.append(((j, i), labels, matmul))
+    if live[0] != out_mask:
+        steps.append(((0,), out, False))
+    return steps
+
+
+@dataclass(eq=False)
+class Contractor:
+    """Contracts the sums and products of one batch's expressions.
+
+    A contraction is keyed by its factors' labels, numbered by first use,
+    the labels it keeps and its operand shapes; the path search (_plan)
+    runs once per key, and its merges are executed one einsum each.  Each
+    merge's result is memoised by the factor expressions under it and the
+    set of labels it keeps, which fix its values, for one generation:
+    current holds the merges of the expression being evaluated and previous
+    those of the expression evaluated just before; a merge found in either
+    moves to current, and rotate starts the next generation.  A key names
+    no factor position, so an expression that rewrites one factor of the
+    last one's product reuses every merge that does not hold that factor,
+    and the partial products of at most two expressions are held at once.
+    The counts say how many merges were computed and reused and how many
+    path searches ran."""
+
+    plans: dict[tuple, list] = field(default_factory=dict)
+    previous: dict[tuple, tuple] = field(default_factory=dict)
+    current: dict[tuple, tuple] = field(default_factory=dict)
+    computed: int = 0
+    reused: int = 0
+    searches: int = 0
+
+    def contract(
+        self, factors: Sequence[ProbExpr], tables: Sequence[LabeledTable], out: tuple[str, ...]
+    ) -> np.ndarray:
+        """The product of the factors' batch tables summed down to out, with
+        the batch axis first and then out's labels in order."""
+        ids: dict[str, int] = {}
+        subs = [tuple(ids.setdefault(l, len(ids)) for l in t.labels) for t in tables]
+        key = (tuple(subs), tuple(ids[l] for l in out), tuple(t.values.shape for t in tables))
+        plan = self.plans.get(key)
+        if plan is None:
+            sizes = [0] * len(ids)
+            for s, t in zip(subs, tables):
+                for i, n in zip(s, t.values.shape[1:]):
+                    sizes[i] = n
+            plan = self.plans[key] = _plan(subs, sizes, key[1], tables[0].values.shape[0])
+            self.searches += 1
+        names = list(ids)
+        # A factor is named by its expression and by how many equal factors
+        # come before it, so a product may hold the same factor twice.
+        seen: dict[ProbExpr, int] = {}
+        ops = []
+        for f, t in zip(factors, tables):
+            seen[f] = seen.get(f, -1) + 1
+            ops.append((frozenset({(f, seen[f])}), t.labels, t.values))
+        for positions, keep, matmul in plan:
+            group = [ops.pop(p) for p in positions]
+            leaves = frozenset().union(*(leaf for leaf, _, _ in group))
+            keep = tuple(names[i] for i in keep)
+            memo_key = (leaves, frozenset(keep))
+            hit = self.current.get(memo_key) or self.previous.get(memo_key)
+            if hit is None:
+                hit = (keep, _merge([(v, l) for _, l, v in group], keep, 1, matmul))
+                self.computed += 1
+            else:
+                self.reused += 1
+            self.current[memo_key] = hit
+            ops.append((leaves, *hit))
+        ((_, labels, values),) = ops
+        if labels == out:
+            return values
+        return np.transpose(values, [0, *(1 + labels.index(l) for l in out)])
+
+    def rotate(self) -> None:
+        """Start the next generation, unless nothing was merged since the
+        last one started."""
+        if self.current:
+            self.previous, self.current = self.current, {}
+
+
 def _contract(
-    swig: Swig, e: Sum | Product, provider: TableProvider, memo: dict
+    swig: Swig, e: Sum | Product, provider: TableProvider, memo: dict, contractor: "Contractor"
 ) -> LabeledTable:
-    """A sum of products (or either alone) as one einsum over the batch
-    axis and the factors' labels, with the binders summed out."""
+    """A sum of products (or either alone) over the batch axis and the
+    factors' labels, with the binders summed out, by contractor."""
     binders = e.binders if isinstance(e, Sum) else ()
     body = e.body if isinstance(e, Sum) else e
     factors = body.factors if isinstance(body, Product) else (body,)
-    tables = [_eval(swig, f, provider, memo) for f in factors]
+    tables = [_eval(swig, f, provider, memo, contractor) for f in factors]
     sizes: dict[str, int] = {}
     for t in tables:
         for label, n in zip(t.labels, t.values.shape[1:]):
@@ -479,16 +639,14 @@ def _contract(
         if b not in sizes:
             raise ExprError(f"binder {b!r} never used in the sum body")
     kept = tuple(l for l in sizes if l not in binders)
-    subscript = {label: i for i, label in enumerate(sizes, start=1)}
-    operands: list = []
-    for t in tables:
-        operands += [t.values, [0, *(subscript[l] for l in t.labels)]]
-    values = np.einsum(*operands, [0, *(subscript[l] for l in kept)], optimize="greedy")
+    values = contractor.contract(factors, tables, kept)
     skipped = np.logical_or.reduce([t.skipped for t in tables])
     return LabeledTable(kept, values, skipped)
 
 
-def _eval(swig: Swig, e: ProbExpr, provider: TableProvider, memo: dict) -> LabeledTable:
+def _eval(
+    swig: Swig, e: ProbExpr, provider: TableProvider, memo: dict, contractor: "Contractor"
+) -> LabeledTable:
     """Batch table of an expression, memoised by expression in memo; its
     values are read-only, as every later caller gets the same array."""
     out = memo.get(e)
@@ -496,7 +654,7 @@ def _eval(swig: Swig, e: ProbExpr, provider: TableProvider, memo: dict) -> Label
         if isinstance(e, Term):
             out = _eval_term(swig, e, provider)
         else:
-            out = _contract(swig, e, provider, memo)
+            out = _contract(swig, e, provider, memo, contractor)
         out.values.flags.writeable = False
         memo[e] = out
     return out
@@ -529,7 +687,9 @@ def eval_expr(
     single model raises ZeroProbabilityError if the expression conditions
     on a zero-probability event.
     """
-    out = _eval(model.swig, e, oracle_provider(model), model._values)
+    contractor = model._contractor
+    out = _eval(model.swig, e, oracle_provider(model), model._values, contractor)
+    contractor.rotate()
     if model.batch is None:
         out = _only_model(out)
     return out.select(params) if params else out
@@ -603,15 +763,19 @@ def model_from_base_cpts(
 
 def model_batches(swig: Swig, cpts_list: Sequence[Mapping[str, Cpt]]) -> Iterator[DiscreteModel]:
     """The models of a list of base-graph CPTs (same parent orders), in
-    order, as batches whose joints have at most STATE_LIMIT entries."""
+    order, as batches whose joints have at most STATE_LIMIT entries.  The
+    batches share one table of contraction plans."""
     size = max(1, STATE_LIMIT // joint_states(swig))
+    plans: dict = {}
     for start in range(0, len(cpts_list), size):
         chunk = cpts_list[start : start + size]
         stacked = {
             name: (parents, np.stack([cpts[name][1] for cpts in chunk]))
             for name, (parents, _) in chunk[0].items()
         }
-        yield model_from_base_cpts(swig, stacked, len(chunk))
+        batch = model_from_base_cpts(swig, stacked, len(chunk))
+        batch._contractor.plans = plans
+        yield batch
 
 
 def random_model(swig: Swig, seed: int = 0, concentration: float = 1.0) -> DiscreteModel:
@@ -778,7 +942,8 @@ def plugin_estimate(
     bad = [r for r in regimes_used(e) if not r.is_observational]
     if bad:
         raise SwigIdentError("formula still uses interventional regimes; identify first")
-    out = _only_model(_eval(swig, e, empirical_provider(dataset, swig, smoothing), {}))
+    provider = empirical_provider(dataset, swig, smoothing)
+    out = _only_model(_eval(swig, e, provider, {}, Contractor()))
     return out.select(params) if params else out
 
 

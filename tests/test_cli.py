@@ -294,8 +294,12 @@ def test_verify_stats_flag_writes_one_json_line(fig1_path, tmp_path, capsys):
     assert out == plain.out and plain.err == ""
     (line,) = err.splitlines()
     stats = json.loads(line)
-    assert set(stats) == {"steps", "estimand_seconds", "conditionals", "largest_table", "seconds"}
+    assert set(stats) == {
+        "steps", "estimand_seconds", "conditionals", "largest_table", "seconds",
+        "merges_computed", "merges_reused", "path_searches",
+    }
     assert stats["conditionals"] > 0 and stats["largest_table"] > 0
+    assert stats["merges_computed"] > 0 and stats["path_searches"] > 0
     assert len(stats["steps"]) == out.count("\nstep ") + out.startswith("step ")
     for step in stats["steps"]:
         assert set(step) == {"index", "rule", "seconds", "skipped"}

@@ -1,5 +1,8 @@
 """Graph documents, query strings, and DOT output."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from swigident import (
@@ -28,6 +31,9 @@ from swigident import (
     validate_estimand,
 )
 from swigident.cli import main
+from swigident.dsl import _TOKEN, _tokenize
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 FIXTURE_BUILDERS = {
     "fig1": figure1,
@@ -208,3 +214,63 @@ def test_to_dot_marks_roles_and_regimes(fig1, fig1_hidden):
     assert '"D1" -> "Do1";' not in dot1  # severed under intervention
     assert '"Do1" -> "M1";' in dot1
     assert '"L" [shape=ellipse, style=dashed];' in to_dot(fig1_hidden)
+
+
+def reference_tokenize(text):
+    """The tokenizer as one _TOKEN.match per token, with the column counted
+    token by token: what _tokenize must return."""
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m.lastgroup == "error":
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        if m.lastgroup == "nl":
+            line, col = line + 1, 1
+        else:
+            if m.lastgroup not in ("ws", "comment"):
+                tokens.append((m.lastgroup, m.group(), line, col))
+            col += len(m.group())
+        pos = m.end()
+    return tokens + [("eof", "", line, col)]
+
+
+def _golden_texts():
+    """Every expression in a golden derivation, every golden graph file and
+    the emitted text of every figure."""
+    def strings(obj):
+        if isinstance(obj, str):
+            yield obj
+        elif isinstance(obj, dict):
+            for v in obj.values():
+                yield from strings(v)
+        elif isinstance(obj, list):
+            for v in obj:
+                yield from strings(v)
+
+    for path in sorted(GOLDEN.glob("*.json")):
+        yield from strings(json.loads(path.read_text(encoding="utf-8")))
+    for path in sorted(GOLDEN.glob("*.swig")):
+        yield path.read_text(encoding="utf-8")
+    for base in (figure1(), ablated_figure1(), *(figure2(n) for n in range(1, 6)), figure3(3)):
+        yield emit_graph(base)
+
+
+def test_tokens_match_the_reference_on_every_golden_text():
+    texts = list(_golden_texts())
+    assert len(texts) > 100
+    for text in texts:
+        assert _tokenize(text) == reference_tokenize(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["q0(Y | $)", "graph g {\n  var X @0;\n  edge X -> Y; !\n}", "\n\n  ~", "a\tb\r\n?"]
+)
+def test_an_unexpected_character_is_placed_as_the_reference_places_it(text):
+    with pytest.raises(ParseError) as want:
+        reference_tokenize(text)
+    with pytest.raises(ParseError) as got:
+        _tokenize(text)
+    assert (got.value.line, got.value.column, str(got.value)) == (
+        want.value.line, want.value.column, str(want.value)
+    )

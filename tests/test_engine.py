@@ -332,6 +332,26 @@ def test_verify_stats_stay_out_of_the_report(fig2_n2):
     assert "seconds" not in json.dumps(report.to_json())
 
 
+def _merge_counts(stats):
+    return stats.merges_computed, stats.merges_reused, stats.path_searches
+
+
+def test_verify_counts_merges_and_path_searches(fig2_n2):
+    d = identify(fig2_n2, dose_estimand(fig2_n2, ("Y",)), "sequential_frontdoor")
+    first = verify(d, fig2_n2, n_models=5, seed=4).stats
+    assert _merge_counts(verify(d, fig2_n2, n_models=5, seed=4).stats) == _merge_counts(first)
+    computed, reused, searches = _merge_counts(first)
+    assert computed > 0 and reused > 0 and 0 < searches <= len(d.steps) + 1
+    # a composition's counts include those of its nested derivations
+    comp = identify(fig2_n2, dose_estimand(fig2_n2, ("Y",)), "mediator_intervention")
+    report = verify(comp, fig2_n2, n_models=5, seed=4)
+    (step,) = report.steps
+    for total, *parts in zip(
+        _merge_counts(report.stats), *(_merge_counts(r.stats) for r in step.nested)
+    ):
+        assert total >= sum(parts) > 0
+
+
 def test_verify_flags_corruption(fig1, fig1_estimand):
     d = identify(fig1, fig1_estimand, "backdoor:L")
     bad = corrupt_step(d, fig1, 2)

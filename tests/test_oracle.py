@@ -2,8 +2,11 @@
 
 import csv
 import dataclasses
+import functools
 import io
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +22,14 @@ from swigident import (
     SwigIdentError,
     Sym,
     Variable,
+    Derivation,
+    Product,
+    Sum,
     ZeroProbabilityError,
+    ablated_figure1,
     eval_estimand,
     eval_expr,
+    figure1,
     figure2,
     figure3,
     identify,
@@ -37,17 +45,20 @@ from swigident import (
     save_model,
     to_swig,
 )
+from swigident.engine import _mediators_swig
 from swigident.expr import terms
 from swigident.oracle import (
     EINSUM_LABELS,
     Dataset,
     ancestral_conditional,
+    contraction_counts,
     model_batches,
     model_from_base_cpts,
     random_base_cpts,
 )
 
 from conftest import dose_estimand
+from test_golden import IDENTIFY
 
 Q0 = Regime.observational()
 Q1 = Regime.prefix(1)
@@ -592,3 +603,151 @@ def test_batched_evaluation_matches_single_models(n, strategy):
                 want = table[tuple(_level(ref, name, at) for name, ref in t.dependents)]
                 assert abs(got.values[(m, *levels)] - want) <= 1e-12
             assert got.skipped[m] == skipped
+
+
+# ---------------------------------------------------------------------------
+# incremental contraction: each expression reuses the partial products of the
+# one evaluated before it, and must give what a fresh batch gives
+
+
+def _chains(swig, d):
+    """(swig, expressions) of a derivation and of each nested derivation, in
+    the order verify evaluates them."""
+    out = []
+    for step in d.steps:
+        if step.rule == "mediator_composition":
+            just = step.justification
+            out += _chains(swig, just.mediator_law)
+            out += _chains(_mediators_swig(swig, just.mediator_targets), just.outcome)
+    return out + [(swig, [d.initial, *(s.output for s in d.steps)])]
+
+
+def _fresh(swig, cpts_list, e):
+    """e on a batch with empty caches."""
+    [batch] = model_batches(swig, cpts_list)
+    return eval_expr(batch, e)
+
+
+def _assert_same_table(got, want):
+    assert set(got.labels) == set(want.labels)
+    assert np.array_equal(got.skipped, want.skipped)
+    np.testing.assert_allclose(got.aligned(want.labels), want.values, rtol=0, atol=1e-12)
+
+
+def _assert_incremental_matches_fresh(swig, d):
+    """Every expression of d, evaluated in verify's order on one batch, has
+    the labels, skip mask and values (within 1e-12) of a fresh evaluation;
+    returns the number of merges reused."""
+    if "M1" in swig.names:
+        cpts_list = _models_with_a_deterministic_row(swig, n=5)
+    else:
+        cpts_list = [random_base_cpts(swig.base, np.random.default_rng((21, i))) for i in range(5)]
+    reused = 0
+    for chain_swig, exprs in _chains(swig, d):
+        [batch] = model_batches(chain_swig, cpts_list)
+        for e in exprs:
+            got = eval_expr(batch, e)
+            want = _fresh(chain_swig, cpts_list, e)
+            assert got.labels == want.labels
+            _assert_same_table(got, want)
+        reused += contraction_counts(batch)[1]
+    return reused
+
+
+@pytest.mark.parametrize(
+    "n, strategy",
+    [(n, "sequential_frontdoor") for n in (1, 2, 3, 4)] + [(2, "mediator_intervention")],
+)
+def test_incremental_contraction_matches_fresh_batches(n, strategy):
+    swig = to_swig(figure2(n))
+    d = identify(swig, dose_estimand(swig, ("Y",)), strategy)
+    reused = _assert_incremental_matches_fresh(swig, d)
+    assert reused > 0 or n == 1
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_GRAPHS = {"fig1": figure1, "fig1_ablated": ablated_figure1}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTIFY))
+def test_incremental_contraction_matches_fresh_batches_on_goldens(name):
+    graph = IDENTIFY[name][0]
+    base = GOLDEN_GRAPHS[graph]() if graph in GOLDEN_GRAPHS else figure2(int(graph[len("fig2_n"):]))
+    with open(GOLDEN / f"{name}.json", encoding="utf-8") as fh:
+        d = Derivation.from_json(json.load(fh))
+    _assert_incremental_matches_fresh(to_swig(base), d)
+
+
+@functools.lru_cache(maxsize=None)
+def _order_case(strategy):
+    """fig2 n=2 derivation's chains, their models and each expression's
+    table from a fresh batch."""
+    swig = to_swig(figure2(2))
+    d = identify(swig, dose_estimand(swig, ("Y",)), strategy)
+    cpts_list = _models_with_a_deterministic_row(swig, n=5)
+    chains = [
+        (chain_swig, exprs, [_fresh(chain_swig, cpts_list, e) for e in exprs])
+        for chain_swig, exprs in _chains(swig, d)
+    ]
+    return cpts_list, chains
+
+
+def _reordered(e, draw):
+    """e with the factors of its product (under a sum, if any) in an order
+    drawn by hypothesis."""
+    body = e.body if isinstance(e, Sum) else e
+    if not isinstance(body, Product):
+        return e
+    body = Product(tuple(draw(st.permutations(body.factors))))
+    return Sum(e.binders, body) if isinstance(e, Sum) else body
+
+
+@given(
+    strategy=st.sampled_from(["sequential_frontdoor", "mediator_intervention"]),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_evaluation_order_and_factor_order_do_not_change_tables(strategy, data):
+    # A partial product keyed by factor position, or by what the expression
+    # before held, would give some expression another one's table here.
+    cpts_list, chains = _order_case(strategy)
+    for chain_swig, exprs, fresh in chains:
+        [batch] = model_batches(chain_swig, cpts_list)
+        for i in data.draw(st.permutations(range(len(exprs)))):
+            _assert_same_table(eval_expr(batch, _reordered(exprs[i], data.draw)), fresh[i])
+
+
+def test_cpt_rows_must_sum_to_one_within_1e_12_absolute(fig1):
+    cpts = random_base_cpts(fig1.base, np.random.default_rng(5))
+    parents, table = cpts["L"]
+    with pytest.raises(SwigIdentError, match="CPT rows for 'L' do not sum to 1"):
+        model_from_base_cpts(fig1, {**cpts, "L": (parents, table * (1 - 9e-6))})
+    # what loads today still loads: random models, their JSON round trip,
+    # and CPTs mixed with a share of the uniform law
+    for seed in range(20):
+        for swig in (fig1, to_swig(figure2(3))):
+            model = random_model(swig, seed=seed)
+            model_from_json(json.loads(json.dumps(model_to_json(model))))
+            mixed = {
+                name: (parents, 0.8 * t + 0.2 / t.shape[-1])
+                for name, (parents, t) in random_base_cpts(
+                    swig.base, np.random.default_rng(seed)
+                ).items()
+            }
+            model_from_base_cpts(swig, mixed)
+
+
+def test_a_factor_repeated_in_a_product_counts_twice(fig1):
+    # The partial products of the first expression must not stand in for
+    # those of the second, which holds q0(L=l) twice.
+    cpts = random_base_cpts(fig1.base, np.random.default_rng(8))
+    once = parse_expr("sum{l} q0(Y1 | L=l) * q0(L=l)")
+    twice = parse_expr("sum{l} q0(Y1 | L=l) * q0(L=l) * q0(L=l)")
+    [batch] = model_batches(fig1, [cpts])
+    eval_expr(batch, once)
+    got = eval_expr(batch, twice)
+    _assert_same_table(got, _fresh(fig1, [cpts], twice))
+    y_given_l = _fresh(fig1, [cpts], parse_expr("q0(Y1 | L=l)")).aligned(("Y1", "l"))
+    p_l = _fresh(fig1, [cpts], parse_expr("q0(L=l)")).aligned(("Y1", "l"))
+    want = (y_given_l * p_l**2).sum(axis=-1)
+    np.testing.assert_allclose(got.aligned(("Y1",)), want, rtol=0, atol=1e-12)
