@@ -597,11 +597,11 @@ class Contractor:
         for positions, keep, matmul in plan:
             group = [ops.pop(p) for p in positions]
             leaves = frozenset().union(*(leaf for leaf, _, _ in group))
-            keep = tuple(names[i] for i in keep)
-            memo_key = (leaves, frozenset(keep))
+            kept = tuple(names[i] for i in keep)
+            memo_key = (leaves, frozenset(kept))
             hit = self.current.get(memo_key) or self.previous.get(memo_key)
             if hit is None:
-                hit = (keep, _merge([(v, l) for _, l, v in group], keep, 1, matmul))
+                hit = (kept, _merge([(v, l) for _, l, v in group], kept, 1, matmul))
                 self.computed += 1
             else:
                 self.reused += 1
@@ -623,7 +623,10 @@ def _contract(
     swig: Swig, e: Sum | Product, provider: TableProvider, memo: dict, contractor: "Contractor"
 ) -> LabeledTable:
     """A sum of products (or either alone) over the batch axis and the
-    factors' labels, with the binders summed out, by contractor."""
+    factors' labels, with the binders summed out.  The contractor merges the
+    factors two at a time along a path planned once per contraction shape,
+    and reuses the merges of the expression it evaluated just before (one
+    generation, so at most two expressions' partial products are held)."""
     binders = e.binders if isinstance(e, Sum) else ()
     body = e.body if isinstance(e, Sum) else e
     factors = body.factors if isinstance(body, Product) else (body,)

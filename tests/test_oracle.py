@@ -15,16 +15,16 @@ from hypothesis import strategies as st
 
 from swigident import (
     BaseDag,
+    Derivation,
     Lit,
+    Product,
     Regime,
     Role,
     StateSpaceLimitError,
+    Sum,
     SwigIdentError,
     Sym,
     Variable,
-    Derivation,
-    Product,
-    Sum,
     ZeroProbabilityError,
     ablated_figure1,
     eval_estimand,
