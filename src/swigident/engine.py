@@ -749,12 +749,14 @@ class SearchStats:
     cached refusals included, by rule."""
 
     expanded: int = 0  # states whose moves were tried
-    duplicates: int = 0  # states pruned as seen earlier in the same deepening pass
+    duplicates: int = 0  # states pruned as seen earlier in the pass at a budget at least as large
     successor_hits: int = 0  # move outcomes taken from the successor cache
     dsep_hits: int = 0  # d_separated calls answered by the Swig's cache
     dsep_misses: int = 0  # d_separated calls worked out on the graph
     refusals: dict[str, int] = field(default_factory=dict)
     depth: int = 0  # most moves on one path the search reached
+    keys: int = 0  # canonical keys computed (a state keeps its key)
+    key_seconds: float = 0.0  # time spent computing them
     seconds: float = 0.0
 
     def to_json(self) -> dict:
@@ -926,7 +928,7 @@ def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
                 done.append(outcome)
             yield outcome
 
-    def dfs(expr: ProbExpr, steps: list[DerivationStep], budget: int, seen: set[str], moved: int):
+    def dfs(expr: ProbExpr, steps: list[DerivationStep], budget: int, seen: dict[str, int], moved: int):
         nonlocal first_blocking
         stats.depth = max(stats.depth, moved)
         expr, added, st = state(expr, budget)
@@ -936,11 +938,15 @@ def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
         if budget <= 0:
             return None
         if st.key is None:
+            key_start = time.perf_counter()
             st.key = to_text(canonicalize(expr))
-        if st.key in seen:
+            stats.keys += 1
+            stats.key_seconds += time.perf_counter() - key_start
+        # a state seen with a smaller budget may reach a goal now
+        if seen.get(st.key, -1) >= budget:
             stats.duplicates += 1
             return None
-        seen.add(st.key)
+        seen[st.key] = budget
         stats.expanded += 1
         for rule, new_steps, blocking in outcomes(expr, st, budget):
             if new_steps is None:
@@ -957,7 +963,7 @@ def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
     budget = 0
     while found is None and budget < depth:
         budget = min(budget + 2, depth)
-        found = dfs(estimand, [], budget, set(), 0)
+        found = dfs(estimand, [], budget, {}, 0)
     stats.dsep_hits = cache.d_separated_hits - dsep_hits
     stats.dsep_misses = len(cache.d_separated) - dsep_size
     stats.seconds = time.perf_counter() - start

@@ -5,10 +5,12 @@ pair a variable name with a value reference: a literal level, a symbol, or
 None for a distribution-valued (bare) entry whose levels form an output
 axis.  Canonical form puts every binder at the top (sums lifted out of
 products), sorts entries and factors, and alpha-renames bound symbols, so
-structural equality is equality of canonical forms.  An estimand is a
-Term: the query q_s(dependents | conditioners) a derivation starts from.
-Each node computes its structural hash once, so the search's dict and set
-lookups do not re-hash whole trees.
+structural equality is equality of canonical forms.  It takes one round:
+factors are ordered by keys built from per-factor texts, each made once,
+with only the entries holding a binder re-rendered as binder colors refine.
+An estimand is a Term: the query q_s(dependents | conditioners) a
+derivation starts from.  Each node computes its structural hash once, so
+the search's dict and set lookups do not re-hash whole trees.
 
 An expression has one serial form, the text of to_text, which
 dsl.parse_expr reads back to an equal tree; derivation files store every
@@ -235,10 +237,17 @@ def fresh_symbol(stem: str, taken: Iterable[str]) -> str:
 # canonical form
 
 def _sorted_term(t: Term) -> Term:
+    """The term with its entries sorted by variable name; the term itself
+    when they already are."""
+    deps, conds = t.dependents, t.conditioners
+    if all(a[0] < b[0] for a, b in zip(deps, deps[1:])) and all(
+        a[0] < b[0] for a, b in zip(conds, conds[1:])
+    ):
+        return t
     return Term(
         t.regime,
-        tuple(sorted(t.dependents, key=lambda d: d[0])),
-        tuple(sorted(t.conditioners, key=lambda c: c[0])),
+        tuple(sorted(deps, key=lambda d: d[0])),
+        tuple(sorted(conds, key=lambda c: c[0])),
     )
 
 
@@ -270,6 +279,8 @@ def _normalize(e: ProbExpr) -> ProbExpr:
             raise ExprError(f"binder(s) never used: {missing}")
         if not binders:
             return body
+        if body is e.body:
+            return e
         return Sum(tuple(binders), body)
 
     factors: list[ProbExpr] = []
@@ -281,6 +292,10 @@ def _normalize(e: ProbExpr) -> ProbExpr:
             factors.append(nf)
     if len(factors) == 1:
         return factors[0]
+    if not any(isinstance(f, Sum) for f in factors):
+        if len(factors) == len(e.factors) and all(a is b for a, b in zip(factors, e.factors)):
+            return e
+        return Product(tuple(factors))
 
     # lift binders out of sum factors, renaming to avoid capture
     syms_per_factor = [set(all_symbols(f)) for f in factors]
@@ -309,101 +324,123 @@ def _normalize(e: ProbExpr) -> ProbExpr:
                 stripped.append(body)
         else:
             stripped.append(f)
-    flat = Product(tuple(stripped))
-    if lifted:
-        return _normalize(Sum(tuple(lifted), flat))
-    return flat
+    # each stripped factor is a normalized term and each lifted binder is
+    # used, so the result is already normal
+    return Sum(tuple(lifted), Product(tuple(stripped)))
 
 
-def _entry_text(name: str, ref: ValueRef | None, color: dict[str, str]) -> str:
-    if ref is None:
-        return name
-    if isinstance(ref, Sym) and ref.name in color:
-        return f"{name}=?{color[ref.name]}"
-    return f"{name}={ref}"
+def _entry_text(name: str, ref: ValueRef | None) -> str:
+    return name if ref is None else f"{name}={ref}"
 
 
-def _term_text(t: Term, color: dict[str, str] = {}) -> str:
-    """Text of a term; symbols in color print as ``=?`` plus their color,
-    the keys the ordering pass sorts by."""
-    deps = ", ".join([_entry_text(n, r, color) for n, r in t.dependents])
-    conds = ", ".join([_entry_text(n, r, color) for n, r in t.conditioners])
+def _term_text(t: Term) -> str:
+    deps = ", ".join([_entry_text(n, r) for n, r in t.dependents])
+    conds = ", ".join([_entry_text(n, r) for n, r in t.conditioners])
     inner = f"{deps} | {conds}" if conds else deps
     return f"{t.regime}({inner})"
+
+
+class _Factor:
+    """A term of the ordering pass, its text built once: the regime and
+    every entry without a binder print as in to_text, and an entry holding
+    binder b prints as ``name=?`` plus b's color."""
+
+    __slots__ = ("term", "head", "texts", "n_deps", "slots")
+
+    def __init__(self, t: Term, bound: frozenset[str], free: set[str]):
+        self.term = t
+        self.head = f"{t.regime}("
+        self.n_deps = len(t.dependents)
+        self.texts: list[str] = []
+        self.slots: list[tuple[int, str, str, str]] = []  # (position, prefix, binder, tag)
+        for side, entries in (("d", t.dependents), ("c", t.conditioners)):
+            for name, ref in entries:
+                if isinstance(ref, Sym):
+                    if ref.name in bound:
+                        tag = f"#{side}#{name}"
+                        self.slots.append((len(self.texts), f"{name}=?", ref.name, tag))
+                    else:
+                        free.add(ref.name)
+                self.texts.append(_entry_text(name, ref))
+
+    def key(self, color: dict[str, str]) -> str:
+        texts = self.texts
+        for pos, prefix, b, _ in self.slots:
+            texts[pos] = prefix + color[b]
+        deps = ", ".join(texts[: self.n_deps])
+        if len(texts) > self.n_deps:
+            return f"{self.head}{deps} | {', '.join(texts[self.n_deps:])})"
+        return f"{self.head}{deps})"
 
 
 def _order(e: ProbExpr) -> ProbExpr:
     """Ordering pass on a prenex expression: sort the factors and rename the
     binders to _1.._k.  Binder identity is resolved by color refinement so
     the result is invariant under factor permutation and alpha renaming,
-    even among structurally similar factors."""
+    even among structurally similar factors.  A factor's key is its text
+    with each binder printed as its color; a refinement pass re-renders only
+    the entries that hold a binder."""
     if isinstance(e, Term):
         return e
     binders: tuple[str, ...] = ()
     body = e
     if isinstance(e, Sum):
         binders, body = e.binders, e.body
-    factors = list(body.factors) if isinstance(body, Product) else [body]
-    if not all(isinstance(f, Term) for f in factors):
+    terms_ = body.factors if isinstance(body, Product) else (body,)
+    if not all(isinstance(f, Term) for f in terms_):
         raise ExprError("ordering pass expects a prenex expression")
 
     bound = frozenset(binders)
-    free = frozenset().union(*(frozenset(_term_syms(f)) for f in factors)) - bound
-
-    color = {b: "" for b in binders}
-    keys = [_term_text(f, color) for f in factors]
-    for _ in range(len(binders) + len(factors) + 2):
+    free: set[str] = set()
+    factors = [_Factor(t, bound, free) for t in terms_]
+    color = dict.fromkeys(binders, "")
+    keys = [f.key(color) for f in factors]
+    for _ in range(len(binders) + len(factors) + 2 if binders else 0):
         occurrences: dict[str, list[str]] = {b: [] for b in binders}
         for key, f in zip(keys, factors):
-            for side, entries in (("d", f.dependents), ("c", f.conditioners)):
-                for name, ref in entries:
-                    if isinstance(ref, Sym) and ref.name in bound:
-                        occurrences[ref.name].append(f"{key}#{side}#{name}")
+            for _, _, b, tag in f.slots:
+                occurrences[b].append(key + tag)
         raw = {b: "|".join(sorted(occurrences[b])) for b in binders}
         ranks = {c: str(i) for i, c in enumerate(sorted(set(raw.values())))}
         new_color = {b: ranks[raw[b]] for b in binders}
-        new_keys = [_term_text(f, new_color) for f in factors]
-        if new_keys == keys and new_color == color:
+        if new_color == color:
             break
-        color, keys = new_color, new_keys
+        color = new_color
+        keys = [f.key(color) if f.slots else key for key, f in zip(keys, factors)]
 
-    order_idx = sorted(range(len(factors)), key=lambda i: (keys[i], i))
-    factors = [factors[i] for i in order_idx]
-
+    ordered = [factors[i] for i in sorted(range(len(factors)), key=lambda i: (keys[i], i))]
     ren: dict[str, str] = {}
     counter = 1
-    for f in factors:
-        for s in _term_syms(f):
-            if s in bound and s not in ren:
+    for f in ordered:
+        for _, _, b, _ in f.slots:
+            if b not in ren:
                 candidate = f"_{counter}"
                 while candidate in free:
                     counter += 1
                     candidate = f"_{counter}"
-                ren[s] = candidate
+                ren[b] = candidate
                 counter += 1
-    factors = [rename_symbols(f, ren) for f in factors]
+    out = [rename_symbols(f.term, ren) if f.slots else f.term for f in ordered]
 
-    new_body: ProbExpr = factors[0] if len(factors) == 1 else Product(tuple(factors))
-    if binders:
-        renamed_bound = set(ren.values())
-        order: list[str] = []
-        for f in factors:
-            for s in _term_syms(f):
-                if s in renamed_bound and s not in order:
-                    order.append(s)
-        return Sum(tuple(order), new_body)
-    return new_body
+    new_body: ProbExpr = out[0] if len(out) == 1 else Product(tuple(out))
+    return Sum(tuple(ren.values()), new_body) if binders else new_body
 
 
 def canonicalize(e: ProbExpr) -> ProbExpr:
-    """Idempotent canonical form; struct_eq compares these for equality."""
-    cur = _order(_normalize(e))
-    for _ in range(4):
-        nxt = _order(_normalize(cur))
-        if nxt == cur:
-            return cur
-        cur = nxt
-    raise ExprError("canonicalization did not converge")
+    """Canonical form; struct_eq compares these for equality.
+
+    One round of _order(_normalize(e)) is a fixpoint, so the form is
+    idempotent without a second round to confirm it:
+    - _normalize of an _order output is the same tree: the output is
+      already prenex, with its entries sorted.
+    - The colors come from texts that print bound symbols only as ``=?``
+      plus a color, so renaming binders or permuting factors leaves them,
+      and the keys, as they were.
+    - Sorting by (key, index) is then the identity.
+    - Renaming walks the same factors with the same free set, so it maps
+      each _i to itself.
+    """
+    return _order(_normalize(e))
 
 
 def struct_eq(a: ProbExpr, b: ProbExpr) -> bool:

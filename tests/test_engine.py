@@ -5,8 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swigident import (
+    BaseDag,
     CiQuery,
     Derivation,
     DerivationStep,
@@ -16,6 +19,7 @@ from swigident import (
     SwigIdentError,
     Sym,
     Term,
+    Variable,
     ZeroProbabilityError,
     d_separated,
     identify,
@@ -23,6 +27,7 @@ from swigident import (
     parse_expr,
     regimes_used,
     struct_eq,
+    to_swig,
     to_text,
     validate_derivation,
     verify,
@@ -466,7 +471,7 @@ def test_search_outperforms_rigid_recipe_on_nonprefix_regime(fig2_n2):
 
 STATS_KEYS = {
     "expanded", "duplicates", "successor_hits", "dsep_hits", "dsep_misses",
-    "refusals", "depth", "seconds",
+    "refusals", "depth", "keys", "key_seconds", "seconds",
 }
 
 
@@ -489,3 +494,52 @@ def test_search_stats_stay_out_of_the_derivation(fig1_estimand):
     again = identify(swig, fig1_estimand, "bottom_up")
     assert again == d and again.stats.dsep_misses == 0 and again.stats.dsep_hits > 0
     assert identify(swig, fig1_estimand, "frontdoor").stats is None
+
+
+def test_search_counts_and_times_its_canonical_keys(fig1_estimand):
+    from swigident import figure1, to_swig
+
+    runs = [identify(to_swig(figure1()), fig1_estimand, mode).stats for mode in ("top_down",) * 2]
+    runs += [identify(to_swig(figure1()), fig1_estimand, mode).stats for mode in ("bottom_up",) * 2]
+    for s in runs:
+        assert s.keys > 0 and 0 < s.key_seconds < s.seconds
+    assert runs[0].keys == runs[1].keys and runs[2].keys == runs[3].keys
+
+
+def test_search_reexpands_a_state_seen_with_a_smaller_budget(fig2_n2):
+    # Pruning every state seen earlier in the pass, whatever budget it had,
+    # answered not_identified (blocking q2: M2 _||_ Do1 | D1, Do2) here.
+    est = parse_estimand("q[2](M2 | do D1=d1, do D2=d2)", fig2_n2)
+    d = identify(fig2_n2, est, Strategy("bottom_up", depth=4))
+    assert d.identified and len(d.steps) == 9
+    assert to_text(d.final) == "sum{m1} q0(M2 | M1=m1, D1=d1, D2=d2) * q0(M1=m1 | D1=d1)"
+    assert verify(d, fig2_n2, n_models=10).passed
+
+
+@st.composite
+def small_search_cases(draw):
+    """A random split graph of 2-5 variables, one of them possibly hidden,
+    with one or two targets; the estimand q_n(Y | Do_1=d1, ...) for an
+    observed non-target Y; a mode and a depth."""
+    n = draw(st.integers(2, 5))
+    names = [f"V{i}" for i in range(n)]
+    edges = frozenset(
+        (names[i], names[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
+    )
+    targets = tuple(v for v in names[:-1] if draw(st.booleans()))[:2] or (names[0],)
+    others = [v for v in names if v not in targets]
+    hidden = draw(st.sampled_from([None, *others[:-1]]))
+    variables = tuple(Variable(v, i, observed=v != hidden) for i, v in enumerate(names))
+    swig = to_swig(BaseDag(variables, edges, targets, "random"))
+    y = draw(st.sampled_from([v for v in others if v != hidden]))
+    doses = [(swig.intervention(j), Sym(f"d{j}")) for j in range(1, len(targets) + 1)]
+    estimand = Term.of(Regime.prefix(len(targets)), (y,), doses)
+    return swig, estimand, draw(st.sampled_from(("top_down", "bottom_up"))), draw(st.integers(1, 4))
+
+
+@given(small_search_cases())
+@settings(max_examples=40, deadline=None)
+def test_an_estimand_identified_at_a_depth_is_identified_one_deeper(case):
+    swig, estimand, mode, depth = case
+    if identify(swig, estimand, Strategy(mode, depth=depth)).identified:
+        assert identify(swig, estimand, Strategy(mode, depth=depth + 1)).identified

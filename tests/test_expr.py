@@ -1,6 +1,7 @@
 """Expression AST, parser, canonical form, and text round-trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,16 @@ from swigident import (
     struct_eq,
     to_text,
 )
-from swigident.expr import free_symbols, replace_at, terms
+from swigident.expr import (
+    all_symbols,
+    free_symbols,
+    fresh_symbol,
+    rename_symbols,
+    replace_at,
+    terms,
+)
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 Q0 = Regime.observational()
 Q1 = Regime.prefix(1)
 
@@ -185,40 +194,287 @@ def test_json_round_trip():
 
 
 NAMES = ("A", "B", "C", "D")
-SYMS = ("u", "v", "w")
+SYMS = ("u", "v", "_1")  # _1 is also a name the renaming hands out
+
+
+@st.composite
+def small_terms(draw):
+    deps = []
+    for name in NAMES[: draw(st.integers(1, 2))]:
+        ref = draw(st.sampled_from(("bare", "lit", "sym")))
+        if ref == "bare":
+            deps.append((name, None))
+        elif ref == "lit":
+            deps.append((name, Lit(draw(st.integers(0, 1)))))
+        else:
+            deps.append((name, Sym(draw(st.sampled_from(SYMS)))))
+    n_conds = draw(st.integers(0, 2))
+    conds = [(name, Sym(draw(st.sampled_from(SYMS)))) for name in NAMES[2 : 2 + n_conds]]
+    regime = Q1 if draw(st.booleans()) else Q0
+    return Term(regime, tuple(draw(st.permutations(deps))), tuple(draw(st.permutations(conds))))
+
+
+def _bind_some(draw, e):
+    """e under a sum over some of its free symbols, or e itself."""
+    bindable = sorted(free_symbols(e))
+    if bindable and draw(st.booleans()):
+        return Sum(tuple(draw(st.permutations(bindable))[: draw(st.integers(1, len(bindable)))]), e)
+    return e
+
+
+@st.composite
+def small_factors(draw):
+    """A term, a product of two terms, or either under a sum of its own."""
+    inner = [draw(small_terms()) for _ in range(draw(st.integers(1, 2)))]
+    return _bind_some(draw, inner[0] if len(inner) == 1 else Product(tuple(inner)))
 
 
 @st.composite
 def small_exprs(draw):
-    n_factors = draw(st.integers(1, 3))
-    used_syms: set[str] = set()
+    """Products of up to four factors under an optional sum.  A factor may
+    be a sum nested inside the product, binders share one small pool of
+    names (so factors reuse them, bound in one and free in another), and a
+    factor may repeat an earlier one."""
     factors = []
-    for _ in range(n_factors):
-        pool = list(NAMES)
-        deps = []
-        for name in pool[: draw(st.integers(1, 2))]:
-            ref = draw(st.sampled_from(("bare", "lit", "sym")))
-            if ref == "bare":
-                deps.append((name, None))
-            elif ref == "lit":
-                deps.append((name, Lit(draw(st.integers(0, 1)))))
-            else:
-                s = draw(st.sampled_from(SYMS))
-                used_syms.add(s)
-                deps.append((name, Sym(s)))
-        conds = []
-        for name in pool[2 : 2 + draw(st.integers(0, 2))]:
-            s = draw(st.sampled_from(SYMS))
-            used_syms.add(s)
-            conds.append((name, Sym(s)))
-        regime = Q1 if draw(st.booleans()) else Q0
-        factors.append(Term(regime, tuple(deps), tuple(conds)))
+    for _ in range(draw(st.integers(1, 4))):
+        if factors and draw(st.integers(0, 3)) == 0:
+            factors.append(draw(st.sampled_from(factors)))
+        else:
+            factors.append(draw(small_factors()))
     e = factors[0] if len(factors) == 1 else Product(tuple(factors))
-    bindable = sorted(used_syms)
-    if bindable and draw(st.booleans()):
-        k = draw(st.integers(1, len(bindable)))
-        e = Sum(tuple(bindable[:k]), e)
-    return e
+    return _bind_some(draw, e)
+
+
+def test_small_exprs_nest_sums_reuse_binders_and_repeat_factors():
+    seen = set()
+
+    @given(small_exprs())
+    @settings(max_examples=100, deadline=None)
+    def record(e):
+        factors = e.body.factors if isinstance(e, Sum) and isinstance(e.body, Product) else (
+            e.factors if isinstance(e, Product) else ()
+        )
+        nested = [f for f in factors if isinstance(f, Sum)]
+        if nested:
+            seen.add("nested sum")
+        binders = [b for f in nested for b in f.binders]
+        if len(set(binders)) < len(binders) or any(
+            b in free_symbols(g) for f in nested for g in factors if g is not f for b in f.binders
+        ):
+            seen.add("reused binder")
+        if len(set(factors)) < len(factors):
+            seen.add("repeated factor")
+
+    record()
+    assert seen == {"nested sum", "reused binder", "repeated factor"}
+
+
+# The two-round canonical form that canonicalize replaced, kept as the
+# reference it must agree with: the same _normalize and _order as before,
+# each factor's text rebuilt on every refinement pass, and a second round
+# to confirm the fixpoint.
+
+def _reference_sorted_term(t: Term) -> Term:
+    return Term(
+        t.regime,
+        tuple(sorted(t.dependents, key=lambda d: d[0])),
+        tuple(sorted(t.conditioners, key=lambda c: c[0])),
+    )
+
+
+def _reference_normalize(e):
+    if isinstance(e, Term):
+        return _reference_sorted_term(e)
+    if isinstance(e, Sum):
+        body = _reference_normalize(e.body)
+        binders = list(e.binders)
+        if isinstance(body, Sum):
+            inner = list(body.binders)
+            clash = [b for b in inner if b in binders]
+            if clash:
+                taken = set(binders) | set(inner) | set(all_symbols(body.body))
+                ren = {}
+                for b in clash:
+                    nb = fresh_symbol(b, taken)
+                    taken.add(nb)
+                    ren[b] = nb
+                inner = [ren.get(b, b) for b in inner]
+                body = Sum(tuple(inner), rename_symbols(body.body, ren))
+            binders += list(body.binders)
+            body = body.body
+        used = free_symbols(body)
+        missing = [b for b in binders if b not in used]
+        if missing:
+            raise ExprError(f"binder(s) never used: {missing}")
+        if not binders:
+            return body
+        return Sum(tuple(binders), body)
+    factors = []
+    for f in e.factors:
+        nf = _reference_normalize(f)
+        if isinstance(nf, Product):
+            factors.extend(nf.factors)
+        else:
+            factors.append(nf)
+    if len(factors) == 1:
+        return factors[0]
+    syms_per_factor = [set(all_symbols(f)) for f in factors]
+    lifted = []
+    stripped = []
+    for idx, f in enumerate(factors):
+        if isinstance(f, Sum):
+            forbidden = set(lifted)
+            for j, syms in enumerate(syms_per_factor):
+                if j != idx:
+                    forbidden |= syms
+            ren = {}
+            for b in f.binders:
+                if b in forbidden:
+                    nb = fresh_symbol(b, forbidden | syms_per_factor[idx])
+                    ren[b] = nb
+                    b = nb
+                forbidden.add(b)
+                lifted.append(b)
+            body = rename_symbols(f.body, ren) if ren else f.body
+            if isinstance(body, Product):
+                stripped.extend(body.factors)
+            else:
+                stripped.append(body)
+        else:
+            stripped.append(f)
+    flat = Product(tuple(stripped))
+    if lifted:
+        return _reference_normalize(Sum(tuple(lifted), flat))
+    return flat
+
+
+def _reference_term_syms(t: Term) -> list:
+    return [ref.name for _, ref in (*t.dependents, *t.conditioners) if isinstance(ref, Sym)]
+
+
+def _reference_term_text(t: Term, color: dict) -> str:
+    def entry(name, ref):
+        if ref is None:
+            return name
+        if isinstance(ref, Sym) and ref.name in color:
+            return f"{name}=?{color[ref.name]}"
+        return f"{name}={ref}"
+
+    deps = ", ".join([entry(n, r) for n, r in t.dependents])
+    conds = ", ".join([entry(n, r) for n, r in t.conditioners])
+    inner = f"{deps} | {conds}" if conds else deps
+    return f"{t.regime}({inner})"
+
+
+def _reference_order(e):
+    if isinstance(e, Term):
+        return e
+    binders = ()
+    body = e
+    if isinstance(e, Sum):
+        binders, body = e.binders, e.body
+    factors = list(body.factors) if isinstance(body, Product) else [body]
+    bound = frozenset(binders)
+    free = frozenset().union(*(frozenset(_reference_term_syms(f)) for f in factors)) - bound
+    color = {b: "" for b in binders}
+    keys = [_reference_term_text(f, color) for f in factors]
+    for _ in range(len(binders) + len(factors) + 2):
+        occurrences = {b: [] for b in binders}
+        for key, f in zip(keys, factors):
+            for side, entries in (("d", f.dependents), ("c", f.conditioners)):
+                for name, ref in entries:
+                    if isinstance(ref, Sym) and ref.name in bound:
+                        occurrences[ref.name].append(f"{key}#{side}#{name}")
+        raw = {b: "|".join(sorted(occurrences[b])) for b in binders}
+        ranks = {c: str(i) for i, c in enumerate(sorted(set(raw.values())))}
+        new_color = {b: ranks[raw[b]] for b in binders}
+        new_keys = [_reference_term_text(f, new_color) for f in factors]
+        if new_keys == keys and new_color == color:
+            break
+        color, keys = new_color, new_keys
+    order_idx = sorted(range(len(factors)), key=lambda i: (keys[i], i))
+    factors = [factors[i] for i in order_idx]
+    ren = {}
+    counter = 1
+    for f in factors:
+        for s in _reference_term_syms(f):
+            if s in bound and s not in ren:
+                candidate = f"_{counter}"
+                while candidate in free:
+                    counter += 1
+                    candidate = f"_{counter}"
+                ren[s] = candidate
+                counter += 1
+    factors = [rename_symbols(f, ren) for f in factors]
+    new_body = factors[0] if len(factors) == 1 else Product(tuple(factors))
+    if binders:
+        renamed_bound = set(ren.values())
+        order = []
+        for f in factors:
+            for s in _reference_term_syms(f):
+                if s in renamed_bound and s not in order:
+                    order.append(s)
+        return Sum(tuple(order), new_body)
+    return new_body
+
+
+def reference_canonicalize(e):
+    cur = _reference_order(_reference_normalize(e))
+    for _ in range(4):
+        nxt = _reference_order(_reference_normalize(cur))
+        if nxt == cur:
+            return cur
+        cur = nxt
+    raise ExprError("canonicalization did not converge")
+
+
+def assert_canonical_as_reference(e):
+    c = canonicalize(e)
+    want = reference_canonicalize(e)
+    assert c == want and to_text(c) == to_text(want), to_text(e)
+
+
+@given(small_exprs())
+@settings(max_examples=200, deadline=None)
+def test_canonicalize_matches_the_reference(e):
+    assert_canonical_as_reference(e)
+
+
+def _golden_expression_texts(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in ("estimand", "output", "final") and isinstance(value, str):
+                yield value
+            else:
+                yield from _golden_expression_texts(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _golden_expression_texts(value)
+
+
+def test_canonicalize_matches_the_reference_on_every_golden_expression():
+    texts = set()
+    for path in GOLDEN.glob("*.json"):
+        if not path.name.startswith("verify_"):
+            texts.update(_golden_expression_texts(json.loads(path.read_text())))
+    assert len(texts) > 100
+    for text in sorted(texts):
+        assert_canonical_as_reference(parse_expr(text))
+
+
+@pytest.mark.parametrize("mode", ["top_down", "bottom_up"])
+@pytest.mark.parametrize("graph", ["fig1", "fig2_n1"])
+def test_canonicalize_matches_the_reference_on_every_search_key(graph, mode, monkeypatch):
+    from swigident import engine, figure1, figure2, identify, parse_estimand, to_swig
+
+    swig = to_swig(figure1() if graph == "fig1" else figure2(1))
+    query = "q[1](Y1 | do D1=d1)" if graph == "fig1" else "q[1](Y | do D1=d1)"
+    keyed = []
+    monkeypatch.setattr(engine, "canonicalize", lambda e: keyed.append(e) or canonicalize(e))
+    d = identify(swig, parse_estimand(query, swig), mode)
+    assert d.identified and d.stats.keys == len(keyed) > 0
+    for e in keyed:
+        assert_canonical_as_reference(e)
 
 
 @given(small_exprs())
