@@ -497,13 +497,12 @@ def test_search_stats_stay_out_of_the_derivation(fig1_estimand):
 
 
 def test_search_counts_and_times_its_canonical_keys(fig1_estimand):
-    from swigident import figure1, to_swig
+    from swigident import figure1
 
-    runs = [identify(to_swig(figure1()), fig1_estimand, mode).stats for mode in ("top_down",) * 2]
-    runs += [identify(to_swig(figure1()), fig1_estimand, mode).stats for mode in ("bottom_up",) * 2]
-    for s in runs:
-        assert s.keys > 0 and 0 < s.key_seconds < s.seconds
-    assert runs[0].keys == runs[1].keys and runs[2].keys == runs[3].keys
+    for mode in ("top_down", "bottom_up"):
+        first, again = (identify(to_swig(figure1()), fig1_estimand, mode).stats for _ in range(2))
+        assert first.keys == again.keys > 0
+        assert 0 < first.key_seconds < first.seconds and 0 < again.key_seconds < again.seconds
 
 
 def test_search_reexpands_a_state_seen_with_a_smaller_budget(fig2_n2):
