@@ -35,7 +35,9 @@ class ZeroProbabilityError(SwigIdentError):
 
 
 class StateSpaceLimitError(SwigIdentError):
-    """The joint state space exceeds the enumeration limit."""
+    """A table the oracle needs is too large: more than oracle.STATE_LIMIT
+    entries for one model, or a merge over more labels than one einsum
+    takes (oracle.EINSUM_LABELS)."""
 
 
 class ParseError(SwigIdentError):

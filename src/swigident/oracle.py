@@ -8,13 +8,12 @@ inert by the test suite.  regime_factors lists these factors in one place.
 
 There are two exact ways to a conditional q_s(A | B).  The reference is the
 dense joint: joint multiplies every factor into one 2^|V|-sized table, and
-RegimeJoint.conditional sums it down; query, brute_force_ci and the tests
-use it.  Expression evaluation takes the ancestral way instead:
-ancestral_conditional keeps only the factors of the ancestors of A and B
-in the regime graph, since every other variable is barren and sums out to 1
-(Shachter 1986), and sums the others out of their product one variable at
-a time (variable elimination; Koller & Friedman 2009, ch. 9), so no dense
-joint is built.
+RegimeJoint.conditional sums it down; the tests compare against it.  The
+package itself takes the ancestral way: ancestral_conditional keeps only
+the factors of the ancestors of A and B in the regime graph, since every
+other variable is barren and sums out to 1 (Shachter 1986), and contracts
+them two at a time along the path _plan finds, so no dense joint is built
+and query and brute_force_ci do not stop at STATE_LIMIT over all variables.
 
 A model may also be a batch: N models of one graph with their CPTs stacked
 on a leading axis, so that joints, conditionals and expression values carry
@@ -22,8 +21,8 @@ one table per model.  Expressions are evaluated by one batched evaluator: a
 term is a view of the model's memoised conditional plus a per-model mask of
 the models for which it conditions on a zero-probability event, and each
 sum or product is contracted by the batch's Contractor, two tables at a
-time (one einsum over the batch axis and the pair's labels), along a
-greedy path planned once per contraction shape.  The Contractor keeps the
+time (one einsum over the batch axis and the pair's labels), along the
+path _plan finds once per contraction shape.  The Contractor keeps the
 pairwise products of the expression evaluated just before, keyed by the
 factor expressions under them and the labels they keep, so an expression
 that rewrites one factor of the last one's product (as most derivation
@@ -34,7 +33,9 @@ evaluated once.  A single model is a batch of one.
 model_batches bounds a batch so that its joint would have at most
 STATE_LIMIT entries, as large as one model's joint may be; every table the
 ancestral way builds is labelled by a subset of the variables, so that bound
-holds for it too.
+holds for it too.  _execute runs the plans of both ways and refuses a merge
+whose einsum would take more than EINSUM_LABELS labels or whose table would
+have more than STATE_LIMIT entries for one model.
 
 The data path does no Python work per row or cell.  sample draws the regime
 graph's variables in topological order, each from the cumulative sums of its
@@ -72,10 +73,9 @@ STATE_LIMIT = 2**22
 ZERO_EPS = 1e-12
 # np.einsum takes at most 52 subscripts; the batch axis takes one of them.
 EINSUM_LABELS = 51
-# An elimination step whose table has more entries per model than this, or a
-# merge of an expression's factors whose product has more entries in all,
-# goes through einsum's matmul-backed path; below it, that path's set-up
-# costs more than einsum's plain loop (measured on seqfd fig2 n=3-6).
+# A merge whose pair product has more entries than this, over all models of
+# the batch, goes through einsum's matmul-backed path; below it, that path's
+# set-up costs more than einsum's plain loop (measured on seqfd fig2 n=3-6).
 MATMUL_ENTRIES = 4096
 
 Cpt = tuple[tuple[str, ...], np.ndarray]
@@ -272,76 +272,9 @@ def joint(
     return out
 
 
-def _states(swig: Swig, names: Iterable[str]) -> int:
-    """Number of entries of one model's table over the given variables."""
-    size = 1
-    for n in names:
-        size *= swig.var(n).cardinality
-    return size
-
-
 def joint_states(swig: Swig) -> int:
     """Number of entries of one model's joint table."""
-    return _states(swig, swig.names)
-
-
-def _sum_product(
-    model: DiscreteModel,
-    factors: list[tuple[np.ndarray, tuple[str, ...]]],
-    out: tuple[str, ...],
-) -> np.ndarray:
-    """The product of the factors summed down to the variables out, axes
-    after the batch axis in that order, by variable elimination (Koller &
-    Friedman 2009, ch. 9).  While a variable not in out is left, the one
-    whose new factor is smallest is summed out, merging the factors that
-    hold it two at a time, smallest first.  The factors left, all over
-    variables of out, are then merged two at a time: the smallest with the
-    partner that keeps their product smallest.  Each merge is one einsum
-    that labels only its own operands' variables, so einsum's subscript
-    limit and STATE_LIMIT bind the tables the elimination builds, never the
-    size of the ancestral set."""
-    swig = model.swig
-    lead = len(model.batch_shape)
-    factors = list(factors)
-
-    def states(names) -> int:
-        return _states(swig, names)
-
-    def contract(group, labels):
-        size = states(labels)
-        if len(labels) > EINSUM_LABELS or size > STATE_LIMIT:
-            raise StateSpaceLimitError(
-                f"a conditional over {len(out)} variables needs a table over "
-                f"{len(labels)} variables ({size} states); the limits are "
-                f"{EINSUM_LABELS} einsum subscripts and {STATE_LIMIT} states"
-            )
-        return _merge(group, labels, lead, size > MATMUL_ENTRIES)
-
-    def merge(positions):
-        group = [factors[i] for i in positions]
-        rest = [f for i, f in enumerate(factors) if i not in positions]
-        needed = set(out).union(*(names for _, names in rest))
-        labels = tuple(dict.fromkeys(n for _, names in group for n in names if n in needed))
-        factors[:] = rest + [(contract(group, labels), labels)]
-
-    while True:
-        todo = {n for _, names in factors for n in names}.difference(out)
-        if not todo:
-            break
-        v = min(
-            todo,
-            key=lambda v: (states({n for _, ns in factors if v in ns for n in ns} - {v}), v),
-        )
-        holders = [i for i, (_, names) in enumerate(factors) if v in names]
-        merge(sorted(holders, key=lambda i: states(factors[i][1]))[:2])
-    while len(factors) > 1:
-        i = min(range(len(factors)), key=lambda i: states(factors[i][1]))
-        j = min(
-            (j for j in range(len(factors)) if j != i),
-            key=lambda j: states({*factors[i][1], *factors[j][1]}),
-        )
-        merge([i, j])
-    return contract(factors, out)
+    return math.prod(v.cardinality for v in swig.variables)
 
 
 def ancestral_conditional(
@@ -349,20 +282,34 @@ def ancestral_conditional(
 ) -> np.ndarray:
     """P(deps | conds) under the regime with axes deps + conds after the
     batch axis, NaN where the conditioning event has zero probability, as
-    RegimeJoint.conditional gives it.  It is computed from
-    the factors of the ancestors of deps and conds in the regime graph
-    alone, so no dense joint is built; memoised per model.  Raises
-    StateSpaceLimitError when a table it needs has more than STATE_LIMIT
-    entries for one model."""
+    RegimeJoint.conditional gives it.  It is computed from the factors of
+    the ancestors of deps and conds in the regime graph alone, contracted
+    two at a time along the path _plan finds, so no dense joint is built;
+    memoised per model.  Raises StateSpaceLimitError when a table it needs
+    has more than STATE_LIMIT entries for one model or a merge more than
+    EINSUM_LABELS labels."""
     key = (regime, deps, conds)
     cached = model._conditionals.get(key)
     if cached is not None:
         return cached
+    swig = model.swig
     names = deps + conds
-    kept = model.swig.regime_graph(regime).ancestors(names)
-    m = _sum_product(model, regime_factors(model, regime, kept), names)
-    # m may be a view of a CPT (q0(L)); _normalized does not write into it
-    out = model._conditionals[key] = _normalized(m, len(model.batch_shape), len(deps))
+    factors = regime_factors(model, regime, swig.regime_graph(regime).ancestors(names))
+    ids: dict[str, int] = {}
+    subs = [tuple(ids.setdefault(n, len(ids)) for n in labels) for _, labels in factors]
+    sizes = [swig.var(n).cardinality for n in ids]
+    plan = _plan(subs, sizes, tuple(ids[n] for n in names), model.batch or 1)
+    lead = len(model.batch_shape)
+    ops = [(table, labels, None) for table, labels in factors]
+    what = f"a conditional over {len(names)} variables"
+    m = _execute(plan, ops, list(ids), names, lead, what,
+                 lambda group, kept, matmul: (_merge(group, kept, lead, matmul), kept, None))
+    # The merges leave m's axes in whatever memory order einsum's matmul path
+    # gave them; the division, and the merges that later read the table, run
+    # faster over it in C order.  m may be a view of a CPT (q0(L)); neither
+    # the copy nor _normalized writes into it.
+    m = np.ascontiguousarray(m)
+    out = model._conditionals[key] = _normalized(m, lead, len(deps))
     return out
 
 
@@ -385,10 +332,12 @@ def query(
     conditioners: Mapping[str, int] | Iterable[tuple[str, int]] = (),
 ) -> np.ndarray:
     """Exact conditional P(dependents | conditioners = values) of a single
-    model; axes follow the dependents, in the order given."""
+    model; axes follow the dependents, in the order given.  It reads the
+    ancestral conditional, so no dense joint is built."""
     cond_items = sorted(dict(conditioners).items())
-    j = joint(model, regime)
-    table = j.conditional(tuple(dependents), tuple(n for n, _ in cond_items))
+    table = ancestral_conditional(
+        model, regime, tuple(dependents), tuple(n for n, _ in cond_items)
+    )
     sel = table[(slice(None),) * len(tuple(dependents)) + tuple(v for _, v in cond_items)]
     if np.isnan(sel).any():
         raise ZeroProbabilityError(
@@ -473,19 +422,24 @@ def _eval_term(swig: Swig, t: Term, provider: TableProvider) -> LabeledTable:
     return LabeledTable(tuple(labels), out, skipped)
 
 
+# A factor as a plan runs: its table (lead batch axes first), its labels, and
+# what the merge callback keys it by.
+Operand = tuple[np.ndarray, tuple[str, ...], object]
+
+
 def _merge(
-    group: Sequence[tuple[np.ndarray, tuple[str, ...]]],
+    group: Sequence[Operand],
     out: tuple[str, ...],
     lead: int,
     matmul: bool,
 ) -> np.ndarray:
-    """The product of the (table, labels) factors of group summed down to
+    """The product of the (table, labels, _) factors of group summed down to
     the labels out, with the lead batch axes first, as one einsum; matmul
     sends a pair through einsum's matmul-backed path."""
     batch = list(range(lead))
     subscript: dict[str, int] = {}
     operands: list = []
-    for table, labels in group:
+    for table, labels, _ in group:
         axes = [subscript.setdefault(n, lead + len(subscript)) for n in labels]
         operands += [table, batch + axes]
     return np.einsum(*operands, batch + [subscript[n] for n in out], optimize=matmul)
@@ -498,13 +452,13 @@ def _plan(
     (label i has sizes[i] levels) down to the labels out.  While two or more
     factors are left, the pair whose product, summed over every label that
     neither out nor another factor needs, has the fewest entries less those
-    of the pair is merged; a pair that shares no label only when no pair
-    shares one.  numpy's greedy einsum path (after opt_einsum) weighs merges
-    the same way.  Label sets are bit masks.  Returns the merges: the
-    positions taken, in descending order, from the list of factors, whose
-    result is appended; the labels the result keeps (out, in order, for the
-    last); and whether the pair's product, over batch models, has more than
-    MATMUL_ENTRIES entries."""
+    of the pair is merged; while some pair shares a label, a pair that
+    shares none is not weighed.  numpy's greedy einsum path (after
+    opt_einsum) weighs merges the same way.  Label sets are bit masks.
+    Returns the merges: the positions taken, in descending order, from the
+    list of factors, whose result is appended; the labels the result keeps
+    (out, in order, for the last); and whether the pair's product, over
+    batch models, has more than MATMUL_ENTRIES entries."""
     out_mask = sum(1 << i for i in out)
     entries: dict[int, int] = {}
 
@@ -525,12 +479,15 @@ def _plan(
             once |= m
         best = None
         for j in range(1, len(live)):
+            b = live[j]
             for i in range(j):
-                a, b = live[i], live[j]
+                a = live[i]
+                if twice and not a & b:
+                    continue
                 # a label the pair holds is kept if out or a factor outside
                 # the pair needs it
                 keep = (a | b) & out_mask | a & b & thrice | (a ^ b) & twice
-                cost = (not a & b, size(keep) - size(a) - size(b))
+                cost = size(keep) - size(a) - size(b)
                 if best is None or cost < best[0]:
                     best = (cost, i, j, keep)
         _, i, j, keep = best
@@ -545,13 +502,46 @@ def _plan(
     return steps
 
 
+def _execute(
+    plan: list,
+    ops: list[Operand],
+    names: Sequence[str],
+    out: tuple[str, ...],
+    lead: int,
+    what: str,
+    merge: Callable[[list[Operand], tuple[str, ...], bool], Operand],
+) -> np.ndarray:
+    """Run a plan of _plan's over ops, whose labels are numbered by their
+    position in names: each merge pops its positions, merge(group, kept,
+    matmul) computes their product over the labels kept, and the result is
+    appended.  The last table left is returned with its axes in the order
+    of out.  A merge whose einsum would take more than EINSUM_LABELS labels,
+    or whose table would have more than STATE_LIMIT entries for one model,
+    raises StateSpaceLimitError naming what is contracted."""
+    for positions, keep, matmul in plan:
+        group = [ops.pop(p) for p in positions]
+        kept = tuple(names[i] for i in keep)
+        dims = {l: n for t, labels, _ in group for l, n in zip(labels, t.shape[lead:])}
+        entries = math.prod(dims[l] for l in kept)
+        if len(dims) > EINSUM_LABELS or entries > STATE_LIMIT:
+            raise StateSpaceLimitError(
+                f"{what} needs a table over {len(kept)} variables ({entries} states); "
+                f"the limits are {EINSUM_LABELS} einsum subscripts and {STATE_LIMIT} states"
+            )
+        ops.append(merge(group, kept, matmul))
+    values, labels, _ = ops.pop()
+    if labels == out:
+        return values
+    return np.transpose(values, [*range(lead), *(lead + labels.index(l) for l in out)])
+
+
 @dataclass(eq=False)
 class Contractor:
     """Contracts the sums and products of one batch's expressions.
 
     A contraction is keyed by its factors' labels, numbered by first use,
     the labels it keeps and its operand shapes; the path search (_plan)
-    runs once per key, and its merges are executed one einsum each.  Each
+    runs once per key, and _execute runs its merges, one einsum each.  Each
     merge's result is memoised by the factor expressions under it and the
     set of labels it keeps, which fix its values, for one generation:
     current holds the merges of the expression being evaluated and previous
@@ -586,31 +576,31 @@ class Contractor:
                     sizes[i] = n
             plan = self.plans[key] = _plan(subs, sizes, key[1], tables[0].values.shape[0])
             self.searches += 1
-        names = list(ids)
         # A factor is named by its expression and by how many equal factors
         # come before it, so a product may hold the same factor twice.
         seen: dict[ProbExpr, int] = {}
         ops = []
         for f, t in zip(factors, tables):
             seen[f] = seen.get(f, -1) + 1
-            ops.append((frozenset({(f, seen[f])}), t.labels, t.values))
-        for positions, keep, matmul in plan:
-            group = [ops.pop(p) for p in positions]
-            leaves = frozenset().union(*(leaf for leaf, _, _ in group))
-            kept = tuple(names[i] for i in keep)
-            memo_key = (leaves, frozenset(kept))
-            hit = self.current.get(memo_key) or self.previous.get(memo_key)
-            if hit is None:
-                hit = (kept, _merge([(v, l) for _, l, v in group], kept, 1, matmul))
-                self.computed += 1
-            else:
-                self.reused += 1
-            self.current[memo_key] = hit
-            ops.append((leaves, *hit))
-        ((_, labels, values),) = ops
-        if labels == out:
-            return values
-        return np.transpose(values, [0, *(1 + labels.index(l) for l in out)])
+            ops.append((t.values, t.labels, frozenset({(f, seen[f])})))
+        what = f"a product of {len(factors)} factors"
+        return _execute(plan, ops, list(ids), out, 1, what, self._memoised_merge)
+
+    def _memoised_merge(
+        self, group: list[Operand], kept: tuple[str, ...], matmul: bool
+    ) -> Operand:
+        """The merge of group over kept, from this generation or the last if
+        either has it, else computed."""
+        leaves = frozenset().union(*(leaf for _, _, leaf in group))
+        memo_key = (leaves, frozenset(kept))
+        hit = self.current.get(memo_key) or self.previous.get(memo_key)
+        if hit is None:
+            hit = (_merge(group, kept, 1, matmul), kept)
+            self.computed += 1
+        else:
+            self.reused += 1
+        self.current[memo_key] = hit
+        return (*hit, leaves)
 
     def rotate(self) -> None:
         """Start the next generation, unless nothing was merged since the
@@ -708,12 +698,13 @@ def eval_estimand(model: DiscreteModel, estimand: Term) -> LabeledTable:
 
 def brute_force_ci(model: DiscreteModel, q: CiQuery, tol: float = 1e-9) -> bool:
     """True iff x and y are independent given z in the regime-s joint, up to
-    tol, skipping conditioning cells of probability below 1e-12."""
+    tol, skipping conditioning cells of probability below ZERO_EPS.  It
+    reads the ancestral marginal over x, y and z, so no dense joint is
+    built."""
     if not q.x or not q.y:
         return True
     x, y, z = sorted(q.x), sorted(q.y), sorted(q.z)
-    j = joint(model, q.regime)
-    m = j.marginal(tuple(x) + tuple(y) + tuple(z))
+    m = ancestral_conditional(model, q.regime, tuple(x + y + z), ())
     nx, ny, nz = len(x), len(y), len(z)
     sx, sy, sz = m.shape[:nx], m.shape[nx : nx + ny], m.shape[nx + ny :]
     pz = m.sum(axis=tuple(range(nx + ny)))

@@ -304,3 +304,22 @@ def test_verify_stats_flag_writes_one_json_line(fig1_path, tmp_path, capsys):
     for step in stats["steps"]:
         assert set(step) == {"index", "rule", "seconds", "skipped"}
         assert step["seconds"] >= 0 and step["skipped"] == 0
+
+
+def test_verify_refuses_a_product_past_the_einsum_subscripts(tmp_path, capsys):
+    # 53 one-level variables; the step's product of their 53 terms needs a
+    # table over more labels than one einsum takes.
+    graph = tmp_path / "wide.swig"
+    graph.write_text(
+        "graph wide {\n" + "".join(f"  var V{i} @{i} levels=1;\n" for i in range(53)) + "}\n"
+    )
+    product = " * ".join(f"q0(V{i}=a{i})" for i in range(53))
+    derivation = tmp_path / "derivation.json"
+    derivation.write_text(json.dumps({
+        "estimand": "q0(V0=a0)", "status": "not_identified", "blocking": None, "final": product,
+        "steps": [{"rule": "ci_modify", "output": product, "justification": None}],
+    }))
+    assert main(["verify", str(graph), str(derivation), "--models", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: a product of 53 factors needs a table over")
+    assert "Traceback" not in err and len(err.splitlines()) == 1

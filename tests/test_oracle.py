@@ -6,6 +6,7 @@ import functools
 import io
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from swigident import (
     Variable,
     ZeroProbabilityError,
     ablated_figure1,
+    brute_force_ci,
     eval_estimand,
     eval_expr,
     figure1,
@@ -47,9 +49,13 @@ from swigident import (
 )
 from swigident.engine import _mediators_swig
 from swigident.expr import terms
+from swigident.graphs import CiQuery
 from swigident.oracle import (
     EINSUM_LABELS,
+    MATMUL_ENTRIES,
+    ZERO_EPS,
     Dataset,
+    _plan,
     ancestral_conditional,
     contraction_counts,
     model_batches,
@@ -227,9 +233,42 @@ def test_a_term_of_a_wide_graph_evaluates_without_the_joint():
     assert not model._joints
 
 
+def test_query_and_brute_force_ci_of_a_wide_graph_build_no_joint():
+    # 2^24 joint states, past STATE_LIMIT: both read ancestral tables.
+    swig = _line(24, chained=False)
+    model = random_model(swig, seed=0)
+    got = query(model, Q0, ("V3",), {"V17": 1, "V20": 0})
+    assert np.max(np.abs(got - model.cpts["V3"][1])) <= 1e-15
+    assert brute_force_ci(model, CiQuery(Q0, {"V3", "V5"}, {"V17"}, {"V20"}))
+    model.cpts["V20"] = ((), np.array([1.0, 0.0]))
+    with pytest.raises(ZeroProbabilityError):
+        query(model, Q0, ("V3",), {"V20": 1})
+    assert not model._joints
+
+
+def test_a_product_past_the_einsum_subscripts_raises_state_space_limit():
+    # 53 one-level variables: the product of their 53 terms needs a table
+    # over more labels than one einsum takes.
+    swig = _line(53, chained=False, cardinality=1)
+    model = random_model(swig, seed=0)
+    product = parse_expr(" * ".join(f"q0(V{i}=a{i})" for i in range(53)))
+    with pytest.raises(StateSpaceLimitError, match="product of 53 factors"):
+        eval_expr(model, product)
+    # A merge that keeps 51 labels but sums 11 more out of its pair also
+    # needs more labels than one einsum takes.
+    swig = _line(62, chained=False, cardinality=1)
+    model = random_model(swig, seed=0)
+    wide = ", ".join([f"V{i}=a{i}" for i in range(40)] + [f"V{i}=b{i}" for i in range(40, 51)])
+    rest = ", ".join(f"V{i}=c{i}" for i in range(51, 62))
+    binders = ", ".join(f"b{i}" for i in range(40, 51))
+    summed = parse_expr(f"sum{{{binders}}} q0({wide}) * q0({rest})")
+    with pytest.raises(StateSpaceLimitError, match="product of 2 factors"):
+        eval_expr(model, summed)
+
+
 def test_an_ancestral_set_past_the_einsum_subscripts_evaluates():
     # q0(V59) of a 60-chain has 60 ancestors, more than one einsum can
-    # label; each elimination step labels only its own operands, and the
+    # label; each pairwise merge labels only its own operands, and the
     # answer is the product of the chain's transition matrices.
     swig = _line(60, chained=True)
     model = random_model(swig, seed=1)
@@ -342,6 +381,97 @@ def test_ancestral_conditional_matches_the_dense_joint(case):
     assert got.shape == want.shape
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.max(np.abs(np.nan_to_num(got) - np.nan_to_num(want)), initial=0.0) <= 1e-12
+
+
+def reference_brute_force_ci(model, q, tol=1e-9):
+    """brute_force_ci as first written, on the dense joint's marginal."""
+    if not q.x or not q.y:
+        return True
+    x, y, z = sorted(q.x), sorted(q.y), sorted(q.z)
+    m = joint(model, q.regime).marginal(tuple(x) + tuple(y) + tuple(z))
+    nx, ny = len(x), len(y)
+    sx, sy, sz = m.shape[:nx], m.shape[nx : nx + ny], m.shape[nx + ny :]
+    pz = m.sum(axis=tuple(range(nx + ny))).reshape((1,) * (nx + ny) + sz)
+    pxz = m.sum(axis=tuple(range(nx, nx + ny))).reshape(sx + (1,) * ny + sz)
+    pyz = m.sum(axis=tuple(range(nx))).reshape((1,) * nx + sy + sz)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        diff = np.abs(m / pz - (pxz / pz) * (pyz / pz))
+    diff = np.where(pz >= ZERO_EPS, diff, 0.0)
+    return float(np.max(diff)) <= tol
+
+
+@given(regime_queries(), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_brute_force_ci_matches_the_dense_joint(case, split):
+    swig, regime, deps, conds, seed = case
+    names = deps + conds
+    q = CiQuery(regime, names[:1], names[1 : 1 + split], names[1 + split :])
+    cpts = random_base_cpts(swig.base, np.random.default_rng(seed))
+    # with probability 1/2, one CPT row puts all its mass on one level, so
+    # some conditioning cells have probability zero
+    name = next((v.name for v in swig.base.variables if v.cardinality > 1), None)
+    if name is not None and seed % 2:
+        parents, table = cpts[name]
+        table = table.copy()
+        table[(0,) * len(parents)] = np.eye(table.shape[-1])[-1]
+        cpts[name] = (parents, table)
+    model = model_from_base_cpts(swig, cpts)
+    assert brute_force_ci(model, q) == reference_brute_force_ci(model, q)
+
+
+def reference_plan(subs, sizes, out, batch):
+    """_plan as first written: every pair of factors is weighed, a pair that
+    shares no label behind every pair that shares one."""
+    out_mask = sum(1 << i for i in out)
+
+    def size(mask):
+        return math.prod(sizes[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
+    live = [sum(1 << i for i in s) for s in subs]
+    steps = []
+    while len(live) > 1:
+        once = twice = thrice = 0
+        for m in live:
+            thrice |= twice & m
+            twice |= once & m
+            once |= m
+        best = None
+        for j in range(1, len(live)):
+            for i in range(j):
+                a, b = live[i], live[j]
+                keep = (a | b) & out_mask | a & b & thrice | (a ^ b) & twice
+                cost = (not a & b, size(keep) - size(a) - size(b))
+                if best is None or cost < best[0]:
+                    best = (cost, i, j, keep)
+        _, i, j, keep = best
+        matmul = batch * size(live[i] | live[j]) > MATMUL_ENTRIES
+        live.pop(j)
+        live.pop(i)
+        live.append(keep)
+        labels = out if len(live) == 1 else tuple(k for k in range(len(sizes)) if keep >> k & 1)
+        steps.append(((j, i), labels, matmul))
+    if live[0] != out_mask:
+        steps.append(((0,), out, False))
+    return steps
+
+
+@st.composite
+def contraction_shapes(draw):
+    """Factors over random subsets of up to 8 labels of 1-6 levels, kept
+    labels in a random order drawn from those the factors hold, and a batch
+    size."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    labels = st.lists(st.integers(0, len(sizes) - 1), max_size=4, unique=True).map(tuple)
+    subs = draw(st.lists(labels, min_size=1, max_size=8))
+    held = sorted({i for s in subs for i in s})
+    out = tuple(draw(st.permutations(held))[: draw(st.integers(0, len(held)))])
+    return subs, sizes, out, draw(st.integers(1, 200))
+
+
+@given(contraction_shapes())
+@settings(max_examples=400, deadline=None)
+def test_plan_matches_the_exhaustive_pair_scan(shape):
+    assert _plan(*shape) == reference_plan(*shape)
 
 
 def test_sampling_determinism_and_coupling(fig1):
