@@ -33,7 +33,7 @@ from .expr import (
     validate_estimand,
 )
 from .dsl import parse_expr
-from .graphs import CiQuery
+from .graphs import CiQuery, Graph
 from .model import BaseDag, Swig, Sym, ValueRef, same_skeleton, to_swig
 from .oracle import (
     LabeledTable,
@@ -243,6 +243,8 @@ class Strategy:
             )
         if self.depth < 1:
             raise SwigIdentError("search depth must be >= 1")
+        if self.variables and self.kind in ("sequential_backdoor", "top_down", "bottom_up"):
+            raise SwigIdentError(f"strategy {self.kind!r} takes no variables")
 
     @classmethod
     def parse(cls, text: str, depth: int = 16) -> "Strategy":
@@ -722,6 +724,14 @@ def compose_mediator_intervention(
         outcome = _compose_outcome_attempt(builder, chain, med_values)
     except RuleRefusedError as exc:
         return _not_identified(estimand, exc.blocking or fallback)
+    # A dose that reaches a dependent around every mediator target is not
+    # cut off by the mediator interventions, so the composition does not hold.
+    graph = swig_doses.regime_graph(estimand.regime)
+    kept = [v for v in graph.nodes if v not in mediators]
+    cut = Graph(kept, {(a, b) for a, b in graph.edges if a in kept and b in kept})
+    dos = [swig_doses.intervention(j) for j in estimand.regime.active]
+    if not cut.descendants(dos).isdisjoint(estimand.dep_names()):
+        return _not_identified(estimand, fallback)
 
     assembled: ProbExpr = Sum(tuple(binders), Product((outcome.final, mediator_law.final)))
     step = DerivationStep(
@@ -745,12 +755,11 @@ def compose_mediator_intervention(
 class SearchStats:
     """What one top_down or bottom_up search did.  Derivation carries it
     outside its JSON and trace, so the output of identify does not depend on
-    it.  Refusals count every refused move the search met, replays of
-    cached refusals included, by rule."""
+    it.  Refusals count every refused move the search tried, in every
+    deepening pass, by rule."""
 
     expanded: int = 0  # states whose moves were tried
     duplicates: int = 0  # states pruned as seen earlier in the pass at a budget at least as large
-    successor_hits: int = 0  # move outcomes taken from the successor cache
     dsep_hits: int = 0  # d_separated calls answered by the Swig's cache
     dsep_misses: int = 0  # d_separated calls worked out on the graph
     refusals: dict[str, int] = field(default_factory=dict)
@@ -763,29 +772,14 @@ class SearchStats:
         return asdict(self)
 
 
-class _State:
-    """A simplified search state: its goal test, its canonical key and the
-    outcomes of its moves, filled in as the search first reaches them."""
-
-    __slots__ = ("goal", "key", "moves", "outcomes")
-
-    def __init__(self, goal: bool):
-        self.goal = goal
-        self.key: str | None = None
-        self.moves: list | None = None
-        self.outcomes: list = []
-
-
 def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
-    """Iterative deepening over the move set.  Every piece of work is done
-    once per call: each expression's simplification, and each simplified
-    state's goal test, key and move outcomes (worked out when the search
-    first reaches them), are kept for the later deepening passes.  Leaves
-    (budget 0) and the outcomes of budget-1 states are not kept: they are
-    most of the states and are reached again, one level up, in the next
-    pass.  A refusal reports the first blocking query met; a cached
-    refusal was met when it was first worked out, so replaying it cannot
-    change which query that is."""
+    """Iterative deepening over the move set.  Each pass simplifies, tests
+    and expands the states it reaches afresh; the rules' d-separation and
+    drop-later answers come from the Swig's cache.  The one memo is each
+    simplified state's canonical key, kept for the later passes.  At budget
+    1 total_probability moves are skipped: they never refuse, and the term
+    they split keeps its active regime and conditioners, so their leaf
+    cannot be a goal.  A refusal reports the first blocking query met."""
     observed = set(swig.observed)
     intervention_nodes = set(swig.target_of)
     first_blocking: CiQuery | None = None
@@ -793,8 +787,7 @@ def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
     cache = swig.cache
     dsep_hits, dsep_size = cache.d_separated_hits, len(cache.d_separated)
     start = time.perf_counter()
-    simplified: dict[ProbExpr, tuple[ProbExpr, list[DerivationStep]]] = {}
-    states: dict[ProbExpr, _State] = {}
+    keys: dict[ProbExpr, str] = {}
 
     def goal(expr: ProbExpr) -> bool:
         if any(not t.regime.is_observational for _, t in terms(expr)):
@@ -883,76 +876,35 @@ def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
             groups.reverse()
         return [(rule, attempt) for rule, group in groups for attempt in group]
 
-    def state(expr: ProbExpr, budget: int):
-        """The simplified expression, the steps simplify added and the
-        state; leaves (budget 0) are not kept."""
-        hit = simplified.get(expr)
-        if hit is None:
-            hit = simplify(expr, [])
-            if budget > 0:
-                simplified[expr] = hit
-        simple, added = hit
-        st = states.get(simple)
-        if st is None:
-            st = _State(goal(simple))
-            if budget > 0:
-                states[simple] = st
-        return simple, added, st
-
-    def outcomes(expr: ProbExpr, st: _State, budget: int):
-        """(rule, steps, None) or (rule, None, blocking) for each move of
-        the state, in order.  New outcomes are kept above budget 1.  At
-        budget 1 total_probability moves are skipped: they never refuse,
-        and the term they split keeps its active regime and conditioners,
-        so their leaf cannot be a goal."""
-        keep = budget > 1
-        if st.moves is None:
-            todo = moves(expr)
-            if keep:
-                st.moves = todo
-        else:
-            todo = st.moves
-        done = st.outcomes
-        for i, (rule, attempt) in enumerate(todo):
-            if i < len(done):
-                stats.successor_hits += 1
-                yield done[i]
-                continue
-            if not keep and rule == "total_probability":
-                continue
-            try:
-                outcome = (rule, attempt(expr), None)
-            except RuleRefusedError as exc:
-                outcome = (rule, None, exc.blocking)
-            if keep:
-                done.append(outcome)
-            yield outcome
-
     def dfs(expr: ProbExpr, steps: list[DerivationStep], budget: int, seen: dict[str, int], moved: int):
         nonlocal first_blocking
         stats.depth = max(stats.depth, moved)
-        expr, added, st = state(expr, budget)
-        steps = steps + added
-        if st.goal:
+        expr, steps = simplify(expr, steps)
+        if goal(expr):
             return steps
         if budget <= 0:
             return None
-        if st.key is None:
+        key = keys.get(expr)
+        if key is None:
             key_start = time.perf_counter()
-            st.key = to_text(canonicalize(expr))
+            key = keys[expr] = to_text(canonicalize(expr))
             stats.keys += 1
             stats.key_seconds += time.perf_counter() - key_start
         # a state seen with a smaller budget may reach a goal now
-        if seen.get(st.key, -1) >= budget:
+        if seen.get(key, -1) >= budget:
             stats.duplicates += 1
             return None
-        seen[st.key] = budget
+        seen[key] = budget
         stats.expanded += 1
-        for rule, new_steps, blocking in outcomes(expr, st, budget):
-            if new_steps is None:
+        for rule, attempt in moves(expr):
+            if budget == 1 and rule == "total_probability":
+                continue
+            try:
+                new_steps = attempt(expr)
+            except RuleRefusedError as exc:
                 stats.refusals[rule] = stats.refusals.get(rule, 0) + 1
                 if first_blocking is None:
-                    first_blocking = blocking
+                    first_blocking = exc.blocking
                 continue
             found = dfs(new_steps[-1].output, steps + new_steps, budget - 1, seen, moved + 1)
             if found is not None:

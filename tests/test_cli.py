@@ -178,6 +178,26 @@ def test_usage_errors_exit_1(fig1_path, tmp_path, capsys):
     assert main(["identify", fig1_path, "q[1](Y1 | do D1=d1)", "--strategy", "magic"]) == 1
     assert "unknown strategy" in capsys.readouterr().err
 
+    assert main(["identify", fig1_path, "q[1](Y1 | do D1=d1)", "--strategy", "top_down:L"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: strategy 'top_down' takes no variables\n"
+
+
+def test_mediator_intervention_refuses_a_dose_that_bypasses_the_mediators(
+    fig1_path, tmp_path, capsys
+):
+    # mediator L on fig1 (Do1 -> M1 -> Y1 misses it), and the default
+    # mediator M1 on fig1 with L hidden and an edge D1 -> Y1
+    direct = tmp_path / "fig1_direct.swig"
+    direct.write_text(open(fig1_path).read().replace("  edge M1 -> Y1;", "  edge M1 -> Y1;\n  edge D1 -> Y1;"))
+    for argv in (
+        [fig1_path, "--strategy", "mediator_intervention:L"],
+        [str(direct), "--strategy", "mediator_intervention", "--unobserved", "L"],
+    ):
+        assert main(["identify", argv[0], "q[1](Y1 | do D1=d1)", *argv[1:]]) == 2
+        out = capsys.readouterr().out
+        assert "status: not_identified" in out and "blocking: q1: Y1 _||_ Do1 | D1" in out
+
 
 MALFORMED_DERIVATIONS = {
     "step_without_ast": '{"steps": [{"rule": "x"}]}',

@@ -49,6 +49,11 @@ def test_strategy_parse():
         Strategy.parse("sideways")
     with pytest.raises(SwigIdentError):
         Strategy(kind="top_down", depth=0)
+    # a strategy that takes no variables refuses a list instead of ignoring it
+    for text in ("top_down:L", "bottom_up:Q", "sequential_backdoor:L"):
+        with pytest.raises(SwigIdentError, match="takes no variables"):
+            Strategy.parse(text)
+    assert Strategy.parse("top_down:").variables == ()
 
 
 def test_backdoor_records_full_trace(fig1, fig1_estimand):
@@ -107,6 +112,29 @@ def test_mediator_intervention_matches_frontdoor(fig1_hidden, fig1_estimand):
     assert just.mediator_law.identified and just.outcome.identified
 
 
+def _fig1_direct():
+    """fig1 with L hidden and an edge D1 -> Y1 that misses the mediator."""
+    from swigident import figure1
+
+    base = figure1(l_observed=False)
+    return BaseDag(base.variables, base.edges | {("D1", "Y1")}, base.targets, "fig1_direct")
+
+
+@pytest.mark.parametrize("graph, strategy", [("fig1", "mediator_intervention:L"),
+                                             ("fig1_direct", "mediator_intervention")])
+def test_mediator_intervention_refuses_a_dose_that_bypasses_the_mediators(
+    graph, strategy, fig1, fig1_estimand
+):
+    # Do1 reaches Y1 around every mediator target (Do1 -> M1 -> Y1 misses L;
+    # Do1 -> Y1 misses M1), so the composition does not hold; both used to
+    # come back identified with formulas verify rejects.
+    swig = fig1 if graph == "fig1" else to_swig(_fig1_direct())
+    d = identify(swig, fig1_estimand, strategy)
+    assert not d.identified and d.steps == ()
+    assert d.blocking == CiQuery(Regime.prefix(1), {"Y1"}, {"Do1"}, {"D1"})
+    assert not d_separated(swig, d.blocking)
+
+
 def test_mediator_intervention_without_mediators(fig1_ablated):
     est = dose_estimand(fig1_ablated, ("Y1",))
     d = identify(fig1_ablated, est, "mediator_intervention")
@@ -163,14 +191,19 @@ def test_no_recipe_reports_a_blocking_query_that_holds(tmp_path):
     # whose dependents are all observed names a blocking query, also when
     # the refusing rule carries none (mediator_intervention on D2: its
     # total_probability step refuses to sum over a dependent).
+    # On fig1 with mediator L, and on fig1_direct, a dose reaches the
+    # dependent around every mediator target.
     from test_golden import IDENTIFY, _graph
 
+    from swigident import emit_graph
     from swigident.cli import _load_swig
 
+    (tmp_path / "fig1_direct.swig").write_text(emit_graph(_fig1_direct()), encoding="utf-8")
     cases = {(graph, query, flags) for graph, query, _, flags, _ in IDENTIFY.values()}
     cases |= {
         ("fig1", "q[1](D1 | do D1=d1)", ()),
         ("fig1", "q[1](L | do D1=d1)", ("--unobserved", "L")),
+        ("fig1_direct", "q[1](Y1 | do D1=d1)", ()),
         ("fig2_n2", "q[2](D1 | do D1=d1, do D2=d2)", ()),
         ("fig2_n2", "q[2](D2 | do D1=d1, do D2=d2)", ()),
     }
@@ -180,7 +213,7 @@ def test_no_recipe_reports_a_blocking_query_that_holds(tmp_path):
         args = type("Args", (), {"graph": _graph(tmp_path, graph), "unobserved": hidden})
         swig = _load_swig(args)
         est = parse_estimand(query, swig)
-        for recipe in RECIPES:
+        for recipe in (*RECIPES, "mediator_intervention:L"):
             try:
                 d = identify(swig, est, recipe)
             except SwigIdentError:
@@ -191,7 +224,7 @@ def test_no_recipe_reports_a_blocking_query_that_holds(tmp_path):
                     graph, query, recipe, str(d.blocking)
                 )
                 observed = all(swig.var(n).observed for n in est.dep_names())
-                if recipe in MEDIATOR_RECIPES and observed:
+                if recipe.partition(":")[0] in MEDIATOR_RECIPES and observed:
                     assert d.blocking is not None, (graph, query, recipe)
     assert refused >= 5
 
@@ -470,7 +503,7 @@ def test_search_outperforms_rigid_recipe_on_nonprefix_regime(fig2_n2):
 
 
 STATS_KEYS = {
-    "expanded", "duplicates", "successor_hits", "dsep_hits", "dsep_misses",
+    "expanded", "duplicates", "dsep_hits", "dsep_misses",
     "refusals", "depth", "keys", "key_seconds", "seconds",
 }
 
@@ -515,6 +548,35 @@ def test_search_reexpands_a_state_seen_with_a_smaller_budget(fig2_n2):
     assert verify(d, fig2_n2, n_models=10).passed
 
 
+# (mode, graph, depth) -> (expanded, duplicates, keys, refusals, depth) of
+# the golden search cases; the traversal's counts, pinned.
+SEARCH_COUNTS = {
+    ("top_down", "fig1", 16): (7, 0, 5, {"drop_later": 8, "ci_modify": 8}, 3),
+    ("top_down", "fig1_hidden", 16): (47, 7, 43, {"drop_later": 116, "ci_modify": 148}, 6),
+    ("top_down", "fig2_n1", 16): (47, 7, 43, {"drop_later": 116, "ci_modify": 148}, 6),
+    ("top_down", "fig1_ablated", 16): (100, 0, 23, {"drop_later": 548, "ci_modify": 836}, 16),
+    ("bottom_up", "fig1", 16): (53, 10, 53, {"ci_modify": 173, "drop_later": 116}, 4),
+    ("bottom_up", "fig1_hidden", 16): (140, 57, 143, {"ci_modify": 678, "drop_later": 507}, 6),
+    ("bottom_up", "fig2_n1", 16): (140, 57, 143, {"ci_modify": 678, "drop_later": 507}, 6),
+    ("bottom_up", "fig1_ablated", 16): (100, 0, 23, {"ci_modify": 836, "drop_later": 548}, 16),
+    ("top_down", "fig2_n2", 4): (351, 71, 360, {"drop_later": 1962, "ci_modify": 2711}, 4),
+}
+
+
+@pytest.mark.parametrize("mode, graph, depth", SEARCH_COUNTS)
+def test_search_counts_of_the_golden_cases(mode, graph, depth):
+    from swigident import ablated_figure1, figure1, figure2
+
+    base = {
+        "fig1": figure1(), "fig1_hidden": figure1(l_observed=False),
+        "fig1_ablated": ablated_figure1(), "fig2_n1": figure2(1), "fig2_n2": figure2(2),
+    }[graph]
+    swig = to_swig(base)
+    dependent = "Y" if graph.startswith("fig2") else "Y1"
+    s = identify(swig, dose_estimand(swig, (dependent,)), Strategy(mode, depth=depth)).stats
+    assert (s.expanded, s.duplicates, s.keys, s.refusals, s.depth) == SEARCH_COUNTS[mode, graph, depth]
+
+
 @st.composite
 def small_search_cases(draw):
     """A random split graph of 2-5 variables, one of them possibly hidden,
@@ -542,3 +604,16 @@ def test_an_estimand_identified_at_a_depth_is_identified_one_deeper(case):
     swig, estimand, mode, depth = case
     if identify(swig, estimand, Strategy(mode, depth=depth)).identified:
         assert identify(swig, estimand, Strategy(mode, depth=depth + 1)).identified
+
+
+@given(small_search_cases())
+@settings(max_examples=60, deadline=None)
+def test_every_recipe_identified_answer_verifies(case):
+    swig, estimand, _, _ = case
+    for recipe in RECIPES:
+        try:
+            d = identify(swig, estimand, recipe)
+        except SwigIdentError:
+            continue  # the estimand does not have the recipe's shape
+        if d.identified:
+            assert verify(d, swig, n_models=5).passed, (recipe, d.trace())
