@@ -144,9 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=True):
-        if graph:
-            p.add_argument("graph", help="path to a .swig graph file")
+    def common(p):
+        p.add_argument("graph", help="path to a .swig graph file")
         p.add_argument(
             "--unobserved",
             action="append",

@@ -2,10 +2,13 @@
 
 A Derivation records the estimand, the chained rewrite steps, and the final
 expression; it is identified when every term of the final expression is an
-observed-data conditional over observed variables.  Recipes reproduce the
-classic adjustment arguments step by step; the two search modes explore the
-same sound move set with different orderings; verify replays every step
-against the exact oracle on batches of random models.
+observed-data conditional over observed variables.  identify is the one
+entry point.  A recipe strategy reproduces a classic adjustment argument step
+by step: one driver checks the estimand's shape, builds the candidate
+variable sets, and runs the recipe's attempt on each until one derives the
+estimand.  The two search modes explore the same sound move set with
+different orderings; verify replays every step against the exact oracle on
+batches of random models.
 """
 
 from __future__ import annotations
@@ -28,13 +31,14 @@ from .expr import (
     free_variables,
     fresh_symbol,
     regimes_used,
+    subexpr_at,
     terms,
     to_text,
     validate_estimand,
 )
 from .dsl import parse_expr
 from .graphs import CiQuery, Graph
-from .model import BaseDag, Swig, Sym, ValueRef, same_skeleton, to_swig
+from .model import BaseDag, Swig, Sym, ValueRef, to_swig
 from .oracle import (
     LabeledTable,
     conditional_sizes,
@@ -257,7 +261,6 @@ class _Builder:
     """Tracks the working expression while a recipe applies rules."""
 
     def __init__(self, swig: Swig, estimand: Term):
-        validate_estimand(swig, estimand)
         self.swig = swig
         self.estimand = estimand
         self.expr: ProbExpr = estimand
@@ -279,13 +282,9 @@ class _Builder:
             )
         return hits[0]
 
-    def term(self, path: tuple[int, ...]) -> Term:
-        for p, t in terms(self.expr):
-            if p == path:
-                return t
-        raise SwigIdentError(f"no term at {path}")
-
     def identified(self) -> Derivation:
+        """The derivation so far.  A formula that names a hidden variable is
+        refused, with no blocking query."""
         bad = [str(r) for r in regimes_used(self.expr) if not r.is_observational]
         if bad:
             raise SwigIdentError(f"recipe finished but regimes {bad} remain")
@@ -293,7 +292,7 @@ class _Builder:
             n for n in sorted(free_variables(self.expr)) if not self.swig.var(n).observed
         ]
         if unobserved:
-            raise SwigIdentError(f"recipe finished but {unobserved} are unobserved")
+            raise RuleRefusedError(f"recipe finished but {unobserved} are unobserved")
         return Derivation(self.estimand, tuple(self.steps), self.expr, IDENTIFIED)
 
 
@@ -301,218 +300,73 @@ def _not_identified(estimand: Term, blocking: CiQuery | None) -> Derivation:
     return Derivation(estimand, (), estimand, NOT_IDENTIFIED, blocking)
 
 
-def _single_intervention(swig: Swig, estimand: Term) -> tuple[int, ValueRef]:
-    """Shape check shared by the two single-shot recipes: exactly one active
-    intervention whose node is the sole conditioner."""
-    if len(estimand.regime.active) != 1:
-        raise SwigIdentError(
-            "this recipe handles a single intervention; use the sequential recipes"
-        )
-    (t,) = estimand.regime.active
-    do = swig.intervention(t)
-    conds = dict(estimand.conditioners)
-    if set(conds) != {do}:
-        raise SwigIdentError(f"estimand must condition on {do!r} and nothing else")
-    if conds[do] is None:
-        raise SwigIdentError(f"{do!r} must be pinned to a value or symbol")
-    return t, conds[do]
+def _by_time(swig: Swig, names: Iterable[str]) -> list[str]:
+    return sorted(names, key=lambda n: (swig.var(n).time, n))
 
 
-def _subsets(names: Sequence[str], min_size: int = 0) -> Iterable[tuple[str, ...]]:
-    for size in range(min_size, len(names) + 1):
-        yield from itertools.combinations(sorted(names), size)
-
-
-def _adjustment_pool(swig: Swig, estimand: Term) -> list[str]:
-    """Observed, non-intervention variables not mentioned by the estimand."""
-    used = {n for n, _ in estimand.dependents} | {n for n, _ in estimand.conditioners}
-    out = []
-    for v in swig.variables:
-        if not v.observed or v.name in used:
-            continue
-        if v.name in swig.target_of or v.name in swig.intervention_of:
-            continue
-        out.append(v.name)
-    return sorted(out, key=lambda n: (swig.var(n).time, n))
-
-
-def _check_explicit(swig: Swig, names: Sequence[str]) -> None:
-    for n in names:
-        if not swig.var(n).observed:
-            raise SwigIdentError(f"{n!r} is unobserved and cannot be adjusted for")
-        if n in swig.target_of:
-            raise SwigIdentError(f"{n!r} is an intervention node")
-
-
-def _try_candidates(
-    swig: Swig,
-    estimand: Term,
-    candidates: Iterable[tuple[str, ...]],
-    attempt: Callable[[_Builder, tuple[str, ...]], Derivation],
-    fallback_blocking: CiQuery | None = None,
-) -> Derivation:
-    blocking: CiQuery | None = None
-    tried = False
-    for cand in candidates:
-        tried = True
-        builder = _Builder(swig, estimand)
-        try:
-            return attempt(builder, cand)
-        except RuleRefusedError as exc:
-            if blocking is None and exc.blocking is not None:
-                blocking = exc.blocking
-    if blocking is None:
-        blocking = fallback_blocking
-    if not tried and blocking is None:
-        raise SwigIdentError("no candidate variable sets to try")
-    return _not_identified(estimand, blocking)
+def _pool(swig: Swig, estimand: Term, on_path: bool) -> list[str]:
+    """Observed variables that are neither dependents nor split nodes, in
+    time order.  With on_path, only the mediators: those on a directed path
+    from an active intervention node to the dependents, in the estimand's
+    regime graph."""
+    deps = estimand.dep_names()
+    pool = [
+        v.name
+        for v in swig.variables
+        if v.observed
+        and v.name not in deps
+        and v.name not in swig.target_of
+        and v.name not in swig.intervention_of
+    ]
+    if on_path:
+        graph = swig.regime_graph(estimand.regime)
+        dos = [swig.intervention(j) for j in sorted(estimand.regime.active)]
+        between = graph.descendants(dos) & graph.ancestors(deps)
+        pool = [n for n in pool if n in between]
+    return _by_time(swig, pool)
 
 
 def _dose_blocking(swig: Swig, estimand: Term) -> CiQuery:
     """Fallback blocking query of the mediator recipes: the dependents
     independent of the intervention nodes given their targets, less the
     dependents themselves (a dependent may be a target)."""
-    deps = frozenset(n for n, _ in estimand.dependents)
+    deps = frozenset(estimand.dep_names())
     dos = frozenset(swig.intervention(j) for j in estimand.regime.active)
     tgts = frozenset(swig.target(j) for j in estimand.regime.active)
     return CiQuery(estimand.regime, deps, dos - deps, tgts - deps)
 
 
-def _or_unreached(swig: Swig, estimand: Term, derivation: Derivation) -> Derivation:
-    """A mediator recipe's answer, unless it is a refusal and drop_later
-    removes the estimand's whole regime: then the doses do not reach the
-    dependents, q_s(dependents | doses) = q0(dependents), and the recipe's
-    blocking query may well hold.  The answer is that one-step derivation,
-    or, when a dependent is unobserved, a refusal with no blocking query."""
-    if derivation.identified:
-        return derivation
+def _or_unreached(swig: Swig, estimand: Term, blocking: CiQuery | None) -> Derivation:
+    """A mediator recipe's refusal, unless drop_later removes the
+    estimand's whole regime: then the doses do not reach the dependents,
+    q_s(dependents | doses) = q0(dependents), and the recipe's blocking
+    query may well hold.  The answer is that one-step derivation, or, when
+    a dependent is unobserved, a refusal with no blocking query."""
     builder = _Builder(swig, estimand)
     try:
         builder.apply(rule_drop_later, (), 0)
+        blocking = None  # from here on, a refusal is a hidden dependent's
+        return builder.identified()
     except RuleRefusedError:
-        return derivation
-    if not all(swig.var(n).observed for n in free_variables(builder.expr)):
-        return _not_identified(estimand, None)
-    return builder.identified()
-
-
-# ---------------------------------------------------------------------------
-# back-door and front-door recipes
-
-def _backdoor_attempt(builder: _Builder, adjustment: tuple[str, ...]) -> Derivation:
-    swig, est = builder.swig, builder.estimand
-    t, do_ref = _single_intervention(swig, est)
-    tgt = swig.target(t)
-    deps = tuple(n for n, _ in est.dependents)
-    if adjustment:
-        builder.apply(rule_total_probability, builder.path_of(deps), adjustment)
-        builder.apply(
-            rule_product,
-            builder.path_of(deps + adjustment),
-            [list(deps), list(adjustment)],
-        )
-    builder.apply(rule_ci_modify, builder.path_of(deps), tgt, "insert", do_ref)
-    builder.apply(rule_consistency, builder.path_of(deps), t)
-    builder.apply(rule_redundancy, builder.path_of(deps))
-    if adjustment:
-        builder.apply(rule_drop_later, builder.path_of(adjustment), 0)
-    return builder.identified()
-
-
-def identify_backdoor(
-    swig: Swig, estimand: Term, adjustment: Sequence[str] | None = None
-) -> Derivation:
-    t, _ = _single_intervention(swig, estimand)
-    if adjustment is not None:
-        _check_explicit(swig, adjustment)
-        candidates: Iterable[tuple[str, ...]] = [tuple(adjustment)]
-    else:
-        candidates = _subsets(_adjustment_pool(swig, estimand))
-    return _try_candidates(swig, estimand, candidates, _backdoor_attempt)
-
-
-def _frontdoor_attempt(builder: _Builder, mediators: tuple[str, ...]) -> Derivation:
-    swig, est = builder.swig, builder.estimand
-    t, do_ref = _single_intervention(swig, est)
-    tgt = swig.target(t)
-    deps = tuple(n for n, _ in est.dependents)
-
-    builder.apply(rule_total_probability, builder.path_of(deps), mediators)
-    builder.apply(
-        rule_product, builder.path_of(deps + mediators), [list(deps), list(mediators)]
-    )
-    # mediator law: insert the target at the intervened value, then deactivate
-    builder.apply(rule_ci_modify, builder.path_of(mediators), tgt, "insert", do_ref)
-    builder.apply(rule_consistency, builder.path_of(mediators), t)
-    builder.apply(rule_redundancy, builder.path_of(mediators))
-    # outcome: introduce the target's natural value and switch the regime over
-    step = builder.apply(rule_total_probability, builder.path_of(deps), (tgt,))
-    natural = Sym(dict(step.justification.introduced)[tgt])
-    builder.apply(rule_product, builder.path_of(deps + (tgt,)), [list(deps), [tgt]])
-    builder.apply(rule_ci_modify, builder.path_of(deps), swig.intervention(t), "change", natural)
-    builder.apply(rule_consistency, builder.path_of(deps), t)
-    builder.apply(rule_redundancy, builder.path_of(deps))
-    # propensity: peel the mediators off, then drop the intervention
-    for m in mediators:
-        builder.apply(rule_ci_modify, builder.path_of((tgt,)), m, "delete")
-    builder.apply(rule_drop_later, builder.path_of((tgt,)), 0)
-    return builder.identified()
-
-
-def identify_frontdoor(
-    swig: Swig, estimand: Term, mediators: Sequence[str] | None = None
-) -> Derivation:
-    _single_intervention(swig, estimand)
-    if mediators is not None:
-        _check_explicit(swig, mediators)
-        candidates: Iterable[tuple[str, ...]] = [tuple(mediators)]
-    else:
-        candidates = _subsets(_mediator_pool(swig, estimand), min_size=1)
-    derivation = _try_candidates(
-        swig, estimand, candidates, _frontdoor_attempt, _dose_blocking(swig, estimand)
-    )
-    return _or_unreached(swig, estimand, derivation)
-
-
-def _mediator_pool(swig: Swig, estimand: Term) -> list[str]:
-    """Observed variables lying on a directed path from an active
-    intervention node to the dependents, in the estimand's regime graph."""
-    deps = [n for n, _ in estimand.dependents]
-    graph = swig.regime_graph(estimand.regime)
-    dos = [swig.intervention(j) for j in sorted(estimand.regime.active)]
-    downstream = graph.descendants(dos)
-    upstream = graph.ancestors(deps)
-    pool = []
-    for v in swig.variables:
-        if not v.observed or v.name in deps:
-            continue
-        if v.name in swig.target_of or v.name in swig.intervention_of:
-            continue
-        if v.name in downstream and v.name in upstream:
-            pool.append(v.name)
-    return sorted(pool, key=lambda n: (swig.var(n).time, n))
-
-
-# ---------------------------------------------------------------------------
-# sequential recipes
-
-def _chain_conditioners(swig: Swig, estimand: Term) -> dict[str, ValueRef]:
-    """Require the conditioners to be exactly the active intervention nodes,
-    each pinned; returns node -> value."""
-    conds = dict(estimand.conditioners)
-    want = {swig.intervention(j) for j in estimand.regime.active}
-    if set(conds) != want:
-        raise SwigIdentError(
-            "estimand must condition on exactly the active intervention nodes"
-        )
-    for name, ref in conds.items():
-        if ref is None:
-            raise SwigIdentError(f"{name!r} must be pinned to a value or symbol")
-    return conds
+        return _not_identified(estimand, blocking)
 
 
 # (target variable, ci_modify action, value) for intervention j, or None
 AlignMove = Callable[[int, dict[str, ValueRef]], "tuple[str, str, ValueRef] | None"]
+
+
+def _introduce(
+    builder: _Builder,
+    deps: tuple[str, ...],
+    new: Sequence[str],
+    groups: Sequence[Sequence[str]],
+) -> dict[str, str]:
+    """Sum the new variables into the term over deps, then split the joint
+    into deps and the groups, each factor conditioning on the groups after
+    it.  Returns each new variable's binder."""
+    step = builder.apply(rule_total_probability, builder.path_of(deps), new)
+    builder.apply(rule_product, builder.path_of((*deps, *new)), [deps, *groups])
+    return dict(step.justification.introduced)
 
 
 def _reduce_factor(
@@ -521,15 +375,15 @@ def _reduce_factor(
     align: AlignMove,
     time: int | None = None,
 ) -> None:
-    """Shared tail of every sequential factor: bring the factor over
-    dep_names to regime 0.  Given a time, first drop the active
-    interventions after the last one whose target is at or before it.  Then
-    for each remaining index j apply the ci_modify move align(j,
-    conditioners) returns (target, action, value), if any; deactivate by
-    consistency, latest first; and erase the intervention nodes."""
+    """Shared tail of every recipe factor: bring the factor over dep_names
+    to regime 0.  Given a time, first drop the active interventions after
+    the last one whose target is at or before it.  Then for each remaining
+    index j apply the ci_modify move align(j, conditioners) returns
+    (target, action, value), if any; deactivate by consistency, latest
+    first; and erase the intervention nodes."""
     swig = builder.swig
     path = builder.path_of(dep_names)
-    active = sorted(builder.term(path).regime.active)
+    active = sorted(subexpr_at(builder.expr, path).regime.active)
     if time is not None:
         cut = max((j for j in active if swig.var(swig.target(j)).time <= time), default=0)
         if any(j > cut for j in active):
@@ -537,22 +391,24 @@ def _reduce_factor(
         active = [j for j in active if j <= cut]
     for j in active:
         path = builder.path_of(dep_names)
-        move = align(j, dict(builder.term(path).conditioners))
+        move = align(j, dict(subexpr_at(builder.expr, path).conditioners))
         if move is not None:
             builder.apply(rule_ci_modify, path, *move)
     for j in reversed(active):
         builder.apply(rule_consistency, builder.path_of(dep_names), j)
     path = builder.path_of(dep_names)
-    if any(do in dict(builder.term(path).conditioners) for _, do in swig.pairs):
+    if any(do in dict(subexpr_at(builder.expr, path).conditioners) for _, do in swig.pairs):
         builder.apply(rule_redundancy, path)
 
 
-def _pin_targets(swig: Swig, do_values: dict[str, ValueRef]) -> AlignMove:
-    """Align move that conditions each target on its intervention's value."""
+def _pin_targets(swig: Swig, do_values: dict[str, ValueRef], revalue: bool = True) -> AlignMove:
+    """Align move that conditions each target on its intervention's value.
+    Without revalue a target already among the conditioners is inserted
+    all the same, which the rule refuses."""
 
     def align(j: int, conds: dict[str, ValueRef]):
         tgt, want = swig.target(j), do_values[swig.intervention(j)]
-        if tgt not in conds:
+        if tgt not in conds or not revalue:
             return tgt, "insert", want
         if conds[tgt] != want:
             return tgt, "change", want
@@ -561,191 +417,196 @@ def _pin_targets(swig: Swig, do_values: dict[str, ValueRef]) -> AlignMove:
     return align
 
 
-def _sequential_backdoor_attempt(builder: _Builder) -> Derivation:
+def _to_natural(swig: Swig, binder_of: dict[str, str]) -> AlignMove:
+    """Align move that revalues each intervention node to its target's
+    natural value, the binder total_probability introduced for it."""
+    return lambda j, conds: (swig.intervention(j), "change", Sym(binder_of[swig.target(j)]))
+
+
+# ---------------------------------------------------------------------------
+# recipe attempts: each derives the estimand from one candidate variable set
+# or raises RuleRefusedError
+
+def _backdoor(builder: _Builder, adjustment: tuple[str, ...]) -> Derivation:
     swig, est = builder.swig, builder.estimand
-    align = _pin_targets(swig, _chain_conditioners(swig, est))
-    order = sorted(
-        (n for n, _ in est.dependents), key=lambda n: (swig.var(n).time, n)
-    )
+    (t,) = est.regime.active
+    deps = est.dep_names()
+    align = _pin_targets(swig, dict(est.conditioners), revalue=False)
+    if adjustment:
+        _introduce(builder, deps, adjustment, [adjustment])
+    _reduce_factor(builder, deps, align)
+    if adjustment:
+        _reduce_factor(builder, adjustment, align, swig.var(swig.target(t)).time - 1)
+    return builder.identified()
+
+
+def _frontdoor(builder: _Builder, mediators: tuple[str, ...]) -> Derivation:
+    swig, est = builder.swig, builder.estimand
+    (t,) = est.regime.active
+    tgt = swig.target(t)
+    deps = est.dep_names()
+    _introduce(builder, deps, mediators, [mediators])
+    # mediator law: pin the target to the intervened value, then deactivate
+    _reduce_factor(builder, mediators, _pin_targets(swig, dict(est.conditioners)))
+    # outcome: introduce the target's natural value and switch the regime over
+    natural = _to_natural(swig, _introduce(builder, deps, (tgt,), [(tgt,)]))
+    _reduce_factor(builder, deps, natural)
+    # propensity: peel the mediators off, then drop the intervention
+    for m in mediators:
+        builder.apply(rule_ci_modify, builder.path_of((tgt,)), m, "delete")
+    _reduce_factor(builder, (tgt,), natural, swig.var(tgt).time - 1)
+    return builder.identified()
+
+
+def _sequential_backdoor(builder: _Builder, _: tuple[str, ...] = ()) -> Derivation:
+    swig, est = builder.swig, builder.estimand
+    align = _pin_targets(swig, dict(est.conditioners))
+    order = _by_time(swig, est.dep_names())
     if len(order) > 1:
-        builder.apply(
-            rule_product,
-            builder.path_of(order),
-            [[n] for n in reversed(order)],
-        )
+        builder.apply(rule_product, builder.path_of(order), [[n] for n in reversed(order)])
     for name in order:
         _reduce_factor(builder, (name,), align, swig.var(name).time)
     return builder.identified()
 
 
-def identify_sequential_backdoor(swig: Swig, estimand: Term) -> Derivation:
-    builder = _Builder(swig, estimand)
-    try:
-        return _sequential_backdoor_attempt(builder)
-    except RuleRefusedError as exc:
-        return _not_identified(estimand, exc.blocking)
-
-
-def _sequential_frontdoor_attempt(
-    builder: _Builder, mediators: tuple[str, ...]
-) -> Derivation:
+def _sequential_frontdoor(builder: _Builder, mediators: tuple[str, ...]) -> Derivation:
     swig, est = builder.swig, builder.estimand
-    pin = _pin_targets(swig, _chain_conditioners(swig, est))
     targets = [swig.target(j) for j in sorted(est.regime.active)]
-    deps = tuple(n for n, _ in est.dependents)
-
+    deps = est.dep_names()
     # interleave targets and mediators by time, mediators after their dose
     introduced = sorted(
         [*targets, *mediators],
         key=lambda n: (swig.var(n).time, n in mediators, n),
     )
-    step = builder.apply(rule_total_probability, builder.path_of(deps), introduced)
-    binder_of = dict(step.justification.introduced)
-    builder.apply(
-        rule_product,
-        builder.path_of(deps + tuple(introduced)),
-        [list(deps)] + [[n] for n in reversed(introduced)],
-    )
-
-    def to_natural(j: int, conds: dict[str, ValueRef]):
-        return swig.intervention(j), "change", Sym(binder_of[swig.target(j)])
-
+    binder_of = _introduce(builder, deps, introduced, [[n] for n in reversed(introduced)])
+    natural = _to_natural(swig, binder_of)
     # outcome factor: swap every intervention node to the natural value
-    _reduce_factor(builder, deps, to_natural)
+    _reduce_factor(builder, deps, natural)
     # mediator factors: align the targets with the intervention values
+    pin = _pin_targets(swig, dict(est.conditioners))
     for m in mediators:
         _reduce_factor(builder, (m,), pin, swig.var(m).time)
     # dose factors: drop own and later interventions, swap earlier ones to
     # the natural values, deactivate
     for tgt in targets:
-        _reduce_factor(builder, (tgt,), to_natural, swig.var(tgt).time - 1)
+        _reduce_factor(builder, (tgt,), natural, swig.var(tgt).time - 1)
     return builder.identified()
 
 
-def identify_sequential_frontdoor(
-    swig: Swig, estimand: Term, mediators: Sequence[str] | None = None
-) -> Derivation:
-    if not estimand.regime.active:
-        raise SwigIdentError("estimand has no active interventions")
-    if mediators is not None:
-        _check_explicit(swig, mediators)
-        candidates: Iterable[tuple[str, ...]] = [tuple(mediators)]
-    else:
-        pool = _mediator_pool(swig, estimand)
-        candidates = [tuple(pool)] if pool else []
-    derivation = _try_candidates(
-        swig, estimand, candidates, _sequential_frontdoor_attempt, _dose_blocking(swig, estimand)
-    )
-    return _or_unreached(swig, estimand, derivation)
-
-
-# ---------------------------------------------------------------------------
-# mediator-intervention composition
-
-def _compose_outcome_attempt(
-    builder: _Builder, chain: tuple[str, ...], med_values: dict[str, ValueRef]
-) -> Derivation:
-    """Identify q'(Y | mediator interventions) by introducing the dose
-    chain, inserting the natural mediators next to their intervention nodes,
-    and deactivating."""
+def _mediator_intervention(builder: _Builder, mediators: tuple[str, ...]) -> Derivation:
+    """Express the dose effect as the outcome law under interventions on the
+    mediators, on the graph split at them, averaged over the mediator law,
+    and identify both factors.  A refusal of the outcome law carries no
+    blocking query: its queries are the mediator graph's, so the driver
+    names the doses' query instead."""
     swig, est = builder.swig, builder.estimand
-    deps = tuple(n for n, _ in est.dependents)
-    order = sorted(chain, key=lambda n: (swig.var(n).time, n))
-
-    builder.apply(rule_total_probability, builder.path_of(deps), order)
-    builder.apply(
-        rule_product,
-        builder.path_of(deps + tuple(order)),
-        [list(deps)] + [[n] for n in reversed(order)],
-    )
-
-    def insert_mediator(j: int, conds: dict[str, ValueRef]):
-        tgt = swig.target(j)
-        return tgt, "insert", med_values[tgt]
-
-    # outcome factor: insert every natural mediator, then deactivate all
-    _reduce_factor(builder, deps, insert_mediator)
-    # chain factors: drop interventions at or after the variable's time,
-    # insert the earlier natural mediators, deactivate
-    for name in order:
-        _reduce_factor(builder, (name,), insert_mediator, swig.var(name).time - 1)
-    return builder.identified()
-
-
-def compose_mediator_intervention(
-    swig_doses: Swig, swig_mediators: Swig, estimand: Term
-) -> Derivation:
-    """Express the dose effect as the mediator-intervention outcome law
-    averaged over the identified mediator law, and identify both factors."""
-    if not same_skeleton(swig_doses.base, swig_mediators.base):
-        raise SwigIdentError("the two graphs must share variables and edges")
-    validate_estimand(swig_doses, estimand)
-    do_values = _chain_conditioners(swig_doses, estimand)
-
-    mediators = [swig_mediators.target(j) for j in range(1, swig_mediators.n_interventions + 1)]
-    for m in mediators:
-        if not swig_doses.var(m).observed:
-            raise SwigIdentError(f"mediator target {m!r} is unobserved")
-
-    taken = set()
-    for _, ref in (*estimand.dependents, *estimand.conditioners):
-        if isinstance(ref, Sym):
-            taken.add(ref.name)
-    binders = []
+    targets = tuple(_by_time(swig, mediators))
+    swig_m = _mediators_swig(swig, targets)
+    taken = {ref.name for _, ref in (*est.dependents, *est.conditioners) if isinstance(ref, Sym)}
     med_values: dict[str, ValueRef] = {}
-    for m in mediators:
-        sym = fresh_symbol(m.lower(), taken)
-        taken.add(sym)
-        binders.append(sym)
-        med_values[m] = Sym(sym)
+    for m in targets:
+        med_values[m] = Sym(fresh_symbol(m.lower(), taken))
+        taken.add(med_values[m].name)
+    binders = tuple(v.name for v in med_values.values())
 
-    est_m = Term(
-        regime=estimand.regime,
-        dependents=tuple((m, med_values[m]) for m in mediators),
-        conditioners=estimand.conditioners,
-    )
-    # A refusal without a CI query (say, total_probability over a dependent
-    # that is also a dose target) names the doses' query instead.
-    fallback = _dose_blocking(swig_doses, estimand)
-    mediator_law = identify_sequential_backdoor(swig_doses, est_m)
-    if not mediator_law.identified:
-        return _not_identified(estimand, mediator_law.blocking or fallback)
+    est_m = Term(est.regime, tuple(med_values.items()), est.conditioners)
+    mediator_law = _sequential_backdoor(_Builder(swig, est_m))
 
     est_y = Term(
-        regime=swig_mediators.full_regime,
-        dependents=estimand.dependents,
-        conditioners=tuple(
-            (swig_mediators.intervention_of[m], med_values[m]) for m in mediators
-        ),
+        swig_m.full_regime,
+        est.dependents,
+        tuple((swig_m.intervention_of[m], v) for m, v in med_values.items()),
     )
-    chain = tuple(swig_doses.target(j) for j in sorted(estimand.regime.active))
-    builder = _Builder(swig_mediators, est_y)
+    outcome = _Builder(swig_m, est_y)
+    # introduce the dose chain, insert the natural mediators next to their
+    # intervention nodes, and deactivate
+    chain = _by_time(swig, (swig.target(j) for j in est.regime.active))
+    insert = _pin_targets(swig_m, dict(est_y.conditioners), revalue=False)
     try:
-        outcome = _compose_outcome_attempt(builder, chain, med_values)
+        _introduce(outcome, est.dep_names(), chain, [[n] for n in reversed(chain)])
+        _reduce_factor(outcome, est.dep_names(), insert)
+        for name in chain:
+            _reduce_factor(outcome, (name,), insert, swig.var(name).time - 1)
+        outcome_law = outcome.identified()
     except RuleRefusedError as exc:
-        return _not_identified(estimand, exc.blocking or fallback)
+        raise RuleRefusedError(f"outcome law: {exc}") from exc
     # A dose that reaches a dependent around every mediator target is not
     # cut off by the mediator interventions, so the composition does not hold.
-    graph = swig_doses.regime_graph(estimand.regime)
-    kept = [v for v in graph.nodes if v not in mediators]
+    graph = swig.regime_graph(est.regime)
+    kept = [v for v in graph.nodes if v not in targets]
     cut = Graph(kept, {(a, b) for a, b in graph.edges if a in kept and b in kept})
-    dos = [swig_doses.intervention(j) for j in estimand.regime.active]
-    if not cut.descendants(dos).isdisjoint(estimand.dep_names()):
-        return _not_identified(estimand, fallback)
+    dos = [swig.intervention(j) for j in est.regime.active]
+    if not cut.descendants(dos).isdisjoint(est.dep_names()):
+        raise RuleRefusedError("a dose reaches the dependents around every mediator")
 
-    assembled: ProbExpr = Sum(tuple(binders), Product((outcome.final, mediator_law.final)))
+    assembled: ProbExpr = Sum(binders, Product((outcome_law.final, mediator_law.final)))
     step = DerivationStep(
         rule="mediator_composition",
-        input=estimand,
+        input=est,
         output=assembled,
-        justification=CompositionJustification(
-            mediator_targets=tuple(mediators),
-            binders=tuple(binders),
-            mediator_law=mediator_law,
-            outcome=outcome,
-        ),
+        justification=CompositionJustification(targets, binders, mediator_law, outcome_law),
     )
-    return Derivation(estimand, (step,), assembled, IDENTIFIED)
+    return Derivation(est, (step,), assembled, IDENTIFIED)
+
+
+_ATTEMPTS: dict[str, Callable[[_Builder, tuple[str, ...]], Derivation]] = {
+    "backdoor": _backdoor,
+    "frontdoor": _frontdoor,
+    "sequential_backdoor": _sequential_backdoor,
+    "sequential_frontdoor": _sequential_frontdoor,
+    "mediator_intervention": _mediator_intervention,
+}
+_MEDIATOR_RECIPES = ("frontdoor", "sequential_frontdoor", "mediator_intervention")
+
+
+def _recipe(swig: Swig, estimand: Term, strategy: Strategy) -> Derivation:
+    """Run the recipe's attempt on each candidate variable set in turn and
+    return the first derivation.  A refusal names the first blocking query
+    an attempt met; a mediator recipe's falls back to the doses' query, and
+    when the doses do not reach the dependents it answers q0(dependents).
+
+    The candidates are the named variables if any; otherwise every subset of
+    the adjustment pool (backdoor), every nonempty subset of the mediators
+    (frontdoor), all the mediators (sequential_frontdoor,
+    mediator_intervention), or none (sequential_backdoor)."""
+    kind, named = strategy.kind, strategy.variables
+    active = sorted(estimand.regime.active)
+    if kind in ("backdoor", "frontdoor") and len(active) != 1:
+        raise SwigIdentError(
+            "this recipe handles a single intervention; use the sequential recipes"
+        )
+    if kind == "sequential_frontdoor" and not active:
+        raise SwigIdentError("estimand has no active interventions")
+    conds = dict(estimand.conditioners)
+    if set(conds) != {swig.intervention(j) for j in active}:
+        raise SwigIdentError("estimand must condition on exactly the active intervention nodes")
+    for name, ref in conds.items():
+        if ref is None:
+            raise SwigIdentError(f"{name!r} must be pinned to a value or symbol")
+    for name in named:
+        if not swig.var(name).observed:
+            raise SwigIdentError(f"{name!r} is unobserved and cannot be adjusted for")
+        if name in swig.target_of:
+            raise SwigIdentError(f"{name!r} is an intervention node")
+
+    candidates: Iterable[tuple[str, ...]] = [named]
+    if not named and kind != "sequential_backdoor":
+        pool = _pool(swig, estimand, on_path=kind != "backdoor")
+        if kind in ("backdoor", "frontdoor"):
+            sizes = range(kind == "frontdoor", len(pool) + 1)
+            candidates = (c for k in sizes for c in itertools.combinations(sorted(pool), k))
+        else:
+            candidates = [tuple(pool)] if pool else []
+    blocking: CiQuery | None = None
+    for candidate in candidates:
+        try:
+            return _ATTEMPTS[kind](_Builder(swig, estimand), candidate)
+        except RuleRefusedError as exc:
+            if blocking is None:
+                blocking = exc.blocking
+    if kind not in _MEDIATOR_RECIPES:
+        return _not_identified(estimand, blocking)
+    return _or_unreached(swig, estimand, blocking or _dose_blocking(swig, estimand))
 
 
 # ---------------------------------------------------------------------------
@@ -936,24 +797,8 @@ def identify(
     if isinstance(strategy, str):
         strategy = Strategy.parse(strategy)
     validate_estimand(swig, estimand)
-    variables = strategy.variables or None
-    if strategy.kind == "backdoor":
-        return identify_backdoor(swig, estimand, variables)
-    if strategy.kind == "frontdoor":
-        return identify_frontdoor(swig, estimand, variables)
-    if strategy.kind == "sequential_backdoor":
-        return identify_sequential_backdoor(swig, estimand)
-    if strategy.kind == "sequential_frontdoor":
-        return identify_sequential_frontdoor(swig, estimand, variables)
-    if strategy.kind == "mediator_intervention":
-        mediators = list(variables) if variables else _mediator_pool(swig, estimand)
-        if not mediators:
-            derivation = _not_identified(estimand, _dose_blocking(swig, estimand))
-        else:
-            targets = tuple(sorted(mediators, key=lambda n: (swig.var(n).time, n)))
-            mediators_swig = _mediators_swig(swig, targets)
-            derivation = compose_mediator_intervention(swig, mediators_swig, estimand)
-        return _or_unreached(swig, estimand, derivation)
+    if strategy.kind in _ATTEMPTS:
+        return _recipe(swig, estimand, strategy)
     return _search(swig, estimand, strategy.kind, strategy.depth)
 
 

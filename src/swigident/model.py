@@ -373,22 +373,3 @@ def to_swig(base: BaseDag) -> Swig:
     if not swig.graph.is_acyclic:
         raise SwigIdentError("node splitting produced a cyclic graph")
     return swig
-
-
-def same_skeleton(a: BaseDag, b: BaseDag) -> bool:
-    """True when two bases describe the same variables and edges.
-
-    Roles and target lists may differ: this is the compatibility notion used
-    when the same underlying mechanism is split at different target sets.
-    """
-    if a.edges != b.edges or len(a.variables) != len(b.variables):
-        return False
-    for va, vb in zip(a.variables, b.variables):
-        if (va.name, va.time, va.observed, va.cardinality) != (
-            vb.name,
-            vb.time,
-            vb.observed,
-            vb.cardinality,
-        ):
-            return False
-    return True

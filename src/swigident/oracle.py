@@ -722,10 +722,9 @@ def brute_force_ci(model: DiscreteModel, q: CiQuery, tol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 # model construction
 
-def random_base_cpts(
-    base: BaseDag, rng: np.random.Generator, concentration: float = 1.0
-) -> dict[str, Cpt]:
-    """One Dirichlet CPT per base variable, parents in sorted base-name order.
+def random_base_cpts(base: BaseDag, rng: np.random.Generator) -> dict[str, Cpt]:
+    """One flat Dirichlet CPT (concentration 1) per base variable, parents in
+    sorted base-name order.
 
     Keyed to the pre-split graph so that two splittings of the same skeleton
     share identical mechanisms."""
@@ -738,7 +737,7 @@ def random_base_cpts(
         if k == 1:
             table = np.ones(shape + (1,))
         else:
-            table = rng.dirichlet([concentration] * k, size=shape)
+            table = rng.dirichlet([1.0] * k, size=shape)
         out[v.name] = (parents, table)
     return out
 
@@ -772,9 +771,9 @@ def model_batches(swig: Swig, cpts_list: Sequence[Mapping[str, Cpt]]) -> Iterato
         yield batch
 
 
-def random_model(swig: Swig, seed: int = 0, concentration: float = 1.0) -> DiscreteModel:
+def random_model(swig: Swig, seed: int = 0) -> DiscreteModel:
     rng = np.random.default_rng(seed)
-    return model_from_base_cpts(swig, random_base_cpts(swig.base, rng, concentration))
+    return model_from_base_cpts(swig, random_base_cpts(swig.base, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -895,9 +894,9 @@ def sample(model: DiscreteModel, regime: Regime, n: int, seed: int = 0) -> Datas
     return Dataset(swig.names, data, {v.name: v.cardinality for v in swig.variables})
 
 
-def empirical_provider(dataset: Dataset, swig: Swig, smoothing: float = 1.0) -> TableProvider:
-    """Smoothed frequencies of the dataset's columns, over the levels the
-    graph declares; a value outside them is refused, not counted."""
+def empirical_provider(dataset: Dataset, swig: Swig) -> TableProvider:
+    """Add-one smoothed frequencies of the dataset's columns, over the levels
+    the graph declares; a value outside them is refused, not counted."""
 
     def provider(regime: Regime, deps: tuple[str, ...], conds: tuple[str, ...]):
         if not regime.is_observational:
@@ -917,7 +916,7 @@ def empirical_provider(dataset: Dataset, swig: Swig, smoothing: float = 1.0) -> 
             raise
         size = int(np.prod(cards))
         counts = np.bincount(flat, minlength=size).reshape(cards).astype(float)
-        counts += smoothing
+        counts += 1.0
         denom = counts.sum(axis=tuple(range(len(deps))))
         return (counts / denom)[None]
 
@@ -929,14 +928,14 @@ def plugin_estimate(
     e: ProbExpr,
     dataset: Dataset,
     params: Mapping[str, int] | None = None,
-    smoothing: float = 1.0,
 ) -> LabeledTable:
     """Evaluate an identified (regime-0) formula with every conditional
-    replaced by its smoothed empirical frequency over the levels of swig."""
+    replaced by its add-one smoothed empirical frequency over the levels of
+    swig."""
     bad = [r for r in regimes_used(e) if not r.is_observational]
     if bad:
         raise SwigIdentError("formula still uses interventional regimes; identify first")
-    provider = empirical_provider(dataset, swig, smoothing)
+    provider = empirical_provider(dataset, swig)
     out = _only_model(_eval(swig, e, provider, {}, Contractor()))
     return out.select(params) if params else out
 

@@ -199,6 +199,29 @@ def test_mediator_intervention_refuses_a_dose_that_bypasses_the_mediators(
         assert "status: not_identified" in out and "blocking: q1: Y1 _||_ Do1 | D1" in out
 
 
+@pytest.mark.parametrize(
+    "fixture, query, argv",
+    [
+        ("fig2_n2", "q[2](L, M2 | do D1=d1, do D2=d2)", ["--strategy", "mediator_intervention"]),
+        ("fig1", "q[1](L | do D1=d1)", ["--strategy", "sequential_backdoor", "--unobserved", "L"]),
+    ],
+)
+def test_a_recipe_whose_formula_names_a_hidden_variable_refuses(
+    fixture, query, argv, tmp_path, capsys
+):
+    # Both used to exit 1 with "recipe finished but ['L'] are unobserved".
+    path = str(tmp_path / f"{fixture}.swig")
+    assert main(["fixture", fixture, "--out", path]) == 0
+    assert main(["identify", path, query, *argv]) == 2
+    out = capsys.readouterr().out
+    assert "status: not_identified" in out
+    for line in out.splitlines():
+        if line.startswith("blocking: "):
+            hidden = argv[argv.index("--unobserved"):] if "--unobserved" in argv else []
+            assert main(["dsep", path, line.removeprefix("blocking: "), *hidden]) == 0
+            assert capsys.readouterr().out == "false\n"
+
+
 MALFORMED_DERIVATIONS = {
     "step_without_ast": '{"steps": [{"rule": "x"}]}',
     "not_json": "not json",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,17 @@ def test_mediator_intervention_refuses_a_dose_that_bypasses_the_mediators(
     assert not d_separated(swig, d.blocking)
 
 
+def test_mediator_intervention_names_the_doses_query_when_the_outcome_law_refuses(fig2_n2):
+    # The outcome law is derived on the graph split at M1.  Its refusal used
+    # to be reported as it stood, q1: Y _||_ M1 | D2, Mo1, a query on that
+    # graph: Mo1 is not a variable of the doses' graph.
+    est = Term.of(Regime({2}), ("Y",), [("Do2", Sym("d2"))])
+    d = identify(fig2_n2, est, "mediator_intervention:M1")
+    assert not d.identified and d.steps == ()
+    assert d.blocking == CiQuery(Regime({2}), {"Y"}, {"Do2"}, {"D2"})
+    assert d_separated(fig2_n2, d.blocking) is False
+
+
 def test_mediator_intervention_without_mediators(fig1_ablated):
     est = dose_estimand(fig1_ablated, ("Y1",))
     d = identify(fig1_ablated, est, "mediator_intervention")
@@ -180,6 +192,12 @@ def test_mediator_recipes_with_a_dose_target_dependent(
 
 
 RECIPES = ("backdoor", "frontdoor", "sequential_backdoor", *MEDIATOR_RECIPES[1:])
+# What identify raises for a recipe before it applies any rule: the estimand
+# does not have the recipe's shape, or a named variable cannot be used.
+NOT_THE_RECIPE_SHAPE = re.compile(
+    "single intervention|no active interventions|exactly the active intervention nodes"
+    "|must be pinned|unknown variable|cannot be adjusted for|is an intervention node"
+)
 
 
 def test_no_recipe_reports_a_blocking_query_that_holds(tmp_path):
@@ -216,11 +234,12 @@ def test_no_recipe_reports_a_blocking_query_that_holds(tmp_path):
         for recipe in (*RECIPES, "mediator_intervention:L"):
             try:
                 d = identify(swig, est, recipe)
-            except SwigIdentError:
-                continue  # the estimand does not have the recipe's shape
+            except SwigIdentError as exc:
+                assert NOT_THE_RECIPE_SHAPE.search(str(exc)), (graph, query, recipe, str(exc))
+                continue
             if not d.identified:
                 refused += 1
-                assert d.blocking is None or not d_separated(swig, d.blocking), (
+                assert d.blocking is None or d_separated(swig, d.blocking) is False, (
                     graph, query, recipe, str(d.blocking)
                 )
                 observed = all(swig.var(n).observed for n in est.dep_names())
@@ -580,8 +599,8 @@ def test_search_counts_of_the_golden_cases(mode, graph, depth):
 @st.composite
 def small_search_cases(draw):
     """A random split graph of 2-5 variables, one of them possibly hidden,
-    with one or two targets; the estimand q_n(Y | Do_1=d1, ...) for an
-    observed non-target Y; a mode and a depth."""
+    with one or two targets; the estimand q_n(Y | Do_1=d1, ...) for a
+    non-target Y, possibly the hidden one; a mode and a depth."""
     n = draw(st.integers(2, 5))
     names = [f"V{i}" for i in range(n)]
     edges = frozenset(
@@ -592,7 +611,7 @@ def small_search_cases(draw):
     hidden = draw(st.sampled_from([None, *others[:-1]]))
     variables = tuple(Variable(v, i, observed=v != hidden) for i, v in enumerate(names))
     swig = to_swig(BaseDag(variables, edges, targets, "random"))
-    y = draw(st.sampled_from([v for v in others if v != hidden]))
+    y = draw(st.sampled_from(others))
     doses = [(swig.intervention(j), Sym(f"d{j}")) for j in range(1, len(targets) + 1)]
     estimand = Term.of(Regime.prefix(len(targets)), (y,), doses)
     return swig, estimand, draw(st.sampled_from(("top_down", "bottom_up"))), draw(st.integers(1, 4))
@@ -613,7 +632,10 @@ def test_every_recipe_identified_answer_verifies(case):
     for recipe in RECIPES:
         try:
             d = identify(swig, estimand, recipe)
-        except SwigIdentError:
-            continue  # the estimand does not have the recipe's shape
+        except SwigIdentError as exc:
+            assert NOT_THE_RECIPE_SHAPE.search(str(exc)), (recipe, str(exc))
+            continue
         if d.identified:
             assert verify(d, swig, n_models=5).passed, (recipe, d.trace())
+        elif d.blocking is not None:
+            assert d_separated(swig, d.blocking) is False, (recipe, str(d.blocking))

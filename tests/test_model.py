@@ -16,7 +16,6 @@ from swigident import (
     figure1,
     figure2,
     figure3,
-    same_skeleton,
     to_swig,
     validate,
     validate_estimand,
@@ -182,11 +181,6 @@ def test_to_swig_rejects_invalid():
     )
     with pytest.raises(SwigIdentError):
         to_swig(cyc)
-
-
-def test_same_skeleton(fig2_n2, fig3_n2, fig1):
-    assert same_skeleton(fig2_n2.base, fig3_n2.base)
-    assert not same_skeleton(fig1.base, fig2_n2.base)
 
 
 def test_estimand_validation(fig1):
