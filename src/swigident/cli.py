@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -21,13 +20,6 @@ from .figures import FIXTURES
 from .graphs import d_separated
 from .model import Regime, Swig, to_swig
 from .oracle import load_model, random_model, sample
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("SWIG_IDENT_SEED", "0"))
-    except ValueError:
-        return 0
 
 
 def _load_swig(args) -> Swig:
@@ -81,7 +73,7 @@ def cmd_verify(args) -> int:
     with open(args.derivation, "r", encoding="utf-8") as fh, malformed("derivation"):
         obj = json.load(fh)
     derivation = Derivation.from_json(obj)
-    report = verify(derivation, swig, n_models=args.models, seed=args.seed, tol=args.tol)
+    report = verify(derivation, swig, n_models=args.models, seed=args.seed)
     if args.stats:
         print(json.dumps(report.stats_json(), sort_keys=True), file=sys.stderr)
     if args.json:
@@ -177,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("derivation", help="path to a derivation JSON file")
     p.add_argument("--models", type=int, default=100)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.add_argument(
         "--stats",
@@ -197,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="sample a dataset from a model under a regime")
     common(p)
     p.add_argument("--n", type=int, default=1000, help="number of rows")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--regime", type=int, default=0, help="prefix regime index")
     p.add_argument("--model", default=None, help="model JSON (default: random CPTs)")
     p.set_defaults(fn=cmd_simulate)

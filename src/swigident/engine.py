@@ -64,6 +64,7 @@ from .rules import (
 
 IDENTIFIED = "identified"
 NOT_IDENTIFIED = "not_identified"
+TOL = 1e-9  # largest deviation verify accepts between two evaluations
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,15 @@ def _justification_from_json(obj, where: str):
     raise ExprError(f"unknown justification kind {kind!r}")
 
 
-def validate_derivation(derivation: Derivation) -> None:
-    """Check the step chain and the identified-status contract."""
+def _hidden(swig: Swig, expr: ProbExpr) -> list[str]:
+    """The unobserved variables expr names, sorted; an identified formula has none."""
+    return [n for n in sorted(free_variables(expr)) if not swig.var(n).observed]
+
+
+def validate_derivation(derivation: Derivation, swig: Swig | None = None) -> None:
+    """Check the step chain and the identified-status contract: an
+    identified final formula uses regime 0 only and, given the graph, names
+    only observed variables."""
     prev = derivation.initial
     for i, step in enumerate(derivation.steps):
         if step.input != prev:
@@ -219,6 +227,9 @@ def validate_derivation(derivation: Derivation) -> None:
         bad = [str(r) for r in regimes_used(derivation.final) if not r.is_observational]
         if bad:
             raise SwigIdentError(f"identified derivation still uses regimes {bad}")
+        hidden = _hidden(swig, derivation.final) if swig is not None else []
+        if hidden:
+            raise SwigIdentError(f"identified derivation names unobserved variables {hidden}")
 
 
 @dataclass(frozen=True)
@@ -288,9 +299,7 @@ class _Builder:
         bad = [str(r) for r in regimes_used(self.expr) if not r.is_observational]
         if bad:
             raise SwigIdentError(f"recipe finished but regimes {bad} remain")
-        unobserved = [
-            n for n in sorted(free_variables(self.expr)) if not self.swig.var(n).observed
-        ]
+        unobserved = _hidden(self.swig, self.expr)
         if unobserved:
             raise RuleRefusedError(f"recipe finished but {unobserved} are unobserved")
         return Derivation(self.estimand, tuple(self.steps), self.expr, IDENTIFIED)
@@ -575,7 +584,7 @@ def _recipe(swig: Swig, estimand: Term, strategy: Strategy) -> Derivation:
         raise SwigIdentError(
             "this recipe handles a single intervention; use the sequential recipes"
         )
-    if kind == "sequential_frontdoor" and not active:
+    if kind in ("sequential_frontdoor", "mediator_intervention") and not active:
         raise SwigIdentError("estimand has no active interventions")
     conds = dict(estimand.conditioners)
     if set(conds) != {swig.intervention(j) for j in active}:
@@ -583,11 +592,18 @@ def _recipe(swig: Swig, estimand: Term, strategy: Strategy) -> Derivation:
     for name, ref in conds.items():
         if ref is None:
             raise SwigIdentError(f"{name!r} must be pinned to a value or symbol")
-    for name in named:
-        if not swig.var(name).observed:
-            raise SwigIdentError(f"{name!r} is unobserved and cannot be adjusted for")
-        if name in swig.target_of:
-            raise SwigIdentError(f"{name!r} is an intervention node")
+    targets = {swig.target(j) for j in active}
+    for i, name in enumerate(named):
+        why = (
+            "is unobserved" if not swig.var(name).observed
+            else "is an intervention node" if name in swig.target_of
+            else "is named twice" if name in named[:i]
+            else "is a dependent" if name in estimand.dep_names()
+            else "is the target of an active intervention" if name in targets
+            else None
+        )
+        if why:
+            raise SwigIdentError(f"{name!r} {why} and cannot be adjusted for")
 
     candidates: Iterable[tuple[str, ...]] = [named]
     if not named and kind != "sequential_backdoor":
@@ -653,40 +669,33 @@ def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
     def goal(expr: ProbExpr) -> bool:
         if any(not t.regime.is_observational for _, t in terms(expr)):
             return False
-        return all(n in observed for n in free_variables(expr))
+        return not _hidden(swig, expr)
 
     def simplify(expr: ProbExpr, steps: list[DerivationStep]):
-        """Apply consistency and redundancy greedily: both strictly shrink
-        the distance to regime 0 and never block another rule we generate."""
-        changed = True
-        while changed:
-            changed = False
-            for path, term in terms(expr):
-                conds = dict(term.conditioners)
-                if term.regime.is_observational:
-                    if any(do in conds for _, do in swig.pairs):
-                        try:
-                            step = rule_redundancy(swig, expr, path)
-                        except RuleRefusedError:
-                            continue
-                        steps = steps + [step]
-                        expr = step.output
-                        changed = True
-                        break
+        """Apply consistency and redundancy greedily, in one sweep over the
+        terms: both strictly shrink the distance to regime 0 and never block
+        another rule we generate.  In a term, consistency deactivates each
+        index whose target and intervention node are pinned to the same
+        value, latest first; then, if the term is observational and holds an
+        intervention node, redundancy removes it unless it refuses.  Both
+        rewrite the term in place, so the paths stay valid."""
+        for path, term in terms(expr):
+            conds = dict(term.conditioners)
+            active = sorted(term.regime.active, reverse=True)
+            pinned = [
+                j for j in active
+                if (v := conds.get(swig.target(j))) is not None
+                and v == conds.get(swig.intervention(j))
+            ]
+            for j in pinned:
+                steps = steps + [rule_consistency(swig, expr, path, j)]
+                expr = steps[-1].output
+            if len(pinned) == len(active) and any(do in conds for _, do in swig.pairs):
+                try:
+                    steps = steps + [rule_redundancy(swig, expr, path)]
+                except RuleRefusedError:
                     continue
-                for j in sorted(term.regime.active, reverse=True):
-                    tgt, do = swig.target(j), swig.intervention(j)
-                    if (
-                        conds.get(tgt) is not None
-                        and conds.get(tgt) == conds.get(do)
-                    ):
-                        step = rule_consistency(swig, expr, path, j)
-                        steps = steps + [step]
-                        expr = step.output
-                        changed = True
-                        break
-                if changed:
-                    break
+                expr = steps[-1].output
         return expr, steps
 
     def moves(expr: ProbExpr):
@@ -929,19 +938,18 @@ def _verify_models(
     derivation: Derivation,
     swig: Swig,
     cpts_list: list,
-    tol: float,
     seed: int,
 ) -> VerifyReport:
     start = time.perf_counter()
-    validate_derivation(derivation)
+    validate_derivation(derivation, swig)
     nested: dict[int, tuple[VerifyReport, ...]] = {}
     for idx, step in enumerate(derivation.steps, start=1):
         if step.rule == "mediator_composition":
             just = step.justification
             swig_m = _mediators_swig(swig, just.mediator_targets)
             nested[idx] = (
-                _verify_models(just.mediator_law, swig, cpts_list, tol, seed),
-                _verify_models(just.outcome, swig_m, cpts_list, tol, seed),
+                _verify_models(just.mediator_law, swig, cpts_list, seed),
+                _verify_models(just.outcome, swig_m, cpts_list, seed),
             )
 
     # Chained expressions: step i maps exprs[i - 1] to exprs[i]; the final
@@ -978,7 +986,7 @@ def _verify_models(
     all_passed = True
     for k, step in enumerate(derivation.steps):
         inner = nested.get(k + 1, ())
-        passed = dev[k] <= tol and used[k] > 0 and all(r.passed for r in inner)
+        passed = dev[k] <= TOL and used[k] > 0 and all(r.passed for r in inner)
         all_passed &= passed
         skipped = len(cpts_list) - used[k]
         reports.append(
@@ -989,7 +997,7 @@ def _verify_models(
     final_used = 0
     if derivation.identified:
         final_dev, final_used = dev[-1], used[-1]
-        all_passed &= final_dev <= tol and final_used > 0
+        all_passed &= final_dev <= TOL and final_used > 0
     return VerifyReport(
         steps=tuple(reports),
         final_deviation=final_dev,
@@ -997,7 +1005,7 @@ def _verify_models(
         passed=all_passed,
         n_models=len(cpts_list),
         seed=seed,
-        tol=tol,
+        tol=TOL,
         stats=VerifyStats(
             seconds[0],
             conditionals,
@@ -1015,7 +1023,6 @@ def verify(
     swig: Swig,
     n_models: int = 100,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> VerifyReport:
     """Replay every step on random models: input and output must evaluate
     identically, and the final formula must match the oracle estimand."""
@@ -1025,4 +1032,4 @@ def verify(
         random_base_cpts(swig.base, np.random.default_rng((seed, i)))
         for i in range(n_models)
     ]
-    return _verify_models(derivation, swig, cpts_list, tol, seed)
+    return _verify_models(derivation, swig, cpts_list, seed)

@@ -251,82 +251,43 @@ def _sorted_term(t: Term) -> Term:
     )
 
 
-def _normalize(e: ProbExpr) -> ProbExpr:
-    """Prenex pass: sort term entries, flatten products, lift sums to the top."""
-    if isinstance(e, Term):
-        return _sorted_term(e)
+def _prenex(e: ProbExpr) -> tuple[list[str], list[Term], frozenset[str]]:
+    """Prenex walk, left to right: every sum's binders, the terms with their
+    entries sorted, and the symbols free in e.  No tree is built.  A binder
+    keeps its name unless it equals a symbol free in e or a binder already
+    given; then fresh_symbol renames it away from every symbol of e and
+    every name given so far, so no occurrence is captured."""
+    binders: list[str] = []
+    out: list[Term] = []
+    free = free_symbols(e)
+    taken: set[str] = set()  # all_symbols(e) and the names given, once a binder is renamed
 
-    if isinstance(e, Sum):
-        body = _normalize(e.body)
-        binders = list(e.binders)
-        if isinstance(body, Sum):
-            inner = list(body.binders)
-            clash = [b for b in inner if b in binders]
-            if clash:
-                taken = set(binders) | set(inner) | set(all_symbols(body.body))
-                ren = {}
-                for b in clash:
-                    nb = fresh_symbol(b, taken)
+    def walk(node: ProbExpr, ren: dict[str, str]) -> None:
+        if isinstance(node, Term):
+            if ren and not ren.keys().isdisjoint(_term_syms(node)):
+                node = rename_symbols(node, ren)
+            out.append(_sorted_term(node))
+        elif isinstance(node, Product):
+            for f in node.factors:
+                walk(f, ren)
+        else:
+            inner, first, start = dict(ren), len(binders), len(out)
+            for b in node.binders:
+                nb = b
+                if b in free or b in binders:
+                    if not taken:
+                        taken.update(all_symbols(e))
+                    nb = inner[b] = fresh_symbol(b, taken)
                     taken.add(nb)
-                    ren[b] = nb
-                inner = [ren.get(b, b) for b in inner]
-                body = Sum(tuple(inner), rename_symbols(body.body, ren))
-            binders += list(body.binders)
-            body = body.body
-        used = free_symbols(body)
-        missing = [b for b in binders if b not in used]
-        if missing:
-            raise ExprError(f"binder(s) never used: {missing}")
-        if not binders:
-            return body
-        if body is e.body:
-            return e
-        return Sum(tuple(binders), body)
+                binders.append(nb)
+            walk(node.body, inner)
+            used = {s for t in out[start:] for s in _term_syms(t)}
+            missing = [b for b, nb in zip(node.binders, binders[first:]) if nb not in used]
+            if missing:
+                raise ExprError(f"binder(s) never used: {missing}")
 
-    factors: list[ProbExpr] = []
-    for f in e.factors:
-        nf = _normalize(f)
-        if isinstance(nf, Product):
-            factors.extend(nf.factors)
-        else:
-            factors.append(nf)
-    if len(factors) == 1:
-        return factors[0]
-    if not any(isinstance(f, Sum) for f in factors):
-        if len(factors) == len(e.factors) and all(a is b for a, b in zip(factors, e.factors)):
-            return e
-        return Product(tuple(factors))
-
-    # lift binders out of sum factors, renaming to avoid capture
-    syms_per_factor = [set(all_symbols(f)) for f in factors]
-    lifted: list[str] = []
-    stripped: list[ProbExpr] = []
-    for idx, f in enumerate(factors):
-        if isinstance(f, Sum):
-            # a lifted binder must not collide with any symbol of a sibling
-            # factor or with a binder already lifted
-            forbidden = set(lifted)
-            for j, syms in enumerate(syms_per_factor):
-                if j != idx:
-                    forbidden |= syms
-            ren: dict[str, str] = {}
-            for b in f.binders:
-                if b in forbidden:
-                    nb = fresh_symbol(b, forbidden | syms_per_factor[idx])
-                    ren[b] = nb
-                    b = nb
-                forbidden.add(b)
-                lifted.append(b)
-            body = rename_symbols(f.body, ren) if ren else f.body
-            if isinstance(body, Product):
-                stripped.extend(body.factors)
-            else:
-                stripped.append(body)
-        else:
-            stripped.append(f)
-    # each stripped factor is a normalized term and each lifted binder is
-    # used, so the result is already normal
-    return Sum(tuple(lifted), Product(tuple(stripped)))
+    walk(e, {})
+    return binders, out, free
 
 
 def _entry_text(name: str, ref: ValueRef | None) -> str:
@@ -347,7 +308,7 @@ class _Factor:
 
     __slots__ = ("term", "head", "texts", "n_deps", "slots")
 
-    def __init__(self, t: Term, bound: frozenset[str], free: set[str]):
+    def __init__(self, t: Term, bound: frozenset[str]):
         self.term = t
         self.head = f"{t.regime}("
         self.n_deps = len(t.dependents)
@@ -355,12 +316,9 @@ class _Factor:
         self.slots: list[tuple[int, str, str, str]] = []  # (position, prefix, binder, tag)
         for side, entries in (("d", t.dependents), ("c", t.conditioners)):
             for name, ref in entries:
-                if isinstance(ref, Sym):
-                    if ref.name in bound:
-                        tag = f"#{side}#{name}"
-                        self.slots.append((len(self.texts), f"{name}=?", ref.name, tag))
-                    else:
-                        free.add(ref.name)
+                if isinstance(ref, Sym) and ref.name in bound:
+                    tag = f"#{side}#{name}"
+                    self.slots.append((len(self.texts), f"{name}=?", ref.name, tag))
                 self.texts.append(_entry_text(name, ref))
 
     def key(self, color: dict[str, str]) -> str:
@@ -373,26 +331,18 @@ class _Factor:
         return f"{self.head}{deps})"
 
 
-def _order(e: ProbExpr) -> ProbExpr:
-    """Ordering pass on a prenex expression: sort the factors and rename the
-    binders to _1.._k.  Binder identity is resolved by color refinement so
-    the result is invariant under factor permutation and alpha renaming,
-    even among structurally similar factors.  A factor's key is its text
-    with each binder printed as its color; a refinement pass re-renders only
-    the entries that hold a binder."""
-    if isinstance(e, Term):
-        return e
-    binders: tuple[str, ...] = ()
-    body = e
-    if isinstance(e, Sum):
-        binders, body = e.binders, e.body
-    terms_ = body.factors if isinstance(body, Product) else (body,)
-    if not all(isinstance(f, Term) for f in terms_):
-        raise ExprError("ordering pass expects a prenex expression")
-
+def _order(binders: list[str], terms_: list[Term], free: frozenset[str]) -> ProbExpr:
+    """Ordering pass on a prenex walk's output: sort the factors and rename
+    the binders to _1.._k, skipping the free symbols.  Binder identity is
+    resolved by color refinement so the result is invariant under factor
+    permutation and alpha renaming, even among structurally similar
+    factors.  A factor's key is its text with each binder printed as its
+    color; a refinement pass re-renders only the entries that hold a
+    binder.  A lone term with no binders is returned unchanged."""
+    if not binders and len(terms_) == 1:
+        return terms_[0]
     bound = frozenset(binders)
-    free: set[str] = set()
-    factors = [_Factor(t, bound, free) for t in terms_]
+    factors = [_Factor(t, bound) for t in terms_]
     color = dict.fromkeys(binders, "")
     keys = [f.key(color) for f in factors]
     for _ in range(len(binders) + len(factors) + 2 if binders else 0):
@@ -429,10 +379,12 @@ def _order(e: ProbExpr) -> ProbExpr:
 def canonicalize(e: ProbExpr) -> ProbExpr:
     """Canonical form; struct_eq compares these for equality.
 
-    One round of _order(_normalize(e)) is a fixpoint, so the form is
+    One round of _order(*_prenex(e)) is a fixpoint, so the form is
     idempotent without a second round to confirm it:
-    - _normalize of an _order output is the same tree: the output is
-      already prenex, with its entries sorted.
+    - _prenex of an _order output gives back its binders and its factors
+      as they are: the output is a sum over a flat product of terms with
+      sorted entries, and its binders _i are distinct and none is free, so
+      none is renamed.
     - The colors come from texts that print bound symbols only as ``=?``
       plus a color, so renaming binders or permuting factors leaves them,
       and the keys, as they were.
@@ -440,7 +392,7 @@ def canonicalize(e: ProbExpr) -> ProbExpr:
     - Renaming walks the same factors with the same free set, so it maps
       each _i to itself.
     """
-    return _order(_normalize(e))
+    return _order(*_prenex(e))
 
 
 def struct_eq(a: ProbExpr, b: ProbExpr) -> bool:

@@ -239,8 +239,10 @@ def drop_later_obstruction(swig: Swig, estimand, t: int):
 
     Returns (obstruction, checks).  obstruction is None if every later
     intervention can be dropped, otherwise a (reason, CiQuery) pair
-    describing the first failure; checks are the passed d-separations of
-    (a), latest intervention first, which justify the drop.
+    describing the first failure; the query is None when the node is a
+    dependent of the term, which no d-separation decides.  checks are the
+    passed d-separations of (a), latest intervention first, which justify
+    the drop.
     """
     deps = frozenset(name for name, _ in estimand.dependents)
     conds = frozenset(name for name, _ in estimand.conditioners)
@@ -260,8 +262,7 @@ def _drop_later_obstruction(
         do = swig.intervention(j)
         rest = frozenset(conds - {do})
         if do in deps:
-            query = CiQuery(cur, x=deps - {do}, y=frozenset({do}), z=rest)
-            return (f"{do} is a dependent of the term", query), tuple(checks)
+            return (f"{do} is a dependent of the term", None), tuple(checks)
         if do in conds:
             query = CiQuery(cur, x=deps, y=frozenset({do}), z=rest)
             if not d_separated(swig, query):

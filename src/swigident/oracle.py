@@ -71,6 +71,7 @@ from .model import BaseDag, Regime, Role, Swig, Sym, Variable, to_swig
 
 STATE_LIMIT = 2**22
 ZERO_EPS = 1e-12
+CI_TOL = 1e-9  # largest cell deviation brute_force_ci reads as independence
 # np.einsum takes at most 52 subscripts; the batch axis takes one of them.
 EINSUM_LABELS = 51
 # A merge whose pair product has more entries than this, over all models of
@@ -360,17 +361,6 @@ class LabeledTable:
     labels: tuple[str, ...]
     values: np.ndarray
     skipped: np.ndarray | None = None
-
-    def select(self, assignment: Mapping[str, int]) -> "LabeledTable":
-        labels = []
-        idx: list = [slice(None)] * (self.values.ndim - len(self.labels))
-        for i, label in enumerate(self.labels):
-            if label in assignment:
-                idx.append(int(assignment[label]))
-            else:
-                idx.append(slice(None))
-                labels.append(label)
-        return LabeledTable(tuple(labels), self.values[tuple(idx)], self.skipped)
 
     def aligned(self, labels: tuple[str, ...]) -> np.ndarray:
         lead = self.values.ndim - len(self.labels)
@@ -668,24 +658,17 @@ def oracle_provider(model: DiscreteModel) -> TableProvider:
     return provider
 
 
-def eval_expr(
-    model: DiscreteModel,
-    e: ProbExpr,
-    params: Mapping[str, int] | None = None,
-) -> LabeledTable:
+def eval_expr(model: DiscreteModel, e: ProbExpr) -> LabeledTable:
     """Evaluate an expression against the exact oracle.
 
-    Free symbols and bare variables become named axes of the result; params
-    pins named axes to levels afterwards.  A batch gives a batch table; a
-    single model raises ZeroProbabilityError if the expression conditions
-    on a zero-probability event.
+    Free symbols and bare variables become named axes of the result.  A
+    batch gives a batch table; a single model raises ZeroProbabilityError
+    if the expression conditions on a zero-probability event.
     """
     contractor = model._contractor
     out = _eval(model.swig, e, oracle_provider(model), model._values, contractor)
     contractor.rotate()
-    if model.batch is None:
-        out = _only_model(out)
-    return out.select(params) if params else out
+    return _only_model(out) if model.batch is None else out
 
 
 def eval_estimand(model: DiscreteModel, estimand: Term) -> LabeledTable:
@@ -696,9 +679,9 @@ def eval_estimand(model: DiscreteModel, estimand: Term) -> LabeledTable:
 # ---------------------------------------------------------------------------
 # numeric CI check
 
-def brute_force_ci(model: DiscreteModel, q: CiQuery, tol: float = 1e-9) -> bool:
+def brute_force_ci(model: DiscreteModel, q: CiQuery) -> bool:
     """True iff x and y are independent given z in the regime-s joint, up to
-    tol, skipping conditioning cells of probability below ZERO_EPS.  It
+    CI_TOL, skipping conditioning cells of probability below ZERO_EPS.  It
     reads the ancestral marginal over x, y and z, so no dense joint is
     built."""
     if not q.x or not q.y:
@@ -716,7 +699,7 @@ def brute_force_ci(model: DiscreteModel, q: CiQuery, tol: float = 1e-9) -> bool:
     with np.errstate(invalid="ignore", divide="ignore"):
         diff = np.abs(m / pz_e - (pxz_e / pz_e) * (pyz_e / pz_e))
     diff = np.where(pz_e >= ZERO_EPS, diff, 0.0)
-    return float(np.max(diff)) <= tol
+    return float(np.max(diff)) <= CI_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -923,12 +906,7 @@ def empirical_provider(dataset: Dataset, swig: Swig) -> TableProvider:
     return provider
 
 
-def plugin_estimate(
-    swig: Swig,
-    e: ProbExpr,
-    dataset: Dataset,
-    params: Mapping[str, int] | None = None,
-) -> LabeledTable:
+def plugin_estimate(swig: Swig, e: ProbExpr, dataset: Dataset) -> LabeledTable:
     """Evaluate an identified (regime-0) formula with every conditional
     replaced by its add-one smoothed empirical frequency over the levels of
     swig."""
@@ -936,8 +914,7 @@ def plugin_estimate(
     if bad:
         raise SwigIdentError("formula still uses interventional regimes; identify first")
     provider = empirical_provider(dataset, swig)
-    out = _only_model(_eval(swig, e, provider, {}, Contractor()))
-    return out.select(params) if params else out
+    return _only_model(_eval(swig, e, provider, {}, Contractor()))
 
 
 # ---------------------------------------------------------------------------

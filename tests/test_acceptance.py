@@ -158,13 +158,13 @@ def test_criterion_05_mediator_intervention_equivalence():
 
 def test_criterion_06_step_soundness_and_mutation(bundled_derivations):
     for name, swig, d in bundled_derivations:
-        report = verify(d, swig, n_models=100, seed=0, tol=1e-9)
+        report = verify(d, swig, n_models=100, seed=0)
         assert report.passed, f"{name}: {report.summary()}"
     caught = 0
     for name, swig, d in bundled_derivations:
         for k in range(len(d.steps)):
             bad = corrupt_step(d, swig, k)
-            report = verify(bad, swig, n_models=20, seed=0, tol=1e-9)
+            report = verify(bad, swig, n_models=20, seed=0)
             assert not report.passed, f"{name} step {k} corruption went unnoticed"
             caught += 1
     _line(6, f"all bundled steps replay at 1e-9; {caught} corruptions detected")

@@ -136,15 +136,6 @@ def test_simulate_couples_interventions_observationally(fig1_path, tmp_path):
     assert any(r["D1"] != r["Do1"] for r in rows1)
 
 
-def test_simulate_seed_env_default(fig1_path, tmp_path, monkeypatch):
-    monkeypatch.setenv("SWIG_IDENT_SEED", "7")
-    a = tmp_path / "a.csv"
-    main(["simulate", fig1_path, "--n", "50", "--out", str(a)])
-    b = tmp_path / "b.csv"
-    main(["simulate", fig1_path, "--n", "50", "--seed", "7", "--out", str(b)])
-    assert a.read_text() == b.read_text()
-
-
 def test_simulate_model_file(fig1, fig1_path, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     save_model(random_model(fig1, seed=5), str(model_path))
@@ -366,3 +357,81 @@ def test_verify_refuses_a_product_past_the_einsum_subscripts(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: a product of 53 factors needs a table over")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def _one_error_line(capsys, *wanted):
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
+    for text in wanted:
+        assert text in err, err
+
+
+def test_mediator_intervention_refuses_an_estimand_with_no_active_intervention(
+    fig1_path, capsys
+):
+    # The recipe needs a dose to intervene around, as sequential_frontdoor does.
+    argv = ["identify", fig1_path, "q[0](Y1)", "--strategy", "mediator_intervention"]
+    assert main(argv) == 1
+    _one_error_line(capsys, "estimand has no active interventions")
+
+
+@pytest.mark.parametrize("query", ["q[1](Do1, L)", "q[1](Do1)"])
+def test_a_search_refusal_names_a_query_dsep_reads_and_answers_false(
+    fig1_path, query, capsys
+):
+    # An intervention node among the dependents stops drop_later without a
+    # d-separation to name, so the line names another query met.
+    assert main(["identify", fig1_path, query, "--depth", "4"]) == 2
+    out = capsys.readouterr().out
+    (line,) = [l for l in out.splitlines() if l.startswith("blocking: ")]
+    assert main(["dsep", fig1_path, line.removeprefix("blocking: ")]) == 0
+    assert capsys.readouterr().out == "false\n"
+
+
+def test_verify_refuses_an_identified_formula_over_a_hidden_variable(
+    fig1_path, tmp_path, capsys
+):
+    # The back-door formula sums over L, which --unobserved hides.
+    bd = str(tmp_path / "bd.json")
+    argv = ["identify", fig1_path, "q[1](Y1 | do D1=d1)", "--strategy", "backdoor:L"]
+    assert main([*argv, "--json", "--out", bd]) == 0
+    assert main(["verify", fig1_path, bd, "--models", "5"]) == 0
+    capsys.readouterr()
+    assert main(["verify", fig1_path, bd, "--unobserved", "L"]) == 1
+    _one_error_line(capsys, "unobserved variables ['L']")
+
+
+def test_verify_refuses_a_nested_identified_formula_over_a_hidden_variable(tmp_path, capsys):
+    # A composition whose nested mediator law is replaced by q0(L), which
+    # chains and replays, but names the hidden L.
+    path = str(tmp_path / "fig2_n2.swig")
+    assert main(["fixture", "fig2_n2", "--out", path]) == 0
+    out = tmp_path / "composed.json"
+    argv = ["identify", path, "q[2](Y | do D1=d1, do D2=d2)", "--strategy", "mediator_intervention"]
+    assert main([*argv, "--json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    payload["steps"][0]["justification"]["mediator_law"] = {
+        "estimand": "q0(L)", "status": "identified", "blocking": None, "final": "q0(L)", "steps": [],
+    }
+    out.write_text(json.dumps(payload))
+    assert main(["verify", path, str(out), "--models", "5"]) == 1
+    _one_error_line(capsys, "unobserved variables ['L']")
+
+
+@pytest.mark.parametrize(
+    "fixture, query, strategy",
+    [
+        ("fig1", "q[1](Y1 | do D1=d1)", "backdoor:Y1"),
+        ("fig1", "q[1](Y1 | do D1=d1)", "backdoor:D1"),
+        ("fig1", "q[1](Y1 | do D1=d1)", "backdoor:L,L"),
+        ("fig2_n2", "q[2](Y | do D1=d1, do D2=d2)", "mediator_intervention:M1,M1"),
+    ],
+)
+def test_a_named_variable_that_cannot_be_adjusted_for_is_a_usage_error(
+    fixture, query, strategy, tmp_path, capsys
+):
+    # a dependent, the dose's target, a repeat, and a repeated mediator
+    path = str(tmp_path / f"{fixture}.swig")
+    assert main(["fixture", fixture, "--out", path]) == 0
+    assert main(["identify", path, query, "--strategy", strategy]) == 1
+    _one_error_line(capsys, "cannot be adjusted for")

@@ -24,6 +24,7 @@ from swigident import (
     ZeroProbabilityError,
     d_separated,
     identify,
+    parse_ci_query,
     parse_estimand,
     parse_expr,
     regimes_used,
@@ -457,7 +458,7 @@ def _cpts_with_a_deterministic_row(swig):
 
 
 def _verify_with_a_skipped_model(d, swig):
-    return _verify_models(d, swig, _cpts_with_a_deterministic_row(swig), 1e-9, 3)
+    return _verify_models(d, swig, _cpts_with_a_deterministic_row(swig), 3)
 
 
 @pytest.mark.parametrize("strategy", ["sequential_frontdoor", "mediator_intervention"])
@@ -599,8 +600,10 @@ def test_search_counts_of_the_golden_cases(mode, graph, depth):
 @st.composite
 def small_search_cases(draw):
     """A random split graph of 2-5 variables, one of them possibly hidden,
-    with one or two targets; the estimand q_n(Y | Do_1=d1, ...) for a
-    non-target Y, possibly the hidden one; a mode and a depth."""
+    with one or two targets; the estimand q_s(V | Do_j=dj, ...) under a
+    prefix regime s of 0 to n active interventions, for any variable V
+    (intervention nodes and the hidden one included), pinning each active
+    intervention node other than V; a mode and a depth."""
     n = draw(st.integers(2, 5))
     names = [f"V{i}" for i in range(n)]
     edges = frozenset(
@@ -611,9 +614,14 @@ def small_search_cases(draw):
     hidden = draw(st.sampled_from([None, *others[:-1]]))
     variables = tuple(Variable(v, i, observed=v != hidden) for i, v in enumerate(names))
     swig = to_swig(BaseDag(variables, edges, targets, "random"))
-    y = draw(st.sampled_from(others))
-    doses = [(swig.intervention(j), Sym(f"d{j}")) for j in range(1, len(targets) + 1)]
-    estimand = Term.of(Regime.prefix(len(targets)), (y,), doses)
+    regime = Regime.prefix(draw(st.integers(0, len(targets))))
+    y = draw(st.sampled_from([v.name for v in swig.variables]))
+    doses = [
+        (swig.intervention(j), Sym(f"d{j}"))
+        for j in sorted(regime.active)
+        if swig.intervention(j) != y
+    ]
+    estimand = Term.of(regime, (y,), doses)
     return swig, estimand, draw(st.sampled_from(("top_down", "bottom_up"))), draw(st.integers(1, 4))
 
 
@@ -623,6 +631,17 @@ def test_an_estimand_identified_at_a_depth_is_identified_one_deeper(case):
     swig, estimand, mode, depth = case
     if identify(swig, estimand, Strategy(mode, depth=depth)).identified:
         assert identify(swig, estimand, Strategy(mode, depth=depth + 1)).identified
+
+
+@given(small_search_cases())
+@settings(max_examples=60, deadline=None)
+def test_every_search_refusal_names_a_query_that_reads_back_and_fails(case):
+    # The query must be one a blocking: line can hand to dsep, and must fail.
+    swig, estimand, mode, depth = case
+    d = identify(swig, estimand, Strategy(mode, depth=depth))
+    if not d.identified and d.blocking is not None:
+        query = parse_ci_query(str(d.blocking), swig)
+        assert d_separated(swig, query) is False, (d.trace(), mode, depth)
 
 
 @given(small_search_cases())

@@ -463,16 +463,20 @@ def test_canonicalize_matches_the_reference_on_every_golden_expression():
 
 
 @pytest.mark.parametrize("mode", ["top_down", "bottom_up"])
-@pytest.mark.parametrize("graph", ["fig1", "fig2_n1"])
+@pytest.mark.parametrize("graph", ["fig1", "fig2_n1", "fig2_n2"])
 def test_canonicalize_matches_the_reference_on_every_search_key(graph, mode, monkeypatch):
-    from swigident import engine, figure1, figure2, identify, parse_estimand, to_swig
+    from swigident import Strategy, engine, figure1, figure2, identify, parse_estimand, to_swig
 
-    swig = to_swig(figure1() if graph == "fig1" else figure2(1))
-    query = "q[1](Y1 | do D1=d1)" if graph == "fig1" else "q[1](Y | do D1=d1)"
+    if graph == "fig1":
+        swig, query, depth = to_swig(figure1()), "q[1](Y1 | do D1=d1)", 16
+    elif graph == "fig2_n1":
+        swig, query, depth = to_swig(figure2(1)), "q[1](Y | do D1=d1)", 16
+    else:  # not identified at this depth; every pass is keyed
+        swig, query, depth = to_swig(figure2(2)), "q[2](Y | do D1=d1, do D2=d2)", 4
     keyed = []
     monkeypatch.setattr(engine, "canonicalize", lambda e: keyed.append(e) or canonicalize(e))
-    d = identify(swig, parse_estimand(query, swig), mode)
-    assert d.identified and d.stats.keys == len(keyed) > 0
+    d = identify(swig, parse_estimand(query, swig), Strategy(mode, depth=depth))
+    assert d.identified == (graph != "fig2_n2") and d.stats.keys == len(keyed) > 0
     for e in keyed:
         assert_canonical_as_reference(e)
 

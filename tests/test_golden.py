@@ -133,7 +133,7 @@ CASES = {
 
 
 DEVIATION = re.compile(r'("(?:max|final)_deviation": )([^,\n]+)')
-TOL = 1e-9  # verify's default --tol
+TOL = 1e-9  # verify's tolerance
 
 
 def _deviations_within_tol(text: str) -> str:

@@ -162,14 +162,6 @@ def test_eval_sum_of_everything_is_one(fig1):
     assert out.values == pytest.approx(1.0, abs=1e-12)
 
 
-def test_eval_params_pin_axes(fig1):
-    model = random_model(fig1, seed=8)
-    e = parse_expr("q0(Y1 | D1=d1)")
-    free = eval_expr(model, e)
-    pinned = eval_expr(model, e, params={"d1": 1})
-    assert np.allclose(pinned.values, free.aligned(("Y1", "d1"))[:, 1], atol=1e-12)
-
-
 def test_eval_estimand_matches_query(fig1, fig1_estimand):
     model = random_model(fig1, seed=9)
     table = eval_estimand(model, fig1_estimand)
