@@ -194,10 +194,12 @@ def _parse_regime_index(toks: _Tokens, swig: Swig) -> int:
     if tok[1] != "q":
         raise ParseError("expected regime marker 'q[n]'", tok[2], tok[3])
     toks.expect("punct", "[")
-    n = int(toks.expect("num")[1])
+    _, digits, line, col = toks.expect("num")
     toks.expect("punct", "]")
+    n = int(digits)
     if n > swig.n_interventions:
-        raise ParseError(f"regime index {n} exceeds the {swig.n_interventions} declared targets", 1, 1)
+        msg = f"regime index {n} exceeds the {swig.n_interventions} declared targets"
+        raise ParseError(msg, line, col)
     return n
 
 

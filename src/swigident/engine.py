@@ -335,22 +335,26 @@ def _pool(swig: Swig, estimand: Term, on_path: bool) -> list[str]:
     return _by_time(swig, pool)
 
 
-def _dose_blocking(swig: Swig, estimand: Term) -> CiQuery:
-    """Fallback blocking query of the mediator recipes: the dependents
-    independent of the intervention nodes given their targets, less the
-    dependents themselves (a dependent may be a target)."""
+def _dose_blocking(swig: Swig, estimand: Term) -> CiQuery | None:
+    """Fallback blocking query of the recipes: the dependents independent of
+    the intervention nodes given their targets, less the dependents
+    themselves (a dependent may be a target).  None when no active
+    intervention node lies outside the dependents: that query has an empty
+    side, and holds."""
     deps = frozenset(estimand.dep_names())
     dos = frozenset(swig.intervention(j) for j in estimand.regime.active)
     tgts = frozenset(swig.target(j) for j in estimand.regime.active)
+    if not dos - deps:
+        return None
     return CiQuery(estimand.regime, deps, dos - deps, tgts - deps)
 
 
 def _or_unreached(swig: Swig, estimand: Term, blocking: CiQuery | None) -> Derivation:
-    """A mediator recipe's refusal, unless drop_later removes the
-    estimand's whole regime: then the doses do not reach the dependents,
-    q_s(dependents | doses) = q0(dependents), and the recipe's blocking
-    query may well hold.  The answer is that one-step derivation, or, when
-    a dependent is unobserved, a refusal with no blocking query."""
+    """A recipe's refusal, unless drop_later removes the estimand's whole
+    regime: then the doses do not reach the dependents, q_s(dependents |
+    doses) = q0(dependents), and the recipe's blocking query may well hold.
+    The answer is that one-step derivation, or, when a dependent is
+    unobserved, a refusal with no blocking query."""
     builder = _Builder(swig, estimand)
     try:
         builder.apply(rule_drop_later, (), 0)
@@ -565,14 +569,13 @@ _ATTEMPTS: dict[str, Callable[[_Builder, tuple[str, ...]], Derivation]] = {
     "sequential_frontdoor": _sequential_frontdoor,
     "mediator_intervention": _mediator_intervention,
 }
-_MEDIATOR_RECIPES = ("frontdoor", "sequential_frontdoor", "mediator_intervention")
 
 
 def _recipe(swig: Swig, estimand: Term, strategy: Strategy) -> Derivation:
     """Run the recipe's attempt on each candidate variable set in turn and
     return the first derivation.  A refusal names the first blocking query
-    an attempt met; a mediator recipe's falls back to the doses' query, and
-    when the doses do not reach the dependents it answers q0(dependents).
+    an attempt met, else the doses' query, and when the doses do not reach
+    the dependents the answer is q0(dependents).
 
     The candidates are the named variables if any; otherwise every subset of
     the adjustment pool (backdoor), every nonempty subset of the mediators
@@ -620,8 +623,6 @@ def _recipe(swig: Swig, estimand: Term, strategy: Strategy) -> Derivation:
         except RuleRefusedError as exc:
             if blocking is None:
                 blocking = exc.blocking
-    if kind not in _MEDIATOR_RECIPES:
-        return _not_identified(estimand, blocking)
     return _or_unreached(swig, estimand, blocking or _dose_blocking(swig, estimand))
 
 

@@ -33,9 +33,11 @@ evaluated once.  A single model is a batch of one.
 model_batches bounds a batch so that its joint would have at most
 STATE_LIMIT entries, as large as one model's joint may be; every table the
 ancestral way builds is labelled by a subset of the variables, so that bound
-holds for it too.  _execute runs the plans of both ways and refuses a merge
-whose einsum would take more than EINSUM_LABELS labels or whose table would
-have more than STATE_LIMIT entries for one model.
+holds for it too.  Conditionals and expressions both contract through
+_run, whose paths are kept in one table per model, shared across batches
+and keyed by the contraction's shape, so _plan searches each shape once.
+_run refuses a merge whose einsum would take more than EINSUM_LABELS labels
+or whose table would have more than STATE_LIMIT entries for one model.
 
 The data path does no Python work per row or cell.  sample draws the regime
 graph's variables in topological order, each from the cumulative sums of its
@@ -285,10 +287,11 @@ def ancestral_conditional(
     batch axis, NaN where the conditioning event has zero probability, as
     RegimeJoint.conditional gives it.  It is computed from the factors of
     the ancestors of deps and conds in the regime graph alone, contracted
-    two at a time along the path _plan finds, so no dense joint is built;
-    memoised per model.  Raises StateSpaceLimitError when a table it needs
-    has more than STATE_LIMIT entries for one model or a merge more than
-    EINSUM_LABELS labels."""
+    two at a time along a path from the model's plan table (the one its
+    expressions use), so no dense joint is built; memoised per model.
+    Raises StateSpaceLimitError when a table it needs has more than
+    STATE_LIMIT entries for one model or a merge more than EINSUM_LABELS
+    labels."""
     key = (regime, deps, conds)
     cached = model._conditionals.get(key)
     if cached is not None:
@@ -296,15 +299,11 @@ def ancestral_conditional(
     swig = model.swig
     names = deps + conds
     factors = regime_factors(model, regime, swig.regime_graph(regime).ancestors(names))
-    ids: dict[str, int] = {}
-    subs = [tuple(ids.setdefault(n, len(ids)) for n in labels) for _, labels in factors]
-    sizes = [swig.var(n).cardinality for n in ids]
-    plan = _plan(subs, sizes, tuple(ids[n] for n in names), model.batch or 1)
     lead = len(model.batch_shape)
     ops = [(table, labels, None) for table, labels in factors]
     what = f"a conditional over {len(names)} variables"
-    m = _execute(plan, ops, list(ids), names, lead, what,
-                 lambda group, kept, matmul: (_merge(group, kept, lead, matmul), kept, None))
+    m, _ = _run(model._contractor.plans, ops, names, lead, what,
+                lambda group, kept: (_merge(group, kept, lead), kept, None))
     # The merges leave m's axes in whatever memory order einsum's matmul path
     # gave them; the division, and the merges that later read the table, run
     # faster over it in C order.  m may be a view of a CPT (q0(L)); neither
@@ -417,27 +416,28 @@ def _eval_term(swig: Swig, t: Term, provider: TableProvider) -> LabeledTable:
 Operand = tuple[np.ndarray, tuple[str, ...], object]
 
 
-def _merge(
-    group: Sequence[Operand],
-    out: tuple[str, ...],
-    lead: int,
-    matmul: bool,
-) -> np.ndarray:
+def _merge(group: Sequence[Operand], out: tuple[str, ...], lead: int) -> np.ndarray:
     """The product of the (table, labels, _) factors of group summed down to
-    the labels out, with the lead batch axes first, as one einsum; matmul
-    sends a pair through einsum's matmul-backed path."""
+    the labels out, with the lead batch axes first, as one einsum.  A pair
+    whose product, over all models, has more than MATMUL_ENTRIES entries
+    goes through einsum's matmul-backed path."""
     batch = list(range(lead))
     subscript: dict[str, int] = {}
+    entries = math.prod(group[0][0].shape[:lead])
     operands: list = []
     for table, labels, _ in group:
-        axes = [subscript.setdefault(n, lead + len(subscript)) for n in labels]
-        operands += [table, batch + axes]
+        for n, k in zip(labels, table.shape[lead:]):
+            if n not in subscript:
+                subscript[n] = lead + len(subscript)
+                entries *= k
+        operands += [table, batch + [subscript[n] for n in labels]]
+    matmul = len(group) == 2 and entries > MATMUL_ENTRIES
     return np.einsum(*operands, batch + [subscript[n] for n in out], optimize=matmul)
 
 
 def _plan(
-    subs: Sequence[tuple[int, ...]], sizes: Sequence[int], out: tuple[int, ...], batch: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...], bool]]:
+    subs: Sequence[tuple[int, ...]], sizes: Sequence[int], out: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """A greedy contraction path for factors with the label numbers subs
     (label i has sizes[i] levels) down to the labels out.  While two or more
     factors are left, the pair whose product, summed over every label that
@@ -446,9 +446,8 @@ def _plan(
     shares none is not weighed.  numpy's greedy einsum path (after
     opt_einsum) weighs merges the same way.  Label sets are bit masks.
     Returns the merges: the positions taken, in descending order, from the
-    list of factors, whose result is appended; the labels the result keeps
-    (out, in order, for the last); and whether the pair's product, over
-    batch models, has more than MATMUL_ENTRIES entries."""
+    list of factors, whose result is appended, and the labels the result
+    keeps (out, in order, for the last)."""
     out_mask = sum(1 << i for i in out)
     entries: dict[int, int] = {}
 
@@ -481,34 +480,43 @@ def _plan(
                 if best is None or cost < best[0]:
                     best = (cost, i, j, keep)
         _, i, j, keep = best
-        matmul = batch * size(live[i] | live[j]) > MATMUL_ENTRIES
         live.pop(j)
         live.pop(i)
         live.append(keep)
         labels = out if len(live) == 1 else tuple(k for k in range(len(sizes)) if keep >> k & 1)
-        steps.append(((j, i), labels, matmul))
+        steps.append(((j, i), labels))
     if live[0] != out_mask:
-        steps.append(((0,), out, False))
+        steps.append(((0,), out))
     return steps
 
 
-def _execute(
-    plan: list,
+def _run(
+    plans: dict[tuple, list],
     ops: list[Operand],
-    names: Sequence[str],
     out: tuple[str, ...],
     lead: int,
     what: str,
-    merge: Callable[[list[Operand], tuple[str, ...], bool], Operand],
-) -> np.ndarray:
-    """Run a plan of _plan's over ops, whose labels are numbered by their
-    position in names: each merge pops its positions, merge(group, kept,
-    matmul) computes their product over the labels kept, and the result is
-    appended.  The last table left is returned with its axes in the order
-    of out.  A merge whose einsum would take more than EINSUM_LABELS labels,
-    or whose table would have more than STATE_LIMIT entries for one model,
-    raises StateSpaceLimitError naming what is contracted."""
-    for positions, keep, matmul in plan:
+    merge: Callable[[list[Operand], tuple[str, ...]], Operand],
+) -> tuple[np.ndarray, bool]:
+    """The product of ops summed down to the labels out, with the lead batch
+    axes first and then out's labels in order, and whether a path was
+    searched.  The labels are numbered by first use; the path is looked up
+    in plans by those numbers, out's and the operand shapes, and _plan runs
+    only on a miss.  Each merge pops its positions, merge(group, kept)
+    computes their product over the labels kept, and the result is
+    appended.  A merge whose einsum would take more than EINSUM_LABELS
+    labels, or whose table would have more than STATE_LIMIT entries for one
+    model, raises StateSpaceLimitError naming what is contracted."""
+    ids: dict[str, int] = {}
+    subs = tuple(tuple(ids.setdefault(n, len(ids)) for n in labels) for _, labels, _ in ops)
+    key = (subs, tuple(ids[n] for n in out), tuple(t.shape for t, _, _ in ops))
+    plan = plans.get(key)
+    searched = plan is None
+    if searched:
+        sizes = {ids[n]: k for t, labels, _ in ops for n, k in zip(labels, t.shape[lead:])}
+        plan = plans[key] = _plan(subs, [sizes[i] for i in range(len(ids))], key[1])
+    names = list(ids)
+    for positions, keep in plan:
         group = [ops.pop(p) for p in positions]
         kept = tuple(names[i] for i in keep)
         dims = {l: n for t, labels, _ in group for l, n in zip(labels, t.shape[lead:])}
@@ -518,22 +526,22 @@ def _execute(
                 f"{what} needs a table over {len(kept)} variables ({entries} states); "
                 f"the limits are {EINSUM_LABELS} einsum subscripts and {STATE_LIMIT} states"
             )
-        ops.append(merge(group, kept, matmul))
+        ops.append(merge(group, kept))
     values, labels, _ = ops.pop()
-    if labels == out:
-        return values
-    return np.transpose(values, [*range(lead), *(lead + labels.index(l) for l in out)])
+    if labels != out:
+        values = np.transpose(values, [*range(lead), *(lead + labels.index(l) for l in out)])
+    return values, searched
 
 
 @dataclass(eq=False)
 class Contractor:
     """Contracts the sums and products of one batch's expressions.
 
-    A contraction is keyed by its factors' labels, numbered by first use,
-    the labels it keeps and its operand shapes; the path search (_plan)
-    runs once per key, and _execute runs its merges, one einsum each.  Each
-    merge's result is memoised by the factor expressions under it and the
-    set of labels it keeps, which fix its values, for one generation:
+    plans is the batch's table of contraction paths, which its ancestral
+    conditionals share and model_batches shares across batches; _run looks
+    a contraction up in it by shape and runs its merges, one einsum each.
+    Each merge's result is memoised by the factor expressions under it and
+    the set of labels it keeps, which fix its values, for one generation:
     current holds the merges of the expression being evaluated and previous
     those of the expression evaluated just before; a merge found in either
     moves to current, and rotate starts the next generation.  A key names
@@ -541,7 +549,7 @@ class Contractor:
     last one's product reuses every merge that does not hold that factor,
     and the partial products of at most two expressions are held at once.
     The counts say how many merges were computed and reused and how many
-    path searches ran."""
+    path searches the expressions ran (a conditional's are not counted)."""
 
     plans: dict[tuple, list] = field(default_factory=dict)
     previous: dict[tuple, tuple] = field(default_factory=dict)
@@ -555,17 +563,6 @@ class Contractor:
     ) -> np.ndarray:
         """The product of the factors' batch tables summed down to out, with
         the batch axis first and then out's labels in order."""
-        ids: dict[str, int] = {}
-        subs = [tuple(ids.setdefault(l, len(ids)) for l in t.labels) for t in tables]
-        key = (tuple(subs), tuple(ids[l] for l in out), tuple(t.values.shape for t in tables))
-        plan = self.plans.get(key)
-        if plan is None:
-            sizes = [0] * len(ids)
-            for s, t in zip(subs, tables):
-                for i, n in zip(s, t.values.shape[1:]):
-                    sizes[i] = n
-            plan = self.plans[key] = _plan(subs, sizes, key[1], tables[0].values.shape[0])
-            self.searches += 1
         # A factor is named by its expression and by how many equal factors
         # come before it, so a product may hold the same factor twice.
         seen: dict[ProbExpr, int] = {}
@@ -574,18 +571,18 @@ class Contractor:
             seen[f] = seen.get(f, -1) + 1
             ops.append((t.values, t.labels, frozenset({(f, seen[f])})))
         what = f"a product of {len(factors)} factors"
-        return _execute(plan, ops, list(ids), out, 1, what, self._memoised_merge)
+        values, searched = _run(self.plans, ops, out, 1, what, self._memoised_merge)
+        self.searches += searched
+        return values
 
-    def _memoised_merge(
-        self, group: list[Operand], kept: tuple[str, ...], matmul: bool
-    ) -> Operand:
+    def _memoised_merge(self, group: list[Operand], kept: tuple[str, ...]) -> Operand:
         """The merge of group over kept, from this generation or the last if
         either has it, else computed."""
         leaves = frozenset().union(*(leaf for _, _, leaf in group))
         memo_key = (leaves, frozenset(kept))
         hit = self.current.get(memo_key) or self.previous.get(memo_key)
         if hit is None:
-            hit = (_merge(group, kept, 1, matmul), kept)
+            hit = (_merge(group, kept, 1), kept)
             self.computed += 1
         else:
             self.reused += 1
@@ -740,7 +737,8 @@ def model_from_base_cpts(
 def model_batches(swig: Swig, cpts_list: Sequence[Mapping[str, Cpt]]) -> Iterator[DiscreteModel]:
     """The models of a list of base-graph CPTs (same parent orders), in
     order, as batches whose joints have at most STATE_LIMIT entries.  The
-    batches share one table of contraction plans."""
+    batches share one table of contraction plans, for their conditionals
+    and expressions alike."""
     size = max(1, STATE_LIMIT // joint_states(swig))
     plans: dict = {}
     for start in range(0, len(cpts_list), size):
@@ -764,13 +762,11 @@ def random_model(swig: Swig, seed: int = 0) -> DiscreteModel:
 
 @dataclass(eq=False)
 class Dataset:
-    """Integer-coded samples, one column per variable.  levels records each
-    column's level count (the graph's when sampled, else read or inferred);
-    plug-in estimation uses the graph's levels, not these."""
+    """Integer-coded samples, one column per variable.  The levels of a
+    column are the graph's: plug-in estimation counts over those."""
 
     columns: tuple[str, ...]
     data: np.ndarray
-    levels: dict[str, int]
 
     def col(self, name: str) -> np.ndarray:
         try:
@@ -817,9 +813,9 @@ class Dataset:
         fh.write(block[block != 0].tobytes().decode("ascii"))
 
     @classmethod
-    def read_csv(cls, fh, levels: Mapping[str, int] | None = None) -> "Dataset":
+    def read_csv(cls, fh) -> "Dataset":
         """Read what write_csv writes: a header of names, then rows of
-        integers.  Levels not given are inferred as each column's max + 1."""
+        integers (none, for a header alone)."""
         header = next(csv.reader([fh.readline()]))
         if not header:
             raise SwigIdentError("malformed CSV: no column names on the first line")
@@ -834,12 +830,7 @@ class Dataset:
             raise SwigIdentError(
                 f"malformed CSV: rows have {data.shape[1]} fields, the header {len(header)}"
             )
-        data = data.reshape(-1, len(header))
-        if levels is None:
-            if not len(data):
-                raise SwigIdentError("cannot infer levels from a CSV with no rows; pass levels")
-            levels = {n: int(data[:, i].max()) + 1 for i, n in enumerate(header)}
-        return cls(tuple(header), data, dict(levels))
+        return cls(tuple(header), data.reshape(-1, len(header)))
 
 
 def sample(model: DiscreteModel, regime: Regime, n: int, seed: int = 0) -> Dataset:
@@ -874,7 +865,7 @@ def sample(model: DiscreteModel, regime: Regime, n: int, seed: int = 0) -> Datas
         for level in cum:
             col += u > level[rows]
         np.minimum(col, k - 1, out=col)
-    return Dataset(swig.names, data, {v.name: v.cardinality for v in swig.variables})
+    return Dataset(swig.names, data)
 
 
 def empirical_provider(dataset: Dataset, swig: Swig) -> TableProvider:

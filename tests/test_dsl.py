@@ -169,6 +169,17 @@ def test_parse_estimand_maps_do_to_intervention_node(fig1):
     assert obs.dependents == (("M1", None), ("Y1", None))
 
 
+@pytest.mark.parametrize(
+    "text, line, column", [("q[2](Y1)", 1, 3), ("  q[5](Y1)", 1, 5), ("\n q [ 7 ](Y1)", 2, 6)]
+)
+def test_a_regime_index_past_the_targets_names_its_position(fig1, text, line, column):
+    with pytest.raises(ParseError, match="exceeds the 1 declared targets") as exc:
+        parse_estimand(text, fig1)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    with pytest.raises(ParseError, match=f"line {line}, column {column}"):
+        parse_ci_query(text.replace("(Y1)", ": Y1 _||_ L"), fig1)
+
+
 def test_parse_estimand_errors(fig1):
     with pytest.raises(ParseError, match="exceeds the 1 declared targets"):
         parse_estimand("q[2](Y1 | do D1=d1)", fig1)

@@ -155,24 +155,29 @@ def test_mediator_intervention_without_mediators(fig1_ablated):
     assert isinstance(d.blocking, CiQuery)
 
 
-MEDIATOR_RECIPES = ("frontdoor", "sequential_frontdoor", "mediator_intervention")
+RECIPES = (
+    "backdoor", "frontdoor", "sequential_backdoor", "sequential_frontdoor", "mediator_intervention"
+)
 
 
 @pytest.mark.parametrize(
     "graph, query, strategies",
     [
-        ("fig2_n2", "q[2](D1 | do D1=d1, do D2=d2)", MEDIATOR_RECIPES[1:]),
-        ("fig1", "q[1](D1 | do D1=d1)", MEDIATOR_RECIPES),
+        (
+            "fig2_n2",
+            "q[2](D1 | do D1=d1, do D2=d2)",
+            ("sequential_backdoor", "sequential_frontdoor", "mediator_intervention"),
+        ),
+        ("fig1", "q[1](D1 | do D1=d1)", RECIPES),
     ],
 )
 def test_mediator_recipes_with_a_dose_target_dependent(
     graph, query, strategies, fig1, fig2_n2, tmp_path, capsys
 ):
-    # A dependent that is also a dose target used to end in "CI query sets
-    # must be pairwise disjoint" when the recipes built their fallback
-    # blocking query, and then in a refusal whose blocking query held
-    # (q1: D1 _||_ Do1).  The doses do not reach D1, so every recipe now
-    # answers q0(D1) by dropping the whole regime, as the search does.
+    # D1 is a dose's own target, so the doses do not reach it: every
+    # recipe, mediator or back-door, answers q0(D1) by dropping the whole
+    # regime, as the search does, instead of refusing with a blocking query
+    # that holds (q1: D1 _||_ Do1) or with none.
     swig = {"fig1": fig1, "fig2_n2": fig2_n2}[graph]
     path = tmp_path / f"{graph}.swig"
     assert main(["fixture", graph, "--out", str(path)]) == 0
@@ -192,7 +197,6 @@ def test_mediator_recipes_with_a_dose_target_dependent(
     assert found.identified and to_text(found.final) == "q0(D1)"
 
 
-RECIPES = ("backdoor", "frontdoor", "sequential_backdoor", *MEDIATOR_RECIPES[1:])
 # What identify raises for a recipe before it applies any rule: the estimand
 # does not have the recipe's shape, or a named variable cannot be used.
 NOT_THE_RECIPE_SHAPE = re.compile(
@@ -204,10 +208,10 @@ NOT_THE_RECIPE_SHAPE = re.compile(
 def test_no_recipe_reports_a_blocking_query_that_holds(tmp_path):
     # Every estimand of the golden and benchmark identify cases, plus the
     # dose-target dependents and an unobserved dependent, under every
-    # recipe.  D2 descends from Do1, so the mediator recipes fall back to
-    # their dose query; q1(L | do D1) = q0(L) with L unobserved is refused
-    # with no blocking query.  A mediator recipe that refuses an estimand
-    # whose dependents are all observed names a blocking query, also when
+    # recipe.  D2 descends from Do1, so the recipes fall back to their dose
+    # query; q1(L | do D1) = q0(L) with L unobserved is refused with no
+    # blocking query.  A recipe that refuses an estimand with an active
+    # intervention and observed dependents names a blocking query, also when
     # the refusing rule carries none (mediator_intervention on D2: its
     # total_probability step refuses to sum over a dependent).
     # On fig1 with mediator L, and on fig1_direct, a dose reaches the
@@ -244,7 +248,7 @@ def test_no_recipe_reports_a_blocking_query_that_holds(tmp_path):
                     graph, query, recipe, str(d.blocking)
                 )
                 observed = all(swig.var(n).observed for n in est.dep_names())
-                if recipe.partition(":")[0] in MEDIATOR_RECIPES and observed:
+                if est.regime.active and observed:
                     assert d.blocking is not None, (graph, query, recipe)
     assert refused >= 5
 
@@ -505,6 +509,26 @@ def test_verify_in_chunks_matches_one_batch(strategy, per_batch, run, fig2_n2, m
     assert np.allclose(chunked_devs, whole_devs, rtol=0, atol=1e-12)
     skips = [step["models_skipped"] for step in whole["steps"]]
     assert whole["passed"] and (max(skips) == 1 if run == "skipping" else max(skips) == 0)
+
+
+@pytest.mark.parametrize("strategy", ["sequential_frontdoor", "mediator_intervention"])
+def test_verify_in_batches_of_one_searches_no_more_paths(strategy, fig2_n2, monkeypatch):
+    # The batches share one plan table for their conditionals and their
+    # expressions, so a path is searched once per contraction shape however
+    # the models are split.
+    d = identify(fig2_n2, dose_estimand(fig2_n2, ("Y",)), strategy)
+    calls = []
+    plan = oracle._plan
+    monkeypatch.setattr(oracle, "_plan", lambda *a: calls.append(a) or plan(*a))
+
+    def searches():
+        calls.clear()
+        assert verify(d, fig2_n2, n_models=20, seed=3).passed
+        return len(calls)
+
+    whole = searches()
+    monkeypatch.setattr(oracle, "STATE_LIMIT", oracle.joint_states(fig2_n2))
+    assert 0 < searches() <= whole
 
 
 def test_search_outperforms_rigid_recipe_on_nonprefix_regime(fig2_n2):

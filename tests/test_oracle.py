@@ -55,6 +55,7 @@ from swigident.oracle import (
     MATMUL_ENTRIES,
     ZERO_EPS,
     Dataset,
+    _merge,
     _plan,
     ancestral_conditional,
     contraction_counts,
@@ -411,7 +412,7 @@ def test_brute_force_ci_matches_the_dense_joint(case, split):
     assert brute_force_ci(model, q) == reference_brute_force_ci(model, q)
 
 
-def reference_plan(subs, sizes, out, batch):
+def reference_plan(subs, sizes, out):
     """_plan as first written: every pair of factors is weighed, a pair that
     shares no label behind every pair that shares one."""
     out_mask = sum(1 << i for i in out)
@@ -436,28 +437,26 @@ def reference_plan(subs, sizes, out, batch):
                 if best is None or cost < best[0]:
                     best = (cost, i, j, keep)
         _, i, j, keep = best
-        matmul = batch * size(live[i] | live[j]) > MATMUL_ENTRIES
         live.pop(j)
         live.pop(i)
         live.append(keep)
         labels = out if len(live) == 1 else tuple(k for k in range(len(sizes)) if keep >> k & 1)
-        steps.append(((j, i), labels, matmul))
+        steps.append(((j, i), labels))
     if live[0] != out_mask:
-        steps.append(((0,), out, False))
+        steps.append(((0,), out))
     return steps
 
 
 @st.composite
 def contraction_shapes(draw):
-    """Factors over random subsets of up to 8 labels of 1-6 levels, kept
-    labels in a random order drawn from those the factors hold, and a batch
-    size."""
+    """Factors over random subsets of up to 8 labels of 1-6 levels, and kept
+    labels in a random order drawn from those the factors hold."""
     sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
     labels = st.lists(st.integers(0, len(sizes) - 1), max_size=4, unique=True).map(tuple)
     subs = draw(st.lists(labels, min_size=1, max_size=8))
     held = sorted({i for s in subs for i in s})
     out = tuple(draw(st.permutations(held))[: draw(st.integers(0, len(held)))])
-    return subs, sizes, out, draw(st.integers(1, 200))
+    return subs, sizes, out
 
 
 @given(contraction_shapes())
@@ -466,12 +465,34 @@ def test_plan_matches_the_exhaustive_pair_scan(shape):
     assert _plan(*shape) == reference_plan(*shape)
 
 
+def test_merge_sends_a_pair_past_matmul_entries_through_the_matmul_path(monkeypatch):
+    # Over all models, the pair (x) * (x, y) has batch * 2 * 2 entries: at
+    # MATMUL_ENTRIES with the smaller batch, past it with the larger.  A
+    # single table is never sent through the matmul path.
+    flags = []
+    einsum = np.einsum
+
+    def spy(*operands, optimize):
+        flags.append(optimize)
+        return einsum(*operands, optimize=optimize)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    rng = np.random.default_rng(0)
+    for batch in (MATMUL_ENTRIES // 4, MATMUL_ENTRIES // 4 + 1):
+        a = rng.random((batch, 2))
+        b = rng.random((batch, 2, 2))
+        got = _merge([(a, ("x",), None), (b, ("x", "y"), None)], ("y",), 1)
+        assert np.allclose(got, einsum("mx,mxy->my", a, b))
+    big = rng.random((MATMUL_ENTRIES, 2))
+    assert np.allclose(_merge([(big, ("x",), None)], (), 1), big.sum(axis=1))
+    assert flags == [False, True, False]
+
+
 def test_sampling_determinism_and_coupling(fig1):
     model = random_model(fig1, seed=11)
     a = sample(model, Q0, 500, seed=3)
     b = sample(model, Q0, 500, seed=3)
     assert np.array_equal(a.data, b.data)
-    assert a.levels == {n: 2 for n in fig1.names}
     assert np.array_equal(a.col("D1"), a.col("Do1"))
 
     c = sample(model, Q1, 4000, seed=3)
@@ -545,12 +566,12 @@ def test_write_csv_writes_csv_writer_bytes_and_reads_back(data):
     writer.writerow(columns)
     writer.writerows(data.tolist())
     got = io.StringIO(newline="")
-    Dataset(columns, data, {}).write_csv(got)
+    Dataset(columns, data).write_csv(got)
     assert got.getvalue() == want.getvalue()
     if not columns:
         return
     got.seek(0)
-    back = Dataset.read_csv(got, levels={c: 1 for c in columns})
+    back = Dataset.read_csv(got)
     assert back.columns == columns and np.array_equal(back.data, data)
 
 
@@ -561,7 +582,6 @@ def test_write_csv_writes_csv_writer_bytes_and_reads_back(data):
         ("A,B\r\n0,1\r\n1,x\r\n", "could not convert string 'x'"),
         ("A,B\r\n0,1\r\n# note\r\n", "malformed CSV"),
         ("A,B\r\n0,1,1\r\n1,0,1\r\n", "rows have 3 fields, the header 2"),
-        ("A,B\r\n", "cannot infer levels from a CSV with no rows"),
         ("", "no column names"),
         ("\r\n0\r\n", "no column names"),
     ],
@@ -569,6 +589,11 @@ def test_write_csv_writes_csv_writer_bytes_and_reads_back(data):
 def test_read_csv_refuses_malformed_input(text, message):
     with pytest.raises(SwigIdentError, match=message):
         Dataset.read_csv(io.StringIO(text, newline=""))
+
+
+def test_read_csv_of_a_header_alone_has_no_rows():
+    read = Dataset.read_csv(io.StringIO("A,B\r\n", newline=""))
+    assert read.columns == ("A", "B") and read.data.shape == (0, 2) and len(read) == 0
 
 
 def test_plugin_estimate_sizes_tables_by_the_graph():
@@ -579,7 +604,6 @@ def test_plugin_estimate_sizes_tables_by_the_graph():
         data.write_csv(fh)
         fh.seek(0)
         read = Dataset.read_csv(fh)
-    assert read.levels["Y"] == 1
     got = plugin_estimate(swig, parse_expr("q0(Y | D1=d1)"), read)
     assert got.labels == ("Y", "d1") and got.values.shape == (2, 2)
     assert (got.values[1] < got.values[0]).all()
@@ -598,11 +622,7 @@ def test_plugin_estimate_refuses_values_outside_the_graphs_levels(fig1):
 def test_plugin_estimate_names_a_missing_column(fig1):
     data = sample(random_model(fig1, seed=3), Q0, 50, seed=3)
     keep = [i for i, n in enumerate(fig1.names) if n != "M1"]
-    short = Dataset(
-        tuple(fig1.names[i] for i in keep),
-        data.data[:, keep],
-        {n: 2 for n in fig1.names if n != "M1"},
-    )
+    short = Dataset(tuple(fig1.names[i] for i in keep), data.data[:, keep])
     with pytest.raises(SwigIdentError, match="dataset has no column 'M1'"):
         plugin_estimate(fig1, parse_expr("q0(Y1 | M1=m, D1=d1)"), short)
 
