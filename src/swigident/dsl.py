@@ -1,7 +1,7 @@
 """Text surfaces: the graph description language, query strings,
 probability expressions, and DOT.
 
-Graph files hold one graph each:
+Graph files, and the graph field of model files, hold one graph each:
 
     # a comment
     graph fig1 {
@@ -18,7 +18,8 @@ like ``sum{l} q0(Y1 | L=l, D1=d1) * q0(L=l)``, and the only
 form in which derivation files store them.  parse_graph and emit_graph
 round-trip exactly, and so do parse_expr and to_text.  All of them spell a
 variable as model.NAME and a symbol as a NAME with optional trailing quotes
-(d1'); model.validate rejects a graph with any other variable name.
+(d1'); model.validate rejects a graph with any other graph or variable
+name.
 """
 
 from __future__ import annotations
@@ -114,31 +115,26 @@ def parse_graph(text: str) -> BaseDag:
         kind, word, line, col = toks.expect("ident")
         if word == "var":
             vname = toks.expect("ident")[1]
-            time = 0
-            role = Role.OTHER
-            levels = 2
-            observed = True
+            declared = {}  # Variable's defaults hold for the attributes left out
             while not toks.accept("punct", ";"):
                 k, v, l2, c2 = toks.next()
                 if k == "punct" and v == "@":
-                    time = int(toks.expect("num")[1])
+                    declared["time"] = int(toks.expect("num")[1])
                 elif k == "ident" and v == "role":
                     toks.expect("punct", "=")
                     rv, rl, rc = toks.expect("ident")[1:4]
                     try:
-                        role = Role(rv)
+                        declared["role"] = Role(rv)
                     except ValueError:
                         raise ParseError(f"unknown role {rv!r}", rl, rc) from None
                 elif k == "ident" and v == "levels":
                     toks.expect("punct", "=")
-                    levels = int(toks.expect("num")[1])
+                    declared["cardinality"] = int(toks.expect("num")[1])
                 elif k == "ident" and v == "unobserved":
-                    observed = False
+                    declared["observed"] = False
                 else:
                     raise ParseError(f"unexpected {v!r} in var declaration", l2, c2)
-            variables.append(
-                Variable(vname, time=time, role=role, observed=observed, cardinality=levels)
-            )
+            variables.append(Variable(vname, **declared))
         elif word == "edge":
             a = toks.expect("ident")[1]
             toks.expect("arrow")
@@ -172,13 +168,14 @@ def parse_graph(text: str) -> BaseDag:
 def emit_graph(base: BaseDag) -> str:
     """Render a graph document that parse_graph maps back to base."""
     lines = [f"graph {base.name} {{"]
+    plain = Variable("")  # the attributes a declaration leaves out
     for v in base.variables:
         parts = [f"var {v.name} @{v.time}"]
-        if v.role is not Role.OTHER:
+        if v.role != plain.role:
             parts.append(f"role={v.role.value}")
-        if v.cardinality != 2:
+        if v.cardinality != plain.cardinality:
             parts.append(f"levels={v.cardinality}")
-        if not v.observed:
+        if v.observed != plain.observed:
             parts.append("unobserved")
         lines.append("  " + " ".join(parts) + ";")
     for a, b in sorted(base.edges):

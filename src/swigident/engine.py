@@ -8,7 +8,10 @@ by step: one driver checks the estimand's shape, builds the candidate
 variable sets, and runs the recipe's attempt on each until one derives the
 estimand.  The two search modes explore the same sound move set with
 different orderings; verify replays every step against the exact oracle on
-batches of random models.
+batches of random models.  This module alone writes and reads derivation
+files: a step is stored as its rule, its output's text and its
+justification, whose kind comes from one table and whose fields follow by
+name.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ExprError, RuleRefusedError, SwigIdentError, malformed
+from .errors import ExprError, RuleRefusedError, SwigIdentError, malformed, parse_field
 from .expr import (
     DerivationStep,
     ProbExpr,
@@ -81,15 +84,6 @@ class CompositionJustification:
         meds = ", ".join(self.mediator_targets)
         return f"composing over mediator interventions on {meds}"
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "composition",
-            "mediator_targets": list(self.mediator_targets),
-            "binders": list(self.binders),
-            "mediator_law": self.mediator_law.to_json(),
-            "outcome": self.outcome.to_json(),
-        }
-
 
 @dataclass(frozen=True)
 class Derivation:
@@ -123,13 +117,21 @@ class Derivation:
 
     def to_json(self) -> dict:
         """Every expression as its text; a step's input is the expression
-        before it, so only its output is stored."""
+        before it, so only its output is stored, with its rule and its
+        justification."""
         return {
             "estimand": to_text(self.estimand),
             "status": self.status,
             "blocking": None if self.blocking is None else self.blocking.to_json(),
             "final": to_text(self.final),
-            "steps": [s.to_json() for s in self.steps],
+            "steps": [
+                {
+                    "rule": s.rule,
+                    "output": to_text(s.output),
+                    "justification": _justification_to_json(s.justification),
+                }
+                for s in self.steps
+            ],
         }
 
     @classmethod
@@ -165,16 +167,41 @@ class Derivation:
 
 
 def _stored_expr(text: object, field: str) -> ProbExpr:
-    """The expression a derivation file stores as text in the named field;
-    a failure names the field and, for bad text, the parse position."""
-    if not isinstance(text, str):
-        raise SwigIdentError(
-            f"malformed derivation: {field}: expected expression text, found {type(text).__name__}"
-        )
-    try:
-        return parse_expr(text)
-    except SwigIdentError as exc:
-        raise SwigIdentError(f"malformed derivation: {field}: {exc}") from exc
+    """The expression a derivation file stores as text in the named field."""
+    return parse_field(parse_expr, text, f"malformed derivation: {field}", "expression")
+
+
+# The kind a derivation file names each justification class by.
+_KINDS = {
+    CiJustification: "ci",
+    ConsistencyJustification: "consistency",
+    DropLaterJustification: "drop_later",
+    RedundancyJustification: "redundancy",
+    IntroduceJustification: "introduce",
+    SplitJustification: "product",
+    CompositionJustification: "composition",
+}
+
+
+def _justification_to_json(justification) -> dict | None:
+    """The justification's kind, then its fields by name, in order (the
+    instance dict of a justification dataclass holds exactly its fields)."""
+    if justification is None:
+        return None
+    kind = _KINDS.get(type(justification))
+    if kind is None:
+        raise TypeError(f"derivation files have no kind for {type(justification).__name__}")
+    return {"kind": kind, **{k: _field_json(v) for k, v in vars(justification).items()}}
+
+
+def _field_json(value):
+    """A justification field: a query or a nested derivation by its own
+    to_json, a tuple as a list."""
+    if isinstance(value, tuple):
+        return [_field_json(v) for v in value]
+    if isinstance(value, (CiQuery, Derivation)):
+        return value.to_json()
+    return value
 
 
 def _justification_from_json(obj, where: str):

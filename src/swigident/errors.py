@@ -59,3 +59,16 @@ def malformed(what: str):
         yield
     except (KeyError, TypeError, ValueError, AttributeError, ExprError) as exc:
         raise SwigIdentError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
+def parse_field(parse, text: object, where: str, form: str):
+    """parse(text) for a document field that holds text in the named form
+    ("expression", "graph document"); a field that holds no string, or text
+    that parse refuses, raises SwigIdentError prefixed by where ("malformed
+    model: graph"), with the parse position."""
+    if not isinstance(text, str):
+        raise SwigIdentError(f"{where}: expected {form} text, found {type(text).__name__}")
+    try:
+        return parse(text)
+    except SwigIdentError as exc:
+        raise SwigIdentError(f"{where}: {exc}") from exc

@@ -427,13 +427,3 @@ class DerivationStep:
     def __post_init__(self) -> None:
         if self.input == self.output:
             raise ExprError(f"step {self.rule!r} does not change the expression")
-
-    def to_json(self) -> dict:
-        just = None
-        if self.justification is not None and hasattr(self.justification, "to_json"):
-            just = self.justification.to_json()
-        return {
-            "rule": self.rule,
-            "output": to_text(self.output),
-            "justification": just,
-        }

@@ -165,6 +165,8 @@ class BaseDag(_Variables):
 def validate(base: BaseDag) -> list[Violation]:
     """Structural diagnostics; empty list iff the DAG is well formed."""
     out: list[Violation] = []
+    if not re.fullmatch(NAME, base.name):
+        out.append(Violation("name", f"graph name {base.name!r} is not a name ({NAME})"))
     names = [v.name for v in base.variables]
     seen: set[str] = set()
     for n in names:

@@ -35,7 +35,8 @@ STATE_LIMIT entries, as large as one model's joint may be; every table the
 ancestral way builds is labelled by a subset of the variables, so that bound
 holds for it too.  Conditionals and expressions both contract through
 _run, whose paths are kept in one table per model, shared across batches
-and keyed by the contraction's shape, so _plan searches each shape once.
+and keyed by the contraction's shape without the batch axis, so _plan
+searches each shape once whatever the batch sizes.
 _run refuses a merge whose einsum would take more than EINSUM_LABELS labels
 or whose table would have more than STATE_LIMIT entries for one model.
 
@@ -46,6 +47,10 @@ seed fixes the rows.  Dataset.write_csv lays the rows out as one byte block
 and writes exactly what csv.writer would; Dataset.read_csv parses the body
 with np.loadtxt.  plugin_estimate counts cells over the levels the graph
 declares and refuses a value outside them.
+
+A model file is JSON with two fields: graph, the base graph as the graph
+document dsl.emit_graph writes and dsl.parse_graph reads, and cpts, each
+non-intervention variable's parents and CPT flattened in C order.
 """
 
 from __future__ import annotations
@@ -60,16 +65,18 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .dsl import emit_graph, parse_graph
 from .errors import (
     ExprError,
     StateSpaceLimitError,
     SwigIdentError,
     ZeroProbabilityError,
     malformed,
+    parse_field,
 )
 from .expr import ProbExpr, Product, Sum, Term, regimes_used
 from .graphs import CiQuery, Graph
-from .model import BaseDag, Regime, Role, Swig, Sym, Variable, to_swig
+from .model import BaseDag, Regime, Swig, Sym, to_swig
 
 STATE_LIMIT = 2**22
 ZERO_EPS = 1e-12
@@ -501,15 +508,16 @@ def _run(
     """The product of ops summed down to the labels out, with the lead batch
     axes first and then out's labels in order, and whether a path was
     searched.  The labels are numbered by first use; the path is looked up
-    in plans by those numbers, out's and the operand shapes, and _plan runs
-    only on a miss.  Each merge pops its positions, merge(group, kept)
+    in plans by those numbers, out's and the operand shapes past the lead
+    axes (a path does not depend on the batch size), and _plan runs only on
+    a miss.  Each merge pops its positions, merge(group, kept)
     computes their product over the labels kept, and the result is
     appended.  A merge whose einsum would take more than EINSUM_LABELS
     labels, or whose table would have more than STATE_LIMIT entries for one
     model, raises StateSpaceLimitError naming what is contracted."""
     ids: dict[str, int] = {}
     subs = tuple(tuple(ids.setdefault(n, len(ids)) for n in labels) for _, labels, _ in ops)
-    key = (subs, tuple(ids[n] for n in out), tuple(t.shape for t, _, _ in ops))
+    key = (subs, tuple(ids[n] for n in out), tuple(t.shape[lead:] for t, _, _ in ops))
     plan = plans.get(key)
     searched = plan is None
     if searched:
@@ -912,23 +920,10 @@ def plugin_estimate(swig: Swig, e: ProbExpr, dataset: Dataset) -> LabeledTable:
 # model files
 
 def model_to_json(model: DiscreteModel) -> dict:
-    base = model.swig.base
+    """The graph as its graph document, and each CPT by its parents and its
+    table flattened in C order (the variable's own level varies fastest)."""
     return {
-        "graph": {
-            "name": base.name,
-            "variables": [
-                {
-                    "name": v.name,
-                    "time": v.time,
-                    "role": v.role.value,
-                    "observed": v.observed,
-                    "levels": v.cardinality,
-                }
-                for v in base.variables
-            ],
-            "edges": sorted([a, b] for a, b in base.edges),
-            "targets": list(base.targets),
-        },
+        "graph": emit_graph(model.swig.base),
         "cpts": {
             name: {"parents": list(parents), "table": np.asarray(t).ravel().tolist()}
             for name, (parents, t) in sorted(model.cpts.items())
@@ -938,24 +933,12 @@ def model_to_json(model: DiscreteModel) -> dict:
 
 def model_from_json(obj: dict) -> DiscreteModel:
     with malformed("model"):
-        g = obj["graph"]
-        variables = tuple(
-            Variable(
-                name=v["name"],
-                time=int(v.get("time", 0)),
-                role=Role(v.get("role", "other")),
-                observed=bool(v.get("observed", True)),
-                cardinality=int(v.get("levels", 2)),
-            )
-            for v in g["variables"]
+        swig = parse_field(
+            lambda text: to_swig(parse_graph(text)),
+            obj["graph"],
+            "malformed model: graph",
+            "graph document",
         )
-        base = BaseDag(
-            variables=variables,
-            edges=frozenset((a, b) for a, b in g["edges"]),
-            targets=tuple(g.get("targets", ())),
-            name=g.get("name", "graph"),
-        )
-        swig = to_swig(base)
         cpts: dict[str, Cpt] = {}
         for name, spec in obj["cpts"].items():
             parents = tuple(spec["parents"])

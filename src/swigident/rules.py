@@ -5,7 +5,9 @@ and returns a DerivationStep.  Rules whose soundness is conditional
 (ci modify, drop later, consistency, redundancy) check their side condition
 against the graph and raise RuleRefusedError when it fails; total
 probability and the product rule hold unconditionally.  A refusal carries
-the blocking CiQuery when the failed condition is a d-separation.
+the blocking CiQuery when the failed condition is a d-separation.  The
+justifications are plain data with a one-line text form; engine writes and
+reads them in derivation files.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ class CiJustification:
     def __str__(self) -> str:
         return f"by {self.query}"
 
-    def to_json(self) -> dict:
-        return {"kind": "ci", "query": self.query.to_json()}
-
 
 @dataclass(frozen=True)
 class ConsistencyJustification:
@@ -52,15 +51,6 @@ class ConsistencyJustification:
 
     def __str__(self) -> str:
         return f"by consistency at {self.target} = {self.intervention} = {self.value}"
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "consistency",
-            "t": self.t,
-            "target": self.target,
-            "intervention": self.intervention,
-            "value": self.value,
-        }
 
 
 @dataclass(frozen=True)
@@ -73,9 +63,6 @@ class DropLaterJustification:
             return f"interventions after {self.t} do not reach the term"
         return "; ".join(f"by {q}" for q in self.checks)
 
-    def to_json(self) -> dict:
-        return {"kind": "drop_later", "t": self.t, "checks": [q.to_json() for q in self.checks]}
-
 
 @dataclass(frozen=True)
 class RedundancyJustification:
@@ -84,9 +71,6 @@ class RedundancyJustification:
     def __str__(self) -> str:
         eqs = ", ".join(f"{o} = {t}" for t, o in self.pairs)
         return f"under q0, {eqs} almost surely"
-
-    def to_json(self) -> dict:
-        return {"kind": "redundancy", "pairs": [list(p) for p in self.pairs]}
 
 
 @dataclass(frozen=True)
@@ -99,9 +83,6 @@ class IntroduceJustification:
         pairs = ", ".join(f"{v} as {s}" for v, s in self.introduced)
         return f"summing over {pairs}"
 
-    def to_json(self) -> dict:
-        return {"kind": "introduce", "introduced": [list(p) for p in self.introduced]}
-
 
 @dataclass(frozen=True)
 class SplitJustification:
@@ -109,9 +90,6 @@ class SplitJustification:
 
     def __str__(self) -> str:
         return "chain rule over " + " ; ".join(", ".join(g) for g in self.split)
-
-    def to_json(self) -> dict:
-        return {"kind": "product", "split": [list(g) for g in self.split]}
 
 
 def _term_at(e: ProbExpr, path: tuple[int, ...]) -> Term:
@@ -196,7 +174,6 @@ def rule_ci_modify(
     var: str,
     action: str,
     value: ValueRef | None = None,
-    justification: CiQuery | None = None,
 ) -> DerivationStep:
     """Insert, delete, or revalue a conditioning variable, licensed by
     d-separation of the dependents from it given the other conditioners."""
@@ -216,8 +193,6 @@ def rule_ci_modify(
 
     z = frozenset(n for n in conds if n != var)
     query = CiQuery(term.regime, frozenset(term.dep_names()), frozenset({var}), z)
-    if justification is not None and justification != query:
-        raise ExprError("supplied justification does not match the rewrite")
     if not d_separated(swig, query):
         raise RuleRefusedError(f"not d-separated: {query}", blocking=query)
 

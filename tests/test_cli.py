@@ -280,6 +280,30 @@ def test_simulate_malformed_model_exits_1(text, fig1_path, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: malformed model:")
 
 
+def test_simulate_refuses_a_model_file_with_a_graph_dict(fig1, fig1_path, tmp_path, capsys):
+    # Model files once held the graph as a dict; the graph document is now
+    # its one serial form.
+    path = tmp_path / "model.json"
+    save_model(random_model(fig1, seed=5), str(path))
+    obj = json.loads(path.read_text())
+    base = fig1.base
+    obj["graph"] = {
+        "name": base.name,
+        "variables": [
+            {"name": v.name, "time": v.time, "role": v.role.value, "observed": v.observed,
+             "levels": v.cardinality}
+            for v in base.variables
+        ],
+        "edges": sorted([a, b] for a, b in base.edges),
+        "targets": list(base.targets),
+    }
+    path.write_text(json.dumps(obj))
+    assert main(["simulate", fig1_path, "--model", str(path), "--n", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: malformed model: graph: expected graph document text, found dict\n"
+
+
 def test_identify_stats_flag_writes_one_json_line(fig1_path, capsys):
     argv = ["identify", str(fig1_path), "q[1](Y1 | do D1=d1)", "--strategy", "top_down"]
     assert main(argv) == 0

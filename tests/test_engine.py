@@ -311,6 +311,18 @@ def test_every_golden_and_bench_derivation_round_trips_through_its_text(tmp_path
     assert compositions == 2
 
 
+def test_a_justification_of_an_unknown_type_is_not_written(fig1, fig1_estimand):
+    @dataclasses.dataclass(frozen=True)
+    class Hunch:
+        note: str
+
+    d = identify(fig1, fig1_estimand, "backdoor:L")
+    step = dataclasses.replace(d.steps[0], justification=Hunch("looks right"))
+    forged = dataclasses.replace(d, steps=(step, *d.steps[1:]))
+    with pytest.raises(TypeError, match="derivation files have no kind for Hunch"):
+        forged.to_json()
+
+
 def test_a_malformed_nested_derivation_is_located(bundled_derivations):
     (d,) = [d for name, _, d in bundled_derivations if name == "compose_fig2_n2"]
     obj = d.to_json()
@@ -521,14 +533,17 @@ def test_verify_in_batches_of_one_searches_no_more_paths(strategy, fig2_n2, monk
     plan = oracle._plan
     monkeypatch.setattr(oracle, "_plan", lambda *a: calls.append(a) or plan(*a))
 
-    def searches():
+    def searches(n_models):
         calls.clear()
-        assert verify(d, fig2_n2, n_models=20, seed=3).passed
+        assert verify(d, fig2_n2, n_models=n_models, seed=3).passed
         return len(calls)
 
-    whole = searches()
-    monkeypatch.setattr(oracle, "STATE_LIMIT", oracle.joint_states(fig2_n2))
-    assert 0 < searches() <= whole
+    whole = {n_models: searches(n_models) for n_models in (20, 5)}
+    # 20 batches of one model; batches of 4 and 1, whose operand shapes
+    # differ in the batch axis only
+    for n_models, per_batch in ((20, 1), (5, 4)):
+        monkeypatch.setattr(oracle, "STATE_LIMIT", per_batch * oracle.joint_states(fig2_n2))
+        assert 0 < searches(n_models) <= whole[n_models]
 
 
 def test_search_outperforms_rigid_recipe_on_nonprefix_regime(fig2_n2):

@@ -20,7 +20,7 @@ from swigident import (
     validate,
     validate_estimand,
 )
-from swigident.model import intervention_name
+from swigident.model import NAME, intervention_name
 
 from conftest import dose_estimand
 
@@ -170,6 +170,14 @@ def test_validate_diagnostics():
         "manual",
     )
     assert "role" in {x.rule for x in validate(manual)}
+
+    # emit_graph would write "graph my graph {", which parse_graph refuses
+    spaced = BaseDag((_v("A", 0),), frozenset(), (), "my graph")
+    assert [x.message for x in validate(spaced)] == [
+        f"graph name 'my graph' is not a name ({NAME})"
+    ]
+    with pytest.raises(SwigIdentError, match="graph name 'my graph' is not a name"):
+        to_swig(spaced)
 
 
 def test_to_swig_rejects_invalid():

@@ -29,6 +29,7 @@ from swigident import (
     ZeroProbabilityError,
     ablated_figure1,
     brute_force_ci,
+    emit_graph,
     eval_estimand,
     eval_expr,
     figure1,
@@ -49,6 +50,7 @@ from swigident import (
 )
 from swigident.engine import _mediators_swig
 from swigident.expr import terms
+from swigident.figures import FIXTURES
 from swigident.graphs import CiQuery
 from swigident.oracle import (
     EINSUM_LABELS,
@@ -646,6 +648,21 @@ def test_plugin_estimate_converges(fig1):
     assert np.max(np.abs(got.aligned(labels) - want.aligned(labels))) < 0.05
 
 
+def _assert_model_file_round_trips(model):
+    """save_model writes the graph as its graph document, and load_model
+    reads back an equal graph and equal CPTs."""
+    fh = io.StringIO()
+    save_model(model, fh)
+    assert json.loads(fh.getvalue())["graph"] == emit_graph(model.swig.base)
+    fh.seek(0)
+    loaded = load_model(fh)
+    assert loaded.swig == model.swig
+    assert loaded.cpts.keys() == model.cpts.keys()
+    for name, (parents, table) in model.cpts.items():
+        assert loaded.cpts[name][0] == parents
+        assert np.array_equal(loaded.cpts[name][1], table)
+
+
 def test_model_json_round_trip(fig1, tmp_path):
     model = random_model(fig1, seed=15)
     clone = model_from_json(model_to_json(model))
@@ -663,6 +680,23 @@ def test_model_json_round_trip(fig1, tmp_path):
     assert np.allclose(
         query(loaded, Q0, ("Y1",)), query(model, Q0, ("Y1",)), atol=1e-15
     )
+    for seed, build in enumerate([*FIXTURES.values(), lambda: figure1(l_observed=False)]):
+        _assert_model_file_round_trips(random_model(to_swig(build()), seed=seed))
+
+
+@given(regime_queries(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_model_file_round_trips_a_random_graph(case, data):
+    # up to 3 levels and 2 targets from the generator; any base role, and
+    # any variable hidden
+    swig, *_, seed = case
+    roles = st.sampled_from([r for r in Role if r is not Role.INTERVENTION])
+    variables = tuple(
+        dataclasses.replace(v, role=data.draw(roles), observed=data.draw(st.booleans()))
+        for v in swig.base.variables
+    )
+    base = dataclasses.replace(swig.base, variables=variables)
+    _assert_model_file_round_trips(random_model(to_swig(base), seed=seed))
 
 
 @pytest.mark.parametrize("text", ['{"graph": {}}', "not json", "[]"])
@@ -671,6 +705,17 @@ def test_load_model_malformed_raises_swigident_error(text, tmp_path):
     path.write_text(text)
     with pytest.raises(SwigIdentError, match="^malformed model:"):
         load_model(path)
+
+
+def test_a_model_graph_that_does_not_parse_names_its_position(fig1):
+    obj = model_to_json(random_model(fig1, seed=15))
+    assert obj["graph"].splitlines()[5] == "  edge D1 -> M1;"
+    obj["graph"] = obj["graph"].replace("edge D1 -> M1;", "edge D1 => M1;")
+    with pytest.raises(SwigIdentError) as exc:
+        model_from_json(obj)
+    assert str(exc.value) == (
+        "malformed model: graph: unexpected character '>' at line 6, column 12"
+    )
 
 
 def test_consistency_spot_check(fig1):

@@ -130,13 +130,6 @@ def test_ci_modify_guards(fig1):
         rule_ci_modify(fig1, e, (), "L", "frobnicate")
 
 
-def test_ci_modify_justification_must_match(fig1):
-    e = parse_expr("q1(Y1 | L=l, Do1=d1)")
-    wrong = CiQuery(Q1, {"Y1"}, {"D1"}, {"L"})
-    with pytest.raises(ExprError):
-        rule_ci_modify(fig1, e, (), "D1", "insert", Sym("d1"), justification=wrong)
-
-
 def test_consistency_deactivates(fig1):
     e = parse_expr("q1(Y1 | L=l, Do1=d1, D1=d1)")
     step = rule_consistency(fig1, e, (), 1)
