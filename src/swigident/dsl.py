@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import re
 
-from .errors import GraphValidationError, ParseError
+from .errors import GraphValidationError, ParseError, SwigIdentError
 from .expr import Entry, ProbExpr, Product, Sum, Term
 from .graphs import CiQuery
-from .model import NAME, BaseDag, Lit, Regime, Role, Swig, Sym, Variable, validate
+from .model import NAME, SYMBOL, BaseDag, Lit, Regime, Role, Swig, Sym, Variable, validate
 
 _TOKEN = re.compile(
     r"""
@@ -311,14 +311,69 @@ def _parse_factor(toks: _Tokens) -> ProbExpr:
     return e
 
 
-def parse_expr(text: str) -> ProbExpr:
-    """Parse the text form written by expr.to_text."""
+def parse_expr(text: str, terms: dict[str, Term] | None = None) -> ProbExpr:
+    """Parse the text form written by expr.to_text.
+
+    Text in the exact layout to_text writes is read a term at a time: terms
+    maps each term's text to the Term parsed from it, and when the calls
+    for the expressions of one file share it, a term seen before is neither
+    tokenized nor built again.  Any other layout, and text that layout
+    refuses, is parsed token by token, which gives the same tree or the
+    error with its position."""
+    try:
+        e, end = _parse_laid_out(text, 0, {} if terms is None else terms)
+        if end == len(text):
+            return e
+    except SwigIdentError:
+        pass
     toks = _Tokens(text)
     e = _parse_expression(toks)
     kind, value, line, col = toks.peek()
     if kind != "eof":
         raise ParseError(f"trailing input {value!r}", line, col)
     return e
+
+
+# A term as to_text writes it: a regime (q2, q{1,2}) and its parenthesized
+# entries, which hold no parenthesis.
+_TERM_TEXT = re.compile(r"[^\s(){}*]+(?:\{[^(){}]*\})?\([^()]*\)")
+
+
+def _parse_laid_out(text: str, pos: int, terms: dict[str, Term]) -> tuple[ProbExpr, int]:
+    """The expression of to_text's layout at pos, and the position after it:
+    "sum{a, b} body", or factors joined by " * ", each a term or an
+    expression in parentheses.  Each term is looked up in terms by its text
+    and parsed alone on a miss.  Raises SwigIdentError where the text has
+    another layout."""
+    if text.startswith("sum{", pos):
+        close = text.find("} ", pos)
+        binders = text[pos + 4 : close].split(", ") if close >= 0 else [""]
+        if not all(SYMBOL.fullmatch(b) for b in binders):
+            raise SwigIdentError("not to_text's layout")
+        body, pos = _parse_laid_out(text, close + 2, terms)
+        return Sum(tuple(binders), body), pos
+    factors = []
+    while True:
+        if text.startswith("(", pos):
+            factor, pos = _parse_laid_out(text, pos + 1, terms)
+            if not text.startswith(")", pos):
+                raise SwigIdentError("not to_text's layout")
+            pos += 1
+        else:
+            m = _TERM_TEXT.match(text, pos)
+            if m is None:
+                raise SwigIdentError("not to_text's layout")
+            factor = terms.get(m.group())
+            if factor is None:
+                toks = _Tokens(m.group())
+                factor = _parse_term(toks)
+                toks.expect("eof")
+                terms[m.group()] = factor
+            pos = m.end()
+        factors.append(factor)
+        if not text.startswith(" * ", pos):
+            return (factors[0] if len(factors) == 1 else Product(tuple(factors))), pos
+        pos += 3
 
 
 def to_dot(swig: Swig, regime: Regime | None = None) -> str:

@@ -8,10 +8,11 @@ by step: one driver checks the estimand's shape, builds the candidate
 variable sets, and runs the recipe's attempt on each until one derives the
 estimand.  The two search modes explore the same sound move set with
 different orderings; verify replays every step against the exact oracle on
-batches of random models.  This module alone writes and reads derivation
-files: a step is stored as its rule, its output's text and its
-justification, whose kind comes from one table and whose fields follow by
-name.
+batches of random models, comparing the subtree the step rewrote in its
+input and its output, and frees each memoised table after its last use.
+This module alone writes and reads derivation files: a step is stored as
+its rule, its output's text and its justification, whose kind comes from
+one table and whose fields follow by name.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ from .expr import (
     Product,
     Term,
     canonicalize,
+    children,
     free_variables,
     fresh_symbol,
     regimes_used,
+    site,
     subexpr_at,
     terms,
     to_text,
@@ -44,11 +47,13 @@ from .graphs import CiQuery, Graph
 from .model import BaseDag, Swig, Sym, ValueRef, to_swig
 from .oracle import (
     LabeledTable,
-    conditional_sizes,
     contraction_counts,
     eval_expr,
+    live_bytes,
     model_batches,
     random_base_cpts,
+    release,
+    term_masks,
 )
 from .rules import (
     CiJustification,
@@ -135,13 +140,18 @@ class Derivation:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, where: str = "") -> "Derivation":
+    def from_json(
+        cls, obj: dict, where: str = "", terms: dict[str, Term] | None = None
+    ) -> "Derivation":
         """Parse the text of to_json back, rebuilding each step's input as
         the estimand or the previous step's output.  where prefixes the
         field names in errors; it locates a derivation nested in a
-        composition step."""
+        composition step.  Each distinct term text of the file is parsed
+        once: terms maps it to its Term, shared with the nested
+        derivations, so the steps share Term objects."""
+        terms = {} if terms is None else terms
         with malformed("derivation"):
-            estimand = _stored_expr(obj["estimand"], f"{where}estimand")
+            estimand = _stored_expr(obj["estimand"], f"{where}estimand", terms)
             if not isinstance(estimand, Term):
                 raise SwigIdentError(
                     f"malformed derivation: {where}estimand: "
@@ -150,25 +160,34 @@ class Derivation:
             steps: list[DerivationStep] = []
             prev: ProbExpr = estimand
             for i, s in enumerate(obj["steps"], start=1):
-                output = _stored_expr(s["output"], f"{where}step {i} output")
+                rule = s["rule"]
+                if not isinstance(rule, str):
+                    raise SwigIdentError(
+                        f"malformed derivation: {where}step {i} rule: "
+                        f"expected a rule name, found {type(rule).__name__}"
+                    )
+                output = _stored_expr(s["output"], f"{where}step {i} output", terms)
                 justification = _justification_from_json(
-                    s.get("justification"), f"{where}step {i} "
+                    s.get("justification"), f"{where}step {i} ", terms
                 )
-                steps.append(DerivationStep(s["rule"], prev, output, justification))
+                steps.append(DerivationStep(rule, prev, output, justification))
                 prev = output
             blocking = obj.get("blocking")
             return cls(
                 estimand=estimand,
                 steps=tuple(steps),
-                final=_stored_expr(obj["final"], f"{where}final"),
+                final=_stored_expr(obj["final"], f"{where}final", terms),
                 status=obj["status"],
                 blocking=None if blocking is None else CiQuery.from_json(blocking),
             )
 
 
-def _stored_expr(text: object, field: str) -> ProbExpr:
-    """The expression a derivation file stores as text in the named field."""
-    return parse_field(parse_expr, text, f"malformed derivation: {field}", "expression")
+def _stored_expr(text: object, field: str, terms: dict[str, Term]) -> ProbExpr:
+    """The expression a derivation file stores as text in the named field;
+    terms is the file's memo of parsed term texts."""
+    return parse_field(
+        lambda t: parse_expr(t, terms), text, f"malformed derivation: {field}", "expression"
+    )
 
 
 # The kind a derivation file names each justification class by.
@@ -204,7 +223,7 @@ def _field_json(value):
     return value
 
 
-def _justification_from_json(obj, where: str):
+def _justification_from_json(obj, where: str, terms: dict[str, Term]):
     if obj is None:
         return None
     kind = obj.get("kind")
@@ -228,8 +247,10 @@ def _justification_from_json(obj, where: str):
         return CompositionJustification(
             mediator_targets=tuple(obj["mediator_targets"]),
             binders=tuple(obj["binders"]),
-            mediator_law=Derivation.from_json(obj["mediator_law"], f"{where}mediator_law: "),
-            outcome=Derivation.from_json(obj["outcome"], f"{where}outcome: "),
+            mediator_law=Derivation.from_json(
+                obj["mediator_law"], f"{where}mediator_law: ", terms
+            ),
+            outcome=Derivation.from_json(obj["outcome"], f"{where}outcome: ", terms),
         )
     raise ExprError(f"unknown justification kind {kind!r}")
 
@@ -851,9 +872,10 @@ class StepReport:
     models_skipped: int
     passed: bool
     nested: tuple["VerifyReport", ...] = ()
-    # Seconds spent evaluating the step's output; a subexpression shared
-    # with an earlier expression counts where it was first evaluated.
-    # Like VerifyReport.stats, it stays out of to_json() and equality.
+    # Seconds spent evaluating the step's two sites, the rewritten subtree
+    # of its input and of its output; a subexpression still memoised from
+    # an earlier site counts where it was first evaluated.  Like
+    # VerifyReport.stats, it stays out of to_json() and equality.
     seconds: float = field(default=0.0, compare=False)
 
     def to_json(self) -> dict:
@@ -873,22 +895,26 @@ class StepReport:
 @dataclass(frozen=True)
 class VerifyStats:
     """What one verify did beyond its steps: the seconds spent evaluating
-    the estimand, the oracle's conditionals built (over all batches) and the
-    most entries one of them had, batch axis included, and the seconds in
-    all.  The pairwise merges of expression contractions computed and
-    reused from the expression before, and the contraction path searches
-    run, are summed over all batches and nested reports.  A step skips a
-    model for one reason only: its expression conditions on an event of
-    probability exactly zero in that model (a zero in a CPT); a positive
-    probability, however small, is divided by."""
+    the estimand (the final check's other side, the final formula, counts
+    in seconds alone), the oracle's conditionals built (over all batches)
+    and the most entries one of them had, batch axis included, and the
+    seconds in all.  The pairwise merges of expression contractions
+    computed and the contraction path searches run are summed over all
+    batches and nested reports.  peak_live_bytes is the most bytes of
+    memoised conditionals and expression tables held at once in a batch
+    (each is released after the last check that uses it), over all batches
+    and nested reports.  A step skips a model for one reason only: its
+    expression conditions on an event of probability exactly zero in that
+    model (a zero in a CPT); a positive probability, however small, is
+    divided by."""
 
     estimand_seconds: float = 0.0
     conditionals: int = 0
     largest_table: int = 0
     seconds: float = 0.0
     merges_computed: int = 0
-    merges_reused: int = 0
     path_searches: int = 0
+    peak_live_bytes: int = 0
 
 
 @dataclass(frozen=True)
@@ -943,12 +969,39 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _deviations(a: LabeledTable, b: LabeledTable) -> tuple[np.ndarray, np.ndarray]:
-    """Per model of two batch tables: the largest absolute difference over
-    the union of their axes, and whether neither skips the model."""
+def _deviations(a: LabeledTable, b: LabeledTable) -> np.ndarray:
+    """Per model of two batch tables, the largest absolute difference over
+    the union of their axes (NaN where a term of either skips the model)."""
     labels = a.labels + tuple(l for l in b.labels if l not in a.labels)
     diff = np.abs(a.aligned(labels) - b.aligned(labels))
-    return diff.reshape(len(diff), -1).max(axis=1), ~(a.skipped | b.skipped)
+    return diff.reshape(len(diff), -1).max(axis=1)
+
+
+def _subtrees(e: ProbExpr) -> Iterable[ProbExpr]:
+    yield e
+    for kid in children(e):
+        yield from _subtrees(kid)
+
+
+def _last_uses(pairs: Sequence[tuple[ProbExpr, ProbExpr]]) -> tuple[list[list], list[list]]:
+    """For each pair, in evaluation order, the subexpressions and the
+    conditional keys (regime, dependents, conditioners) that no later pair
+    uses."""
+    last_expr: dict[ProbExpr, int] = {}
+    last_key: dict[tuple, int] = {}
+    for i, pair in enumerate(pairs):
+        for e in pair:
+            for node in _subtrees(e):
+                last_expr[node] = i
+                if isinstance(node, Term):
+                    last_key[(node.regime, node.dep_names(), node.cond_names())] = i
+    exprs: list[list] = [[] for _ in pairs]
+    keys: list[list] = [[] for _ in pairs]
+    for node, i in last_expr.items():
+        exprs[i].append(node)
+    for key, i in last_key.items():
+        keys[i].append(key)
+    return exprs, keys
 
 
 def _mediators_swig(swig: Swig, targets: tuple[str, ...]) -> Swig:
@@ -980,51 +1033,75 @@ def _verify_models(
                 _verify_models(just.outcome, swig_m, cpts_list, seed),
             )
 
-    # Chained expressions: step i maps exprs[i - 1] to exprs[i]; the final
-    # check compares the last one with the estimand, exprs[0].
-    exprs = [derivation.initial, *(step.output for step in derivation.steps)]
-    pairs = list(zip(range(len(exprs) - 1), range(1, len(exprs))))
-    if derivation.identified:
-        pairs.append((len(exprs) - 1, 0))
+    # Chained expressions: step k maps exprs[k - 1] to exprs[k].  Pair 0
+    # compares the final formula with the estimand (identified derivations
+    # only); the pair of step k, its rewritten site in its input and in its
+    # output.  Evaluation is compositional, so if the two sites agree as
+    # tables over their own labels, the whole expressions agree: the check
+    # is never weaker than comparing them whole.  A model counts for a pair
+    # unless a term of either whole expression skips it; ends[i] names
+    # those two expressions.
+    steps = derivation.steps
+    exprs = [derivation.initial, *(step.output for step in steps)]
+    pairs = [(exprs[0], exprs[-1])] if derivation.identified else []
+    ends = [(0, len(steps))] if derivation.identified else []
+    first = len(pairs)
+    for k, step in enumerate(steps, start=1):
+        path = site(step.input, step.output)
+        pairs.append((subexpr_at(step.input, path), subexpr_at(step.output, path)))
+        ends.append((k - 1, k))
+    dying_exprs, dying_keys = _last_uses(pairs)
+    expr_terms = [list(dict.fromkeys(t for _, t in terms(e))) for e in exprs]
     dev = [0.0] * len(pairs)
     used = [0] * len(pairs)
-    seconds = [0.0] * len(exprs)
+    seconds = [0.0] * len(pairs)
+    estimand_seconds = 0.0
     conditionals = largest = 0
     nested_stats = [r.stats for reports in nested.values() for r in reports]
-    computed = sum(s.merges_computed for s in nested_stats)
-    reused = sum(s.merges_reused for s in nested_stats)
+    merges = sum(s.merges_computed for s in nested_stats)
     searches = sum(s.path_searches for s in nested_stats)
-    for batch in model_batches(swig, cpts_list):
-        tables = []
-        for i, e in enumerate(exprs):
+    peak = max([0, *(s.peak_live_bytes for s in nested_stats)])
+    # With no pairs (no steps, not identified) there is nothing to evaluate.
+    for batch in model_batches(swig, cpts_list) if pairs else ():
+        masks: dict[Term, np.ndarray] = {}
+        site_dev = []
+        for i, (a, b) in enumerate(pairs):
             t0 = time.perf_counter()
-            tables.append(eval_expr(batch, e))
+            ta = eval_expr(batch, a)
+            if i < first:
+                estimand_seconds += time.perf_counter() - t0
+            tb = eval_expr(batch, b)
             seconds[i] += time.perf_counter() - t0
-        sizes = conditional_sizes(batch)
-        conditionals += len(sizes)
-        largest = max([largest, *sizes])
-        c, r, p = contraction_counts(batch)
-        computed, reused, searches = computed + c, reused + r, searches + p
-        for k, (i, j) in enumerate(pairs):
-            d, ok = _deviations(tables[i], tables[j])
-            dev[k] = max(dev[k], float(np.max(d[ok], initial=0.0)))
-            used[k] += int(ok.sum())
+            site_dev.append(_deviations(ta, tb))
+            for e in (a, b):
+                masks.update(term_masks(batch, e))
+            peak = max(peak, live_bytes(batch))
+            release(batch, dying_exprs[i], dying_keys[i])
+        skip = [np.logical_or.reduce([masks[t] for t in ts]) for ts in expr_terms]
+        for i, (a, b) in enumerate(ends):
+            ok = ~(skip[a] | skip[b])
+            dev[i] = max(dev[i], float(np.max(site_dev[i][ok], initial=0.0)))
+            used[i] += int(ok.sum())
+        m, p, c, size = contraction_counts(batch)
+        merges, searches = merges + m, searches + p
+        conditionals, largest = conditionals + c, max(largest, size)
 
     reports: list[StepReport] = []
     all_passed = True
-    for k, step in enumerate(derivation.steps):
-        inner = nested.get(k + 1, ())
-        passed = dev[k] <= TOL and used[k] > 0 and all(r.passed for r in inner)
+    for k, step in enumerate(steps, start=1):
+        i = first + k - 1
+        inner = nested.get(k, ())
+        passed = dev[i] <= TOL and used[i] > 0 and all(r.passed for r in inner)
         all_passed &= passed
-        skipped = len(cpts_list) - used[k]
+        skipped = len(cpts_list) - used[i]
         reports.append(
-            StepReport(k + 1, step.rule, dev[k], used[k], skipped, passed, inner, seconds[k + 1])
+            StepReport(k, step.rule, dev[i], used[i], skipped, passed, inner, seconds[i])
         )
 
     final_dev = None
     final_used = 0
     if derivation.identified:
-        final_dev, final_used = dev[-1], used[-1]
+        final_dev, final_used = dev[0], used[0]
         all_passed &= final_dev <= TOL and final_used > 0
     return VerifyReport(
         steps=tuple(reports),
@@ -1035,13 +1112,13 @@ def _verify_models(
         seed=seed,
         tol=TOL,
         stats=VerifyStats(
-            seconds[0],
+            estimand_seconds,
             conditionals,
             largest,
             time.perf_counter() - start,
-            computed,
-            reused,
+            merges,
             searches,
+            peak,
         ),
     )
 
@@ -1052,8 +1129,9 @@ def verify(
     n_models: int = 100,
     seed: int = 0,
 ) -> VerifyReport:
-    """Replay every step on random models: input and output must evaluate
-    identically, and the final formula must match the oracle estimand."""
+    """Replay every step on random models: the site each step rewrites
+    (expr.site) must evaluate identically in its input and its output, and
+    the final formula must match the oracle estimand."""
     if n_models < 1:
         raise SwigIdentError(f"verify needs at least one model, got {n_models}")
     cpts_list = [

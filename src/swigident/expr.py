@@ -159,6 +159,28 @@ def replace_at(e: ProbExpr, path: tuple[int, ...], new: ProbExpr) -> ProbExpr:
     return Product(tuple(factors))
 
 
+def site(a: ProbExpr, b: ProbExpr) -> tuple[int, ...]:
+    """The path of the smallest subtree of a and b that holds every
+    difference between them: descend while the two nodes have the same
+    type, the same binders (sums) or arity (products), and exactly one
+    differing child.  A rule's output is replace_at(e, p, new), so the site
+    of e and its output extends p, and the two subtrees there are the
+    rewritten ones."""
+    path: list[int] = []
+    while type(a) is type(b) and not isinstance(a, Term):
+        if isinstance(a, Sum) and a.binders != b.binders:
+            break
+        kids_a, kids_b = children(a), children(b)
+        if len(kids_a) != len(kids_b):
+            break
+        differ = [i for i, (x, y) in enumerate(zip(kids_a, kids_b)) if x is not y and x != y]
+        if len(differ) != 1:
+            break
+        path.append(differ[0])
+        a, b = kids_a[differ[0]], kids_b[differ[0]]
+    return tuple(path)
+
+
 def terms(e: ProbExpr) -> Iterator[tuple[tuple[int, ...], Term]]:
     """All terms with their tree paths, left to right."""
     if isinstance(e, Term):

@@ -22,14 +22,10 @@ term is a view of the model's memoised conditional plus a per-model mask of
 the models for which it conditions on a zero-probability event, and each
 sum or product is contracted by the batch's Contractor, two tables at a
 time (one einsum over the batch axis and the pair's labels), along the
-path _plan finds once per contraction shape.  The Contractor keeps the
-pairwise products of the expression evaluated just before, keyed by the
-factor expressions under them and the labels they keep, so an expression
-that rewrites one factor of the last one's product (as most derivation
-steps do) re-contracts only the products that hold that factor; keeping
-one generation bounds the memory to two expressions' partial products.
-Values are memoised per model (or batch), so each distinct expression is
-evaluated once.  A single model is a batch of one.
+path _plan finds once per contraction shape.  Values are memoised per
+model (or batch), so each distinct expression is evaluated once, until a
+caller that knows an expression's or a conditional's last use releases
+it.  A single model is a batch of one.
 model_batches bounds a batch so that its joint would have at most
 STATE_LIMIT entries, as large as one model's joint may be; every table the
 ancestral way builds is labelled by a subset of the variables, so that bound
@@ -74,7 +70,7 @@ from .errors import (
     malformed,
     parse_field,
 )
-from .expr import ProbExpr, Product, Sum, Term, regimes_used
+from .expr import ProbExpr, Product, Sum, Term, regimes_used, terms
 from .graphs import CiQuery, Graph
 from .model import BaseDag, Regime, Swig, Sym, to_swig
 
@@ -97,9 +93,9 @@ class DiscreteModel:
 
     A batch of `batch` models stacks every CPT on a leading axis; batch is
     None for a single model.  Joints, ancestral conditionals (keyed by
-    regime, dependents and conditioners) and expression values are cached,
-    and the Contractor keeps the contraction plans and the last expression's
-    partial products."""
+    regime, dependents and conditioners) and expression values are cached
+    until release drops them, and the Contractor keeps the contraction
+    plans."""
 
     swig: Swig
     cpts: dict[str, Cpt]
@@ -307,29 +303,53 @@ def ancestral_conditional(
     names = deps + conds
     factors = regime_factors(model, regime, swig.regime_graph(regime).ancestors(names))
     lead = len(model.batch_shape)
-    ops = [(table, labels, None) for table, labels in factors]
     what = f"a conditional over {len(names)} variables"
-    m, _ = _run(model._contractor.plans, ops, names, lead, what,
-                lambda group, kept: (_merge(group, kept, lead), kept, None))
+    m, _, _ = _run(model._contractor.plans, factors, names, lead, what)
     # The merges leave m's axes in whatever memory order einsum's matmul path
     # gave them; the division, and the merges that later read the table, run
     # faster over it in C order.  m may be a view of a CPT (q0(L)); neither
     # the copy nor _normalized writes into it.
     m = np.ascontiguousarray(m)
     out = model._conditionals[key] = _normalized(m, lead, len(deps))
+    counts = model._contractor
+    counts.conditionals += 1
+    counts.largest = max(counts.largest, out.size)
     return out
 
 
-def conditional_sizes(model: DiscreteModel) -> list[int]:
-    """Entries of each ancestral conditional memoised on the model so far."""
-    return [table.size for table in model._conditionals.values()]
-
-
-def contraction_counts(model: DiscreteModel) -> tuple[int, int, int]:
-    """The model's expression merges computed and reused so far, and the
-    contraction path searches run."""
+def contraction_counts(model: DiscreteModel) -> tuple[int, int, int, int]:
+    """The model's expression merges computed and contraction path searches
+    run so far, the ancestral conditionals it built and the entries of the
+    largest, batch axis included."""
     c = model._contractor
-    return c.computed, c.reused, c.searches
+    return c.merges, c.searches, c.conditionals, c.largest
+
+
+def release(model: DiscreteModel, exprs: Iterable[ProbExpr], keys: Iterable[tuple]) -> None:
+    """Forget the memoised values of exprs and the conditionals memoised
+    under keys (regime, dependents, conditioners), so that their tables are
+    freed once nothing else holds them.  A term's value is a view of its
+    conditional, so a conditional is freed only once its terms' values are
+    released too."""
+    for e in exprs:
+        model._values.pop(e, None)
+    for key in keys:
+        model._conditionals.pop(key, None)
+
+
+def live_bytes(model: DiscreteModel) -> int:
+    """Bytes of the conditionals and expression values memoised on the
+    model; a term's value is a view of its conditional and adds none."""
+    return sum(t.nbytes for t in model._conditionals.values()) + sum(
+        v.values.nbytes for e, v in model._values.items() if not isinstance(e, Term)
+    )
+
+
+def term_masks(model: DiscreteModel, e: ProbExpr) -> Iterator[tuple[Term, np.ndarray]]:
+    """Each term of e with its skip mask, from the values that eval_expr of
+    e memoised on the model."""
+    for _, t in terms(e):
+        yield t, model._values[t].skipped
 
 
 def query(
@@ -418,13 +438,12 @@ def _eval_term(swig: Swig, t: Term, provider: TableProvider) -> LabeledTable:
     return LabeledTable(tuple(labels), out, skipped)
 
 
-# A factor as a plan runs: its table (lead batch axes first), its labels, and
-# what the merge callback keys it by.
-Operand = tuple[np.ndarray, tuple[str, ...], object]
+# A factor as a plan runs: its table (lead batch axes first) and its labels.
+Operand = tuple[np.ndarray, tuple[str, ...]]
 
 
 def _merge(group: Sequence[Operand], out: tuple[str, ...], lead: int) -> np.ndarray:
-    """The product of the (table, labels, _) factors of group summed down to
+    """The product of the (table, labels) factors of group summed down to
     the labels out, with the lead batch axes first, as one einsum.  A pair
     whose product, over all models, has more than MATMUL_ENTRIES entries
     goes through einsum's matmul-backed path."""
@@ -432,7 +451,7 @@ def _merge(group: Sequence[Operand], out: tuple[str, ...], lead: int) -> np.ndar
     subscript: dict[str, int] = {}
     entries = math.prod(group[0][0].shape[:lead])
     operands: list = []
-    for table, labels, _ in group:
+    for table, labels in group:
         for n, k in zip(labels, table.shape[lead:]):
             if n not in subscript:
                 subscript[n] = lead + len(subscript)
@@ -503,42 +522,41 @@ def _run(
     out: tuple[str, ...],
     lead: int,
     what: str,
-    merge: Callable[[list[Operand], tuple[str, ...]], Operand],
-) -> tuple[np.ndarray, bool]:
+) -> tuple[np.ndarray, bool, int]:
     """The product of ops summed down to the labels out, with the lead batch
-    axes first and then out's labels in order, and whether a path was
-    searched.  The labels are numbered by first use; the path is looked up
-    in plans by those numbers, out's and the operand shapes past the lead
-    axes (a path does not depend on the batch size), and _plan runs only on
-    a miss.  Each merge pops its positions, merge(group, kept)
+    axes first and then out's labels in order, whether a path was searched
+    and how many merges ran.  The labels are numbered by first use; the
+    path is looked up in plans by those numbers, out's and the operand
+    shapes past the lead axes (a path does not depend on the batch size),
+    and _plan runs only on a miss.  Each merge pops its positions, _merge
     computes their product over the labels kept, and the result is
     appended.  A merge whose einsum would take more than EINSUM_LABELS
     labels, or whose table would have more than STATE_LIMIT entries for one
     model, raises StateSpaceLimitError naming what is contracted."""
     ids: dict[str, int] = {}
-    subs = tuple(tuple(ids.setdefault(n, len(ids)) for n in labels) for _, labels, _ in ops)
-    key = (subs, tuple(ids[n] for n in out), tuple(t.shape[lead:] for t, _, _ in ops))
+    subs = tuple(tuple(ids.setdefault(n, len(ids)) for n in labels) for _, labels in ops)
+    key = (subs, tuple(ids[n] for n in out), tuple(t.shape[lead:] for t, _ in ops))
     plan = plans.get(key)
     searched = plan is None
     if searched:
-        sizes = {ids[n]: k for t, labels, _ in ops for n, k in zip(labels, t.shape[lead:])}
+        sizes = {ids[n]: k for t, labels in ops for n, k in zip(labels, t.shape[lead:])}
         plan = plans[key] = _plan(subs, [sizes[i] for i in range(len(ids))], key[1])
     names = list(ids)
     for positions, keep in plan:
         group = [ops.pop(p) for p in positions]
         kept = tuple(names[i] for i in keep)
-        dims = {l: n for t, labels, _ in group for l, n in zip(labels, t.shape[lead:])}
+        dims = {l: n for t, labels in group for l, n in zip(labels, t.shape[lead:])}
         entries = math.prod(dims[l] for l in kept)
         if len(dims) > EINSUM_LABELS or entries > STATE_LIMIT:
             raise StateSpaceLimitError(
                 f"{what} needs a table over {len(kept)} variables ({entries} states); "
                 f"the limits are {EINSUM_LABELS} einsum subscripts and {STATE_LIMIT} states"
             )
-        ops.append(merge(group, kept))
-    values, labels, _ = ops.pop()
+        ops.append((_merge(group, kept, lead), kept))
+    values, labels = ops.pop()
     if labels != out:
         values = np.transpose(values, [*range(lead), *(lead + labels.index(l) for l in out)])
-    return values, searched
+    return values, searched, len(plan)
 
 
 @dataclass(eq=False)
@@ -548,60 +566,25 @@ class Contractor:
     plans is the batch's table of contraction paths, which its ancestral
     conditionals share and model_batches shares across batches; _run looks
     a contraction up in it by shape and runs its merges, one einsum each.
-    Each merge's result is memoised by the factor expressions under it and
-    the set of labels it keeps, which fix its values, for one generation:
-    current holds the merges of the expression being evaluated and previous
-    those of the expression evaluated just before; a merge found in either
-    moves to current, and rotate starts the next generation.  A key names
-    no factor position, so an expression that rewrites one factor of the
-    last one's product reuses every merge that does not hold that factor,
-    and the partial products of at most two expressions are held at once.
-    The counts say how many merges were computed and reused and how many
-    path searches the expressions ran (a conditional's are not counted)."""
+    The counts say how many merges the expressions computed and how many
+    path searches they ran (a conditional's are not counted), and how many
+    ancestral conditionals were built and the most entries one had."""
 
     plans: dict[tuple, list] = field(default_factory=dict)
-    previous: dict[tuple, tuple] = field(default_factory=dict)
-    current: dict[tuple, tuple] = field(default_factory=dict)
-    computed: int = 0
-    reused: int = 0
+    merges: int = 0
     searches: int = 0
+    conditionals: int = 0
+    largest: int = 0
 
-    def contract(
-        self, factors: Sequence[ProbExpr], tables: Sequence[LabeledTable], out: tuple[str, ...]
-    ) -> np.ndarray:
+    def contract(self, tables: Sequence[LabeledTable], out: tuple[str, ...]) -> np.ndarray:
         """The product of the factors' batch tables summed down to out, with
         the batch axis first and then out's labels in order."""
-        # A factor is named by its expression and by how many equal factors
-        # come before it, so a product may hold the same factor twice.
-        seen: dict[ProbExpr, int] = {}
-        ops = []
-        for f, t in zip(factors, tables):
-            seen[f] = seen.get(f, -1) + 1
-            ops.append((t.values, t.labels, frozenset({(f, seen[f])})))
-        what = f"a product of {len(factors)} factors"
-        values, searched = _run(self.plans, ops, out, 1, what, self._memoised_merge)
+        ops = [(t.values, t.labels) for t in tables]
+        what = f"a product of {len(tables)} factors"
+        values, searched, merges = _run(self.plans, ops, out, 1, what)
         self.searches += searched
+        self.merges += merges
         return values
-
-    def _memoised_merge(self, group: list[Operand], kept: tuple[str, ...]) -> Operand:
-        """The merge of group over kept, from this generation or the last if
-        either has it, else computed."""
-        leaves = frozenset().union(*(leaf for _, _, leaf in group))
-        memo_key = (leaves, frozenset(kept))
-        hit = self.current.get(memo_key) or self.previous.get(memo_key)
-        if hit is None:
-            hit = (_merge(group, kept, 1), kept)
-            self.computed += 1
-        else:
-            self.reused += 1
-        self.current[memo_key] = hit
-        return (*hit, leaves)
-
-    def rotate(self) -> None:
-        """Start the next generation, unless nothing was merged since the
-        last one started."""
-        if self.current:
-            self.previous, self.current = self.current, {}
 
 
 def _contract(
@@ -609,9 +592,8 @@ def _contract(
 ) -> LabeledTable:
     """A sum of products (or either alone) over the batch axis and the
     factors' labels, with the binders summed out.  The contractor merges the
-    factors two at a time along a path planned once per contraction shape,
-    and reuses the merges of the expression it evaluated just before (one
-    generation, so at most two expressions' partial products are held)."""
+    factors two at a time along a path planned once per contraction shape;
+    only the factors' tables are memoised, not the partial products."""
     binders = e.binders if isinstance(e, Sum) else ()
     body = e.body if isinstance(e, Sum) else e
     factors = body.factors if isinstance(body, Product) else (body,)
@@ -627,7 +609,7 @@ def _contract(
         if b not in sizes:
             raise ExprError(f"binder {b!r} never used in the sum body")
     kept = tuple(l for l in sizes if l not in binders)
-    values = contractor.contract(factors, tables, kept)
+    values = contractor.contract(tables, kept)
     skipped = np.logical_or.reduce([t.skipped for t in tables])
     return LabeledTable(kept, values, skipped)
 
@@ -670,9 +652,7 @@ def eval_expr(model: DiscreteModel, e: ProbExpr) -> LabeledTable:
     batch gives a batch table; a single model raises ZeroProbabilityError
     if the expression conditions on a zero-probability event.
     """
-    contractor = model._contractor
-    out = _eval(model.swig, e, oracle_provider(model), model._values, contractor)
-    contractor.rotate()
+    out = _eval(model.swig, e, oracle_provider(model), model._values, model._contractor)
     return _only_model(out) if model.batch is None else out
 
 

@@ -259,6 +259,24 @@ def test_verify_malformed_derivation_exits_1(name, fig1_path, tmp_path, capsys):
     assert MALFORMED_FIELDS.get(name, "") in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("rule", [7, 1.5, True, None, ["ci_modify"], {"name": "ci_modify"}])
+def test_verify_refuses_a_step_rule_that_is_not_a_string(rule, fig1_path, tmp_path, capsys):
+    # A number once reached VerifyReport.summary and raised ValueError
+    # there; a list, dict or null raised TypeError.
+    derivation = _backdoor_derivation(fig1_path, tmp_path)
+    with open(derivation) as fh:
+        payload = json.load(fh)
+    payload["steps"][1]["rule"] = rule
+    with open(derivation, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert main(["verify", fig1_path, derivation, "--models", "2"]) == 1
+    out, err = capsys.readouterr()
+    kind = type(rule).__name__ if rule is not None else "NoneType"
+    assert out == ""
+    assert err == f"error: malformed derivation: step 2 rule: expected a rule name, found {kind}\n"
+
+
 def test_verify_rejects_a_final_that_is_not_the_last_output(fig1_path, tmp_path, capsys):
     derivation = _backdoor_derivation(fig1_path, tmp_path)
     with open(derivation) as fh:
@@ -354,10 +372,11 @@ def test_verify_stats_flag_writes_one_json_line(fig1_path, tmp_path, capsys):
     stats = json.loads(line)
     assert set(stats) == {
         "steps", "estimand_seconds", "conditionals", "largest_table", "seconds",
-        "merges_computed", "merges_reused", "path_searches",
+        "merges_computed", "path_searches", "peak_live_bytes",
     }
     assert stats["conditionals"] > 0 and stats["largest_table"] > 0
     assert stats["merges_computed"] > 0 and stats["path_searches"] > 0
+    assert stats["peak_live_bytes"] > 0
     assert len(stats["steps"]) == out.count("\nstep ") + out.startswith("step ")
     for step in stats["steps"]:
         assert set(step) == {"index", "rule", "seconds", "skipped"}

@@ -23,6 +23,7 @@ from swigident import (
     Variable,
     ZeroProbabilityError,
     d_separated,
+    figure2,
     identify,
     parse_ci_query,
     parse_estimand,
@@ -37,6 +38,7 @@ from swigident import (
 from swigident import oracle
 from swigident.cli import main
 from swigident.engine import VerifyStats, _verify_models
+from swigident.expr import terms
 
 from conftest import corrupt_step, dose_estimand
 
@@ -284,6 +286,30 @@ def test_derivation_json_round_trip(bundled_derivations):
         assert json.dumps(clone.to_json(), sort_keys=True) == blob, name
 
 
+def test_a_derivation_file_parses_each_distinct_term_text_once(bundled_derivations, monkeypatch):
+    from swigident import dsl
+
+    tokenized = []
+    tokenize = dsl._tokenize
+    monkeypatch.setattr(dsl, "_tokenize", lambda text: tokenized.append(text) or tokenize(text))
+    for name, _, d in bundled_derivations:
+        tokenized.clear()
+        clone = Derivation.from_json(json.loads(json.dumps(d.to_json())))
+        assert clone == d, name
+        # the steps share one Term object per text, nested derivations too
+        shared: dict = {}
+        stack = [clone]
+        while stack:
+            x = stack.pop()
+            for e in (x.estimand, *(s.output for s in x.steps), x.final):
+                for _, t in terms(e):
+                    assert shared.setdefault(to_text(t), t) is t, name
+            for s in x.steps:
+                if s.rule == "mediator_composition":
+                    stack += [s.justification.mediator_law, s.justification.outcome]
+        assert sorted(tokenized) == sorted(shared), name
+
+
 def test_every_golden_and_bench_derivation_round_trips_through_its_text(tmp_path):
     # The identify goldens (the benchmark's identify queries among them) and
     # the benchmark's verify derivations: sequential front-door on fig2
@@ -407,16 +433,19 @@ def test_verify_stats_stay_out_of_the_report(fig2_n2):
 
 
 def _merge_counts(stats):
-    return stats.merges_computed, stats.merges_reused, stats.path_searches
+    return stats.merges_computed, stats.path_searches
 
 
 def test_verify_counts_merges_and_path_searches(fig2_n2):
     d = identify(fig2_n2, dose_estimand(fig2_n2, ("Y",)), "sequential_frontdoor")
     first = verify(d, fig2_n2, n_models=5, seed=4).stats
-    assert _merge_counts(verify(d, fig2_n2, n_models=5, seed=4).stats) == _merge_counts(first)
-    computed, reused, searches = _merge_counts(first)
-    assert computed > 0 and reused > 0 and 0 < searches <= len(d.steps) + 1
-    # a composition's counts include those of its nested derivations
+    again = verify(d, fig2_n2, n_models=5, seed=4).stats
+    assert _merge_counts(again) == _merge_counts(first)
+    assert again.peak_live_bytes == first.peak_live_bytes > 0
+    computed, searches = _merge_counts(first)
+    assert computed > 0 and 0 < searches <= len(d.steps) + 1
+    # a composition's counts include those of its nested derivations, and
+    # its peak is at least theirs
     comp = identify(fig2_n2, dose_estimand(fig2_n2, ("Y",)), "mediator_intervention")
     report = verify(comp, fig2_n2, n_models=5, seed=4)
     (step,) = report.steps
@@ -424,6 +453,24 @@ def test_verify_counts_merges_and_path_searches(fig2_n2):
         _merge_counts(report.stats), *(_merge_counts(r.stats) for r in step.nested)
     ):
         assert total >= sum(parts) > 0
+    assert report.stats.peak_live_bytes >= max(r.stats.peak_live_bytes for r in step.nested)
+
+
+def test_verify_frees_each_table_after_its_last_use():
+    # Every conditional that evaluating each whole expression builds, held
+    # at once, takes more bytes than verify ever holds: it releases a
+    # conditional and a site's tables after the last check that uses them.
+    swig = to_swig(figure2(4))
+    d = identify(swig, dose_estimand(swig, ("Y",)), "sequential_frontdoor")
+    cpts_list = [oracle.random_base_cpts(swig.base, np.random.default_rng((0, i))) for i in range(5)]
+    report = _verify_models(d, swig, cpts_list, 0)
+    assert report.passed
+    [batch] = oracle.model_batches(swig, cpts_list)
+    for e in [d.initial, *(s.output for s in d.steps)]:
+        oracle.eval_expr(batch, e)
+    built = sum(table.nbytes for table in batch._conditionals.values())
+    assert len(batch._conditionals) == report.stats.conditionals
+    assert 0 < report.stats.peak_live_bytes < built
 
 
 def test_verify_flags_corruption(fig1, fig1_estimand):

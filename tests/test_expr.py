@@ -2,9 +2,10 @@
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swigident import (
@@ -16,6 +17,7 @@ from swigident import (
     Regime,
     Sum,
     Sym,
+    SwigIdentError,
     Term,
     canonicalize,
     free_variables,
@@ -24,12 +26,16 @@ from swigident import (
     struct_eq,
     to_text,
 )
+from swigident import dsl
 from swigident.expr import (
     all_symbols,
+    children,
     free_symbols,
     fresh_symbol,
     rename_symbols,
     replace_at,
+    site,
+    subexpr_at,
     terms,
 )
 
@@ -532,3 +538,87 @@ def test_derivation_expressions_hash_alike_after_a_round_trip(fig1, fig2_n2):
             assert hash(copy.output) == hash(step.output)
             assert hash(copy.input) == hash(step.input)
             assert outputs[copy.output] == i
+
+
+# ---------------------------------------------------------------------------
+# sites: the smallest subtree holding every difference of two expressions
+
+
+def _paths(e, prefix=()):
+    """The path of every node of e, e's own first."""
+    yield prefix
+    for i, kid in enumerate(children(e)):
+        yield from _paths(kid, prefix + (i,))
+
+
+@given(small_exprs(), small_exprs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_site_of_a_rewrite_extends_its_path(e, new, data):
+    # The site lies at or below the rewritten path: above it exactly one
+    # child differs, and at it the old and new subtrees may share more.
+    path = data.draw(st.sampled_from(list(_paths(e))))
+    assume(new != subexpr_at(e, path))
+    out = replace_at(e, path, new)
+    at = site(e, out)
+    assert at[: len(path)] == path
+    # the subtree at the site holds every difference, and no smaller one does
+    assert replace_at(e, at, subexpr_at(out, at)) == out
+    assert site(subexpr_at(e, at), subexpr_at(out, at)) == ()
+
+
+def test_site_examples():
+    a = parse_expr("sum{l} q0(Y | L=l) * q0(L=l)")
+    assert site(a, parse_expr("sum{l} q0(Y | L=l) * q0(L=0)")) == (0, 1)
+    # a term rewritten into a sum, binders or arity that differ, two
+    # differing factors: the site stops there
+    assert site(a, parse_expr("sum{l} (sum{m} q0(Y, M=m | L=l)) * q0(L=l)")) == (0, 0)
+    assert site(a, parse_expr("sum{m} q0(Y | L=m) * q0(L=m)")) == ()
+    assert site(a, parse_expr("sum{l} q0(Y | L=l) * q0(L=l) * q0(Z)")) == (0,)
+    assert site(a, parse_expr("sum{l} q0(Y | L=0) * q0(L=0)")) == (0,)
+    assert site(a, a) == ()
+
+
+# ---------------------------------------------------------------------------
+# the shared term memo of parse_expr
+
+
+def _by_tokens(text):
+    """parse_expr with the layout path switched off: token by token."""
+
+    def refuse(*_):
+        raise SwigIdentError("layout path off")
+
+    with mock.patch.object(dsl, "_parse_laid_out", refuse):
+        return parse_expr(text)
+
+
+@given(st.lists(small_exprs(), min_size=1, max_size=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_shared_term_memo_parses_as_the_tokenizer_does(es, data):
+    # Text in to_text's layout is read a term at a time through the memo;
+    # any other layout, and text that does not parse, goes token by token,
+    # so the tree or the error is the same as without the memo.
+    memo: dict = {}
+    for e in es:
+        text = to_text(e)
+        variant = data.draw(st.sampled_from([
+            text,
+            text.replace(" * ", "*"),
+            text.replace("} ", "}\n  "),
+            text.replace("(", "( ", 1),
+            f" {text}",
+            f"{text} # a comment",
+            text[:-1],
+            text.replace("q0(", "q0 q0(", 1),
+        ]))
+        try:
+            want = _by_tokens(variant)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as info:
+                parse_expr(variant, memo)
+            assert str(info.value) == str(exc)
+        else:
+            assert parse_expr(variant, memo) == want
+        assert parse_expr(text, memo) == e
+    for text, t in memo.items():
+        assert parse_expr(text, memo) is t
