@@ -47,6 +47,7 @@ from .graphs import CiQuery, Graph
 from .model import BaseDag, Swig, Sym, ValueRef, to_swig
 from .oracle import (
     LabeledTable,
+    _plan,
     contraction_counts,
     eval_expr,
     live_bytes,
@@ -105,12 +106,8 @@ class Derivation:
     def identified(self) -> bool:
         return self.status == IDENTIFIED
 
-    @property
-    def initial(self) -> ProbExpr:
-        return self.estimand
-
     def trace(self) -> str:
-        lines = [f"estimand: {to_text(self.initial)}"]
+        lines = [f"estimand: {to_text(self.estimand)}"]
         for i, step in enumerate(self.steps, start=1):
             note = f"  [{step.justification}]" if step.justification is not None else ""
             lines.append(f"{i:3d}. {step.rule}: {to_text(step.output)}{note}")
@@ -170,6 +167,13 @@ class Derivation:
                 justification = _justification_from_json(
                     s.get("justification"), f"{where}step {i} ", terms
                 )
+                if rule == "mediator_composition" and not isinstance(
+                    justification, CompositionJustification
+                ):
+                    raise SwigIdentError(
+                        f"malformed derivation: {where}step {i} justification: expected "
+                        f"a composition, found {_KINDS.get(type(justification), 'null')}"
+                    )
                 steps.append(DerivationStep(rule, prev, output, justification))
                 prev = output
             blocking = obj.get("blocking")
@@ -245,14 +249,24 @@ def _justification_from_json(obj, where: str, terms: dict[str, Term]):
         return SplitJustification(tuple(tuple(g) for g in obj["split"]))
     if kind == "composition":
         return CompositionJustification(
-            mediator_targets=tuple(obj["mediator_targets"]),
-            binders=tuple(obj["binders"]),
+            mediator_targets=_names(obj, "mediator_targets", where),
+            binders=_names(obj, "binders", where),
             mediator_law=Derivation.from_json(
                 obj["mediator_law"], f"{where}mediator_law: ", terms
             ),
             outcome=Derivation.from_json(obj["outcome"], f"{where}outcome: ", terms),
         )
     raise ExprError(f"unknown justification kind {kind!r}")
+
+
+def _names(obj: dict, key: str, where: str) -> tuple[str, ...]:
+    """A justification field that lists names."""
+    value = obj[key]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SwigIdentError(
+            f"malformed derivation: {where}justification: {key}: expected a list of names"
+        )
+    return tuple(value)
 
 
 def _hidden(swig: Swig, expr: ProbExpr) -> list[str]:
@@ -264,7 +278,7 @@ def validate_derivation(derivation: Derivation, swig: Swig | None = None) -> Non
     """Check the step chain and the identified-status contract: an
     identified final formula uses regime 0 only and, given the graph, names
     only observed variables."""
-    prev = derivation.initial
+    prev = derivation.estimand
     for i, step in enumerate(derivation.steps):
         if step.input != prev:
             raise SwigIdentError(f"step {i + 1} does not chain from the previous output")
@@ -898,15 +912,18 @@ class VerifyStats:
     the estimand (the final check's other side, the final formula, counts
     in seconds alone), the oracle's conditionals built (over all batches)
     and the most entries one of them had, batch axis included, and the
-    seconds in all.  The pairwise merges of expression contractions
-    computed and the contraction path searches run are summed over all
-    batches and nested reports.  peak_live_bytes is the most bytes of
-    memoised conditionals and expression tables held at once in a batch
-    (each is released after the last check that uses it), over all batches
-    and nested reports.  A step skips a model for one reason only: its
-    expression conditions on an event of probability exactly zero in that
-    model (a zero in a CPT); a positive probability, however small, is
-    divided by."""
+    seconds in all.  merges_computed sums the pairwise merges of expression
+    contractions over all batches and nested reports.  path_searches counts
+    the contraction paths oracle._plan searched during the call, for
+    conditionals and expressions, nested reports included; _plan keeps the
+    paths for the process, so a shape met by an earlier request is not
+    searched again, and a repeated verify reports 0.  peak_live_bytes is
+    the most bytes of memoised conditionals and expression tables held at
+    once in a batch (each is released after the last check that uses it),
+    over all batches and nested reports.  A step skips a model for one
+    reason only: its expression conditions on an event of probability
+    exactly zero in that model (a zero in a CPT); a positive probability,
+    however small, is divided by."""
 
     estimand_seconds: float = 0.0
     conditionals: int = 0
@@ -1022,7 +1039,12 @@ def _verify_models(
     seed: int,
 ) -> VerifyReport:
     start = time.perf_counter()
+    searched_before = _plan.cache_info().misses
     validate_derivation(derivation, swig)
+    if not (derivation.identified or derivation.steps):
+        raise SwigIdentError(
+            "nothing to verify: the derivation is not identified and has no steps"
+        )
     nested: dict[int, tuple[VerifyReport, ...]] = {}
     for idx, step in enumerate(derivation.steps, start=1):
         if step.rule == "mediator_composition":
@@ -1042,7 +1064,7 @@ def _verify_models(
     # unless a term of either whole expression skips it; ends[i] names
     # those two expressions.
     steps = derivation.steps
-    exprs = [derivation.initial, *(step.output for step in steps)]
+    exprs = [derivation.estimand, *(step.output for step in steps)]
     pairs = [(exprs[0], exprs[-1])] if derivation.identified else []
     ends = [(0, len(steps))] if derivation.identified else []
     first = len(pairs)
@@ -1059,10 +1081,8 @@ def _verify_models(
     conditionals = largest = 0
     nested_stats = [r.stats for reports in nested.values() for r in reports]
     merges = sum(s.merges_computed for s in nested_stats)
-    searches = sum(s.path_searches for s in nested_stats)
     peak = max([0, *(s.peak_live_bytes for s in nested_stats)])
-    # With no pairs (no steps, not identified) there is nothing to evaluate.
-    for batch in model_batches(swig, cpts_list) if pairs else ():
+    for batch in model_batches(swig, cpts_list):
         masks: dict[Term, np.ndarray] = {}
         site_dev = []
         for i, (a, b) in enumerate(pairs):
@@ -1082,9 +1102,8 @@ def _verify_models(
             ok = ~(skip[a] | skip[b])
             dev[i] = max(dev[i], float(np.max(site_dev[i][ok], initial=0.0)))
             used[i] += int(ok.sum())
-        m, p, c, size = contraction_counts(batch)
-        merges, searches = merges + m, searches + p
-        conditionals, largest = conditionals + c, max(largest, size)
+        m, c, size = contraction_counts(batch)
+        merges, conditionals, largest = merges + m, conditionals + c, max(largest, size)
 
     reports: list[StepReport] = []
     all_passed = True
@@ -1117,7 +1136,7 @@ def _verify_models(
             largest,
             time.perf_counter() - start,
             merges,
-            searches,
+            _plan.cache_info().misses - searched_before,
             peak,
         ),
     )
@@ -1131,7 +1150,9 @@ def verify(
 ) -> VerifyReport:
     """Replay every step on random models: the site each step rewrites
     (expr.site) must evaluate identically in its input and its output, and
-    the final formula must match the oracle estimand."""
+    the final formula must match the oracle estimand.  A not_identified
+    derivation with no steps has nothing to check, and raises
+    SwigIdentError."""
     if n_models < 1:
         raise SwigIdentError(f"verify needs at least one model, got {n_models}")
     cpts_list = [

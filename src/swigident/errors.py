@@ -53,11 +53,12 @@ class ParseError(SwigIdentError):
 @contextmanager
 def malformed(what: str):
     """Report the errors that decoding a malformed document raises (a
-    missing key, a value of the wrong type or shape, an expression the
-    classes reject) as SwigIdentError."""
+    missing key, a value of the wrong type or shape, an infinite number
+    where an integer belongs, an expression the classes reject) as
+    SwigIdentError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError, ExprError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError, ExprError) as exc:
         raise SwigIdentError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -276,8 +276,3 @@ def _drop_later_obstruction(
         cur = cur.without(j)
         conds = rest
     return None, tuple(checks)
-
-
-def later_interventions_droppable(swig: Swig, estimand, t: int) -> bool:
-    """True iff every intervention after time t can be removed from the term."""
-    return drop_later_obstruction(swig, estimand, t)[0] is None

@@ -100,11 +100,6 @@ class Regime:
     def is_prefix(self) -> bool:
         return self.active == frozenset(range(1, len(self.active) + 1))
 
-    @property
-    def horizon(self) -> int:
-        """Largest active index, 0 when observational."""
-        return max(self.active, default=0)
-
     def without(self, t: int) -> Regime:
         return Regime(self.active - {t})
 

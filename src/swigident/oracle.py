@@ -22,17 +22,18 @@ term is a view of the model's memoised conditional plus a per-model mask of
 the models for which it conditions on a zero-probability event, and each
 sum or product is contracted by the batch's Contractor, two tables at a
 time (one einsum over the batch axis and the pair's labels), along the
-path _plan finds once per contraction shape.  Values are memoised per
-model (or batch), so each distinct expression is evaluated once, until a
-caller that knows an expression's or a conditional's last use releases
-it.  A single model is a batch of one.
+path _plan finds.  Values are memoised per model (or batch), so each
+distinct expression is evaluated once, until a caller that knows an
+expression's or a conditional's last use releases it.  A single model is
+a batch of one.
 model_batches bounds a batch so that its joint would have at most
 STATE_LIMIT entries, as large as one model's joint may be; every table the
 ancestral way builds is labelled by a subset of the variables, so that bound
 holds for it too.  Conditionals and expressions both contract through
-_run, whose paths are kept in one table per model, shared across batches
-and keyed by the contraction's shape without the batch axis, so _plan
-searches each shape once whatever the batch sizes.
+_run along _plan's paths.  A path depends on the contraction's shape
+alone, without the batch axis, so _plan memoises it once for the process:
+each shape is searched once, whatever the models, the batch sizes or the
+requests.
 _run refuses a merge whose einsum would take more than EINSUM_LABELS labels
 or whose table would have more than STATE_LIMIT entries for one model.
 
@@ -52,6 +53,7 @@ non-intervention variable's parents and CPT flattened in C order.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -83,6 +85,10 @@ EINSUM_LABELS = 51
 # the batch, goes through einsum's matmul-backed path; below it, that path's
 # set-up costs more than einsum's plain loop (measured on seqfd fig2 n=3-6).
 MATMUL_ENTRIES = 4096
+# The contraction paths _plan keeps.  One verify of seqfd fig2 n=3, 5, 6 and
+# 7 meets 35, 65, 83 and 103 shapes (n=8 passes STATE_LIMIT), so this holds
+# the widest verify's paths with room for those of another graph.
+PLAN_CACHE = 256
 
 Cpt = tuple[tuple[str, ...], np.ndarray]
 
@@ -94,8 +100,8 @@ class DiscreteModel:
     A batch of `batch` models stacks every CPT on a leading axis; batch is
     None for a single model.  Joints, ancestral conditionals (keyed by
     regime, dependents and conditioners) and expression values are cached
-    until release drops them, and the Contractor keeps the contraction
-    plans."""
+    until release drops them, and the Contractor counts the contraction
+    work."""
 
     swig: Swig
     cpts: dict[str, Cpt]
@@ -290,8 +296,8 @@ def ancestral_conditional(
     batch axis, NaN where the conditioning event has zero probability, as
     RegimeJoint.conditional gives it.  It is computed from the factors of
     the ancestors of deps and conds in the regime graph alone, contracted
-    two at a time along a path from the model's plan table (the one its
-    expressions use), so no dense joint is built; memoised per model.
+    two at a time along _plan's path (as expressions are), so no dense
+    joint is built; memoised per model.
     Raises StateSpaceLimitError when a table it needs has more than
     STATE_LIMIT entries for one model or a merge more than EINSUM_LABELS
     labels."""
@@ -304,7 +310,7 @@ def ancestral_conditional(
     factors = regime_factors(model, regime, swig.regime_graph(regime).ancestors(names))
     lead = len(model.batch_shape)
     what = f"a conditional over {len(names)} variables"
-    m, _, _ = _run(model._contractor.plans, factors, names, lead, what)
+    m, _ = _run(factors, names, lead, what)
     # The merges leave m's axes in whatever memory order einsum's matmul path
     # gave them; the division, and the merges that later read the table, run
     # faster over it in C order.  m may be a view of a CPT (q0(L)); neither
@@ -317,12 +323,12 @@ def ancestral_conditional(
     return out
 
 
-def contraction_counts(model: DiscreteModel) -> tuple[int, int, int, int]:
-    """The model's expression merges computed and contraction path searches
-    run so far, the ancestral conditionals it built and the entries of the
-    largest, batch axis included."""
+def contraction_counts(model: DiscreteModel) -> tuple[int, int, int]:
+    """The model's expression merges computed so far, the ancestral
+    conditionals it built and the entries of the largest, batch axis
+    included."""
     c = model._contractor
-    return c.merges, c.searches, c.conditionals, c.largest
+    return c.merges, c.conditionals, c.largest
 
 
 def release(model: DiscreteModel, exprs: Iterable[ProbExpr], keys: Iterable[tuple]) -> None:
@@ -461,9 +467,10 @@ def _merge(group: Sequence[Operand], out: tuple[str, ...], lead: int) -> np.ndar
     return np.einsum(*operands, batch + [subscript[n] for n in out], optimize=matmul)
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE)
 def _plan(
-    subs: Sequence[tuple[int, ...]], sizes: Sequence[int], out: tuple[int, ...]
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    subs: tuple[tuple[int, ...], ...], sizes: tuple[int, ...], out: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """A greedy contraction path for factors with the label numbers subs
     (label i has sizes[i] levels) down to the labels out.  While two or more
     factors are left, the pair whose product, summed over every label that
@@ -473,7 +480,10 @@ def _plan(
     opt_einsum) weighs merges the same way.  Label sets are bit masks.
     Returns the merges: the positions taken, in descending order, from the
     list of factors, whose result is appended, and the labels the result
-    keeps (out, in order, for the last)."""
+    keeps (out, in order, for the last).  A path depends on the shape
+    alone, not on the batch size or the tables, so the last PLAN_CACHE
+    shapes' paths are memoised for every model and batch of the process;
+    the cache's misses count the searches run."""
     out_mask = sum(1 << i for i in out)
     entries: dict[int, int] = {}
 
@@ -513,34 +523,25 @@ def _plan(
         steps.append(((j, i), labels))
     if live[0] != out_mask:
         steps.append(((0,), out))
-    return steps
+    return tuple(steps)
 
 
 def _run(
-    plans: dict[tuple, list],
-    ops: list[Operand],
-    out: tuple[str, ...],
-    lead: int,
-    what: str,
-) -> tuple[np.ndarray, bool, int]:
+    ops: list[Operand], out: tuple[str, ...], lead: int, what: str
+) -> tuple[np.ndarray, int]:
     """The product of ops summed down to the labels out, with the lead batch
-    axes first and then out's labels in order, whether a path was searched
-    and how many merges ran.  The labels are numbered by first use; the
-    path is looked up in plans by those numbers, out's and the operand
-    shapes past the lead axes (a path does not depend on the batch size),
-    and _plan runs only on a miss.  Each merge pops its positions, _merge
-    computes their product over the labels kept, and the result is
-    appended.  A merge whose einsum would take more than EINSUM_LABELS
-    labels, or whose table would have more than STATE_LIMIT entries for one
-    model, raises StateSpaceLimitError naming what is contracted."""
+    axes first and then out's labels in order, and how many merges ran.
+    The labels are numbered by first use, and _plan finds the path for
+    those numbers, out's and the label sizes (a path does not depend on
+    the batch size).  Each merge pops its positions, _merge computes their
+    product over the labels kept, and the result is appended.  A merge
+    whose einsum would take more than EINSUM_LABELS labels, or whose table
+    would have more than STATE_LIMIT entries for one model, raises
+    StateSpaceLimitError naming what is contracted."""
     ids: dict[str, int] = {}
     subs = tuple(tuple(ids.setdefault(n, len(ids)) for n in labels) for _, labels in ops)
-    key = (subs, tuple(ids[n] for n in out), tuple(t.shape[lead:] for t, _ in ops))
-    plan = plans.get(key)
-    searched = plan is None
-    if searched:
-        sizes = {ids[n]: k for t, labels in ops for n, k in zip(labels, t.shape[lead:])}
-        plan = plans[key] = _plan(subs, [sizes[i] for i in range(len(ids))], key[1])
+    sizes = {ids[n]: k for t, labels in ops for n, k in zip(labels, t.shape[lead:])}
+    plan = _plan(subs, tuple(sizes[i] for i in range(len(ids))), tuple(ids[n] for n in out))
     names = list(ids)
     for positions, keep in plan:
         group = [ops.pop(p) for p in positions]
@@ -556,23 +557,17 @@ def _run(
     values, labels = ops.pop()
     if labels != out:
         values = np.transpose(values, [*range(lead), *(lead + labels.index(l) for l in out)])
-    return values, searched, len(plan)
+    return values, len(plan)
 
 
 @dataclass(eq=False)
 class Contractor:
-    """Contracts the sums and products of one batch's expressions.
+    """Contracts the sums and products of one batch's expressions, each
+    along _plan's path for its shape, one einsum per merge.  The counts say
+    how many merges the expressions computed, and how many ancestral
+    conditionals were built and the most entries one had."""
 
-    plans is the batch's table of contraction paths, which its ancestral
-    conditionals share and model_batches shares across batches; _run looks
-    a contraction up in it by shape and runs its merges, one einsum each.
-    The counts say how many merges the expressions computed and how many
-    path searches they ran (a conditional's are not counted), and how many
-    ancestral conditionals were built and the most entries one had."""
-
-    plans: dict[tuple, list] = field(default_factory=dict)
     merges: int = 0
-    searches: int = 0
     conditionals: int = 0
     largest: int = 0
 
@@ -580,9 +575,7 @@ class Contractor:
         """The product of the factors' batch tables summed down to out, with
         the batch axis first and then out's labels in order."""
         ops = [(t.values, t.labels) for t in tables]
-        what = f"a product of {len(tables)} factors"
-        values, searched, merges = _run(self.plans, ops, out, 1, what)
-        self.searches += searched
+        values, merges = _run(ops, out, 1, f"a product of {len(tables)} factors")
         self.merges += merges
         return values
 
@@ -724,20 +717,15 @@ def model_from_base_cpts(
 
 def model_batches(swig: Swig, cpts_list: Sequence[Mapping[str, Cpt]]) -> Iterator[DiscreteModel]:
     """The models of a list of base-graph CPTs (same parent orders), in
-    order, as batches whose joints have at most STATE_LIMIT entries.  The
-    batches share one table of contraction plans, for their conditionals
-    and expressions alike."""
+    order, as batches whose joints have at most STATE_LIMIT entries."""
     size = max(1, STATE_LIMIT // joint_states(swig))
-    plans: dict = {}
     for start in range(0, len(cpts_list), size):
         chunk = cpts_list[start : start + size]
         stacked = {
             name: (parents, np.stack([cpts[name][1] for cpts in chunk]))
             for name, (parents, _) in chunk[0].items()
         }
-        batch = model_from_base_cpts(swig, stacked, len(chunk))
-        batch._contractor.plans = plans
-        yield batch
+        yield model_from_base_cpts(swig, stacked, len(chunk))
 
 
 def random_model(swig: Swig, seed: int = 0) -> DiscreteModel:

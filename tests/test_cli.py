@@ -1,12 +1,22 @@
 """End-to-end runs of the command line, exercising exit codes and files."""
 
+import contextlib
+import copy
 import csv
+import functools
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swigident import Derivation, save_model, random_model, figure2, to_swig
 from swigident.cli import main
+from swigident.oracle import _plan
 
 from conftest import corrupt_step
 
@@ -277,6 +287,131 @@ def test_verify_refuses_a_step_rule_that_is_not_a_string(rule, fig1_path, tmp_pa
     assert err == f"error: malformed derivation: step 2 rule: expected a rule name, found {kind}\n"
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "change, found",
+    [
+        (lambda step: step.update(justification=None), "expected a composition, found null"),
+        (lambda step: step.pop("justification"), "expected a composition, found null"),
+        (
+            lambda step: step.update(justification={"kind": "redundancy", "pairs": []}),
+            "expected a composition, found redundancy",
+        ),
+        (
+            lambda step: step["justification"].update(mediator_targets=[["M1"], "M2"]),
+            "mediator_targets: expected a list of names",
+        ),
+    ],
+)
+def test_verify_refuses_a_composition_step_without_a_composition(
+    change, found, tmp_path, capsys
+):
+    # The mediator_intervention derivation of q[2](Y | do D1=d1, do D2=d2)
+    # on fig2 n=2 with step 1 changed.  Each change reached verify and
+    # raised there: AttributeError for a step with no composition, TypeError
+    # (unhashable type) for a nested list.
+    payload = json.loads((GOLDEN / "compose_fig2_n2.json").read_text())
+    change(payload["steps"][0])
+    path = tmp_path / "composed.json"
+    path.write_text(json.dumps(payload))
+    graph = str(GOLDEN / "fixture_fig2_n2.swig")
+    assert main(["verify", graph, str(path), "--models", "2"]) == 1
+    _one_error_line(capsys, f"malformed derivation: step 1 justification: {found}")
+
+
+def test_verify_refuses_a_refusal_with_no_steps(tmp_path, capsys):
+    # A not_identified file with no steps has nothing to check; it once
+    # printed "verdict: pass" and exited 0.
+    graph, path = str(GOLDEN / "fixture_fig1_ablated.swig"), str(tmp_path / "refusal.json")
+    argv = ["identify", graph, "q[1](Y1 | do D1=d1)", "--json", "--out", path]
+    assert main(argv) == 2
+    assert json.loads(Path(path).read_text())["steps"] == []
+    capsys.readouterr()
+    assert main(["verify", graph, path, "--models", "3"]) == 1
+    _one_error_line(capsys, "nothing to verify")
+
+
+# One-field mutations of derivation files: a back-door derivation, the
+# mediator composition (two nested derivations) and the sequential front
+# door (three drop_later steps), each with the graph it verifies on.
+FUZZED = {
+    name: (str(GOLDEN / graph), json.loads((GOLDEN / name).read_text()))
+    for name, graph in [
+        ("backdoor_fig1.json", "fixture_fig1.swig"),
+        ("compose_fig2_n2.json", "fixture_fig2_n2.swig"),
+        ("seqfd_fig2_n2.json", "fixture_fig2_n2.swig"),
+    ]
+}
+
+
+def _fields(blob, path=()):
+    """The path of every key of every dict and every item of every list in
+    a JSON document, nested ones included."""
+    if isinstance(blob, dict):
+        items = blob.items()
+    else:
+        items = enumerate(blob) if isinstance(blob, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+FUZZ_FIELDS = [(name, path) for name, (_, blob) in FUZZED.items() for path in _fields(blob)]
+DELETE = object()
+_WORDS = st.sampled_from([
+    "", "M1", "L", "d1", "q0(Y1)", "ci", "composition", "drop_later", "ci_modify",
+    "mediator_composition", "identified", "not_identified", "q[1]: Y1 _||_ Do1",
+])
+_NUMBERS = st.integers() | st.floats()  # json reads NaN and Infinity too
+_SCALARS = st.none() | _NUMBERS | _WORDS
+_KEYS = st.sampled_from(["kind", "query", "t", "regime", "x"]) | _WORDS
+MUTATIONS = st.one_of(
+    st.just(DELETE),
+    st.none(),
+    _NUMBERS,
+    st.lists(_SCALARS | st.lists(_WORDS, max_size=2), max_size=3),
+    st.dictionaries(_KEYS, _SCALARS, max_size=3),
+    _WORDS | st.text(max_size=8),
+)
+
+
+@given(field=st.sampled_from(FUZZ_FIELDS), value=MUTATIONS)
+@example(field=("compose_fig2_n2.json", ("steps", 0, "justification")), value=None)
+@example(field=("compose_fig2_n2.json", ("steps", 0, "justification")), value=DELETE)
+@example(
+    field=("compose_fig2_n2.json", ("steps", 0, "justification", "mediator_targets")),
+    value=[["M1"], "M2"],
+)
+@example(field=("seqfd_fig2_n2.json", ("steps", 4, "justification", "t")), value=math.inf)
+@settings(max_examples=400, deadline=None)
+def test_verify_answers_every_mutated_derivation_file_without_a_traceback(field, value):
+    # A field deleted or replaced by null, a number, a list, a dict or a
+    # string: verify answers (exit 0 or 2) or refuses with exit 1, no
+    # stdout and one error line; no exception escapes.
+    name, path = field
+    graph, original = FUZZED[name]
+    payload = copy.deepcopy(original)
+    *parents, last = path
+    owner = functools.reduce(lambda blob, key: blob[key], parents, payload)
+    if value is DELETE:
+        del owner[last]
+    else:
+        owner[last] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        mutant = Path(tmp) / "mutant.json"
+        mutant.write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", graph, str(mutant), "--models", "2"])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == "", out.getvalue()
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
+
 def test_verify_rejects_a_final_that_is_not_the_last_output(fig1_path, tmp_path, capsys):
     derivation = _backdoor_derivation(fig1_path, tmp_path)
     with open(derivation) as fh:
@@ -365,6 +500,9 @@ def test_verify_stats_flag_writes_one_json_line(fig1_path, tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 0
     plain = capsys.readouterr()
+    # path_searches counts the contraction shapes the process had not met:
+    # every one on a first run, none on a repeat
+    _plan.cache_clear()
     assert main(argv + ["--stats"]) == 0
     out, err = capsys.readouterr()
     assert out == plain.out and plain.err == ""
@@ -375,7 +513,12 @@ def test_verify_stats_flag_writes_one_json_line(fig1_path, tmp_path, capsys):
         "merges_computed", "path_searches", "peak_live_bytes",
     }
     assert stats["conditionals"] > 0 and stats["largest_table"] > 0
-    assert stats["merges_computed"] > 0 and stats["path_searches"] > 0
+    assert stats["merges_computed"] > 0
+    assert stats["path_searches"] == _plan.cache_info().misses > 0
+    assert main(argv + ["--stats"]) == 0
+    again = json.loads(capsys.readouterr().err)
+    assert again["path_searches"] == 0
+    assert again["merges_computed"] == stats["merges_computed"]
     assert stats["peak_live_bytes"] > 0
     assert len(stats["steps"]) == out.count("\nstep ") + out.startswith("step ")
     for step in stats["steps"]:

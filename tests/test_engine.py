@@ -98,7 +98,7 @@ def test_backdoor_blocked_without_observed_adjustment(fig1_hidden, fig1_estimand
     d = identify(fig1_hidden, fig1_estimand, "backdoor")
     assert not d.identified
     assert d.blocking == CiQuery(Regime.prefix(1), {"Y1"}, {"D1"}, {"Do1"})
-    assert d.final == d.initial
+    assert d.final == d.estimand
 
 
 def test_identify_rejects_bad_estimand(fig1):
@@ -432,27 +432,28 @@ def test_verify_stats_stay_out_of_the_report(fig2_n2):
     assert "seconds" not in json.dumps(report.to_json())
 
 
-def _merge_counts(stats):
-    return stats.merges_computed, stats.path_searches
-
-
 def test_verify_counts_merges_and_path_searches(fig2_n2):
+    # A first run searches a path for each contraction shape it meets, once;
+    # a repeat in the same process finds every path memoised.
     d = identify(fig2_n2, dose_estimand(fig2_n2, ("Y",)), "sequential_frontdoor")
+    oracle._plan.cache_clear()
     first = verify(d, fig2_n2, n_models=5, seed=4).stats
+    info = oracle._plan.cache_info()
+    assert first.path_searches == info.misses == info.currsize > 0
     again = verify(d, fig2_n2, n_models=5, seed=4).stats
-    assert _merge_counts(again) == _merge_counts(first)
+    assert again.path_searches == 0
+    assert again.merges_computed == first.merges_computed > 0
     assert again.peak_live_bytes == first.peak_live_bytes > 0
-    computed, searches = _merge_counts(first)
-    assert computed > 0 and 0 < searches <= len(d.steps) + 1
     # a composition's counts include those of its nested derivations, and
     # its peak is at least theirs
     comp = identify(fig2_n2, dose_estimand(fig2_n2, ("Y",)), "mediator_intervention")
+    oracle._plan.cache_clear()
     report = verify(comp, fig2_n2, n_models=5, seed=4)
+    assert report.stats.path_searches == oracle._plan.cache_info().misses
     (step,) = report.steps
-    for total, *parts in zip(
-        _merge_counts(report.stats), *(_merge_counts(r.stats) for r in step.nested)
-    ):
-        assert total >= sum(parts) > 0
+    for count in ("merges_computed", "path_searches"):
+        parts = [getattr(r.stats, count) for r in step.nested]
+        assert getattr(report.stats, count) >= sum(parts) and min(parts) > 0
     assert report.stats.peak_live_bytes >= max(r.stats.peak_live_bytes for r in step.nested)
 
 
@@ -466,7 +467,7 @@ def test_verify_frees_each_table_after_its_last_use():
     report = _verify_models(d, swig, cpts_list, 0)
     assert report.passed
     [batch] = oracle.model_batches(swig, cpts_list)
-    for e in [d.initial, *(s.output for s in d.steps)]:
+    for e in [d.estimand, *(s.output for s in d.steps)]:
         oracle.eval_expr(batch, e)
     built = sum(table.nbytes for table in batch._conditionals.values())
     assert len(batch._conditionals) == report.stats.conditionals
@@ -572,18 +573,16 @@ def test_verify_in_chunks_matches_one_batch(strategy, per_batch, run, fig2_n2, m
 
 @pytest.mark.parametrize("strategy", ["sequential_frontdoor", "mediator_intervention"])
 def test_verify_in_batches_of_one_searches_no_more_paths(strategy, fig2_n2, monkeypatch):
-    # The batches share one plan table for their conditionals and their
-    # expressions, so a path is searched once per contraction shape however
-    # the models are split.
+    # _plan memoises a path by contraction shape, which leaves the batch
+    # axis out, so a path is searched once per shape however the models are
+    # split.
     d = identify(fig2_n2, dose_estimand(fig2_n2, ("Y",)), strategy)
-    calls = []
-    plan = oracle._plan
-    monkeypatch.setattr(oracle, "_plan", lambda *a: calls.append(a) or plan(*a))
 
     def searches(n_models):
-        calls.clear()
-        assert verify(d, fig2_n2, n_models=n_models, seed=3).passed
-        return len(calls)
+        oracle._plan.cache_clear()
+        report = verify(d, fig2_n2, n_models=n_models, seed=3)
+        assert report.passed
+        return report.stats.path_searches
 
     whole = {n_models: searches(n_models) for n_models in (20, 5)}
     # 20 batches of one model; batches of 4 and 1, whose operand shapes

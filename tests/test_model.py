@@ -36,7 +36,6 @@ def test_regime_basics():
     q2 = Regime.prefix(2)
     assert q2.active == frozenset({1, 2})
     assert str(q2) == "q2"
-    assert q2.horizon == 2
     assert q2.without(2) == Regime.prefix(1)
     assert q2.truncated(1) == Regime.prefix(1)
     odd = Regime(frozenset({2}))

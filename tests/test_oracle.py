@@ -453,9 +453,9 @@ def reference_plan(subs, sizes, out):
 def contraction_shapes(draw):
     """Factors over random subsets of up to 8 labels of 1-6 levels, and kept
     labels in a random order drawn from those the factors hold."""
-    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8).map(tuple))
     labels = st.lists(st.integers(0, len(sizes) - 1), max_size=4, unique=True).map(tuple)
-    subs = draw(st.lists(labels, min_size=1, max_size=8))
+    subs = draw(st.lists(labels, min_size=1, max_size=8).map(tuple))
     held = sorted({i for s in subs for i in s})
     out = tuple(draw(st.permutations(held))[: draw(st.integers(0, len(held)))])
     return subs, sizes, out
@@ -464,7 +464,11 @@ def contraction_shapes(draw):
 @given(contraction_shapes())
 @settings(max_examples=400, deadline=None)
 def test_plan_matches_the_exhaustive_pair_scan(shape):
-    assert _plan(*shape) == reference_plan(*shape)
+    path = _plan(*shape)
+    assert path == tuple(reference_plan(*shape))
+    # a shape met again is not searched again: every caller shares the path
+    misses = _plan.cache_info().misses
+    assert _plan(*shape) is path and _plan.cache_info().misses == misses
 
 
 def test_merge_sends_a_pair_past_matmul_entries_through_the_matmul_path(monkeypatch):
@@ -753,7 +757,7 @@ def test_batched_evaluation_matches_single_models(n, strategy):
     cpts_list = _models_with_a_deterministic_row(swig)
     [batch] = model_batches(swig, cpts_list)
     singles = [model_from_base_cpts(swig, cpts) for cpts in cpts_list]
-    exprs = [d.initial, *(step.output for step in d.steps)]
+    exprs = [d.estimand, *(step.output for step in d.steps)]
 
     masks = []
     for e in exprs:
@@ -807,7 +811,7 @@ def _chains(swig, d):
             just = step.justification
             out += _chains(swig, just.mediator_law)
             out += _chains(_mediators_swig(swig, just.mediator_targets), just.outcome)
-    return out + [(swig, [d.initial, *(s.output for s in d.steps)])]
+    return out + [(swig, [d.estimand, *(s.output for s in d.steps)])]
 
 
 def _fresh(swig, cpts_list, e):

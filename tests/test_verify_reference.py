@@ -12,7 +12,15 @@ most 1e-9.
 import numpy as np
 import pytest
 
-from swigident import Derivation, DerivationStep, ablated_figure1, figure2, identify, to_swig
+from swigident import (
+    Derivation,
+    DerivationStep,
+    SwigIdentError,
+    ablated_figure1,
+    figure2,
+    identify,
+    to_swig,
+)
 from swigident import oracle
 from swigident.engine import NOT_IDENTIFIED, TOL, _mediators_swig, _verify_models
 
@@ -33,7 +41,7 @@ def reference_verify(d, swig, cpts_list) -> dict:
                     just.outcome, _mediators_swig(swig, just.mediator_targets), cpts_list
                 ),
             ]
-    exprs = [d.initial, *(s.output for s in d.steps)]
+    exprs = [d.estimand, *(s.output for s in d.steps)]
     pairs = list(zip(range(len(exprs) - 1), range(1, len(exprs))))
     if d.identified:
         pairs.append((len(exprs) - 1, 0))
@@ -136,8 +144,13 @@ def test_corrupted_steps_fail_as_in_the_reference(k, fig1, fig1_estimand):
 
 
 def test_a_refusal_with_no_steps_matches_the_reference():
+    # The reference compares nothing here and so reads as a pass; verify
+    # refuses the derivation instead, as a check of nothing shows nothing.
     swig = to_swig(ablated_figure1())
     d = identify(swig, dose_estimand(swig, ("Y1",)), "top_down")
     assert not d.identified and not d.steps
-    report = _check(d, swig, _random_cpts(swig, 3))
-    assert report.passed and report.final_deviation is None
+    cpts_list = _random_cpts(swig, 3)
+    ref = reference_verify(d, swig, cpts_list)
+    assert ref["steps"] == [] and ref["final"] is None
+    with pytest.raises(SwigIdentError, match="nothing to verify"):
+        _verify_models(d, swig, cpts_list, 0)
