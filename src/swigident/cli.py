@@ -18,7 +18,7 @@ from .errors import SwigIdentError, malformed
 from .expr import to_text
 from .figures import FIXTURES
 from .graphs import d_separated
-from .model import Regime, Swig, to_swig
+from .model import Swig, to_swig
 from .oracle import load_model, random_model, sample
 
 
@@ -102,8 +102,7 @@ def cmd_simulate(args) -> int:
             raise SwigIdentError("model file does not match the graph")
     else:
         model = random_model(swig, seed=args.seed)
-    regime = Regime.prefix(args.regime)
-    swig.check_regime(regime)
+    regime = swig.prefix_regime(args.regime)
     dataset = sample(model, regime, args.n, seed=args.seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -115,8 +114,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_dot(args) -> int:
     swig = _load_swig(args)
-    regime = Regime.prefix(args.regime)
-    swig.check_regime(regime)
+    regime = swig.prefix_regime(args.regime)
     _emit(args, to_dot(swig, regime))
     return 0
 

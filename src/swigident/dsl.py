@@ -25,6 +25,7 @@ name.
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 from .errors import GraphValidationError, ParseError, SwigIdentError
 from .expr import Entry, ProbExpr, Product, Sum, Term
@@ -68,6 +69,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
+def _int(digits: str, line: int, col: int) -> int:
+    """int(digits), or a ParseError where int refuses that many digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"a number of {len(digits)} digits is too long", line, col) from None
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.items = _tokenize(text)
@@ -88,6 +97,10 @@ class _Tokens:
             want = value if value is not None else kind
             raise ParseError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2], tok[3])
         return tok
+
+    def number(self) -> int:
+        _, digits, line, col = self.expect("num")
+        return _int(digits, line, col)
 
     def accept(self, kind: str, value: str | None = None) -> bool:
         tok = self.peek()
@@ -119,7 +132,7 @@ def parse_graph(text: str) -> BaseDag:
             while not toks.accept("punct", ";"):
                 k, v, l2, c2 = toks.next()
                 if k == "punct" and v == "@":
-                    declared["time"] = int(toks.expect("num")[1])
+                    declared["time"] = toks.number()
                 elif k == "ident" and v == "role":
                     toks.expect("punct", "=")
                     rv, rl, rc = toks.expect("ident")[1:4]
@@ -129,7 +142,7 @@ def parse_graph(text: str) -> BaseDag:
                         raise ParseError(f"unknown role {rv!r}", rl, rc) from None
                 elif k == "ident" and v == "levels":
                     toks.expect("punct", "=")
-                    declared["cardinality"] = int(toks.expect("num")[1])
+                    declared["cardinality"] = toks.number()
                 elif k == "ident" and v == "unobserved":
                     declared["observed"] = False
                 else:
@@ -146,7 +159,7 @@ def parse_graph(text: str) -> BaseDag:
             order = None
             if toks.accept("ident", "order"):
                 toks.expect("punct", "=")
-                order = int(toks.expect("num")[1])
+                order = toks.number()
             toks.expect("punct", ";")
             targets.append((order if order is not None else 10**9, len(targets), tname))
         else:
@@ -193,7 +206,7 @@ def _parse_regime_index(toks: _Tokens, swig: Swig) -> int:
     toks.expect("punct", "[")
     _, digits, line, col = toks.expect("num")
     toks.expect("punct", "]")
-    n = int(digits)
+    n = _int(digits, line, col)
     if n > swig.n_interventions:
         msg = f"regime index {n} exceeds the {swig.n_interventions} declared targets"
         raise ParseError(msg, line, col)
@@ -203,7 +216,7 @@ def _parse_regime_index(toks: _Tokens, swig: Swig) -> int:
 def _parse_value(toks: _Tokens):
     kind, value, line, col = toks.next()
     if kind == "num":
-        return Lit(int(value))
+        return Lit(_int(value, line, col))
     if kind == "ident":
         return Sym(value)
     raise ParseError(f"expected a value, found {value or 'end of input'!r}", line, col)
@@ -258,7 +271,7 @@ def parse_ci_query(text: str, swig: Swig) -> CiQuery:
     if toks.peek()[1] == "q" and toks.items[1][:2] == ("punct", "["):
         regime = Regime.prefix(_parse_regime_index(toks, swig))
     else:
-        regime = _parse_regime(toks)
+        regime = _parse_regime(toks, swig.prefix_regime)
         swig.check_regime(regime)
     toks.expect("punct", ":")
     x = frozenset(_parse_list(toks, _name))
@@ -271,14 +284,16 @@ def parse_ci_query(text: str, swig: Swig) -> CiQuery:
     return CiQuery(regime=regime, x=x, y=y, z=z)
 
 
-def _parse_regime(toks: _Tokens) -> Regime:
+def _parse_regime(toks: _Tokens, prefix: Callable[[int], Regime] = Regime.prefix) -> Regime:
+    """q0, q2 or q{1,2}; prefix builds the prefix regimes, and may check
+    the index first."""
     kind, value, line, col = toks.expect("ident")
     if value == "q" and toks.accept("punct", "{"):
-        active = _parse_list(toks, lambda toks: int(toks.expect("num")[1]))
+        active = _parse_list(toks, _Tokens.number)
         toks.expect("punct", "}")
         return Regime(frozenset(active))
     if value.startswith("q") and value[1:].isdigit():
-        return Regime.prefix(int(value[1:]))
+        return prefix(_int(value[1:], line, col))
     raise ParseError(f"expected a regime like q0 or q{{1,2}}, found {value!r}", line, col)
 
 
@@ -334,17 +349,12 @@ def parse_expr(text: str, terms: dict[str, Term] | None = None) -> ProbExpr:
     return e
 
 
-# A term as to_text writes it: a regime (q2, q{1,2}) and its parenthesized
-# entries, which hold no parenthesis.
-_TERM_TEXT = re.compile(r"[^\s(){}*]+(?:\{[^(){}]*\})?\([^()]*\)")
-
-
 def _parse_laid_out(text: str, pos: int, terms: dict[str, Term]) -> tuple[ProbExpr, int]:
     """The expression of to_text's layout at pos, and the position after it:
     "sum{a, b} body", or factors joined by " * ", each a term or an
-    expression in parentheses.  Each term is looked up in terms by its text
-    and parsed alone on a miss.  Raises SwigIdentError where the text has
-    another layout."""
+    expression in parentheses.  A term ends at its first ")"; it is looked
+    up in terms by its text and parsed alone on a miss.  Raises
+    SwigIdentError where the text has another layout."""
     if text.startswith("sum{", pos):
         close = text.find("} ", pos)
         binders = text[pos + 4 : close].split(", ") if close >= 0 else [""]
@@ -360,16 +370,16 @@ def _parse_laid_out(text: str, pos: int, terms: dict[str, Term]) -> tuple[ProbEx
                 raise SwigIdentError("not to_text's layout")
             pos += 1
         else:
-            m = _TERM_TEXT.match(text, pos)
-            if m is None:
+            end = text.find(")", pos) + 1
+            if not end:
                 raise SwigIdentError("not to_text's layout")
-            factor = terms.get(m.group())
+            span, pos = text[pos:end], end
+            factor = terms.get(span)
             if factor is None:
-                toks = _Tokens(m.group())
+                toks = _Tokens(span)
                 factor = _parse_term(toks)
                 toks.expect("eof")
-                terms[m.group()] = factor
-            pos = m.end()
+                terms[span] = factor
         factors.append(factor)
         if not text.startswith(" * ", pos):
             return (factors[0] if len(factors) == 1 else Product(tuple(factors))), pos

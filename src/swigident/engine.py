@@ -303,21 +303,10 @@ class Strategy:
     variables: tuple[str, ...] = ()
     depth: int = 16
 
-    KINDS = (
-        "backdoor",
-        "frontdoor",
-        "sequential_backdoor",
-        "sequential_frontdoor",
-        "mediator_intervention",
-        "top_down",
-        "bottom_up",
-    )
-
     def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
-            raise SwigIdentError(
-                f"unknown strategy {self.kind!r}; choose from {', '.join(self.KINDS)}"
-            )
+        kinds = (*_ATTEMPTS, "top_down", "bottom_up")
+        if self.kind not in kinds:
+            raise SwigIdentError(f"unknown strategy {self.kind!r}; choose from {', '.join(kinds)}")
         if self.depth < 1:
             raise SwigIdentError("search depth must be >= 1")
         if self.variables and self.kind in ("sequential_backdoor", "top_down", "bottom_up"):
@@ -365,10 +354,6 @@ class _Builder:
         if unobserved:
             raise RuleRefusedError(f"recipe finished but {unobserved} are unobserved")
         return Derivation(self.estimand, tuple(self.steps), self.expr, IDENTIFIED)
-
-
-def _not_identified(estimand: Term, blocking: CiQuery | None) -> Derivation:
-    return Derivation(estimand, (), estimand, NOT_IDENTIFIED, blocking)
 
 
 def _by_time(swig: Swig, names: Iterable[str]) -> list[str]:
@@ -423,7 +408,7 @@ def _or_unreached(swig: Swig, estimand: Term, blocking: CiQuery | None) -> Deriv
         blocking = None  # from here on, a refusal is a hidden dependent's
         return builder.identified()
     except RuleRefusedError:
-        return _not_identified(estimand, blocking)
+        return Derivation(estimand, (), estimand, NOT_IDENTIFIED, blocking)
 
 
 # (target variable, ci_modify action, value) for intervention j, or None
@@ -457,7 +442,7 @@ def _reduce_factor(
     (target, action, value), if any; deactivate by consistency, latest
     first; and erase the intervention nodes."""
     swig = builder.swig
-    path = builder.path_of(dep_names)
+    path = builder.path_of(dep_names)  # each rule below rewrites the term in place
     active = sorted(subexpr_at(builder.expr, path).regime.active)
     if time is not None:
         cut = max((j for j in active if swig.var(swig.target(j)).time <= time), default=0)
@@ -465,25 +450,21 @@ def _reduce_factor(
             builder.apply(rule_drop_later, path, cut)
         active = [j for j in active if j <= cut]
     for j in active:
-        path = builder.path_of(dep_names)
         move = align(j, dict(subexpr_at(builder.expr, path).conditioners))
         if move is not None:
             builder.apply(rule_ci_modify, path, *move)
     for j in reversed(active):
-        builder.apply(rule_consistency, builder.path_of(dep_names), j)
-    path = builder.path_of(dep_names)
+        builder.apply(rule_consistency, path, j)
     if any(do in dict(subexpr_at(builder.expr, path).conditioners) for _, do in swig.pairs):
         builder.apply(rule_redundancy, path)
 
 
-def _pin_targets(swig: Swig, do_values: dict[str, ValueRef], revalue: bool = True) -> AlignMove:
-    """Align move that conditions each target on its intervention's value.
-    Without revalue a target already among the conditioners is inserted
-    all the same, which the rule refuses."""
+def _pin_targets(swig: Swig, do_values: dict[str, ValueRef]) -> AlignMove:
+    """Align move that conditions each target on its intervention's value."""
 
     def align(j: int, conds: dict[str, ValueRef]):
         tgt, want = swig.target(j), do_values[swig.intervention(j)]
-        if tgt not in conds or not revalue:
+        if tgt not in conds:
             return tgt, "insert", want
         if conds[tgt] != want:
             return tgt, "change", want
@@ -506,7 +487,7 @@ def _backdoor(builder: _Builder, adjustment: tuple[str, ...]) -> Derivation:
     swig, est = builder.swig, builder.estimand
     (t,) = est.regime.active
     deps = est.dep_names()
-    align = _pin_targets(swig, dict(est.conditioners), revalue=False)
+    align = _pin_targets(swig, dict(est.conditioners))
     if adjustment:
         _introduce(builder, deps, adjustment, [adjustment])
     _reduce_factor(builder, deps, align)
@@ -596,7 +577,7 @@ def _mediator_intervention(builder: _Builder, mediators: tuple[str, ...]) -> Der
     # introduce the dose chain, insert the natural mediators next to their
     # intervention nodes, and deactivate
     chain = _by_time(swig, (swig.target(j) for j in est.regime.active))
-    insert = _pin_targets(swig_m, dict(est_y.conditioners), revalue=False)
+    insert = _pin_targets(swig_m, dict(est_y.conditioners))
     try:
         _introduce(outcome, est.dep_names(), chain, [[n] for n in reversed(chain)])
         _reduce_factor(outcome, est.dep_names(), insert)

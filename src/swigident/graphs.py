@@ -99,14 +99,6 @@ class Graph:
         except CycleError as exc:
             raise SwigIdentError("graph contains a cycle") from exc
 
-    @property
-    def is_acyclic(self) -> bool:
-        try:
-            self.topological_order
-        except SwigIdentError:
-            return False
-        return True
-
 
 @dataclass(frozen=True)
 class CiQuery:

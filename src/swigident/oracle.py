@@ -20,12 +20,12 @@ on a leading axis, so that joints, conditionals and expression values carry
 one table per model.  Expressions are evaluated by one batched evaluator: a
 term is a view of the model's memoised conditional plus a per-model mask of
 the models for which it conditions on a zero-probability event, and each
-sum or product is contracted by the batch's Contractor, two tables at a
-time (one einsum over the batch axis and the pair's labels), along the
-path _plan finds.  Values are memoised per model (or batch), so each
-distinct expression is evaluated once, until a caller that knows an
-expression's or a conditional's last use releases it.  A single model is
-a batch of one.
+sum or product is contracted two tables at a time (one einsum over the
+batch axis and the pair's labels), along the path _plan finds; the
+batch's Contractor counts the merges.  Values are memoised per model (or
+batch), so each distinct expression is evaluated once, until a caller
+that knows an expression's or a conditional's last use releases it.  A
+single model is a batch of one.
 model_batches bounds a batch so that its joint would have at most
 STATE_LIMIT entries, as large as one model's joint may be; every table the
 ancestral way builds is labelled by a subset of the variables, so that bound
@@ -562,31 +562,23 @@ def _run(
 
 @dataclass(eq=False)
 class Contractor:
-    """Contracts the sums and products of one batch's expressions, each
-    along _plan's path for its shape, one einsum per merge.  The counts say
-    how many merges the expressions computed, and how many ancestral
-    conditionals were built and the most entries one had."""
+    """One batch's contraction counts: how many merges its expressions
+    computed, and how many ancestral conditionals were built and the most
+    entries one had."""
 
     merges: int = 0
     conditionals: int = 0
     largest: int = 0
-
-    def contract(self, tables: Sequence[LabeledTable], out: tuple[str, ...]) -> np.ndarray:
-        """The product of the factors' batch tables summed down to out, with
-        the batch axis first and then out's labels in order."""
-        ops = [(t.values, t.labels) for t in tables]
-        values, merges = _run(ops, out, 1, f"a product of {len(tables)} factors")
-        self.merges += merges
-        return values
 
 
 def _contract(
     swig: Swig, e: Sum | Product, provider: TableProvider, memo: dict, contractor: "Contractor"
 ) -> LabeledTable:
     """A sum of products (or either alone) over the batch axis and the
-    factors' labels, with the binders summed out.  The contractor merges the
-    factors two at a time along a path planned once per contraction shape;
-    only the factors' tables are memoised, not the partial products."""
+    factors' labels, with the binders summed out.  _run merges the factors
+    two at a time along a path planned once per contraction shape, and the
+    contractor counts the merges; only the factors' tables are memoised,
+    not the partial products."""
     binders = e.binders if isinstance(e, Sum) else ()
     body = e.body if isinstance(e, Sum) else e
     factors = body.factors if isinstance(body, Product) else (body,)
@@ -602,7 +594,9 @@ def _contract(
         if b not in sizes:
             raise ExprError(f"binder {b!r} never used in the sum body")
     kept = tuple(l for l in sizes if l not in binders)
-    values = contractor.contract(tables, kept)
+    ops = [(t.values, t.labels) for t in tables]
+    values, merges = _run(ops, kept, 1, f"a product of {len(tables)} factors")
+    contractor.merges += merges
     skipped = np.logical_or.reduce([t.skipped for t in tables])
     return LabeledTable(kept, values, skipped)
 
@@ -792,7 +786,10 @@ class Dataset:
     def read_csv(cls, fh) -> "Dataset":
         """Read what write_csv writes: a header of names, then rows of
         integers (none, for a header alone)."""
-        header = next(csv.reader([fh.readline()]))
+        try:
+            header = next(csv.reader([fh.readline()]))
+        except csv.Error as e:
+            raise SwigIdentError(f"malformed CSV: {e}") from None
         if not header:
             raise SwigIdentError("malformed CSV: no column names on the first line")
         with warnings.catch_warnings():

@@ -282,7 +282,8 @@ def rule_redundancy(
 ) -> DerivationStep:
     """In a regime-0 term, intervention nodes among the conditioners are
     copies of their targets: drop them when the target is pinned to the same
-    value, or rename them to the target when it is absent."""
+    value, or rename them to the target when it is absent and they are
+    pinned (a distribution-valued one names its table's axis)."""
     term = _term_at(e, path)
     if not term.regime.is_observational:
         raise RuleRefusedError("redundancy applies to observed-data terms only")
@@ -307,6 +308,10 @@ def rule_redundancy(
             if tgt in dep_names:
                 raise RuleRefusedError(
                     f"cannot rename {do!r} to {tgt!r}: it is a dependent"
+                )
+            if conds[do] is None:
+                raise RuleRefusedError(
+                    f"cannot rename {do!r} to {tgt!r}: the axis {do!r} would change its name"
                 )
             entries = [(tgt, r) if n == do else (n, r) for n, r in entries]
         handled.append((tgt, do))

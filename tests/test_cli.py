@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swigident import Derivation, save_model, random_model, figure2, to_swig
+from swigident import Derivation, save_model, random_model, figure1, figure2, to_swig
 from swigident.cli import main
-from swigident.oracle import _plan
+from swigident.oracle import _plan, model_to_json
 
 from conftest import corrupt_step
 
@@ -248,6 +248,10 @@ MALFORMED_DERIVATIONS = {
         '{"estimand": "q0(Y1) * q0(L)", "status": "identified", "blocking": null,'
         ' "final": "q0(Y1) * q0(L)", "steps": []}'
     ),
+    "huge_regime_index": (
+        '{"estimand": "q1000000(Y1 | Do1=d1)", "status": "not_identified",'
+        ' "blocking": null, "final": "q1000000(Y1 | Do1=d1)", "steps": []}'
+    ),
 }
 # The field an error line must name, where the file gets that far.
 MALFORMED_FIELDS = {
@@ -255,6 +259,7 @@ MALFORMED_FIELDS = {
     "bad_output_text": "step 1 output: expected ')', found 'end of input' at line 1, column 15",
     "unchanged_step": "step 'ci_modify' does not change the expression",
     "product_estimand": "estimand: 'q0(Y1) * q0(L)' is not a single term",
+    "huge_regime_index": "estimand: regime index 1000000 exceeds the limit of 10000",
 }
 
 
@@ -267,6 +272,7 @@ def test_verify_malformed_derivation_exits_1(name, fig1_path, tmp_path, capsys):
     assert err.startswith("error: malformed derivation:")
     assert "Traceback" not in err
     assert MALFORMED_FIELDS.get(name, "") in err and len(err.splitlines()) == 1
+    assert len(err) < 200, err[:200]
 
 
 @pytest.mark.parametrize("rule", [7, 1.5, True, None, ["ci_modify"], {"name": "ci_modify"}])
@@ -392,6 +398,15 @@ def test_verify_answers_every_mutated_derivation_file_without_a_traceback(field,
     # stdout and one error line; no exception escapes.
     name, path = field
     graph, original = FUZZED[name]
+    code = _run_mutant(original, path, value, ["verify", graph, "{}", "--models", "2"])
+    assert code in (0, 1, 2)
+
+
+def _run_mutant(original, path, value, argv):
+    """main(argv) with "{}" naming a file that holds original with the field
+    at path deleted (value DELETE) or replaced by value; its exit code,
+    once an exit code 1 is checked to print nothing to stdout and one error
+    line."""
     payload = copy.deepcopy(original)
     *parents, last = path
     owner = functools.reduce(lambda blob, key: blob[key], parents, payload)
@@ -404,12 +419,43 @@ def test_verify_answers_every_mutated_derivation_file_without_a_traceback(field,
         mutant.write_text(json.dumps(payload))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["verify", graph, str(mutant), "--models", "2"])
-    assert code in (0, 1, 2)
+            code = main([a.format(mutant) for a in argv])
     if code == 1:
         assert out.getvalue() == "", out.getvalue()
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    return code
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (
+            lambda p: p["steps"][0].update(output="sum{l} q1(Y1, L=5 | Do1=d1)"),
+            "error: level 5 out of range for 'L'",
+        ),
+        (
+            lambda p: p["steps"][0].update(output="sum{l, z} q1(Y1, L=l | Do1=d1)"),
+            "error: binder 'z' never used in the sum body",
+        ),
+        (
+            lambda p: p.update(estimand="q5000(Y1 | Do1=d1)"),
+            "error: regime index 5000 exceeds the 1 declared targets",
+        ),
+    ],
+    ids=["pin_out_of_range", "unused_binder", "regime_past_the_targets"],
+)
+def test_verify_refuses_a_derivation_the_graph_cannot_evaluate(
+    change, message, fig1_path, tmp_path, capsys
+):
+    derivation = _backdoor_derivation(fig1_path, tmp_path)
+    payload = json.loads(Path(derivation).read_text())
+    change(payload)
+    Path(derivation).write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", fig1_path, derivation, "--models", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == message + "\n", err[:200]
 
 
 def test_verify_rejects_a_final_that_is_not_the_last_output(fig1_path, tmp_path, capsys):
@@ -431,6 +477,51 @@ def test_simulate_malformed_model_exits_1(text, fig1_path, tmp_path, capsys):
     path.write_text(text)
     assert main(["simulate", fig1_path, "--model", str(path), "--n", "5"]) == 1
     assert capsys.readouterr().err.startswith("error: malformed model:")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda c: c["L"].update(table=[1.5, -0.5]), "CPT for 'L' has negative entries"),
+        (lambda c: c.pop("M1"), "missing CPT for 'M1'"),
+        (
+            lambda c: c.update(Do1={"parents": [], "table": [0.5, 0.5]}),
+            "'Do1' is an intervention node and takes no CPT",
+        ),
+        (
+            lambda c: c["M1"].update(parents=["L"]),
+            "CPT parents for 'M1' do not match the graph",
+        ),
+    ],
+    ids=["negative_entry", "missing_cpt", "cpt_for_an_intervention_node", "other_parents"],
+)
+def test_simulate_refuses_a_model_whose_cpts_do_not_fit_the_graph(
+    change, message, fig1, fig1_path, tmp_path, capsys
+):
+    path = tmp_path / "model.json"
+    save_model(random_model(fig1, seed=5), str(path))
+    obj = json.loads(path.read_text())
+    change(obj["cpts"])
+    path.write_text(json.dumps(obj))
+    assert main(["simulate", fig1_path, "--model", str(path), "--n", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+MODEL = model_to_json(random_model(to_swig(figure1()), seed=5))
+MODEL_GRAPH = str(GOLDEN / "fixture_fig1.swig")
+
+
+@given(field=st.sampled_from(list(_fields(MODEL))), value=MUTATIONS)
+@example(field=("cpts", "L", "table", 0), value=math.nan)
+@example(field=("cpts", "Y1", "parents"), value="LM1")
+@settings(max_examples=300, deadline=None)
+def test_simulate_answers_every_mutated_model_file_without_a_traceback(field, value):
+    # A field deleted or replaced by null, a number, a list, a dict or a
+    # string: simulate draws its rows (exit 0) or refuses with exit 1, no
+    # stdout and one error line; no exception escapes.
+    argv = ["simulate", MODEL_GRAPH, "--model", "{}", "--n", "5"]
+    assert _run_mutant(MODEL, field, value, argv) in (0, 1)
 
 
 def test_simulate_refuses_a_model_file_with_a_graph_dict(fig1, fig1_path, tmp_path, capsys):
@@ -477,22 +568,46 @@ def _backdoor_derivation(fig1_path, tmp_path):
     return str(path)
 
 
+PAST_THE_TARGETS = "error: regime index 1000000 exceeds the 1 declared targets"
+DIGITS = "9" * 5000  # more digits than int() converts
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["simulate", "{graph}", "--n", "-5"],
-        ["verify", "{graph}", "{derivation}", "--models", "0"],
-        ["verify", "{graph}", "{derivation}", "--models", "-3"],
+        (["simulate", "{graph}", "--n", "-5"], "cannot draw a negative number of rows"),
+        (["verify", "{graph}", "{derivation}", "--models", "0"], "at least one model"),
+        (["verify", "{graph}", "{derivation}", "--models", "-3"], "at least one model"),
+        (["simulate", "{graph}", "--regime", "1000000", "--n", "1"], PAST_THE_TARGETS),
+        (["dot", "{graph}", "--regime", "1000000"], PAST_THE_TARGETS),
+        (["dsep", "{graph}", "q1000000: Y1 _||_ Do1"], PAST_THE_TARGETS),
+        (["dsep", "{graph}", "q{{1,1000000}}: Y1 _||_ Do1"], PAST_THE_TARGETS),
+        (["dsep", "{graph}", f"q{DIGITS}: Y1 _||_ Do1"], "5000 digits is too long"),
+        (["identify", "{graph}", f"q[{DIGITS}](Y1)"], "5000 digits is too long"),
     ],
-    ids=["simulate_negative_rows", "verify_zero_models", "verify_negative_models"],
+    ids=[
+        "simulate_negative_rows",
+        "verify_zero_models",
+        "verify_negative_models",
+        "simulate_regime_past_the_targets",
+        "dot_regime_past_the_targets",
+        "dsep_prefix_regime_past_the_targets",
+        "dsep_regime_set_past_the_targets",
+        "dsep_regime_of_5000_digits",
+        "identify_regime_of_5000_digits",
+    ],
 )
-def test_bad_numbers_exit_1(argv, fig1_path, tmp_path, capsys):
+def test_bad_numbers_exit_1(argv, message, fig1_path, tmp_path, capsys):
+    # A regime index is checked before its regime is built, and the error
+    # names the largest index alone: an index of 10^6 once built a million
+    # ints and listed each one that did not fit.
     derivation = _backdoor_derivation(fig1_path, tmp_path)
     capsys.readouterr()
     argv = [a.format(graph=fig1_path, derivation=derivation) for a in argv]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert message in err and len(err) < 200, err[:200]
 
 
 def test_verify_stats_flag_writes_one_json_line(fig1_path, tmp_path, capsys):
@@ -621,3 +736,55 @@ def test_a_named_variable_that_cannot_be_adjusted_for_is_a_usage_error(
     assert main(["fixture", fixture, "--out", path]) == 0
     assert main(["identify", path, query, "--strategy", strategy]) == 1
     _one_error_line(capsys, "cannot be adjusted for")
+
+
+@pytest.mark.parametrize(
+    "query, strategy, message",
+    [
+        ("q[1](Y1 | Do1)", "backdoor", "'Do1' must be pinned to a value or symbol"),
+        ("p[1](Y1)", "top_down", "expected regime marker 'q[n]' at line 1, column 1"),
+    ],
+    ids=["unpinned_intervention_node", "no_regime_marker"],
+)
+def test_identify_refuses_an_estimand_it_cannot_take(query, strategy, message, fig1_path, capsys):
+    assert main(["identify", fig1_path, query, "--strategy", strategy]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_sequential_backdoor_of_a_hidden_dependent_refuses_with_no_query(fig1_path, capsys):
+    # q0(L) has no active intervention, so the doses' query would have an
+    # empty side and hold: the refusal names no query.
+    argv = ["identify", fig1_path, "q[0](L)", "--strategy", "sequential_backdoor"]
+    assert main([*argv, "--unobserved", "L"]) == 2
+    out = capsys.readouterr().out
+    assert "status: not_identified" in out and "blocking:" not in out
+
+
+GRAPH = "graph g {{\n  var X @0{levels};\n  var Y @1 role=target;\n  edge X -> Y;\n{targets}}}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "graph g {\n  node X;\n}\n",
+            "expected var, edge, or target, found 'node' at line 2, column 3",
+        ),
+        (
+            GRAPH.format(levels=" levels=0", targets="  target Y order=1;\n"),
+            "invalid graph: cardinality: 'X' must have >= 1 level",
+        ),
+        (
+            GRAPH.format(levels="", targets="  target Y order=1;\n  target Y order=2;\n"),
+            "invalid graph: target: target 'Y' listed twice",
+        ),
+    ],
+    ids=["node_statement", "no_levels", "target_listed_twice"],
+)
+def test_identify_refuses_a_malformed_graph_file(text, message, tmp_path, capsys):
+    path = tmp_path / "g.swig"
+    path.write_text(text)
+    assert main(["identify", str(path), "q[1](X | do Y=y)"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"

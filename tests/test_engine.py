@@ -272,6 +272,12 @@ def test_search_finds_frontdoor(fig1_hidden, fig1_estimand):
         assert verify(d, fig1_hidden, n_models=10).passed
 
 
+def test_a_search_answer_over_a_bare_intervention_node_verifies(fig1):
+    # redundancy once renamed the bare Do1 to D1, whose axis has another name
+    d = identify(fig1, parse_estimand("q[0](Y1 | Do1)", fig1))
+    assert d.identified and verify(d, fig1, n_models=5).passed
+
+
 def test_search_budget_exhaustion_reports_blocker(fig1, fig1_estimand):
     d = identify(fig1, fig1_estimand, Strategy("top_down", depth=1))
     assert not d.identified

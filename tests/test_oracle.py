@@ -597,6 +597,13 @@ def test_read_csv_refuses_malformed_input(text, message):
         Dataset.read_csv(io.StringIO(text, newline=""))
 
 
+def test_read_csv_refuses_a_bare_carriage_return_in_the_header():
+    # csv.reader raised _csv.Error on the header line read without
+    # universal newlines.
+    with pytest.raises(SwigIdentError, match="^malformed CSV: new-line character seen"):
+        Dataset.read_csv(io.StringIO("L,D1\r0,1\r\n"))
+
+
 def test_read_csv_of_a_header_alone_has_no_rows():
     read = Dataset.read_csv(io.StringIO("A,B\r\n", newline=""))
     assert read.columns == ("A", "B") and read.data.shape == (0, 2) and len(read) == 0
