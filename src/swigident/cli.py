@@ -24,8 +24,9 @@ from .oracle import load_model, random_model, sample
 
 def _load_swig(args) -> Swig:
     """The split graph of the graph file, with --unobserved applied."""
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        base = parse_graph(fh.read())
+    with open(args.graph, "r", encoding="utf-8") as fh, malformed("graph file"):
+        text = fh.read()
+    base = parse_graph(text)
     hidden = {name for group in args.unobserved for name in group.split(",") if name}
     if hidden:
         unknown = hidden - set(base.names)

@@ -7,9 +7,9 @@ entry point.  A recipe strategy reproduces a classic adjustment argument step
 by step: one driver checks the estimand's shape, builds the candidate
 variable sets, and runs the recipe's attempt on each until one derives the
 estimand.  The two search modes explore the same sound move set with
-different orderings; verify replays every step against the exact oracle on
-batches of random models, comparing the subtree the step rewrote in its
-input and its output, and frees each memoised table after its last use.
+different orderings; verify has oracle.compare evaluate the subtree each
+step rewrote, in its input and its output, on random models, and counts a
+model unless a term of the step's whole input or output skips it.
 This module alone writes and reads derivation files: a step is stored as
 its rule, its output's text and its justification, whose kind comes from
 one table and whose fields follow by name.
@@ -32,7 +32,6 @@ from .expr import (
     Product,
     Term,
     canonicalize,
-    children,
     free_variables,
     fresh_symbol,
     regimes_used,
@@ -45,17 +44,7 @@ from .expr import (
 from .dsl import parse_expr
 from .graphs import CiQuery, Graph
 from .model import BaseDag, Swig, Sym, ValueRef, to_swig
-from .oracle import (
-    LabeledTable,
-    _plan,
-    contraction_counts,
-    eval_expr,
-    live_bytes,
-    model_batches,
-    random_base_cpts,
-    release,
-    term_masks,
-)
+from .oracle import compare, random_base_cpts
 from .rules import (
     CiJustification,
     ConsistencyJustification,
@@ -967,41 +956,6 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _deviations(a: LabeledTable, b: LabeledTable) -> np.ndarray:
-    """Per model of two batch tables, the largest absolute difference over
-    the union of their axes (NaN where a term of either skips the model)."""
-    labels = a.labels + tuple(l for l in b.labels if l not in a.labels)
-    diff = np.abs(a.aligned(labels) - b.aligned(labels))
-    return diff.reshape(len(diff), -1).max(axis=1)
-
-
-def _subtrees(e: ProbExpr) -> Iterable[ProbExpr]:
-    yield e
-    for kid in children(e):
-        yield from _subtrees(kid)
-
-
-def _last_uses(pairs: Sequence[tuple[ProbExpr, ProbExpr]]) -> tuple[list[list], list[list]]:
-    """For each pair, in evaluation order, the subexpressions and the
-    conditional keys (regime, dependents, conditioners) that no later pair
-    uses."""
-    last_expr: dict[ProbExpr, int] = {}
-    last_key: dict[tuple, int] = {}
-    for i, pair in enumerate(pairs):
-        for e in pair:
-            for node in _subtrees(e):
-                last_expr[node] = i
-                if isinstance(node, Term):
-                    last_key[(node.regime, node.dep_names(), node.cond_names())] = i
-    exprs: list[list] = [[] for _ in pairs]
-    keys: list[list] = [[] for _ in pairs]
-    for node, i in last_expr.items():
-        exprs[i].append(node)
-    for key, i in last_key.items():
-        keys[i].append(key)
-    return exprs, keys
-
-
 def _mediators_swig(swig: Swig, targets: tuple[str, ...]) -> Swig:
     """The same skeleton split at the mediators instead of the doses."""
     base = BaseDag(
@@ -1020,7 +974,6 @@ def _verify_models(
     seed: int,
 ) -> VerifyReport:
     start = time.perf_counter()
-    searched_before = _plan.cache_info().misses
     validate_derivation(derivation, swig)
     if not (derivation.identified or derivation.steps):
         raise SwigIdentError(
@@ -1053,38 +1006,14 @@ def _verify_models(
         path = site(step.input, step.output)
         pairs.append((subexpr_at(step.input, path), subexpr_at(step.output, path)))
         ends.append((k - 1, k))
-    dying_exprs, dying_keys = _last_uses(pairs)
-    expr_terms = [list(dict.fromkeys(t for _, t in terms(e))) for e in exprs]
-    dev = [0.0] * len(pairs)
-    used = [0] * len(pairs)
-    seconds = [0.0] * len(pairs)
-    estimand_seconds = 0.0
-    conditionals = largest = 0
+    found = compare(swig, cpts_list, pairs)
+    skip = [np.logical_or.reduce([found.masks[t] for _, t in terms(e)]) for e in exprs]
+    dev, used = [], []
+    for (a, b), deviations in zip(ends, found.deviations):
+        ok = ~(skip[a] | skip[b])
+        dev.append(float(np.max(deviations[ok], initial=0.0)))
+        used.append(int(ok.sum()))
     nested_stats = [r.stats for reports in nested.values() for r in reports]
-    merges = sum(s.merges_computed for s in nested_stats)
-    peak = max([0, *(s.peak_live_bytes for s in nested_stats)])
-    for batch in model_batches(swig, cpts_list):
-        masks: dict[Term, np.ndarray] = {}
-        site_dev = []
-        for i, (a, b) in enumerate(pairs):
-            t0 = time.perf_counter()
-            ta = eval_expr(batch, a)
-            if i < first:
-                estimand_seconds += time.perf_counter() - t0
-            tb = eval_expr(batch, b)
-            seconds[i] += time.perf_counter() - t0
-            site_dev.append(_deviations(ta, tb))
-            for e in (a, b):
-                masks.update(term_masks(batch, e))
-            peak = max(peak, live_bytes(batch))
-            release(batch, dying_exprs[i], dying_keys[i])
-        skip = [np.logical_or.reduce([masks[t] for t in ts]) for ts in expr_terms]
-        for i, (a, b) in enumerate(ends):
-            ok = ~(skip[a] | skip[b])
-            dev[i] = max(dev[i], float(np.max(site_dev[i][ok], initial=0.0)))
-            used[i] += int(ok.sum())
-        m, c, size = contraction_counts(batch)
-        merges, conditionals, largest = merges + m, conditionals + c, max(largest, size)
 
     reports: list[StepReport] = []
     all_passed = True
@@ -1094,8 +1023,9 @@ def _verify_models(
         passed = dev[i] <= TOL and used[i] > 0 and all(r.passed for r in inner)
         all_passed &= passed
         skipped = len(cpts_list) - used[i]
+        seconds = float(found.seconds[i].sum())
         reports.append(
-            StepReport(k, step.rule, dev[i], used[i], skipped, passed, inner, seconds[i])
+            StepReport(k, step.rule, dev[i], used[i], skipped, passed, inner, seconds)
         )
 
     final_dev = None
@@ -1112,13 +1042,13 @@ def _verify_models(
         seed=seed,
         tol=TOL,
         stats=VerifyStats(
-            estimand_seconds,
-            conditionals,
-            largest,
+            float(found.seconds[0, 0]) if derivation.identified else 0.0,
+            found.counts.conditionals,
+            found.counts.largest,
             time.perf_counter() - start,
-            merges,
-            _plan.cache_info().misses - searched_before,
-            peak,
+            found.counts.merges + sum(s.merges_computed for s in nested_stats),
+            found.path_searches + sum(s.path_searches for s in nested_stats),
+            max([found.peak_bytes, *(s.peak_live_bytes for s in nested_stats)]),
         ),
     )
 
@@ -1136,6 +1066,8 @@ def verify(
     SwigIdentError."""
     if n_models < 1:
         raise SwigIdentError(f"verify needs at least one model, got {n_models}")
+    if seed < 0:
+        raise SwigIdentError(f"a seed must be a non-negative integer, got {seed}")
     cpts_list = [
         random_base_cpts(swig.base, np.random.default_rng((seed, i)))
         for i in range(n_models)

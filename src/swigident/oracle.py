@@ -23,9 +23,9 @@ the models for which it conditions on a zero-probability event, and each
 sum or product is contracted two tables at a time (one einsum over the
 batch axis and the pair's labels), along the path _plan finds; the
 batch's Contractor counts the merges.  Values are memoised per model (or
-batch), so each distinct expression is evaluated once, until a caller
-that knows an expression's or a conditional's last use releases it.  A
-single model is a batch of one.
+batch), so each distinct expression is evaluated once; compare, verify's
+batch loop, drops each value and conditional after the last pair of
+expressions that uses it.  A single model is a batch of one.
 model_batches bounds a batch so that its joint would have at most
 STATE_LIMIT entries, as large as one model's joint may be; every table the
 ancestral way builds is labelled by a subset of the variables, so that bound
@@ -57,6 +57,7 @@ import functools
 import json
 import math
 import os
+import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -72,7 +73,7 @@ from .errors import (
     malformed,
     parse_field,
 )
-from .expr import ProbExpr, Product, Sum, Term, regimes_used, terms
+from .expr import ProbExpr, Product, Sum, Term, children, regimes_used, terms
 from .graphs import CiQuery, Graph
 from .model import BaseDag, Regime, Swig, Sym, to_swig
 
@@ -100,8 +101,8 @@ class DiscreteModel:
     A batch of `batch` models stacks every CPT on a leading axis; batch is
     None for a single model.  Joints, ancestral conditionals (keyed by
     regime, dependents and conditioners) and expression values are cached
-    until release drops them, and the Contractor counts the contraction
-    work."""
+    (compare drops conditionals and values after their last use), and the
+    Contractor counts the contraction work."""
 
     swig: Swig
     cpts: dict[str, Cpt]
@@ -323,41 +324,6 @@ def ancestral_conditional(
     return out
 
 
-def contraction_counts(model: DiscreteModel) -> tuple[int, int, int]:
-    """The model's expression merges computed so far, the ancestral
-    conditionals it built and the entries of the largest, batch axis
-    included."""
-    c = model._contractor
-    return c.merges, c.conditionals, c.largest
-
-
-def release(model: DiscreteModel, exprs: Iterable[ProbExpr], keys: Iterable[tuple]) -> None:
-    """Forget the memoised values of exprs and the conditionals memoised
-    under keys (regime, dependents, conditioners), so that their tables are
-    freed once nothing else holds them.  A term's value is a view of its
-    conditional, so a conditional is freed only once its terms' values are
-    released too."""
-    for e in exprs:
-        model._values.pop(e, None)
-    for key in keys:
-        model._conditionals.pop(key, None)
-
-
-def live_bytes(model: DiscreteModel) -> int:
-    """Bytes of the conditionals and expression values memoised on the
-    model; a term's value is a view of its conditional and adds none."""
-    return sum(t.nbytes for t in model._conditionals.values()) + sum(
-        v.values.nbytes for e, v in model._values.items() if not isinstance(e, Term)
-    )
-
-
-def term_masks(model: DiscreteModel, e: ProbExpr) -> Iterator[tuple[Term, np.ndarray]]:
-    """Each term of e with its skip mask, from the values that eval_expr of
-    e memoised on the model."""
-    for _, t in terms(e):
-        yield t, model._values[t].skipped
-
-
 def query(
     model: DiscreteModel,
     regime: Regime,
@@ -562,9 +528,9 @@ def _run(
 
 @dataclass(eq=False)
 class Contractor:
-    """One batch's contraction counts: how many merges its expressions
-    computed, and how many ancestral conditionals were built and the most
-    entries one had."""
+    """A batch's contraction counts (compare's one over all its batches):
+    how many merges its expressions computed, and how many ancestral
+    conditionals were built and the most entries one had."""
 
     merges: int = 0
     conditionals: int = 0
@@ -649,6 +615,93 @@ def eval_estimand(model: DiscreteModel, estimand: Term) -> LabeledTable:
 
 
 # ---------------------------------------------------------------------------
+# comparison of expression pairs
+
+@dataclass(frozen=True)
+class Comparison:
+    """deviations[i, m]: the largest absolute difference between the sides
+    of pair i in model m, over the union of their axes (NaN where a term of
+    either skips m); masks[t]: the models term t skips; seconds[i]: the
+    seconds spent on each side of pair i; counts: the batches' contraction
+    counts; peak_bytes: the most bytes of conditionals and expression
+    tables one batch held at once; path_searches: the paths _plan searched."""
+
+    deviations: np.ndarray
+    masks: dict[Term, np.ndarray]
+    seconds: np.ndarray
+    counts: Contractor
+    peak_bytes: int
+    path_searches: int
+
+
+def _last_uses(pairs: Sequence[tuple[ProbExpr, ProbExpr]]) -> list[list]:
+    """For each pair, the subexpressions and the conditional keys that no
+    later pair uses.  A term reads the conditional ancestral_conditional
+    memoises under (regime, dependents, conditioners)."""
+    last: dict = {}
+    for i, pair in enumerate(pairs):
+        todo = list(pair)
+        while todo:
+            node = todo.pop()
+            todo += children(node)
+            last[node] = i
+            if isinstance(node, Term):
+                last[node.regime, node.dep_names(), node.cond_names()] = i
+    dying: list[list] = [[] for _ in pairs]
+    for item, i in last.items():
+        dying[i].append(item)
+    return dying
+
+
+def compare(
+    swig: Swig,
+    cpts_list: Sequence[Mapping[str, Cpt]],
+    pairs: Sequence[tuple[ProbExpr, ProbExpr]],
+) -> Comparison:
+    """Evaluate both sides of each pair, in order, on the models of the
+    base-graph CPTs of cpts_list, batch by batch.  Each subexpression's
+    value and each conditional is dropped from the batch's memo after the
+    last pair that uses it (found first), so a batch holds only what a later
+    pair reads, and nothing once compare returns."""
+    searched = _plan.cache_info().misses
+    dying = _last_uses(pairs)
+    n = len(cpts_list)
+    deviations = np.empty((len(pairs), n))
+    masks = {t: np.empty(n, dtype=bool) for pair in pairs for e in pair for _, t in terms(e)}
+    seconds = np.zeros((len(pairs), 2))
+    counts = Contractor()
+    peak = start = 0
+    for batch in model_batches(swig, cpts_list):
+        batch._contractor = counts
+        values, held = batch._values, batch._conditionals
+        models = slice(start, start + batch.batch)
+        start += batch.batch
+        skipped: dict[Term, np.ndarray] = {}
+        for i, (a, b) in enumerate(pairs):
+            t0 = time.perf_counter()
+            ta = eval_expr(batch, a)
+            t1 = time.perf_counter()
+            tb = eval_expr(batch, b)
+            seconds[i] += (t1 - t0, time.perf_counter() - t1)
+            labels = ta.labels + tuple(l for l in tb.labels if l not in ta.labels)
+            diff = np.abs(ta.aligned(labels) - tb.aligned(labels))
+            deviations[i, models] = diff.reshape(len(diff), -1).max(axis=1)
+            for e in (a, b):
+                skipped.update((t, values[t].skipped) for _, t in terms(e))
+            # a term's value is a view of its conditional and adds no bytes
+            live = sum(t.nbytes for t in held.values()) + sum(
+                v.values.nbytes for e, v in values.items() if not isinstance(e, Term)
+            )
+            peak = max(peak, live)
+            for item in dying[i]:
+                (held if isinstance(item, tuple) else values).pop(item, None)
+        for t, mask in skipped.items():
+            masks[t][models] = mask
+    searched = _plan.cache_info().misses - searched
+    return Comparison(deviations, masks, seconds, counts, peak, searched)
+
+
+# ---------------------------------------------------------------------------
 # numeric CI check
 
 def brute_force_ci(model: DiscreteModel, q: CiQuery) -> bool:
@@ -722,9 +775,14 @@ def model_batches(swig: Swig, cpts_list: Sequence[Mapping[str, Cpt]]) -> Iterato
         yield model_from_base_cpts(swig, stacked, len(chunk))
 
 
+def _generator(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise SwigIdentError(f"a seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def random_model(swig: Swig, seed: int = 0) -> DiscreteModel:
-    rng = np.random.default_rng(seed)
-    return model_from_base_cpts(swig, random_base_cpts(swig.base, rng))
+    return model_from_base_cpts(swig, random_base_cpts(swig.base, _generator(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -818,8 +876,11 @@ def sample(model: DiscreteModel, regime: Regime, n: int, seed: int = 0) -> Datas
         raise SwigIdentError(f"cannot draw a negative number of rows ({n})")
     swig = model.swig
     graph = swig.regime_graph(regime)
-    rng = np.random.default_rng(seed)
-    data = np.empty((n, len(swig.names)), dtype=np.int64, order="F")
+    rng = _generator(seed)
+    try:
+        data = np.empty((n, len(swig.names)), dtype=np.int64, order="F")
+    except (ValueError, MemoryError):
+        raise SwigIdentError(f"cannot hold {n} rows of {len(swig.names)} columns") from None
     cols = {name: data[:, i] for i, name in enumerate(swig.names)}
     for name in graph.topological_order:
         k = swig.var(name).cardinality

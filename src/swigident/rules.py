@@ -27,9 +27,10 @@ from .expr import (
     fresh_symbol,
     replace_at,
     subexpr_at,
+    terms,
 )
 from .graphs import CiQuery, d_separated, drop_later_obstruction
-from .model import Swig, Sym, ValueRef
+from .model import Lit, Swig, Sym, ValueRef
 
 
 @dataclass(frozen=True)
@@ -176,9 +177,11 @@ def rule_ci_modify(
     value: ValueRef | None = None,
 ) -> DerivationStep:
     """Insert, delete, or revalue a conditioning variable, licensed by
-    d-separation of the dependents from it given the other conditioners."""
+    d-separation of the dependents from it given the other conditioners.
+    A new value must be one of the variable's levels, or a symbol that e
+    uses for no variable with another number of levels."""
     term = _term_at(e, path)
-    swig.var(var)
+    k = swig.var(var).cardinality
     if action not in ("insert", "delete", "change"):
         raise ExprError(f"unknown ci_modify action {action!r}")
     conds = dict(term.conditioners)
@@ -195,6 +198,16 @@ def rule_ci_modify(
     query = CiQuery(term.regime, frozenset(term.dep_names()), frozenset({var}), z)
     if not d_separated(swig, query):
         raise RuleRefusedError(f"not d-separated: {query}", blocking=query)
+    if action != "delete" and isinstance(value, Lit) and not 0 <= value.value < k:
+        raise RuleRefusedError(f"level {value.value} out of range for {var!r}")
+    if action != "delete" and isinstance(value, Sym):
+        for _, t in terms(e):
+            for name, ref in t.dependents + t.conditioners:
+                if isinstance(ref, Sym) and ref == value and swig.var(name).cardinality != k:
+                    raise RuleRefusedError(
+                        f"symbol {value.name!r} already stands for {name!r}, which "
+                        f"has {swig.var(name).cardinality} levels, not {k}"
+                    )
 
     if action == "insert":
         new_conds = term.conditioners + ((var, value),)

@@ -1,8 +1,12 @@
-"""Shared fixtures: the example graphs, canonical estimands, and a
-step-corruption helper used by the soundness suites."""
+"""Shared fixtures: the example graphs, canonical estimands, a
+step-corruption helper used by the soundness suites, and character
+mutations of text for the reader fuzz tests."""
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from swigident import (
     Derivation,
@@ -169,3 +173,29 @@ def corrupt_step(derivation: Derivation, swig, k: int) -> Derivation:
         final=chosen,
         status=status,
     )
+
+
+# What a character mutation puts in: the grammars' own characters, a few
+# that no reader expects (a NUL, a non-ASCII letter and digit, quotes), and
+# whole words and numbers of the text formats.
+_MUTATION_CHARS = "qdoLYMD120 _-|,;:=@>()[]{}'\"#.\\\t\r\n\x00é٣"
+_MUTATION_WORDS = [
+    "graph", "var", "edge", "target", "order=", "role=", "unobserved", "do", "sum", "q",
+    "-1", "1e3", "nan", "99999999999999999999", "Do1", "_||_",
+]
+
+
+def mutated_text(text: str):
+    """Strategy: text with one to three edits, each deleting up to three
+    characters at a drawn position and putting up to three drawn characters
+    or one drawn word in their place."""
+    put = st.text(_MUTATION_CHARS, max_size=3) | st.sampled_from(_MUTATION_WORDS)
+    edit = st.tuples(st.integers(0, len(text)), st.integers(0, 3), put)
+
+    def apply(text, edit):
+        at, cut, new = edit
+        at = min(at, len(text))
+        return text[:at] + new + text[at + cut :]
+
+    edits = st.lists(edit, min_size=1, max_size=3)
+    return edits.map(lambda chosen: functools.reduce(apply, chosen, text))

@@ -18,7 +18,7 @@ from swigident import Derivation, save_model, random_model, figure1, figure2, to
 from swigident.cli import main
 from swigident.oracle import _plan, model_to_json
 
-from conftest import corrupt_step
+from conftest import corrupt_step, mutated_text
 
 
 @pytest.fixture()
@@ -417,14 +417,54 @@ def _run_mutant(original, path, value, argv):
     with tempfile.TemporaryDirectory() as tmp:
         mutant = Path(tmp) / "mutant.json"
         mutant.write_text(json.dumps(payload))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([a.format(mutant) for a in argv])
+        return _answer([a.format(mutant) for a in argv])
+
+
+def _answer(argv):
+    """main(argv)'s exit code, once an exit code 1 is checked to print
+    nothing to stdout and one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     if code == 1:
         assert out.getvalue() == "", out.getvalue()
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
     return code
+
+
+# Character mutations of the text readers' inputs: a graph document, an
+# estimand and a CI query, each read through the command that takes it.
+FIG2_N2 = str(GOLDEN / "fixture_fig2_n2.swig")
+SEQFD = ["--strategy", "sequential_frontdoor"]
+
+
+@given(text=mutated_text((GOLDEN / "fixture_fig2_n2.swig").read_text()))
+@settings(max_examples=150, deadline=None)
+def test_identify_answers_every_mutated_graph_document_without_a_traceback(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp) / "mutant.swig"
+        graph.write_text(text, encoding="utf-8")
+        argv = ["identify", str(graph), "q[2](Y | do D1=d1, do D2=d2)", *SEQFD]
+        assert _answer(argv) in (0, 1, 2)
+
+
+@given(
+    text=mutated_text("q[2](Y | do D1=d1, do D2=d2)")
+    | mutated_text("q[1](Y, M2=m | do D1=d1, M1=0, L)")
+)
+@settings(max_examples=150, deadline=None)
+def test_identify_answers_every_mutated_estimand_without_a_traceback(text):
+    assert _answer(["identify", FIG2_N2, text, *SEQFD]) in (0, 1, 2)
+
+
+@given(
+    text=mutated_text("q[1]: Y _||_ Do1 | M1, D1")
+    | mutated_text("q{1,2}: Y, M2 _||_ Do2 | M1, D2, L")
+)
+@settings(max_examples=200, deadline=None)
+def test_dsep_answers_every_mutated_query_without_a_traceback(text):
+    assert _answer(["dsep", FIG2_N2, text]) in (0, 1)
 
 
 @pytest.mark.parametrize(
@@ -570,6 +610,7 @@ def _backdoor_derivation(fig1_path, tmp_path):
 
 PAST_THE_TARGETS = "error: regime index 1000000 exceeds the 1 declared targets"
 DIGITS = "9" * 5000  # more digits than int() converts
+NEGATIVE_SEED = "a seed must be a non-negative integer, got -1"
 
 
 @pytest.mark.parametrize(
@@ -584,6 +625,10 @@ DIGITS = "9" * 5000  # more digits than int() converts
         (["dsep", "{graph}", "q{{1,1000000}}: Y1 _||_ Do1"], PAST_THE_TARGETS),
         (["dsep", "{graph}", f"q{DIGITS}: Y1 _||_ Do1"], "5000 digits is too long"),
         (["identify", "{graph}", f"q[{DIGITS}](Y1)"], "5000 digits is too long"),
+        (["verify", "{graph}", "{derivation}", "--seed", "-1"], NEGATIVE_SEED),
+        (["simulate", "{graph}", "--seed", "-1"], NEGATIVE_SEED),
+        (["simulate", "{graph}", "--model", "{model}", "--seed", "-1"], NEGATIVE_SEED),
+        (["simulate", "{graph}", "--n", str(10**20)], f"cannot hold {10**20} rows"),
     ],
     ids=[
         "simulate_negative_rows",
@@ -595,6 +640,10 @@ DIGITS = "9" * 5000  # more digits than int() converts
         "dsep_regime_set_past_the_targets",
         "dsep_regime_of_5000_digits",
         "identify_regime_of_5000_digits",
+        "verify_negative_seed",
+        "simulate_negative_seed",
+        "simulate_model_file_negative_seed",
+        "simulate_rows_past_numpy_dimensions",
     ],
 )
 def test_bad_numbers_exit_1(argv, message, fig1_path, tmp_path, capsys):
@@ -602,8 +651,10 @@ def test_bad_numbers_exit_1(argv, message, fig1_path, tmp_path, capsys):
     # names the largest index alone: an index of 10^6 once built a million
     # ints and listed each one that did not fit.
     derivation = _backdoor_derivation(fig1_path, tmp_path)
+    model = tmp_path / "model.json"
+    save_model(random_model(to_swig(figure1()), seed=5), model)
     capsys.readouterr()
-    argv = [a.format(graph=fig1_path, derivation=derivation) for a in argv]
+    argv = [a.format(graph=fig1_path, derivation=derivation, model=model) for a in argv]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
@@ -788,3 +839,14 @@ def test_identify_refuses_a_malformed_graph_file(text, message, tmp_path, capsys
     assert main(["identify", str(path), "q[1](X | do Y=y)"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+def test_a_graph_file_that_is_not_utf8_is_refused(tmp_path, capsys):
+    # Once a UnicodeDecodeError traceback: the bytes were read outside the
+    # malformed-document guard.
+    path = tmp_path / "g.swig"
+    path.write_bytes(b"graph g {\xff\n}\n")
+    assert main(["dot", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: malformed graph file: UnicodeDecodeError")
+    assert len(err.splitlines()) == 1

@@ -689,12 +689,13 @@ def test_search_counts_of_the_golden_cases(mode, graph, depth):
 
 
 @st.composite
-def small_search_cases(draw):
-    """A random split graph of 2-5 variables, one of them possibly hidden,
-    with one or two targets; the estimand q_s(V | Do_j=dj, ...) under a
-    prefix regime s of 0 to n active interventions, for any variable V
-    (intervention nodes and the hidden one included), pinning each active
-    intervention node other than V; a mode and a depth."""
+def small_search_cases(draw, levels=(2, 2), hidden=1):
+    """A random split graph of 2-5 variables of levels[0] to levels[1]
+    levels each, up to `hidden` of them hidden (never a target or the last
+    variable), with one or two targets; the estimand q_s(V | Do_j=dj, ...)
+    under a prefix regime s of 0 to n active interventions, for any
+    variable V (intervention nodes and hidden ones included), pinning each
+    active intervention node other than V; a mode and a depth."""
     n = draw(st.integers(2, 5))
     names = [f"V{i}" for i in range(n)]
     edges = frozenset(
@@ -702,8 +703,11 @@ def small_search_cases(draw):
     )
     targets = tuple(v for v in names[:-1] if draw(st.booleans()))[:2] or (names[0],)
     others = [v for v in names if v not in targets]
-    hidden = draw(st.sampled_from([None, *others[:-1]]))
-    variables = tuple(Variable(v, i, observed=v != hidden) for i, v in enumerate(names))
+    unseen = draw(st.sets(st.sampled_from(others[:-1]), max_size=hidden)) if others[:-1] else ()
+    variables = tuple(
+        Variable(v, i, observed=v not in unseen, cardinality=draw(st.integers(*levels)))
+        for i, v in enumerate(names)
+    )
     swig = to_swig(BaseDag(variables, edges, targets, "random"))
     regime = Regime.prefix(draw(st.integers(0, len(targets))))
     y = draw(st.sampled_from([v.name for v in swig.variables]))

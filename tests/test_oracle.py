@@ -47,7 +47,9 @@ from swigident import (
     sample,
     save_model,
     to_swig,
+    verify,
 )
+from swigident import oracle
 from swigident.engine import _mediators_swig
 from swigident.expr import terms
 from swigident.figures import FIXTURES
@@ -63,14 +65,14 @@ from swigident.oracle import (
     model_batches,
     model_from_base_cpts,
     random_base_cpts,
-    release,
 )
 
-from conftest import dose_estimand
+from conftest import dose_estimand, mutated_text
 from test_golden import IDENTIFY
 
 Q0 = Regime.observational()
 Q1 = Regime.prefix(1)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_joint_normalizes(fig1):
@@ -506,6 +508,21 @@ def test_sampling_determinism_and_coupling(fig1):
     assert abs(c.col("Do1").mean() - 0.5) < 0.05
 
 
+def test_a_negative_seed_or_a_row_count_past_numpy_is_refused(fig1, bundled_derivations):
+    # numpy raises ValueError for both; the library answers SwigIdentError
+    # before it builds a generator or allocates a row.
+    with pytest.raises(SwigIdentError, match="seed must be a non-negative integer, got -1"):
+        random_model(fig1, seed=-1)
+    model = random_model(fig1, seed=11)
+    with pytest.raises(SwigIdentError, match="seed must be a non-negative integer, got -1"):
+        sample(model, Q0, 5, seed=-1)
+    with pytest.raises(SwigIdentError, match=f"cannot hold {10**20} rows of 5 columns"):
+        sample(model, Q0, 10**20)
+    name, swig, d = bundled_derivations[0]
+    with pytest.raises(SwigIdentError, match="seed must be a non-negative integer, got -1"):
+        verify(d, swig, n_models=2, seed=-1)
+
+
 def test_sampling_matches_joint_frequencies(fig1):
     model = random_model(fig1, seed=12)
     data = sample(model, Q0, 50_000, seed=4)
@@ -602,6 +619,23 @@ def test_read_csv_refuses_a_bare_carriage_return_in_the_header():
     # universal newlines.
     with pytest.raises(SwigIdentError, match="^malformed CSV: new-line character seen"):
         Dataset.read_csv(io.StringIO("L,D1\r0,1\r\n"))
+
+
+FIG1_ROWS = "".join((GOLDEN / "simulate_fig1_r0.csv").read_text().splitlines(True)[:12])
+
+
+@given(text=mutated_text(FIG1_ROWS))
+@settings(max_examples=200, deadline=None)
+def test_read_csv_and_plugin_estimate_answer_every_mutated_csv_or_refuse(fig1, text):
+    # A character mutation of a fig1 sample's header or rows: read_csv
+    # reads it and plugin_estimate evaluates the back-door formula on it,
+    # or one of them raises SwigIdentError, the error the CLI reports.
+    formula = parse_expr("sum{l} q0(Y1 | D1=d1, L=l) * q0(L=l)")
+    try:
+        table = plugin_estimate(fig1, formula, Dataset.read_csv(io.StringIO(text, newline="")))
+    except SwigIdentError:
+        return
+    assert np.all((table.values >= 0) & (table.values <= 1))
 
 
 def test_read_csv_of_a_header_alone_has_no_rows():
@@ -847,12 +881,39 @@ def _assert_incremental_matches_fresh(swig, d):
         [batch] = model_batches(chain_swig, cpts_list)
         for i, e in enumerate(exprs):
             if i % 2:
-                release(batch, exprs[:i], list(batch._conditionals))
+                for prior in exprs[:i]:
+                    batch._values.pop(prior, None)
+                for key in list(batch._conditionals):
+                    batch._conditionals.pop(key)
                 assert not batch._conditionals
             got = eval_expr(batch, e)
             want = _fresh(chain_swig, cpts_list, e)
             assert got.labels == want.labels
             _assert_same_table(got, want)
+
+
+def test_compare_leaves_no_memoised_table_in_any_batch(bundled_derivations, monkeypatch):
+    # compare drops each subexpression's value and each conditional after
+    # the last pair that reads it.  Were the key its liveness pass builds
+    # not the one ancestral_conditional memoises under, a conditional would
+    # outlive the comparison in one of these batches.
+    batches = []
+    cut = oracle.model_batches
+
+    def recorded(swig, cpts_list):
+        for batch in cut(swig, cpts_list):
+            batches.append(batch)
+            yield batch
+
+    monkeypatch.setattr(oracle, "model_batches", recorded)
+    for name, swig, d in bundled_derivations:
+        monkeypatch.setattr(oracle, "STATE_LIMIT", 2 * oracle.joint_states(swig))
+        report = verify(d, swig, n_models=5)
+        assert report.passed and report.stats.conditionals > 0, name
+        assert report.stats.peak_live_bytes > 0, name
+    assert len(batches) >= 3 * len(bundled_derivations)
+    for batch in batches:
+        assert batch._values == {} and batch._conditionals == {}
 
 
 @pytest.mark.parametrize(
@@ -865,7 +926,6 @@ def test_incremental_contraction_matches_fresh_batches(n, strategy):
     _assert_incremental_matches_fresh(swig, d)
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_GRAPHS = {"fig1": figure1, "fig1_ablated": ablated_figure1}
 
 

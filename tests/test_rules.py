@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swigident import (
+    BaseDag,
     CiQuery,
     ExprError,
     Lit,
@@ -15,6 +16,7 @@ from swigident import (
     SwigIdentError,
     Sym,
     Term,
+    Variable,
     brute_force_ci,
     eval_expr,
     identify,
@@ -26,6 +28,7 @@ from swigident import (
     rule_product,
     rule_redundancy,
     rule_total_probability,
+    to_swig,
     to_text,
 )
 from swigident.expr import all_symbols, site, subexpr_at, terms
@@ -221,6 +224,28 @@ def test_redundancy_refusals(fig1):
         rule_redundancy(fig1, parse_expr("q0(Y1 | Do1)"), ())
 
 
+@pytest.mark.parametrize(
+    "var, action, value, message",
+    [
+        ("A", "insert", Lit(5), "level 5 out of range for 'A'"),
+        ("B", "insert", Lit(2), "level 2 out of range for 'B'"),
+        ("B", "insert", Sym("a"), "symbol 'a' already stands for 'Ao', which has 3 levels, not 2"),
+        ("B", "change", Sym("a"), "symbol 'a' already stands for 'Ao', which has 3 levels, not 2"),
+    ],
+)
+def test_ci_modify_refuses_a_value_the_oracle_cannot_evaluate(var, action, value, message):
+    # A has 3 levels and B 2; C depends on A alone, so each step below is
+    # licensed by d-separation, and was once accepted.
+    variables = (Variable("A", 0, cardinality=3), Variable("B", 0), Variable("C", 1))
+    swig = to_swig(BaseDag(variables, frozenset({("A", "C")}), ("A",), "three_levels"))
+    e = parse_expr("q1(C | Ao=a, B=0)" if action == "change" else "q1(C | Ao=a)")
+    with pytest.raises(RuleRefusedError, match=message):
+        rule_ci_modify(swig, e, (), var, action, value)
+    # the levels and symbols that fit are accepted, and keep the value
+    for ok in (Lit(2), Sym("a")) if var == "A" else (Lit(1), Sym("b")):
+        _preserves(swig, rule_ci_modify(swig, e, (), var, action, ok))
+
+
 def test_rule_path_must_point_at_term(fig1):
     e = parse_expr("sum{l} q1(Y1, L=l | Do1=d1)")
     with pytest.raises(ExprError):
@@ -243,7 +268,7 @@ def _rule_application(data, swig, e):
         bounds = [0, *sorted(cuts), len(deps)]
         args = ([deps[a:b] for a, b in zip(bounds, bounds[1:]) if a < b],)
     elif rule is rule_ci_modify:
-        values = [None, Lit(0), Lit(1), *map(Sym, sorted(all_symbols(e)))]
+        values = [None, Lit(0), Lit(1), Lit(2), *map(Sym, sorted(all_symbols(e)))]
         action = data.draw(st.sampled_from(("insert", "delete", "change")))
         args = (data.draw(names), action, data.draw(st.sampled_from(values)))
     elif rule is rule_consistency:
@@ -265,15 +290,16 @@ RULES = (
 )
 
 
-@given(small_search_cases(), st.data())
+@given(small_search_cases(levels=(2, 3), hidden=2), st.data())
 @settings(max_examples=300, deadline=None)
 def test_every_accepted_rule_application_is_sound_at_its_site(case, data):
     # From the estimand, the estimand with more conditioners, or an
     # expression a recipe's derivation of it passes through, up to six
-    # rule applications drawn at random.  Each one rules.py accepts
+    # rule applications drawn at random, on graphs of 2 or 3 levels per
+    # variable and up to two hidden ones.  Each one rules.py accepts
     # rewrites only the subtree at its path, and that subtree keeps its
     # value on random models (the ones a term of either side skips left
-    # out).
+    # out); the oracle refuses none of them.
     swig, estimand, _, _ = case
     starts = [estimand]
     for recipe in ("backdoor", "frontdoor", "sequential_backdoor", "sequential_frontdoor"):
@@ -281,12 +307,18 @@ def test_every_accepted_rule_application_is_sound_at_its_site(case, data):
             starts += [step.output for step in identify(swig, estimand, recipe).steps]
         except SwigIdentError:
             pass
-    # the estimand with more conditioners, some pinned as the doses are
+    # the estimand with more conditioners, some pinned as the doses of as
+    # many levels are
     named = (*estimand.dep_names(), *estimand.cond_names())
     free = [v.name for v in swig.variables if v.name not in named]
-    values = [None, Lit(0), *(ref for _, ref in estimand.conditioners)]
     extra = data.draw(st.lists(st.sampled_from(free), max_size=2, unique=True)) if free else []
-    more = tuple((n, data.draw(st.sampled_from(values))) for n in extra)
+
+    def values(name):
+        k = swig.var(name).cardinality
+        doses = (ref for m, ref in estimand.conditioners if swig.var(m).cardinality == k)
+        return [None, Lit(0), *doses]
+
+    more = tuple((n, data.draw(st.sampled_from(values(n)))) for n in extra)
     starts.append(Term(estimand.regime, estimand.dependents, estimand.conditioners + more))
     e = data.draw(st.sampled_from(starts))
     cpts = [random_base_cpts(swig.base, np.random.default_rng((11, i))) for i in range(6)]
