@@ -63,6 +63,10 @@ from .rules import (
 IDENTIFIED = "identified"
 NOT_IDENTIFIED = "not_identified"
 TOL = 1e-9  # largest deviation verify accepts between two evaluations
+# The most models one verify draws.  Every model's CPTs are drawn before the
+# first batch is cut, so an unbounded count would grow memory until the
+# process is killed.
+MODEL_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -880,9 +884,11 @@ class StepReport:
 class VerifyStats:
     """What one verify did beyond its steps: the seconds spent evaluating
     the estimand (the final check's other side, the final formula, counts
-    in seconds alone), the oracle's conditionals built (over all batches)
-    and the most entries one of them had, batch axis included, and the
-    seconds in all.  merges_computed sums the pairwise merges of expression
+    in seconds alone), the oracle's conditionals built (over all batches;
+    one per regime, dependents, conditioners and tie pattern, so a term
+    whose conditioners share a symbol has its own, smaller table) and the
+    most entries one of them had, batch axis included, and the seconds in
+    all.  merges_computed sums the pairwise merges of expression
     contractions over all batches and nested reports.  path_searches counts
     the contraction paths oracle._plan searched during the call, for
     conditionals and expressions, nested reports included; _plan keeps the
@@ -1063,9 +1069,11 @@ def verify(
     (expr.site) must evaluate identically in its input and its output, and
     the final formula must match the oracle estimand.  A not_identified
     derivation with no steps has nothing to check, and raises
-    SwigIdentError."""
+    SwigIdentError, as does a number of models outside 1..MODEL_LIMIT."""
     if n_models < 1:
         raise SwigIdentError(f"verify needs at least one model, got {n_models}")
+    if n_models > MODEL_LIMIT:
+        raise SwigIdentError(f"verify takes at most {MODEL_LIMIT} models, got {n_models}")
     if seed < 0:
         raise SwigIdentError(f"a seed must be a non-negative integer, got {seed}")
     cpts_list = [

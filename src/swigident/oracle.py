@@ -14,6 +14,12 @@ the factors of the ancestors of A and B in the regime graph, since every
 other variable is barren and sums out to 1 (Shachter 1986), and contracts
 them two at a time along the path _plan finds, so no dense joint is built
 and query and brute_force_ci do not stop at STATE_LIMIT over all variables.
+Conditioners that share a symbol (D1=d1, Do1=d1) are evidence, taken before
+the contraction: a term hands its tie pattern (tie_pattern) to the table's
+provider, the factors are relabelled so that tied conditioners share one
+label, and the table has one axis per distinct conditioner.  Tables are
+memoised per tie pattern: the key is (regime, dependents, conditioners,
+pattern).
 
 A model may also be a batch: N models of one graph with their CPTs stacked
 on a leading axis, so that joints, conditionals and expression values carry
@@ -100,9 +106,9 @@ class DiscreteModel:
 
     A batch of `batch` models stacks every CPT on a leading axis; batch is
     None for a single model.  Joints, ancestral conditionals (keyed by
-    regime, dependents and conditioners) and expression values are cached
-    (compare drops conditionals and values after their last use), and the
-    Contractor counts the contraction work."""
+    regime, dependents, conditioners and tie pattern) and expression values
+    are cached (compare drops conditionals and values after their last
+    use), and the Contractor counts the contraction work."""
 
     swig: Swig
     cpts: dict[str, Cpt]
@@ -209,6 +215,19 @@ def _expand(arr: np.ndarray, axes: Sequence[int], rank: int) -> np.ndarray:
     return arr.reshape(shape)
 
 
+def _diagonal(table: np.ndarray, labels: tuple[str, ...], lead: int) -> Operand:
+    """table over each of its labels once, in order of first use, after the
+    lead batch axes: where a label repeats, the diagonal of its axes (a
+    view)."""
+    distinct = tuple(dict.fromkeys(labels))
+    if len(distinct) == len(labels):
+        return table, labels
+    batch = list(range(lead))
+    sub = {l: lead + i for i, l in enumerate(distinct)}
+    out = [*batch, *(sub[l] for l in distinct)]
+    return np.einsum(table, batch + [sub[l] for l in labels], out), distinct
+
+
 def regime_factors(
     model: DiscreteModel,
     regime: Regime,
@@ -290,28 +309,52 @@ def joint_states(swig: Swig) -> int:
     return math.prod(v.cardinality for v in swig.variables)
 
 
+def _conditional_key(
+    regime: Regime, deps: tuple[str, ...], conds: tuple[str, ...], ties: tuple[int, ...] | None
+) -> tuple:
+    """The key ancestral_conditional memoises P(deps | conds) under for the
+    tie pattern ties (no two conditioners tied if None), and compare frees
+    it by."""
+    return regime, deps, conds, tuple(range(len(conds))) if ties is None else ties
+
+
 def ancestral_conditional(
-    model: DiscreteModel, regime: Regime, deps: tuple[str, ...], conds: tuple[str, ...]
+    model: DiscreteModel,
+    regime: Regime,
+    deps: tuple[str, ...],
+    conds: tuple[str, ...],
+    ties: tuple[int, ...] | None = None,
 ) -> np.ndarray:
     """P(deps | conds) under the regime with axes deps + conds after the
     batch axis, NaN where the conditioning event has zero probability, as
     RegimeJoint.conditional gives it.  It is computed from the factors of
     the ancestors of deps and conds in the regime graph alone, contracted
     two at a time along _plan's path (as expressions are), so no dense
-    joint is built; memoised per model.
+    joint is built; memoised per model and tie pattern.
+    ties gives, for each conditioner, the position of the first conditioner
+    that takes the same value (tie_pattern), or its own.  Tied conditioners
+    share the first one's label before _run plans, so a factor holding two
+    of them is cut to its diagonal (an inactive intervention's eye(k)
+    becomes ones), and the table keeps only the conditioners tied to
+    themselves: the diagonal of the untied table, taken as evidence before
+    the contraction, not after it.
     Raises StateSpaceLimitError when a table it needs has more than
     STATE_LIMIT entries for one model or a merge more than EINSUM_LABELS
     labels."""
-    key = (regime, deps, conds)
+    key = _conditional_key(regime, deps, conds, ties)
     cached = model._conditionals.get(key)
     if cached is not None:
         return cached
+    ties = key[3]
     swig = model.swig
     names = deps + conds
     factors = regime_factors(model, regime, swig.regime_graph(regime).ancestors(names))
     lead = len(model.batch_shape)
+    tied = {c: conds[j] for i, (c, j) in enumerate(zip(conds, ties)) if j != i}
+    factors = [_diagonal(t, tuple(tied.get(n, n) for n in ls), lead) for t, ls in factors]
+    kept = deps + tuple(c for c in conds if c not in tied)
     what = f"a conditional over {len(names)} variables"
-    m, _ = _run(factors, names, lead, what)
+    m, _ = _run(factors, kept, lead, what)
     # The merges leave m's axes in whatever memory order einsum's matmul path
     # gave them; the division, and the merges that later read the table, run
     # faster over it in C order.  m may be a view of a CPT (q0(L)); neither
@@ -368,18 +411,30 @@ class LabeledTable:
         return np.transpose(v, [*range(lead), *(lead + cur.index(l) for l in labels)])
 
 
-# P(deps | conds) for a regime, with axes batch + deps + conds.
-TableProvider = Callable[[Regime, tuple[str, ...], tuple[str, ...]], np.ndarray]
+# P(deps | conds) for a regime and tie pattern, with axes batch + deps + the
+# conditioners tied to themselves.
+TableProvider = Callable[
+    [Regime, tuple[str, ...], tuple[str, ...], tuple[int, ...]], np.ndarray
+]
+
+
+def tie_pattern(t: Term) -> tuple[int, ...]:
+    """For each conditioner of t, the position of the first conditioner
+    with the same symbol, or its own: the conditioners t's table holds on
+    one axis."""
+    first: dict[Sym, int] = {}
+    return tuple(
+        first.setdefault(ref, i) if isinstance(ref, Sym) else i
+        for i, (_, ref) in enumerate(t.conditioners)
+    )
 
 
 def _eval_term(swig: Swig, t: Term, provider: TableProvider) -> LabeledTable:
-    table = provider(t.regime, t.dep_names(), t.cond_names())
-
-    labels: list[str] = []
+    ties = tie_pattern(t)
     sizes: dict[str, int] = {}
     idx: list = [slice(None)]
-    subscripts = [0]  # einsum subscript of each kept axis; 0 is the batch axis
-    for name, ref in (*t.dependents, *t.conditioners):
+    axes: list[str] = []  # the label of each axis kept after the batch axis
+    for i, (name, ref) in enumerate((*t.dependents, *t.conditioners)):
         card = swig.var(name).cardinality
         if ref is None:
             label = name
@@ -390,24 +445,19 @@ def _eval_term(swig: Swig, t: Term, provider: TableProvider) -> LabeledTable:
                 raise ExprError(f"level {ref.value} out of range for {name!r}")
             idx.append(ref.value)
             continue
-        if label in sizes:
-            if sizes[label] != card:
-                raise ExprError(
-                    f"symbol {label!r} used for variables of different cardinality"
-                )
-        else:
-            sizes[label] = card
-            labels.append(label)
-        idx.append(slice(None))
-        subscripts.append(1 + labels.index(label))
+        if sizes.setdefault(label, card) != card:
+            raise ExprError(f"symbol {label!r} used for variables of different cardinality")
+        c = i - len(t.dependents)
+        if c < 0 or ties[c] == c:  # a tied conditioner has no axis of its own
+            idx.append(slice(None))
+            axes.append(label)
 
-    # Pinned levels are basic indices and a repeated label takes a diagonal,
-    # so the term stays a view of the provider's (cached) table.
-    out = table[tuple(idx)]
-    if len(subscripts) > 1 + len(labels):
-        out = np.einsum(out, subscripts, list(range(1 + len(labels))))
+    # Pinned levels are basic indices and a label a dependent shares takes a
+    # diagonal, so the term stays a view of the provider's (cached) table.
+    table = provider(t.regime, t.dep_names(), t.cond_names(), ties)[tuple(idx)]
+    out, labels = _diagonal(table, tuple(axes), 1)
     skipped = np.isnan(out).any(axis=tuple(range(1, out.ndim)))
-    return LabeledTable(tuple(labels), out, skipped)
+    return LabeledTable(labels, out, skipped)
 
 
 # A factor as a plan runs: its table (lead batch axes first) and its labels.
@@ -591,8 +641,8 @@ def _only_model(out: LabeledTable) -> LabeledTable:
 
 
 def oracle_provider(model: DiscreteModel) -> TableProvider:
-    def provider(regime: Regime, deps: tuple[str, ...], conds: tuple[str, ...]):
-        table = ancestral_conditional(model, regime, deps, conds)
+    def provider(regime: Regime, deps: tuple[str, ...], conds: tuple[str, ...], ties):
+        table = ancestral_conditional(model, regime, deps, conds, ties)
         return table if model.batch is not None else table[None]
 
     return provider
@@ -637,7 +687,9 @@ class Comparison:
 def _last_uses(pairs: Sequence[tuple[ProbExpr, ProbExpr]]) -> list[list]:
     """For each pair, the subexpressions and the conditional keys that no
     later pair uses.  A term reads the conditional ancestral_conditional
-    memoises under (regime, dependents, conditioners)."""
+    memoises under (regime, dependents, conditioners, tie pattern): one
+    table per tie pattern, so q(Y | A=a, B=a) and q(Y | A=a, B=b) read
+    two."""
     last: dict = {}
     for i, pair in enumerate(pairs):
         todo = list(pair)
@@ -646,7 +698,8 @@ def _last_uses(pairs: Sequence[tuple[ProbExpr, ProbExpr]]) -> list[list]:
             todo += children(node)
             last[node] = i
             if isinstance(node, Term):
-                last[node.regime, node.dep_names(), node.cond_names()] = i
+                deps, conds = node.dep_names(), node.cond_names()
+                last[_conditional_key(node.regime, deps, conds, tie_pattern(node))] = i
     dying: list[list] = [[] for _ in pairs]
     for item, i in last.items():
         dying[i].append(item)
@@ -904,9 +957,10 @@ def sample(model: DiscreteModel, regime: Regime, n: int, seed: int = 0) -> Datas
 
 def empirical_provider(dataset: Dataset, swig: Swig) -> TableProvider:
     """Add-one smoothed frequencies of the dataset's columns, over the levels
-    the graph declares; a value outside them is refused, not counted."""
+    the graph declares; a value outside them is refused, not counted.  Tied
+    conditioners read the diagonal of the smoothed table."""
 
-    def provider(regime: Regime, deps: tuple[str, ...], conds: tuple[str, ...]):
+    def provider(regime: Regime, deps: tuple[str, ...], conds: tuple[str, ...], ties):
         if not regime.is_observational:
             raise SwigIdentError("plug-in estimation needs a regime-0 expression")
         names = tuple(deps) + tuple(conds)
@@ -926,7 +980,8 @@ def empirical_provider(dataset: Dataset, swig: Swig) -> TableProvider:
         counts = np.bincount(flat, minlength=size).reshape(cards).astype(float)
         counts += 1.0
         denom = counts.sum(axis=tuple(range(len(deps))))
-        return (counts / denom)[None]
+        labels = tuple(deps) + tuple(conds[j] for j in ties)
+        return _diagonal(counts / denom, labels, 0)[0][None]
 
     return provider
 

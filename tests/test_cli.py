@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swigident import Derivation, save_model, random_model, figure1, figure2, to_swig
+from swigident import engine
 from swigident.cli import main
 from swigident.oracle import _plan, model_to_json
 
@@ -659,6 +660,45 @@ def test_bad_numbers_exit_1(argv, message, fig1_path, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
     assert message in err and len(err) < 200, err[:200]
+
+
+def test_verify_refuses_more_models_than_its_limit_before_drawing_any(
+    fig1_path, tmp_path, capsys, monkeypatch
+):
+    # Every model's CPTs are drawn before the first batch, so --models 10**20
+    # grew memory until the process was killed.  Drawing a CPT fails the
+    # test here, so a tree without the limit fails it at once.  The CLI
+    # prints verify's SwigIdentError.
+    derivation = _backdoor_derivation(fig1_path, tmp_path)
+    capsys.readouterr()
+
+    def drawn(*args):
+        raise AssertionError("a CPT was drawn")
+
+    monkeypatch.setattr(engine, "random_base_cpts", drawn)
+    for n in (engine.MODEL_LIMIT + 1, 10**20):
+        assert main(["verify", fig1_path, derivation, "--models", str(n)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: verify takes at most {engine.MODEL_LIMIT} models, got {n}\n"
+
+
+def test_verify_of_a_term_tying_symbols_of_different_cardinality_exits_1(tmp_path, capsys):
+    # L has 3 levels and D1 2, so q0(Y1 | L=a, D1=a) cannot be evaluated.
+    graph = tmp_path / "fig1_l3.swig"
+    main(["fixture", "fig1", "--out", str(graph)])
+    text = graph.read_text()
+    graph.write_text(text.replace("role=covariate;", "role=covariate levels=3;"))
+    tied = "q0(Y1 | L=a, D1=a)"
+    derivation = tmp_path / "tied.json"
+    derivation.write_text(json.dumps(
+        {"blocking": None, "estimand": tied, "final": tied, "status": "identified", "steps": []}
+    ))
+    capsys.readouterr()
+    assert main(["verify", str(graph), str(derivation), "--models", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: symbol 'a' used for variables of different cardinality\n"
 
 
 def test_verify_stats_flag_writes_one_json_line(fig1_path, tmp_path, capsys):

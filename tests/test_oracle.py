@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from swigident import (
     BaseDag,
     Derivation,
+    ExprError,
     Lit,
     Product,
     Regime,
@@ -25,6 +26,7 @@ from swigident import (
     Sum,
     SwigIdentError,
     Sym,
+    Term,
     Variable,
     ZeroProbabilityError,
     ablated_figure1,
@@ -65,9 +67,11 @@ from swigident.oracle import (
     model_batches,
     model_from_base_cpts,
     random_base_cpts,
+    tie_pattern,
 )
 
 from conftest import dose_estimand, mutated_text
+from test_engine import small_search_cases
 from test_golden import IDENTIFY
 
 Q0 = Regime.observational()
@@ -924,6 +928,181 @@ def test_incremental_contraction_matches_fresh_batches(n, strategy):
     swig = to_swig(figure2(n))
     d = identify(swig, dose_estimand(swig, ("Y",)), strategy)
     _assert_incremental_matches_fresh(swig, d)
+
+
+def _tied_terms(swig, d):
+    """(swig, term) for each term with tied conditioners in d's chain and
+    its nested derivations' chains, each once."""
+    out = {}
+    for chain_swig, exprs in _chains(swig, d):
+        for e in exprs:
+            for _, t in terms(e):
+                if tie_pattern(t) != tuple(range(len(t.conditioners))):
+                    out[chain_swig.base.name, t] = (chain_swig, t)
+    return list(out.values())
+
+
+def _diagonal_cells(table, n_deps, ties):
+    """The cells of a batch table over deps + conds where every conditioner
+    takes the level of the one it is tied to, over deps and the conditioners
+    tied to themselves."""
+    own = [i for i, j in enumerate(ties) if i == j]
+    head = table.shape[: 1 + n_deps]
+    out = np.empty(head + tuple(table.shape[1 + n_deps + i] for i in own))
+    for cell in np.ndindex(*out.shape[1 + n_deps :]):
+        level = dict(zip(own, cell))
+        full = tuple(level[j] for j in ties)
+        out[(Ellipsis, *cell)] = table[(slice(None),) * (1 + n_deps) + full]
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, strategy",
+    [(n, "sequential_frontdoor") for n in (1, 2, 3, 4)] + [(2, "mediator_intervention")],
+)
+def test_a_tied_conditional_is_the_diagonal_of_the_dense_one(n, strategy):
+    # Tied conditioners share one axis of the ancestral conditional: it must
+    # be the dense conditional's diagonal over them, NaN in the same cells
+    # (model 3 has a zero CPT entry).
+    swig = to_swig(figure2(n))
+    d = identify(swig, dose_estimand(swig, ("Y",)), strategy)
+    cpts_list = _models_with_a_deterministic_row(swig, n=5)
+    tied = _tied_terms(swig, d)
+    assert tied
+    nan_seen = False
+    for chain_swig, t in tied:
+        [batch] = model_batches(chain_swig, cpts_list)
+        deps, conds, ties = t.dep_names(), t.cond_names(), tie_pattern(t)
+        got = ancestral_conditional(batch, t.regime, deps, conds, ties)
+        dense = joint(batch, t.regime).conditional(deps, conds)
+        want = _diagonal_cells(dense, len(deps), ties)
+        assert got.shape == want.shape, t
+        assert np.array_equal(np.isnan(got), np.isnan(want)), t
+        assert np.max(np.abs(np.nan_to_num(got) - np.nan_to_num(want)), initial=0.0) <= 1e-12
+        nan_seen |= bool(np.isnan(got).any())
+    assert nan_seen
+
+
+@st.composite
+def tied_terms(draw):
+    """A small_search_cases graph (2-3 levels, up to two hidden variables),
+    a regime and a term over 1-2 dependents and 2-4 conditioners (fewer if
+    the graph is smaller).  A dependent is bare or takes a fresh symbol; a
+    conditioner is pinned to a level, takes a fresh symbol, or reuses the
+    symbol of an earlier entry of as many levels, so random tie patterns
+    arise among the conditioners."""
+    swig, _, _, _ = draw(small_search_cases(levels=(2, 3), hidden=2))
+    regime = Regime.prefix(draw(st.integers(0, len(swig.pairs))))
+    order = draw(st.permutations(swig.names))
+    n_deps = draw(st.integers(1, min(2, len(order) - 1)))
+    n_conds = draw(st.integers(min(2, len(order) - n_deps), min(4, len(order) - n_deps)))
+    used: list[tuple[Sym, int]] = []
+    entries = []
+    for i, name in enumerate(order[: n_deps + n_conds]):
+        k = swig.var(name).cardinality
+        same = [s for s, c in used if c == k]
+        kinds = ["bare", "fresh"] if i < n_deps else ["pin", "fresh", "tie", "tie", "tie"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "bare":
+            ref = None
+        elif kind == "pin":
+            ref = Lit(draw(st.integers(0, k - 1)))
+        elif kind == "tie" and same:
+            ref = draw(st.sampled_from(same))
+        else:
+            ref = Sym(f"s{i}")
+            used.append((ref, k))
+        entries.append((name, ref))
+    t = Term(regime, tuple(entries[:n_deps]), tuple(entries[n_deps:]))
+    return swig, t, draw(st.integers(0, 2**16))
+
+
+@given(tied_terms())
+@settings(max_examples=150, deadline=None)
+def test_a_term_with_tied_conditioners_matches_the_dense_joint_cell_by_cell(case):
+    swig, t, seed = case
+    cpts_list = [random_base_cpts(swig.base, np.random.default_rng((seed, i))) for i in range(3)]
+    # model 1 puts all of one row of a CPT on one level, so some conditioning
+    # events have probability zero in it alone
+    name = next((v.name for v in swig.base.variables if v.cardinality > 1), None)
+    if name is not None:
+        parents, table = cpts_list[1][name]
+        table = table.copy()
+        table[(0,) * len(parents)] = np.eye(table.shape[-1])[-1]
+        cpts_list[1][name] = (parents, table)
+    [batch] = model_batches(swig, cpts_list)
+    got = eval_expr(batch, t)
+    dense = joint(batch, t.regime).conditional(t.dep_names(), t.cond_names())
+    sizes = {}
+    for name, ref in (*t.dependents, *t.conditioners):
+        if not isinstance(ref, Lit):
+            sizes[name if ref is None else ref.name] = swig.var(name).cardinality
+    assert set(got.labels) == set(sizes)
+    want = np.empty((3,) + tuple(sizes[l] for l in got.labels))
+    for cell in itertools.product(*(range(sizes[l]) for l in got.labels)):
+        at = dict(zip(got.labels, cell))
+        full = tuple(_level(ref, name, at) for name, ref in (*t.dependents, *t.conditioners))
+        want[(slice(None), *cell)] = dense[(slice(None), *full)]
+    assert np.array_equal(np.isnan(got.values), np.isnan(want))
+    assert np.array_equal(got.skipped, np.isnan(want).reshape(3, -1).any(axis=1))
+    diff = np.abs(np.nan_to_num(got.values) - np.nan_to_num(want))
+    assert np.max(diff, initial=0.0) <= 1e-12
+
+
+def _fig1_with_l_levels(k):
+    base = figure1()
+    variables = tuple(
+        dataclasses.replace(v, cardinality=k) if v.name == "L" else v for v in base.variables
+    )
+    return to_swig(dataclasses.replace(base, variables=variables))
+
+
+def test_tied_symbols_of_different_cardinality_are_refused_before_any_table(monkeypatch):
+    # L has 3 levels and D1 2, so they cannot share the symbol a: the term
+    # is refused with ExprError before a conditional is built (numpy's
+    # ValueError came from a table built first).
+    swig = _fig1_with_l_levels(3)
+    model = random_model(swig, seed=4)
+    built = []
+    monkeypatch.setattr(oracle, "_run", lambda *args: built.append(args))
+    for text in ("q0(Y1 | L=a, D1=a)", "q0(Y1 | D1=a, L=a)", "q0(Y1 | D1=a, Do1=a, L=a)"):
+        with pytest.raises(ExprError, match="symbol 'a' used for variables of different"):
+            eval_expr(model, parse_expr(text))
+    assert built == [] and model._conditionals == {}
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["sum{l} q0(Y1 | L=l, D1=d1, Do1=d1) * q0(L=l)", "q0(Y1 | L=a, D1=a)"],
+)
+def test_plugin_estimate_of_tied_conditioners_counts_the_csv(fig1, formula):
+    # Tied conditioners read the diagonal of the smoothed table: add-one
+    # counts over the rows where the tied columns agree.
+    data = sample(random_model(fig1, seed=9), Q0, 400, seed=9)
+    with io.StringIO(newline="") as fh:
+        data.write_csv(fh)
+        text = fh.getvalue()
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    header, rows = rows[0], [dict(zip(rows[0], map(int, r))) for r in rows[1:]]
+
+    def count(**cell):
+        return sum(all(r[k] == v for k, v in cell.items()) for r in rows)
+
+    got = plugin_estimate(fig1, parse_expr(formula), Dataset.read_csv(io.StringIO(text)))
+    for cell in itertools.product(range(2), repeat=len(got.labels)):
+        at = dict(zip(got.labels, cell))
+        y = at["Y1"]
+        if "l" in formula:
+            d = at["d1"]
+            want = sum(
+                (count(Y1=y, L=l, D1=d, Do1=d) + 1) / (count(L=l, D1=d, Do1=d) + 2)
+                * (count(L=l) + 1) / (len(rows) + 2)
+                for l in range(2)
+            )
+        else:
+            a = at["a"]
+            want = (count(Y1=y, L=a, D1=a) + 1) / (count(L=a, D1=a) + 2)
+        assert abs(got.values[cell] - want) <= 1e-12, (formula, at)
 
 
 GOLDEN_GRAPHS = {"fig1": figure1, "fig1_ablated": ablated_figure1}
