@@ -13,7 +13,8 @@ import sys
 from dataclasses import replace
 
 from .dsl import emit_graph, parse_ci_query, parse_estimand, parse_graph, to_dot
-from .engine import Derivation, Strategy, identify, verify
+from .derivation import Derivation, query_to_json
+from .engine import Strategy, identify, verify
 from .errors import SwigIdentError, malformed
 from .expr import to_text
 from .figures import FIXTURES
@@ -89,7 +90,7 @@ def cmd_dsep(args) -> int:
     query = parse_ci_query(args.query, swig)
     result = d_separated(swig, query)
     if args.json:
-        _emit(args, _json_dump({"query": query.to_json(), "d_separated": result}))
+        _emit(args, _json_dump({"query": query_to_json(query), "d_separated": result}))
     else:
         _emit(args, ("true" if result else "false") + "\n")
     return 0

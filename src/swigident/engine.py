@@ -1,18 +1,14 @@
 """Identification engine: derivation recipes, search, and numeric audit.
 
-A Derivation records the estimand, the chained rewrite steps, and the final
-expression; it is identified when every term of the final expression is an
-observed-data conditional over observed variables.  identify is the one
-entry point.  A recipe strategy reproduces a classic adjustment argument step
-by step: one driver checks the estimand's shape, builds the candidate
-variable sets, and runs the recipe's attempt on each until one derives the
-estimand.  The two search modes explore the same sound move set with
-different orderings; verify has oracle.compare evaluate the subtree each
-step rewrote, in its input and its output, on random models, and counts a
-model unless a term of the step's whole input or output skips it.
-This module alone writes and reads derivation files: a step is stored as
-its rule, its output's text and its justification, whose kind comes from
-one table and whose fields follow by name.
+identify is the one entry point; the Derivation it returns, and the rule
+for an identified formula, are the derivation module's.  A recipe strategy
+reproduces a classic adjustment argument step by step: one driver checks
+the estimand's shape, builds the candidate variable sets, and runs the
+recipe's attempt on each until one derives the estimand.  The two search
+modes explore the same sound move set with different orderings; verify has
+oracle.compare evaluate the subtree each step rewrote, in its input and its
+output, on random models, and counts a model unless a term of the step's
+whole input or output skips it.
 """
 
 from __future__ import annotations
@@ -24,7 +20,17 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ExprError, RuleRefusedError, SwigIdentError, malformed, parse_field
+from .derivation import (
+    IDENTIFIED,
+    NOT_IDENTIFIED,
+    CompositionJustification,
+    Derivation,
+    _mediators_swig,
+    is_identified,
+    require_identified,
+    validate_derivation,
+)
+from .errors import RuleRefusedError, SwigIdentError
 from .expr import (
     DerivationStep,
     ProbExpr,
@@ -32,26 +38,17 @@ from .expr import (
     Product,
     Term,
     canonicalize,
-    free_variables,
     fresh_symbol,
-    regimes_used,
     site,
     subexpr_at,
     terms,
     to_text,
     validate_estimand,
 )
-from .dsl import parse_expr
 from .graphs import CiQuery, Graph
-from .model import BaseDag, Swig, Sym, ValueRef, to_swig
+from .model import Swig, Sym, ValueRef
 from .oracle import compare, random_base_cpts
 from .rules import (
-    CiJustification,
-    ConsistencyJustification,
-    DropLaterJustification,
-    IntroduceJustification,
-    RedundancyJustification,
-    SplitJustification,
     rule_ci_modify,
     rule_consistency,
     rule_drop_later,
@@ -60,231 +57,11 @@ from .rules import (
     rule_total_probability,
 )
 
-IDENTIFIED = "identified"
-NOT_IDENTIFIED = "not_identified"
 TOL = 1e-9  # largest deviation verify accepts between two evaluations
 # The most models one verify draws.  Every model's CPTs are drawn before the
 # first batch is cut, so an unbounded count would grow memory until the
 # process is killed.
 MODEL_LIMIT = 10_000
-
-
-@dataclass(frozen=True)
-class CompositionJustification:
-    """Cross-graph composition: the estimand equals the mediator-intervention
-    outcome law averaged over the identified mediator law."""
-
-    mediator_targets: tuple[str, ...]
-    binders: tuple[str, ...]
-    mediator_law: "Derivation"
-    outcome: "Derivation"
-
-    def __str__(self) -> str:
-        meds = ", ".join(self.mediator_targets)
-        return f"composing over mediator interventions on {meds}"
-
-
-@dataclass(frozen=True)
-class Derivation:
-    estimand: Term
-    steps: tuple[DerivationStep, ...]
-    final: ProbExpr
-    status: str
-    blocking: CiQuery | None = None
-    # What the search did (top_down and bottom_up only); not part of the
-    # derivation's JSON, trace or equality.
-    stats: "SearchStats | None" = field(default=None, compare=False, repr=False)
-
-    @property
-    def identified(self) -> bool:
-        return self.status == IDENTIFIED
-
-    def trace(self) -> str:
-        lines = [f"estimand: {to_text(self.estimand)}"]
-        for i, step in enumerate(self.steps, start=1):
-            note = f"  [{step.justification}]" if step.justification is not None else ""
-            lines.append(f"{i:3d}. {step.rule}: {to_text(step.output)}{note}")
-        lines.append(f"final: {to_text(self.final)}")
-        lines.append(f"status: {self.status}")
-        if self.blocking is not None:
-            lines.append(f"blocking: {self.blocking}")
-        return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        """Every expression as its text; a step's input is the expression
-        before it, so only its output is stored, with its rule and its
-        justification."""
-        return {
-            "estimand": to_text(self.estimand),
-            "status": self.status,
-            "blocking": None if self.blocking is None else self.blocking.to_json(),
-            "final": to_text(self.final),
-            "steps": [
-                {
-                    "rule": s.rule,
-                    "output": to_text(s.output),
-                    "justification": _justification_to_json(s.justification),
-                }
-                for s in self.steps
-            ],
-        }
-
-    @classmethod
-    def from_json(
-        cls, obj: dict, where: str = "", terms: dict[str, Term] | None = None
-    ) -> "Derivation":
-        """Parse the text of to_json back, rebuilding each step's input as
-        the estimand or the previous step's output.  where prefixes the
-        field names in errors; it locates a derivation nested in a
-        composition step.  Each distinct term text of the file is parsed
-        once: terms maps it to its Term, shared with the nested
-        derivations, so the steps share Term objects."""
-        terms = {} if terms is None else terms
-        with malformed("derivation"):
-            estimand = _stored_expr(obj["estimand"], f"{where}estimand", terms)
-            if not isinstance(estimand, Term):
-                raise SwigIdentError(
-                    f"malformed derivation: {where}estimand: "
-                    f"{to_text(estimand)!r} is not a single term"
-                )
-            steps: list[DerivationStep] = []
-            prev: ProbExpr = estimand
-            for i, s in enumerate(obj["steps"], start=1):
-                rule = s["rule"]
-                if not isinstance(rule, str):
-                    raise SwigIdentError(
-                        f"malformed derivation: {where}step {i} rule: "
-                        f"expected a rule name, found {type(rule).__name__}"
-                    )
-                output = _stored_expr(s["output"], f"{where}step {i} output", terms)
-                justification = _justification_from_json(
-                    s.get("justification"), f"{where}step {i} ", terms
-                )
-                if rule == "mediator_composition" and not isinstance(
-                    justification, CompositionJustification
-                ):
-                    raise SwigIdentError(
-                        f"malformed derivation: {where}step {i} justification: expected "
-                        f"a composition, found {_KINDS.get(type(justification), 'null')}"
-                    )
-                steps.append(DerivationStep(rule, prev, output, justification))
-                prev = output
-            blocking = obj.get("blocking")
-            return cls(
-                estimand=estimand,
-                steps=tuple(steps),
-                final=_stored_expr(obj["final"], f"{where}final", terms),
-                status=obj["status"],
-                blocking=None if blocking is None else CiQuery.from_json(blocking),
-            )
-
-
-def _stored_expr(text: object, field: str, terms: dict[str, Term]) -> ProbExpr:
-    """The expression a derivation file stores as text in the named field;
-    terms is the file's memo of parsed term texts."""
-    return parse_field(
-        lambda t: parse_expr(t, terms), text, f"malformed derivation: {field}", "expression"
-    )
-
-
-# The kind a derivation file names each justification class by.
-_KINDS = {
-    CiJustification: "ci",
-    ConsistencyJustification: "consistency",
-    DropLaterJustification: "drop_later",
-    RedundancyJustification: "redundancy",
-    IntroduceJustification: "introduce",
-    SplitJustification: "product",
-    CompositionJustification: "composition",
-}
-
-
-def _justification_to_json(justification) -> dict | None:
-    """The justification's kind, then its fields by name, in order (the
-    instance dict of a justification dataclass holds exactly its fields)."""
-    if justification is None:
-        return None
-    kind = _KINDS.get(type(justification))
-    if kind is None:
-        raise TypeError(f"derivation files have no kind for {type(justification).__name__}")
-    return {"kind": kind, **{k: _field_json(v) for k, v in vars(justification).items()}}
-
-
-def _field_json(value):
-    """A justification field: a query or a nested derivation by its own
-    to_json, a tuple as a list."""
-    if isinstance(value, tuple):
-        return [_field_json(v) for v in value]
-    if isinstance(value, (CiQuery, Derivation)):
-        return value.to_json()
-    return value
-
-
-def _justification_from_json(obj, where: str, terms: dict[str, Term]):
-    if obj is None:
-        return None
-    kind = obj.get("kind")
-    if kind == "ci":
-        return CiJustification(CiQuery.from_json(obj["query"]))
-    if kind == "consistency":
-        return ConsistencyJustification(
-            int(obj["t"]), obj["target"], obj["intervention"], obj["value"]
-        )
-    if kind == "drop_later":
-        return DropLaterJustification(
-            int(obj["t"]), tuple(CiQuery.from_json(q) for q in obj["checks"])
-        )
-    if kind == "redundancy":
-        return RedundancyJustification(tuple((t, o) for t, o in obj["pairs"]))
-    if kind == "introduce":
-        return IntroduceJustification(tuple((v, s) for v, s in obj["introduced"]))
-    if kind == "product":
-        return SplitJustification(tuple(tuple(g) for g in obj["split"]))
-    if kind == "composition":
-        return CompositionJustification(
-            mediator_targets=_names(obj, "mediator_targets", where),
-            binders=_names(obj, "binders", where),
-            mediator_law=Derivation.from_json(
-                obj["mediator_law"], f"{where}mediator_law: ", terms
-            ),
-            outcome=Derivation.from_json(obj["outcome"], f"{where}outcome: ", terms),
-        )
-    raise ExprError(f"unknown justification kind {kind!r}")
-
-
-def _names(obj: dict, key: str, where: str) -> tuple[str, ...]:
-    """A justification field that lists names."""
-    value = obj[key]
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise SwigIdentError(
-            f"malformed derivation: {where}justification: {key}: expected a list of names"
-        )
-    return tuple(value)
-
-
-def _hidden(swig: Swig, expr: ProbExpr) -> list[str]:
-    """The unobserved variables expr names, sorted; an identified formula has none."""
-    return [n for n in sorted(free_variables(expr)) if not swig.var(n).observed]
-
-
-def validate_derivation(derivation: Derivation, swig: Swig | None = None) -> None:
-    """Check the step chain and the identified-status contract: an
-    identified final formula uses regime 0 only and, given the graph, names
-    only observed variables."""
-    prev = derivation.estimand
-    for i, step in enumerate(derivation.steps):
-        if step.input != prev:
-            raise SwigIdentError(f"step {i + 1} does not chain from the previous output")
-        prev = step.output
-    if derivation.final != prev:
-        raise SwigIdentError("final expression is not the last step output")
-    if derivation.identified:
-        bad = [str(r) for r in regimes_used(derivation.final) if not r.is_observational]
-        if bad:
-            raise SwigIdentError(f"identified derivation still uses regimes {bad}")
-        hidden = _hidden(swig, derivation.final) if swig is not None else []
-        if hidden:
-            raise SwigIdentError(f"identified derivation names unobserved variables {hidden}")
 
 
 @dataclass(frozen=True)
@@ -340,12 +117,7 @@ class _Builder:
     def identified(self) -> Derivation:
         """The derivation so far.  A formula that names a hidden variable is
         refused, with no blocking query."""
-        bad = [str(r) for r in regimes_used(self.expr) if not r.is_observational]
-        if bad:
-            raise SwigIdentError(f"recipe finished but regimes {bad} remain")
-        unobserved = _hidden(self.swig, self.expr)
-        if unobserved:
-            raise RuleRefusedError(f"recipe finished but {unobserved} are unobserved")
+        require_identified(self.expr, self.swig)
         return Derivation(self.estimand, tuple(self.steps), self.expr, IDENTIFIED)
 
 
@@ -703,11 +475,6 @@ def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
     start = time.perf_counter()
     keys: dict[ProbExpr, str] = {}
 
-    def goal(expr: ProbExpr) -> bool:
-        if any(not t.regime.is_observational for _, t in terms(expr)):
-            return False
-        return not _hidden(swig, expr)
-
     def simplify(expr: ProbExpr, steps: list[DerivationStep]):
         """Apply consistency and redundancy greedily, in one sweep over the
         terms: both strictly shrink the distance to regime 0 and never block
@@ -787,7 +554,7 @@ def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
         nonlocal first_blocking
         stats.depth = max(stats.depth, moved)
         expr, steps = simplify(expr, steps)
-        if goal(expr):
+        if is_identified(expr, swig):
             return steps
         if budget <= 0:
             return None
@@ -960,17 +727,6 @@ class VerifyReport:
             )
         lines.append(f"verdict: {'pass' if self.passed else 'FAIL'}")
         return "\n".join(lines)
-
-
-def _mediators_swig(swig: Swig, targets: tuple[str, ...]) -> Swig:
-    """The same skeleton split at the mediators instead of the doses."""
-    base = BaseDag(
-        variables=swig.base.variables,
-        edges=swig.base.edges,
-        targets=targets,
-        name=f"{swig.base.name}_mediators",
-    )
-    return to_swig(base)
 
 
 def _verify_models(

@@ -4,6 +4,7 @@ Holds the generic graph container, Pearl d-separation via the reachable-sets
 procedure, and the droppability check for interventions later than a given
 time.  Conditional independence "in q_s" means d-separation in the regime-s
 graph; that single bridge is what every rule's side condition rests on.
+A CiQuery's dict form is the derivation module's.
 """
 
 from __future__ import annotations
@@ -122,25 +123,6 @@ class CiQuery:
         given = ", ".join(sorted(self.z))
         text = f"{self.regime}: {lhs} _||_ {rhs}"
         return f"{text} | {given}" if given else text
-
-    def to_json(self) -> dict:
-        return {
-            "regime": sorted(self.regime.active),
-            "x": sorted(self.x),
-            "y": sorted(self.y),
-            "z": sorted(self.z),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> CiQuery:
-        from .model import Regime
-
-        return cls(
-            regime=Regime(frozenset(int(i) for i in obj["regime"])),
-            x=frozenset(obj["x"]),
-            y=frozenset(obj["y"]),
-            z=frozenset(obj["z"]),
-        )
 
 
 def d_separated_nodes(

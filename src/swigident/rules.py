@@ -6,8 +6,8 @@ and returns a DerivationStep.  Rules whose soundness is conditional
 against the graph and raise RuleRefusedError when it fails; total
 probability and the product rule hold unconditionally.  A refusal carries
 the blocking CiQuery when the failed condition is a d-separation.  The
-justifications are plain data with a one-line text form; engine writes and
-reads them in derivation files.
+justifications are plain data with a one-line text form; the derivation
+module writes and reads them in derivation files.
 """
 
 from __future__ import annotations

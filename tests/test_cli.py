@@ -224,6 +224,16 @@ def test_a_recipe_whose_formula_names_a_hidden_variable_refuses(
             assert capsys.readouterr().out == "false\n"
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _backdoor_with_status(status) -> str:
+    """The back-door derivation of q[1](Y1 | do D1=d1) on fig1 with its
+    status replaced; once such a file skipped the final check and passed."""
+    payload = json.loads((GOLDEN / "backdoor_fig1.json").read_text())
+    return json.dumps({**payload, "status": status})
+
+
 MALFORMED_DERIVATIONS = {
     "step_without_ast": '{"steps": [{"rule": "x"}]}',
     "not_json": "not json",
@@ -253,6 +263,10 @@ MALFORMED_DERIVATIONS = {
         '{"estimand": "q1000000(Y1 | Do1=d1)", "status": "not_identified",'
         ' "blocking": null, "final": "q1000000(Y1 | Do1=d1)", "steps": []}'
     ),
+    "status_misspelt": _backdoor_with_status("identifed"),
+    "status_number": _backdoor_with_status(7),
+    "status_null": _backdoor_with_status(None),
+    "status_list": _backdoor_with_status(["identified"]),
 }
 # The field an error line must name, where the file gets that far.
 MALFORMED_FIELDS = {
@@ -261,6 +275,10 @@ MALFORMED_FIELDS = {
     "unchanged_step": "step 'ci_modify' does not change the expression",
     "product_estimand": "estimand: 'q0(Y1) * q0(L)' is not a single term",
     "huge_regime_index": "estimand: regime index 1000000 exceeds the limit of 10000",
+    "status_misspelt": "status: expected 'identified' or 'not_identified', found 'identifed'",
+    "status_number": "status: expected 'identified' or 'not_identified', found 7",
+    "status_null": "status: expected 'identified' or 'not_identified', found None",
+    "status_list": "status: expected 'identified' or 'not_identified', found ['identified']",
 }
 
 
@@ -294,9 +312,6 @@ def test_verify_refuses_a_step_rule_that_is_not_a_string(rule, fig1_path, tmp_pa
     assert err == f"error: malformed derivation: step 2 rule: expected a rule name, found {kind}\n"
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
 @pytest.mark.parametrize(
     "change, found",
     [
@@ -326,6 +341,45 @@ def test_verify_refuses_a_composition_step_without_a_composition(
     graph = str(GOLDEN / "fixture_fig2_n2.swig")
     assert main(["verify", graph, str(path), "--models", "2"]) == 1
     _one_error_line(capsys, f"malformed derivation: step 1 justification: {found}")
+
+
+NAMES = "expected a list of names"
+INTEGER = "expected an integer, found"
+
+
+def _field(step, *keys):
+    """The path of a field of a step's justification."""
+    return ("steps", step, "justification", *keys)
+
+
+@pytest.mark.parametrize(
+    "path, value, found",
+    [
+        (_field(0, "introduced"), ["Ll"], f"step 1 justification: introduced: {NAMES}"),
+        (_field(1, "split"), ["Y1", "L"], f"step 2 justification: split: {NAMES}"),
+        (_field(2, "query", "x"), "Y1", f"step 3 justification: query: x: {NAMES}"),
+        (_field(2, "query", "regime"), [True], f"query: regime: {INTEGER} bool"),
+        (_field(2, "query", "regime"), [1.0], f"query: regime: {INTEGER} float"),
+        (_field(3, "t"), 1.9, f"step 4 justification: t: {INTEGER} float"),
+        (_field(3, "t"), True, f"step 4 justification: t: {INTEGER} bool"),
+        (_field(4, "pairs"), ["D1"], f"step 5 justification: pairs: {NAMES}"),
+        (_field(5, "t"), 0.0, f"step 6 justification: t: {INTEGER} float"),
+        (_field(5, "checks", 0, "y"), "Do1", f"checks: y: {NAMES}"),
+        (("blocking",), {"regime": [1], "x": "L", "y": ["Do1"], "z": []}, f"blocking: x: {NAMES}"),
+    ],
+)
+def test_verify_reads_each_justification_field_with_its_type(path, value, found, tmp_path, capsys):
+    # Each was read: a string as the list of its characters (split
+    # ["Y1", "L"] as "chain rule over Y, 1 ; L"), a float truncated (t 1.9
+    # as 1), a bool as 0 or 1.
+    payload = json.loads((GOLDEN / "backdoor_fig1.json").read_text())
+    *parents, last = path
+    functools.reduce(lambda blob, key: blob[key], parents, payload)[last] = value
+    mutant = tmp_path / "mutant.json"
+    mutant.write_text(json.dumps(payload))
+    graph = str(GOLDEN / "fixture_fig1.swig")
+    assert main(["verify", graph, str(mutant), "--models", "2"]) == 1
+    _one_error_line(capsys, "error: malformed derivation: ", found)
 
 
 def test_verify_refuses_a_refusal_with_no_steps(tmp_path, capsys):

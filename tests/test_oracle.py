@@ -52,7 +52,7 @@ from swigident import (
     verify,
 )
 from swigident import oracle
-from swigident.engine import _mediators_swig
+from swigident.derivation import _mediators_swig
 from swigident.expr import terms
 from swigident.figures import FIXTURES
 from swigident.graphs import CiQuery

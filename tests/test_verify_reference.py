@@ -22,7 +22,8 @@ from swigident import (
     to_swig,
 )
 from swigident import oracle
-from swigident.engine import NOT_IDENTIFIED, TOL, _mediators_swig, _verify_models
+from swigident.derivation import NOT_IDENTIFIED, _mediators_swig
+from swigident.engine import TOL, _verify_models
 
 from conftest import corrupt_step, dose_estimand
 from test_engine import _cpts_with_a_deterministic_row
