@@ -8,6 +8,7 @@ identified or a verification fails, 1 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -128,7 +129,11 @@ def cmd_fixture(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged (the
+    append action of --unobserved copies its default list before adding
+    to it), so main builds it once."""
     parser = argparse.ArgumentParser(
         prog="swigident",
         description="Identify interventional estimands on split-node graphs "

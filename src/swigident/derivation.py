@@ -206,7 +206,8 @@ def _justification_from_json(obj, where: str, terms: dict[str, Term]):
         return CiJustification(query_from_json(obj["query"], f"{at}query"))
     if kind == "consistency":
         t = _integer(obj["t"], f"{at}t")
-        return ConsistencyJustification(t, obj["target"], obj["intervention"], obj["value"])
+        names = (_string(obj[k], f"{at}{k}") for k in ("target", "intervention", "value"))
+        return ConsistencyJustification(t, *names)
     if kind == "drop_later":
         checks = tuple(query_from_json(q, f"{at}checks") for q in obj["checks"])
         return DropLaterJustification(_integer(obj["t"], f"{at}t"), checks)
@@ -235,6 +236,15 @@ def _names(value, field: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise SwigIdentError(f"malformed derivation: {field}: expected a list of names")
     return tuple(value)
+
+
+def _string(value, field: str) -> str:
+    """A field that holds a string."""
+    if not isinstance(value, str):
+        raise SwigIdentError(
+            f"malformed derivation: {field}: expected a string, found {type(value).__name__}"
+        )
+    return value
 
 
 def _integer(value, field: str) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -47,7 +47,7 @@ from .expr import (
 )
 from .graphs import CiQuery, Graph
 from .model import Swig, Sym, ValueRef
-from .oracle import compare, random_base_cpts
+from .oracle import compare, model_count, random_cpt_batch
 from .rules import (
     rule_ci_modify,
     rule_consistency,
@@ -655,7 +655,9 @@ class VerifyStats:
     one per regime, dependents, conditioners and tie pattern, so a term
     whose conditioners share a symbol has its own, smaller table) and the
     most entries one of them had, batch axis included, and the seconds in
-    all.  merges_computed sums the pairwise merges of expression
+    all, after the models were drawn.  draw_seconds is the time verify took
+    to draw the models' CPTs; a nested report reuses its parent's models and
+    reads 0.  merges_computed sums the pairwise merges of expression
     contractions over all batches and nested reports.  path_searches counts
     the contraction paths oracle._plan searched during the call, for
     conditionals and expressions, nested reports included; _plan keeps the
@@ -675,6 +677,7 @@ class VerifyStats:
     merges_computed: int = 0
     path_searches: int = 0
     peak_live_bytes: int = 0
+    draw_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -732,9 +735,11 @@ class VerifyReport:
 def _verify_models(
     derivation: Derivation,
     swig: Swig,
-    cpts_list: list,
+    cpts: dict,
     seed: int,
 ) -> VerifyReport:
+    """verify's report on the models of the base-graph CPTs cpts, stacked
+    on a leading model axis; nested reports use the same arrays."""
     start = time.perf_counter()
     validate_derivation(derivation, swig)
     if not (derivation.identified or derivation.steps):
@@ -747,8 +752,8 @@ def _verify_models(
             just = step.justification
             swig_m = _mediators_swig(swig, just.mediator_targets)
             nested[idx] = (
-                _verify_models(just.mediator_law, swig, cpts_list, seed),
-                _verify_models(just.outcome, swig_m, cpts_list, seed),
+                _verify_models(just.mediator_law, swig, cpts, seed),
+                _verify_models(just.outcome, swig_m, cpts, seed),
             )
 
     # Chained expressions: step k maps exprs[k - 1] to exprs[k].  Pair 0
@@ -768,7 +773,8 @@ def _verify_models(
         path = site(step.input, step.output)
         pairs.append((subexpr_at(step.input, path), subexpr_at(step.output, path)))
         ends.append((k - 1, k))
-    found = compare(swig, cpts_list, pairs)
+    found = compare(swig, cpts, pairs)
+    n_models = model_count(cpts)
     skip = [np.logical_or.reduce([found.masks[t] for _, t in terms(e)]) for e in exprs]
     dev, used = [], []
     for (a, b), deviations in zip(ends, found.deviations):
@@ -784,7 +790,7 @@ def _verify_models(
         inner = nested.get(k, ())
         passed = dev[i] <= TOL and used[i] > 0 and all(r.passed for r in inner)
         all_passed &= passed
-        skipped = len(cpts_list) - used[i]
+        skipped = n_models - used[i]
         seconds = float(found.seconds[i].sum())
         reports.append(
             StepReport(k, step.rule, dev[i], used[i], skipped, passed, inner, seconds)
@@ -800,7 +806,7 @@ def _verify_models(
         final_deviation=final_dev,
         final_models=final_used,
         passed=all_passed,
-        n_models=len(cpts_list),
+        n_models=n_models,
         seed=seed,
         tol=TOL,
         stats=VerifyStats(
@@ -823,17 +829,21 @@ def verify(
 ) -> VerifyReport:
     """Replay every step on random models: the site each step rewrites
     (expr.site) must evaluate identically in its input and its output, and
-    the final formula must match the oracle estimand.  A not_identified
-    derivation with no steps has nothing to check, and raises
-    SwigIdentError, as does a number of models outside 1..MODEL_LIMIT."""
+    the final formula must match the oracle estimand.  Model i is drawn
+    from np.random.default_rng((seed, i)); random_cpt_batch draws all of
+    them as one stacked batch, and stats.draw_seconds times it.  A
+    not_identified derivation with no steps has nothing to check, and
+    raises SwigIdentError, as does a number of models outside
+    1..MODEL_LIMIT."""
     if n_models < 1:
         raise SwigIdentError(f"verify needs at least one model, got {n_models}")
     if n_models > MODEL_LIMIT:
         raise SwigIdentError(f"verify takes at most {MODEL_LIMIT} models, got {n_models}")
     if seed < 0:
         raise SwigIdentError(f"a seed must be a non-negative integer, got {seed}")
-    cpts_list = [
-        random_base_cpts(swig.base, np.random.default_rng((seed, i)))
-        for i in range(n_models)
-    ]
-    return _verify_models(derivation, swig, cpts_list, seed)
+    start = time.perf_counter()
+    rngs = [np.random.default_rng((seed, i)) for i in range(n_models)]
+    cpts = random_cpt_batch(swig.base, rngs)
+    drawn = time.perf_counter() - start
+    report = _verify_models(derivation, swig, cpts, seed)
+    return replace(report, stats=replace(report.stats, draw_seconds=drawn))

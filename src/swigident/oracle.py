@@ -32,14 +32,18 @@ batch's Contractor counts the merges.  Values are memoised per model (or
 batch), so each distinct expression is evaluated once; compare, verify's
 batch loop, drops each value and conditional after the last pair of
 expressions that uses it.  A single model is a batch of one.
-model_batches bounds a batch so that its joint would have at most
-STATE_LIMIT entries, as large as one model's joint may be; every table the
-ancestral way builds is labelled by a subset of the variables, so that bound
-holds for it too.  Conditionals and expressions both contract through
-_run along _plan's paths.  A path depends on the contraction's shape
-alone, without the batch axis, so _plan memoises it once for the process:
-each shape is searched once, whatever the models, the batch sizes or the
-requests.
+random_cpt_batch draws the CPTs of many random models at once, stacked on a
+leading model axis: each model's generator fills all of its variables with
+one standard_exponential call, and each variable is normalised over all
+models together, which gives each model's dirichlet draws bit for bit.
+model_batches cuts the stacked CPTs into batches as slices, each bounded so
+that its joint would have at most STATE_LIMIT entries, as large as one
+model's joint may be; every table the ancestral way builds is labelled by a
+subset of the variables, so that bound holds for it too.  Conditionals and
+expressions both contract through _run along _plan's paths.  A path depends
+on the contraction's shape alone, without the batch axis, so _plan memoises
+it once for the process: each shape is searched once, whatever the models,
+the batch sizes or the requests.
 _run refuses a merge whose einsum would take more than EINSUM_LABELS labels
 or whose table would have more than STATE_LIMIT entries for one model.
 
@@ -48,7 +52,8 @@ graph's variables in topological order, each from the cumulative sums of its
 CPT at the row one ravel_multi_index over its parents' columns selects, so a
 seed fixes the rows.  Dataset.write_csv lays the rows out as one byte block
 and writes exactly what csv.writer would; Dataset.read_csv parses the body
-with np.loadtxt.  plugin_estimate counts cells over the levels the graph
+with np.loadtxt into an array allocated once, sized by a count of the line
+ends of a seekable file.  plugin_estimate counts cells over the levels the graph
 declares and refuses a value outside them.
 
 A model file is JSON with two fields: graph, the base graph as the graph
@@ -708,23 +713,24 @@ def _last_uses(pairs: Sequence[tuple[ProbExpr, ProbExpr]]) -> list[list]:
 
 def compare(
     swig: Swig,
-    cpts_list: Sequence[Mapping[str, Cpt]],
+    cpts: Mapping[str, Cpt],
     pairs: Sequence[tuple[ProbExpr, ProbExpr]],
 ) -> Comparison:
     """Evaluate both sides of each pair, in order, on the models of the
-    base-graph CPTs of cpts_list, batch by batch.  Each subexpression's
-    value and each conditional is dropped from the batch's memo after the
-    last pair that uses it (found first), so a batch holds only what a later
-    pair reads, and nothing once compare returns."""
+    base-graph CPTs cpts, stacked on a leading model axis, batch by batch
+    (model_batches).  Each subexpression's value and each conditional is
+    dropped from the batch's memo after the last pair that uses it (found
+    first), so a batch holds only what a later pair reads, and nothing once
+    compare returns."""
     searched = _plan.cache_info().misses
     dying = _last_uses(pairs)
-    n = len(cpts_list)
+    n = model_count(cpts)
     deviations = np.empty((len(pairs), n))
     masks = {t: np.empty(n, dtype=bool) for pair in pairs for e in pair for _, t in terms(e)}
     seconds = np.zeros((len(pairs), 2))
     counts = Contractor()
     peak = start = 0
-    for batch in model_batches(swig, cpts_list):
+    for batch in model_batches(swig, cpts):
         batch._contractor = counts
         values, held = batch._values, batch._conditionals
         models = slice(start, start + batch.batch)
@@ -783,24 +789,48 @@ def brute_force_ci(model: DiscreteModel, q: CiQuery) -> bool:
 # ---------------------------------------------------------------------------
 # model construction
 
-def random_base_cpts(base: BaseDag, rng: np.random.Generator) -> dict[str, Cpt]:
-    """One flat Dirichlet CPT (concentration 1) per base variable, parents in
-    sorted base-name order.
+def random_cpt_batch(base: BaseDag, rngs: Sequence[np.random.Generator]) -> dict[str, Cpt]:
+    """One flat Dirichlet CPT (concentration 1) per base variable for each
+    generator, stacked on a leading model axis; parents in sorted base-name
+    order.  Model i's tables are, variable by variable in base order, what
+    rngs[i].dirichlet([1.0] * k, size=shape) gives, bit for bit: dirichlet
+    draws a gamma(1) variate, which is a standard exponential, per level
+    and multiplies each by the reciprocal of its row's sum taken level by
+    level.  So each generator fills its model's variables with one
+    standard_exponential call, and each variable is normalised over all
+    models at once.  A variable of one level draws nothing.
 
     Keyed to the pre-split graph so that two splittings of the same skeleton
     share identical mechanisms."""
     graph = Graph(base.names, base.edges)
-    out: dict[str, Cpt] = {}
+    layout = []  # name, parents, table shape, first draw, draws
+    size = 0
     for v in base.variables:
         parents = tuple(sorted(graph.parents(v.name)))
-        shape = tuple(base.var(p).cardinality for p in parents)
-        k = v.cardinality
-        if k == 1:
-            table = np.ones(shape + (1,))
-        else:
-            table = rng.dirichlet([1.0] * k, size=shape)
-        out[v.name] = (parents, table)
+        shape = tuple(base.var(p).cardinality for p in parents) + (v.cardinality,)
+        cells = math.prod(shape) if v.cardinality > 1 else 0
+        layout.append((v.name, parents, shape, size, cells))
+        size += cells
+    n = len(rngs)
+    draws = np.empty((n, size))
+    for rng, row in zip(rngs, draws):
+        rng.standard_exponential(out=row)
+    out: dict[str, Cpt] = {}
+    for name, parents, shape, at, cells in layout:
+        if not cells:
+            out[name] = (parents, np.ones((n, *shape)))
+            continue
+        e = draws[:, at : at + cells].reshape(n, *shape)
+        acc = e[..., 0].copy()
+        for level in range(1, shape[-1]):
+            acc += e[..., level]
+        out[name] = (parents, e * (1.0 / acc)[..., None])
     return out
+
+
+def random_base_cpts(base: BaseDag, rng: np.random.Generator) -> dict[str, Cpt]:
+    """The CPTs of random_cpt_batch's one model for rng."""
+    return {name: (parents, t[0]) for name, (parents, t) in random_cpt_batch(base, [rng]).items()}
 
 
 def model_from_base_cpts(
@@ -815,17 +845,22 @@ def model_from_base_cpts(
     return DiscreteModel(swig, cpts, batch)
 
 
-def model_batches(swig: Swig, cpts_list: Sequence[Mapping[str, Cpt]]) -> Iterator[DiscreteModel]:
-    """The models of a list of base-graph CPTs (same parent orders), in
-    order, as batches whose joints have at most STATE_LIMIT entries."""
+def model_count(cpts: Mapping[str, Cpt]) -> int:
+    """The number of models of base-graph CPTs stacked on a leading model
+    axis (0 for a graph with no variables)."""
+    return next((len(table) for _, table in cpts.values()), 0)
+
+
+def model_batches(swig: Swig, cpts: Mapping[str, Cpt]) -> Iterator[DiscreteModel]:
+    """The models of base-graph CPTs stacked on a leading model axis, as
+    random_cpt_batch draws them, in order, as batches whose joints have at
+    most STATE_LIMIT entries.  A batch's tables are slices of the stacked
+    ones (views, not copies)."""
+    n = model_count(cpts)
     size = max(1, STATE_LIMIT // joint_states(swig))
-    for start in range(0, len(cpts_list), size):
-        chunk = cpts_list[start : start + size]
-        stacked = {
-            name: (parents, np.stack([cpts[name][1] for cpts in chunk]))
-            for name, (parents, _) in chunk[0].items()
-        }
-        yield model_from_base_cpts(swig, stacked, len(chunk))
+    for start in range(0, n, size):
+        chunk = {name: (parents, t[start : start + size]) for name, (parents, t) in cpts.items()}
+        yield model_from_base_cpts(swig, chunk, min(size, n - start))
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -903,11 +938,21 @@ class Dataset:
             raise SwigIdentError(f"malformed CSV: {e}") from None
         if not header:
             raise SwigIdentError("malformed CSV: no column names on the first line")
+        # Told the most rows to expect, loadtxt allocates its array once;
+        # otherwise it grows the array by reallocation, whose freed blocks
+        # the allocator may keep resident.
+        rows = None
         with warnings.catch_warnings():
             # an empty body is a valid dataset; loadtxt warns about it
             warnings.simplefilter("ignore", UserWarning)
             try:
-                data = np.loadtxt(fh, dtype=int, delimiter=",", ndmin=2, comments=None)
+                if fh.seekable():
+                    start = fh.tell()
+                    rows = 1 + sum(map(_line_ends, iter(lambda: fh.read(1 << 16), "")))
+                    fh.seek(start)
+                data = np.loadtxt(
+                    fh, dtype=int, delimiter=",", ndmin=2, comments=None, max_rows=rows
+                )
             except ValueError as e:
                 raise SwigIdentError(f"malformed CSV after the header line: {e}") from None
         if data.size and data.shape[1] != len(header):
@@ -915,6 +960,13 @@ class Dataset:
                 f"malformed CSV: rows have {data.shape[1]} fields, the header {len(header)}"
             )
         return cls(tuple(header), data.reshape(-1, len(header)))
+
+
+def _line_ends(text: str) -> int:
+    """The line ends in text: \\n, \\r and \\r\\n, each once.  A \\r\\n split
+    across two pieces of a text counts twice, so the count over the pieces
+    is never less than the text's."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
 def sample(model: DiscreteModel, regime: Regime, n: int, seed: int = 0) -> Dataset:

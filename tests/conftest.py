@@ -27,7 +27,7 @@ from swigident import (
     to_swig,
 )
 from swigident.expr import free_symbols, replace_at, terms
-from swigident.oracle import model_from_base_cpts, random_base_cpts
+from swigident.oracle import model_from_base_cpts, random_base_cpts, random_cpt_batch
 
 
 @pytest.fixture(scope="session")
@@ -96,6 +96,26 @@ def _probe_model(swig, seed: int = 0):
     guaranteed to reappear there."""
     cpts = random_base_cpts(swig.base, np.random.default_rng((seed, 0)))
     return model_from_base_cpts(swig, cpts)
+
+
+def seeded_cpts(swig, n: int, seed: int = 0):
+    """The base CPTs of verify's n models for seed (model i from
+    default_rng((seed, i))), stacked on a leading model axis."""
+    return random_cpt_batch(swig.base, [np.random.default_rng((seed, i)) for i in range(n)])
+
+
+def model_cpts(cpts, m: int):
+    """Model m's base CPTs of a stacked set."""
+    return {name: (parents, table[m]) for name, (parents, table) in cpts.items()}
+
+
+def with_row(cpts, m: int, name: str, row: tuple, law):
+    """A copy of the stacked cpts whose table for name, in model m, has
+    law in the given row of its parents' levels."""
+    parents, table = cpts[name]
+    table = table.copy()
+    table[(m, *row)] = law
+    return {**cpts, name: (parents, table)}
 
 
 def _dev_tables(a, b) -> float:

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swigident import Derivation, save_model, random_model, figure1, figure2, to_swig
-from swigident import engine
-from swigident.cli import main
+from swigident import engine, oracle
+from swigident.cli import build_parser, main
 from swigident.oracle import _plan, model_to_json
 
 from conftest import corrupt_step, mutated_text
@@ -234,6 +234,19 @@ def _backdoor_with_status(status) -> str:
     return json.dumps({**payload, "status": status})
 
 
+def _backdoor_with_consistency(key: str, value) -> str:
+    """The back-door derivation of q[1](Y1 | do D1=d1) on fig1 with one
+    field of its consistency step's justification replaced; once such a
+    file loaded and passed verify."""
+    payload = json.loads((GOLDEN / "backdoor_fig1.json").read_text())
+    [step] = [s for s in payload["steps"] if s["rule"] == "consistency"]
+    step["justification"][key] = value
+    return json.dumps(payload)
+
+
+# Field values that are not strings, by a name for the test id.
+NOT_STRINGS = {"int": 7, "null": None, "float": 1.5, "list": ["Y1"], "dict": {"kind": "ci"}}
+
 MALFORMED_DERIVATIONS = {
     "step_without_ast": '{"steps": [{"rule": "x"}]}',
     "not_json": "not json",
@@ -267,6 +280,11 @@ MALFORMED_DERIVATIONS = {
     "status_number": _backdoor_with_status(7),
     "status_null": _backdoor_with_status(None),
     "status_list": _backdoor_with_status(["identified"]),
+    **{
+        f"consistency_{key}_{name}": _backdoor_with_consistency(key, value)
+        for key in ("target", "intervention", "value")
+        for name, value in NOT_STRINGS.items()
+    },
 }
 # The field an error line must name, where the file gets that far.
 MALFORMED_FIELDS = {
@@ -279,6 +297,13 @@ MALFORMED_FIELDS = {
     "status_number": "status: expected 'identified' or 'not_identified', found 7",
     "status_null": "status: expected 'identified' or 'not_identified', found None",
     "status_list": "status: expected 'identified' or 'not_identified', found ['identified']",
+    **{
+        f"consistency_{key}_{name}": (
+            f"step 4 justification: {key}: expected a string, found {type(value).__name__}"
+        )
+        for key in ("target", "intervention", "value")
+        for name, value in NOT_STRINGS.items()
+    },
 }
 
 
@@ -720,16 +745,19 @@ def test_verify_refuses_more_models_than_its_limit_before_drawing_any(
     fig1_path, tmp_path, capsys, monkeypatch
 ):
     # Every model's CPTs are drawn before the first batch, so --models 10**20
-    # grew memory until the process was killed.  Drawing a CPT fails the
-    # test here, so a tree without the limit fails it at once.  The CLI
-    # prints verify's SwigIdentError.
+    # grew memory until the process was killed.  Drawing a CPT, by the
+    # stacked draw or one model at a time, fails the test here, so a tree
+    # without the limit fails it at once.  The CLI prints verify's
+    # SwigIdentError.
     derivation = _backdoor_derivation(fig1_path, tmp_path)
     capsys.readouterr()
 
     def drawn(*args):
         raise AssertionError("a CPT was drawn")
 
-    monkeypatch.setattr(engine, "random_base_cpts", drawn)
+    monkeypatch.setattr(engine, "random_cpt_batch", drawn)
+    monkeypatch.setattr(oracle, "random_cpt_batch", drawn)
+    monkeypatch.setattr(oracle, "random_base_cpts", drawn)
     for n in (engine.MODEL_LIMIT + 1, 10**20):
         assert main(["verify", fig1_path, derivation, "--models", str(n)]) == 1
         out, err = capsys.readouterr()
@@ -770,8 +798,9 @@ def test_verify_stats_flag_writes_one_json_line(fig1_path, tmp_path, capsys):
     stats = json.loads(line)
     assert set(stats) == {
         "steps", "estimand_seconds", "conditionals", "largest_table", "seconds",
-        "merges_computed", "path_searches", "peak_live_bytes",
+        "draw_seconds", "merges_computed", "path_searches", "peak_live_bytes",
     }
+    assert isinstance(stats["draw_seconds"], float) and stats["draw_seconds"] > 0
     assert stats["conditionals"] > 0 and stats["largest_table"] > 0
     assert stats["merges_computed"] > 0
     assert stats["path_searches"] == _plan.cache_info().misses > 0
@@ -845,6 +874,20 @@ def test_verify_refuses_an_identified_formula_over_a_hidden_variable(
     capsys.readouterr()
     assert main(["verify", fig1_path, bd, "--unobserved", "L"]) == 1
     _one_error_line(capsys, "unobserved variables ['L']")
+
+
+def test_one_parser_serves_every_call_and_no_hidden_list_leaks(fig1_path, tmp_path, capsys):
+    # main reuses one parser for the process, so --unobserved of one call
+    # must not reach the next, either way round.
+    assert build_parser() is build_parser()
+    bd = _backdoor_derivation(fig1_path, tmp_path)
+    capsys.readouterr()
+    for hidden in (True, False, True, False):
+        flags = ["--unobserved", "L"] if hidden else []
+        assert main(["verify", fig1_path, bd, "--models", "2", *flags]) == (1 if hidden else 0)
+        out, err = capsys.readouterr()
+        assert ("unobserved variables ['L']" in err) == hidden
+        assert build_parser().parse_args(["dot", fig1_path]).unobserved == []
 
 
 def test_verify_refuses_a_nested_identified_formula_over_a_hidden_variable(tmp_path, capsys):

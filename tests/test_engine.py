@@ -40,7 +40,7 @@ from swigident.cli import main
 from swigident.engine import VerifyStats, _verify_models
 from swigident.expr import terms
 
-from conftest import corrupt_step, dose_estimand
+from conftest import corrupt_step, dose_estimand, model_cpts, seeded_cpts, with_row
 
 
 def test_strategy_parse():
@@ -469,10 +469,10 @@ def test_verify_frees_each_table_after_its_last_use():
     # conditional and a site's tables after the last check that uses them.
     swig = to_swig(figure2(4))
     d = identify(swig, dose_estimand(swig, ("Y",)), "sequential_frontdoor")
-    cpts_list = [oracle.random_base_cpts(swig.base, np.random.default_rng((0, i))) for i in range(5)]
-    report = _verify_models(d, swig, cpts_list, 0)
+    cpts = seeded_cpts(swig, 5)
+    report = _verify_models(d, swig, cpts, 0)
     assert report.passed
-    [batch] = oracle.model_batches(swig, cpts_list)
+    [batch] = oracle.model_batches(swig, cpts)
     for e in [d.estimand, *(s.output for s in d.steps)]:
         oracle.eval_expr(batch, e)
     built = sum(table.nbytes for table in batch._conditionals.values())
@@ -515,16 +515,9 @@ def _split_deviations(blob, out):
 
 
 def _cpts_with_a_deterministic_row(swig):
-    """Base CPTs of 20 models; model 3 never has M1=1 when D1=0, so steps
-    that condition on that event skip it."""
-    cpts_list = [
-        oracle.random_base_cpts(swig.base, np.random.default_rng((3, i))) for i in range(20)
-    ]
-    parents, table = cpts_list[3]["M1"]
-    table = table.copy()
-    table[0] = [1.0, 0.0]
-    cpts_list[3]["M1"] = (parents, table)
-    return cpts_list
+    """Base CPTs of 20 models, stacked; model 3 never has M1=1 when D1=0, so
+    steps that condition on that event skip it."""
+    return with_row(seeded_cpts(swig, 20, seed=3), 3, "M1", (0,), [1.0, 0.0])
 
 
 def _verify_with_a_skipped_model(d, swig):
@@ -534,10 +527,8 @@ def _verify_with_a_skipped_model(d, swig):
 @pytest.mark.parametrize("strategy", ["sequential_frontdoor", "mediator_intervention"])
 def test_verify_skips_the_models_that_fail_alone(strategy, fig2_n2):
     d = identify(fig2_n2, dose_estimand(fig2_n2, ("Y",)), strategy)
-    models = [
-        oracle.model_from_base_cpts(fig2_n2, cpts)
-        for cpts in _cpts_with_a_deterministic_row(fig2_n2)
-    ]
+    cpts = _cpts_with_a_deterministic_row(fig2_n2)
+    models = [oracle.model_from_base_cpts(fig2_n2, model_cpts(cpts, m)) for m in range(20)]
 
     def fails_alone(model, e):
         try:
@@ -567,8 +558,8 @@ def test_verify_in_chunks_matches_one_batch(strategy, per_batch, run, fig2_n2, m
     whole_devs: list = []
     whole = _split_deviations(report().to_json(), whole_devs)
     monkeypatch.setattr(oracle, "STATE_LIMIT", per_batch * oracle.joint_states(fig2_n2))
-    cpts = oracle.random_base_cpts(fig2_n2.base, np.random.default_rng(0))
-    assert len(list(oracle.model_batches(fig2_n2, [cpts] * 20))) == -(-20 // per_batch)
+    cpts = seeded_cpts(fig2_n2, 20)
+    assert len(list(oracle.model_batches(fig2_n2, cpts))) == -(-20 // per_batch)
     chunked_devs: list = []
     chunked = _split_deviations(report().to_json(), chunked_devs)
     assert chunked == whole

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,7 @@ from swigident import oracle
 from swigident.derivation import _mediators_swig
 from swigident.expr import terms
 from swigident.figures import FIXTURES
-from swigident.graphs import CiQuery
+from swigident.graphs import CiQuery, Graph
 from swigident.oracle import (
     EINSUM_LABELS,
     MATMUL_ENTRIES,
@@ -67,10 +68,11 @@ from swigident.oracle import (
     model_batches,
     model_from_base_cpts,
     random_base_cpts,
+    random_cpt_batch,
     tie_pattern,
 )
 
-from conftest import dose_estimand, mutated_text
+from conftest import dose_estimand, model_cpts, mutated_text, seeded_cpts, with_row
 from test_engine import small_search_cases
 from test_golden import IDENTIFY
 
@@ -363,20 +365,24 @@ def regime_queries(draw, max_levels=3):
     return swig, Regime(active), deps, conds, draw(st.integers(0, 2**16))
 
 
+def _models_with_a_certain_row(swig, seed):
+    """Base CPTs of 3 random models, stacked; model 1 puts all of one row of
+    a CPT on a single level, so some conditioning events have probability
+    zero in it alone."""
+    cpts = seeded_cpts(swig, 3, seed)
+    name = next((v.name for v in swig.base.variables if v.cardinality > 1), None)
+    if name is None:
+        return cpts
+    parents, table = cpts[name]
+    return with_row(cpts, 1, name, (0,) * len(parents), np.eye(table.shape[-1])[-1])
+
+
 @given(regime_queries())
 @settings(max_examples=200, deadline=None)
 def test_ancestral_conditional_matches_the_dense_joint(case):
     swig, regime, deps, conds, seed = case
-    cpts_list = [random_base_cpts(swig.base, np.random.default_rng((seed, i))) for i in range(3)]
-    # model 1 puts all of one row of a CPT on a single level, so some
-    # conditioning events have probability zero in it alone
-    name = next((v.name for v in swig.base.variables if v.cardinality > 1), None)
-    if name is not None:
-        parents, table = cpts_list[1][name]
-        table = table.copy()
-        table[(0,) * len(parents)] = np.eye(table.shape[-1])[-1]
-        cpts_list[1][name] = (parents, table)
-    [batch] = model_batches(swig, cpts_list)
+    cpts = _models_with_a_certain_row(swig, seed)
+    [batch] = model_batches(swig, cpts)
     got = ancestral_conditional(batch, regime, deps, conds)
     want = joint(batch, regime).conditional(deps, conds)
     assert got.shape == want.shape
@@ -642,6 +648,31 @@ def test_read_csv_and_plugin_estimate_answer_every_mutated_csv_or_refuse(fig1, t
     assert np.all((table.values >= 0) & (table.values <= 1))
 
 
+class _Unseekable(io.StringIO):
+    def seekable(self):
+        return False
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\n", "\r"])
+def test_read_csv_allocates_its_rows_once(end):
+    # loadtxt grew its array by reallocation when not told how many rows to
+    # expect: at 70,001 rows its traced peak was 16% over the array's
+    # bytes, and a grown array's freed blocks could stay resident.  A
+    # stream that cannot seek is read without the count, to the same rows.
+    data = np.arange(70_001 * 2).reshape(-1, 2) % 7
+    text = "A,B" + end + "".join(f"{a},{b}{end}" for a, b in data.tolist())
+    fh = io.StringIO(text, newline="")
+    tracemalloc.start()
+    try:
+        read = Dataset.read_csv(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(read.data, data)
+    assert peak <= read.data.nbytes + 64 * 1024
+    assert np.array_equal(Dataset.read_csv(_Unseekable(text, newline="")).data, data)
+
+
 def test_read_csv_of_a_header_alone_has_no_rows():
     read = Dataset.read_csv(io.StringIO("A,B\r\n", newline=""))
     assert read.columns == ("A", "B") and read.data.shape == (0, 2) and len(read) == 0
@@ -776,14 +807,12 @@ def test_consistency_spot_check(fig1):
 
 
 def _models_with_a_deterministic_row(swig, n=7, seed=21):
-    """Base CPTs of n random models; in model 3, M1 is never 1 when its
-    parents are all 0, so terms conditioning on that event skip model 3."""
-    cpts_list = [random_base_cpts(swig.base, np.random.default_rng((seed, i))) for i in range(n)]
-    parents, table = cpts_list[3]["M1"]
-    table = table.copy()
-    table[(0,) * len(parents)] = [1.0, 0.0]
-    cpts_list[3]["M1"] = (parents, table)
-    return cpts_list
+    """Base CPTs of n random models, stacked; in model 3, M1 is never 1 when
+    its parents are all 0, so terms conditioning on that event skip model
+    3."""
+    cpts = seeded_cpts(swig, n, seed)
+    parents, _ = cpts["M1"]
+    return with_row(cpts, 3, "M1", (0,) * len(parents), [1.0, 0.0])
 
 
 def _level(ref, name, assignment):
@@ -799,9 +828,9 @@ def _level(ref, name, assignment):
 def test_batched_evaluation_matches_single_models(n, strategy):
     swig = to_swig(figure2(n))
     d = identify(swig, dose_estimand(swig, ("Y",)), strategy)
-    cpts_list = _models_with_a_deterministic_row(swig)
-    [batch] = model_batches(swig, cpts_list)
-    singles = [model_from_base_cpts(swig, cpts) for cpts in cpts_list]
+    cpts = _models_with_a_deterministic_row(swig)
+    [batch] = model_batches(swig, cpts)
+    singles = [model_from_base_cpts(swig, model_cpts(cpts, m)) for m in range(7)]
     exprs = [d.estimand, *(step.output for step in d.steps)]
 
     masks = []
@@ -859,9 +888,9 @@ def _chains(swig, d):
     return out + [(swig, [d.estimand, *(s.output for s in d.steps)])]
 
 
-def _fresh(swig, cpts_list, e):
+def _fresh(swig, cpts, e):
     """e on a batch with empty caches."""
-    [batch] = model_batches(swig, cpts_list)
+    [batch] = model_batches(swig, cpts)
     return eval_expr(batch, e)
 
 
@@ -878,11 +907,11 @@ def _assert_incremental_matches_fresh(swig, d):
     second one first releases all memoised conditionals and the values of
     the expressions before it, which are then built again."""
     if "M1" in swig.names:
-        cpts_list = _models_with_a_deterministic_row(swig, n=5)
+        cpts = _models_with_a_deterministic_row(swig, n=5)
     else:
-        cpts_list = [random_base_cpts(swig.base, np.random.default_rng((21, i))) for i in range(5)]
+        cpts = seeded_cpts(swig, 5, seed=21)
     for chain_swig, exprs in _chains(swig, d):
-        [batch] = model_batches(chain_swig, cpts_list)
+        [batch] = model_batches(chain_swig, cpts)
         for i, e in enumerate(exprs):
             if i % 2:
                 for prior in exprs[:i]:
@@ -891,7 +920,7 @@ def _assert_incremental_matches_fresh(swig, d):
                     batch._conditionals.pop(key)
                 assert not batch._conditionals
             got = eval_expr(batch, e)
-            want = _fresh(chain_swig, cpts_list, e)
+            want = _fresh(chain_swig, cpts, e)
             assert got.labels == want.labels
             _assert_same_table(got, want)
 
@@ -904,8 +933,8 @@ def test_compare_leaves_no_memoised_table_in_any_batch(bundled_derivations, monk
     batches = []
     cut = oracle.model_batches
 
-    def recorded(swig, cpts_list):
-        for batch in cut(swig, cpts_list):
+    def recorded(swig, cpts):
+        for batch in cut(swig, cpts):
             batches.append(batch)
             yield batch
 
@@ -966,12 +995,12 @@ def test_a_tied_conditional_is_the_diagonal_of_the_dense_one(n, strategy):
     # (model 3 has a zero CPT entry).
     swig = to_swig(figure2(n))
     d = identify(swig, dose_estimand(swig, ("Y",)), strategy)
-    cpts_list = _models_with_a_deterministic_row(swig, n=5)
+    cpts = _models_with_a_deterministic_row(swig, n=5)
     tied = _tied_terms(swig, d)
     assert tied
     nan_seen = False
     for chain_swig, t in tied:
-        [batch] = model_batches(chain_swig, cpts_list)
+        [batch] = model_batches(chain_swig, cpts)
         deps, conds, ties = t.dep_names(), t.cond_names(), tie_pattern(t)
         got = ancestral_conditional(batch, t.regime, deps, conds, ties)
         dense = joint(batch, t.regime).conditional(deps, conds)
@@ -1021,16 +1050,7 @@ def tied_terms(draw):
 @settings(max_examples=150, deadline=None)
 def test_a_term_with_tied_conditioners_matches_the_dense_joint_cell_by_cell(case):
     swig, t, seed = case
-    cpts_list = [random_base_cpts(swig.base, np.random.default_rng((seed, i))) for i in range(3)]
-    # model 1 puts all of one row of a CPT on one level, so some conditioning
-    # events have probability zero in it alone
-    name = next((v.name for v in swig.base.variables if v.cardinality > 1), None)
-    if name is not None:
-        parents, table = cpts_list[1][name]
-        table = table.copy()
-        table[(0,) * len(parents)] = np.eye(table.shape[-1])[-1]
-        cpts_list[1][name] = (parents, table)
-    [batch] = model_batches(swig, cpts_list)
+    [batch] = model_batches(swig, _models_with_a_certain_row(swig, seed))
     got = eval_expr(batch, t)
     dense = joint(batch, t.regime).conditional(t.dep_names(), t.cond_names())
     sizes = {}
@@ -1123,12 +1143,12 @@ def _order_case(strategy):
     table from a fresh batch."""
     swig = to_swig(figure2(2))
     d = identify(swig, dose_estimand(swig, ("Y",)), strategy)
-    cpts_list = _models_with_a_deterministic_row(swig, n=5)
+    cpts = _models_with_a_deterministic_row(swig, n=5)
     chains = [
-        (chain_swig, exprs, [_fresh(chain_swig, cpts_list, e) for e in exprs])
+        (chain_swig, exprs, [_fresh(chain_swig, cpts, e) for e in exprs])
         for chain_swig, exprs in _chains(swig, d)
     ]
-    return cpts_list, chains
+    return cpts, chains
 
 
 def _reordered(e, draw):
@@ -1149,11 +1169,50 @@ def _reordered(e, draw):
 def test_evaluation_order_and_factor_order_do_not_change_tables(strategy, data):
     # A partial product keyed by factor position, or by what the expression
     # before held, would give some expression another one's table here.
-    cpts_list, chains = _order_case(strategy)
+    cpts, chains = _order_case(strategy)
     for chain_swig, exprs, fresh in chains:
-        [batch] = model_batches(chain_swig, cpts_list)
+        [batch] = model_batches(chain_swig, cpts)
         for i in data.draw(st.permutations(range(len(exprs)))):
             _assert_same_table(eval_expr(batch, _reordered(exprs[i], data.draw)), fresh[i])
+
+
+@st.composite
+def draw_dags(draw):
+    """A base DAG of 2-7 variables of 1-9 levels, one of them of 8 or 9,
+    declared in a random order of their names (so sorted parents differ
+    from declaration order), each with at most two earlier parents."""
+    levels = [draw(st.integers(1, 9)) for _ in range(draw(st.integers(1, 6)))]
+    levels = draw(st.permutations([*levels, draw(st.integers(8, 9))]))
+    names = draw(st.permutations("ABCDEFG"))[: len(levels)]
+    edges = set()
+    for j in range(1, len(names)):
+        for i in draw(st.lists(st.integers(0, j - 1), max_size=2, unique=True)):
+            edges.add((names[i], names[j]))
+    variables = [Variable(n, time=t, cardinality=k) for t, (n, k) in enumerate(zip(names, levels))]
+    return BaseDag(variables, edges)
+
+
+@given(draw_dags(), st.integers(0, 2**32), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_the_stacked_draw_is_each_models_dirichlet_draw_bit_for_bit(base, seed, n):
+    # verify's models are drawn as one stacked batch; model i must be what
+    # default_rng((seed, i)).dirichlet gives variable by variable, so that
+    # reports and goldens keep their numbers.  A numpy release that changes
+    # dirichlet's stream fails this test.
+    cpts = random_cpt_batch(base, [np.random.default_rng((seed, i)) for i in range(n)])
+    graph = Graph(base.names, base.edges)
+    assert list(cpts) == list(base.names)
+    for i in range(n):
+        rng = np.random.default_rng((seed, i))
+        alone = random_base_cpts(base, np.random.default_rng((seed, i)))
+        for v in base.variables:
+            parents = tuple(sorted(graph.parents(v.name)))
+            shape = tuple(base.var(p).cardinality for p in parents)
+            k = v.cardinality
+            want = rng.dirichlet([1.0] * k, size=shape) if k > 1 else np.ones(shape + (1,))
+            assert cpts[v.name][0] == alone[v.name][0] == parents
+            for got in (cpts[v.name][1][i], alone[v.name][1]):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), v.name
 
 
 def test_cpt_rows_must_sum_to_one_within_1e_12_absolute(fig1):
@@ -1179,14 +1238,14 @@ def test_cpt_rows_must_sum_to_one_within_1e_12_absolute(fig1):
 def test_a_factor_repeated_in_a_product_counts_twice(fig1):
     # The partial products of the first expression must not stand in for
     # those of the second, which holds q0(L=l) twice.
-    cpts = random_base_cpts(fig1.base, np.random.default_rng(8))
+    cpts = random_cpt_batch(fig1.base, [np.random.default_rng(8)])
     once = parse_expr("sum{l} q0(Y1 | L=l) * q0(L=l)")
     twice = parse_expr("sum{l} q0(Y1 | L=l) * q0(L=l) * q0(L=l)")
-    [batch] = model_batches(fig1, [cpts])
+    [batch] = model_batches(fig1, cpts)
     eval_expr(batch, once)
     got = eval_expr(batch, twice)
-    _assert_same_table(got, _fresh(fig1, [cpts], twice))
-    y_given_l = _fresh(fig1, [cpts], parse_expr("q0(Y1 | L=l)")).aligned(("Y1", "l"))
-    p_l = _fresh(fig1, [cpts], parse_expr("q0(L=l)")).aligned(("Y1", "l"))
+    _assert_same_table(got, _fresh(fig1, cpts, twice))
+    y_given_l = _fresh(fig1, cpts, parse_expr("q0(Y1 | L=l)")).aligned(("Y1", "l"))
+    p_l = _fresh(fig1, cpts, parse_expr("q0(L=l)")).aligned(("Y1", "l"))
     want = (y_given_l * p_l**2).sum(axis=-1)
     np.testing.assert_allclose(got.aligned(("Y1",)), want, rtol=0, atol=1e-12)

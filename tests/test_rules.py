@@ -32,8 +32,9 @@ from swigident import (
     to_text,
 )
 from swigident.expr import all_symbols, site, subexpr_at, terms
-from swigident.oracle import model_batches, random_base_cpts
+from swigident.oracle import model_batches
 
+from conftest import seeded_cpts
 from test_engine import small_search_cases
 
 Q1 = Regime.prefix(1)
@@ -321,7 +322,7 @@ def test_every_accepted_rule_application_is_sound_at_its_site(case, data):
     more = tuple((n, data.draw(st.sampled_from(values(n)))) for n in extra)
     starts.append(Term(estimand.regime, estimand.dependents, estimand.conditioners + more))
     e = data.draw(st.sampled_from(starts))
-    cpts = [random_base_cpts(swig.base, np.random.default_rng((11, i))) for i in range(6)]
+    cpts = seeded_cpts(swig, 6, seed=11)
     for _ in range(6):
         rule, path, args = _rule_application(data, swig, e)
         try:

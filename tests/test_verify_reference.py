@@ -25,11 +25,11 @@ from swigident import oracle
 from swigident.derivation import NOT_IDENTIFIED, _mediators_swig
 from swigident.engine import TOL, _verify_models
 
-from conftest import corrupt_step, dose_estimand
+from conftest import corrupt_step, dose_estimand, seeded_cpts
 from test_engine import _cpts_with_a_deterministic_row
 
 
-def reference_verify(d, swig, cpts_list) -> dict:
+def reference_verify(d, swig, cpts) -> dict:
     """The whole-expression audit of d: per step its deviation, models used,
     verdict and nested audits, then the final check's, as dicts."""
     nested = {}
@@ -37,9 +37,9 @@ def reference_verify(d, swig, cpts_list) -> dict:
         if step.rule == "mediator_composition":
             just = step.justification
             nested[k] = [
-                reference_verify(just.mediator_law, swig, cpts_list),
+                reference_verify(just.mediator_law, swig, cpts),
                 reference_verify(
-                    just.outcome, _mediators_swig(swig, just.mediator_targets), cpts_list
+                    just.outcome, _mediators_swig(swig, just.mediator_targets), cpts
                 ),
             ]
     exprs = [d.estimand, *(s.output for s in d.steps)]
@@ -48,7 +48,7 @@ def reference_verify(d, swig, cpts_list) -> dict:
         pairs.append((len(exprs) - 1, 0))
     dev = [0.0] * len(pairs)
     used = [0] * len(pairs)
-    for batch in oracle.model_batches(swig, cpts_list):
+    for batch in oracle.model_batches(swig, cpts):
         tables = [oracle.eval_expr(batch, e) for e in exprs]
         for k, (i, j) in enumerate(pairs):
             a, b = tables[i], tables[j]
@@ -92,26 +92,22 @@ def assert_matches_reference(report, ref, valid: bool) -> None:
         assert report.final_deviation <= 1e-9 and ref["final"] <= 1e-9
 
 
-def _random_cpts(swig, n, seed=0):
-    return [oracle.random_base_cpts(swig.base, np.random.default_rng((seed, i))) for i in range(n)]
-
-
-def _check(d, swig, cpts_list, valid=True):
-    report = _verify_models(d, swig, cpts_list, 0)
-    assert_matches_reference(report, reference_verify(d, swig, cpts_list), valid)
+def _check(d, swig, cpts, valid=True):
+    report = _verify_models(d, swig, cpts, 0)
+    assert_matches_reference(report, reference_verify(d, swig, cpts), valid)
     return report
 
 
 def test_bundled_derivations_match_the_reference(bundled_derivations):
     for name, swig, d in bundled_derivations:
-        assert _check(d, swig, _random_cpts(swig, 10)).passed, name
+        assert _check(d, swig, seeded_cpts(swig, 10)).passed, name
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sequential_frontdoor_matches_the_reference(n):
     swig = to_swig(figure2(n))
     d = identify(swig, dose_estimand(swig, ("Y",)), "sequential_frontdoor")
-    assert _check(d, swig, _random_cpts(swig, 5, seed=n)).passed
+    assert _check(d, swig, seeded_cpts(swig, 5, seed=n)).passed
 
 
 @pytest.mark.parametrize("strategy", ["sequential_frontdoor", "mediator_intervention"])
@@ -140,7 +136,7 @@ def test_skips_that_end_match_the_reference(fig2_n2):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_corrupted_steps_fail_as_in_the_reference(k, fig1, fig1_estimand):
     d = identify(fig1, fig1_estimand, "backdoor:L")
-    report = _check(corrupt_step(d, fig1, k), fig1, _random_cpts(fig1, 10), valid=False)
+    report = _check(corrupt_step(d, fig1, k), fig1, seeded_cpts(fig1, 10), valid=False)
     assert not report.passed and not report.steps[k].passed
 
 
@@ -150,8 +146,8 @@ def test_a_refusal_with_no_steps_matches_the_reference():
     swig = to_swig(ablated_figure1())
     d = identify(swig, dose_estimand(swig, ("Y1",)), "top_down")
     assert not d.identified and not d.steps
-    cpts_list = _random_cpts(swig, 3)
-    ref = reference_verify(d, swig, cpts_list)
+    cpts = seeded_cpts(swig, 3)
+    ref = reference_verify(d, swig, cpts)
     assert ref["steps"] == [] and ref["final"] is None
     with pytest.raises(SwigIdentError, match="nothing to verify"):
-        _verify_models(d, swig, cpts_list, 0)
+        _verify_models(d, swig, cpts, 0)
