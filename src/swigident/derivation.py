@@ -5,12 +5,17 @@ expression.  is_identified is the one rule for an identified formula.
 This module alone writes and reads derivation files: a step is stored as
 its rule, its output's text and its justification, whose kind comes from
 one table and whose fields follow by name; a CI query, as its regime's
-indices and its three sides.
+indices and its three sides.  Each justification field is written and read
+by its declared type, through one codec per type: int, str,
+tuple[str, ...], name pairs, name groups, CiQuery, tuple[CiQuery, ...] and
+a nested Derivation.  A step's rule passes the same scalar check as a str
+field.  The format is unchanged: earlier versions wrote the same bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 from .dsl import parse_expr
 from .errors import ExprError, RuleRefusedError, SwigIdentError, malformed, parse_field
@@ -37,8 +42,8 @@ class CompositionJustification:
 
     mediator_targets: tuple[str, ...]
     binders: tuple[str, ...]
-    mediator_law: "Derivation"
-    outcome: "Derivation"
+    mediator_law: Derivation
+    outcome: Derivation
 
     def __str__(self) -> str:
         meds = ", ".join(self.mediator_targets)
@@ -111,12 +116,7 @@ class Derivation:
             steps: list[DerivationStep] = []
             prev: ProbExpr = estimand
             for i, s in enumerate(obj["steps"], start=1):
-                rule = s["rule"]
-                if not isinstance(rule, str):
-                    raise SwigIdentError(
-                        f"malformed derivation: {where}step {i} rule: "
-                        f"expected a rule name, found {type(rule).__name__}"
-                    )
+                rule = _checked(s["rule"], str, "a rule name", f"{where}step {i} rule")
                 output = _stored_expr(s["output"], f"{where}step {i} output", terms)
                 justification = _justification_from_json(
                     s.get("justification"), f"{where}step {i} ", terms
@@ -156,13 +156,62 @@ def query_to_json(query: CiQuery) -> dict:
     return {"regime": sorted(query.regime.active), **{k: sorted(getattr(query, k)) for k in "xyz"}}
 
 
-def query_from_json(obj: dict, field: str) -> CiQuery:
+def query_from_json(obj, field: str) -> CiQuery:
     """The CI query query_to_json wrote, in the derivation file's named field."""
-    return CiQuery(
-        Regime(frozenset(_integer(i, f"{field}: regime") for i in obj["regime"])),
-        *(_names(obj[k], f"{field}: {k}") for k in "xyz"),
-    )
+    obj = _checked(obj, dict, "an object", field)
+    regime = _each(obj["regime"], f"{field}: regime", _CODECS[int][1])
+    return CiQuery(Regime(frozenset(regime)), *(_names(obj[k], f"{field}: {k}") for k in "xyz"))
 
+
+def _checked(value, kind: type, what: str, field: str):
+    """value if its JSON type is kind (a bool is no integer); else the error names field."""
+    if type(value) is not kind:
+        raise SwigIdentError(
+            f"malformed derivation: {field}: expected {what}, found {type(value).__name__}"
+        )
+    return value
+
+
+def _names(value, field: str) -> tuple[str, ...]:
+    """A field that lists names; a string is not read as its characters."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SwigIdentError(f"malformed derivation: {field}: expected a list of names")
+    return tuple(value)
+
+
+def _each(value, field: str, read) -> tuple:
+    """A field that lists values, each read by read(value, field)."""
+    return tuple([read(v, field) for v in _checked(value, list, "a list", field)])
+
+
+def _pair(value, field: str) -> tuple[str, str]:
+    """A field that holds two names."""
+    if len(pair := _names(value, field)) != 2:
+        raise SwigIdentError(f"malformed derivation: {field}: expected a pair of names")
+    return pair
+
+
+def _tuple_of(write, read) -> tuple:
+    """The codec of a tuple stored as a list, whose items write and read code."""
+    return lambda v: [write(x) for x in v], lambda v, at, *_: _each(v, at, read)
+
+
+# Each type a justification field is declared with: its writer, to JSON, and
+# its reader, of the JSON value, the field's name in errors, and the error
+# prefix and term memo that a nested derivation is read with.
+_CODECS = {
+    int: (lambda v: v, lambda v, at, *_: _checked(v, int, "an integer", at)),
+    str: (lambda v: v, lambda v, at, *_: _checked(v, str, "a string", at)),
+    tuple[str, ...]: (list, lambda v, at, *_: _names(v, at)),
+    tuple[tuple[str, str], ...]: _tuple_of(list, _pair),
+    tuple[tuple[str, ...], ...]: _tuple_of(list, _names),
+    CiQuery: (query_to_json, lambda v, at, *_: query_from_json(v, at)),
+    tuple[CiQuery, ...]: _tuple_of(query_to_json, query_from_json),
+    Derivation: (
+        Derivation.to_json,
+        lambda v, at, *nested: Derivation.from_json(_checked(v, dict, "an object", at), *nested),
+    ),
+}
 
 # The kind a derivation file names each justification class by.
 _KINDS = {
@@ -174,86 +223,33 @@ _KINDS = {
     SplitJustification: "product",
     CompositionJustification: "composition",
 }
+_CLASSES = {kind: cls for cls, kind in _KINDS.items()}
+
+# Each justification class's fields, in order: name, writer and reader.
+_FIELDS = {c: [(f.name, *_CODECS[get_type_hints(c)[f.name]]) for f in fields(c)] for c in _KINDS}
 
 
 def _justification_to_json(justification) -> dict | None:
-    """The justification's kind, then its fields by name, in order (the
-    instance dict of a justification dataclass holds exactly its fields)."""
+    """The justification's kind, then each field by name, in order."""
     if justification is None:
         return None
-    kind = _KINDS.get(type(justification))
-    if kind is None:
-        raise TypeError(f"derivation files have no kind for {type(justification).__name__}")
-    return {"kind": kind, **{k: _field_json(v) for k, v in vars(justification).items()}}
-
-
-def _field_json(value):
-    """A justification field: a query or a nested derivation by its own
-    codec, a tuple as a list."""
-    if isinstance(value, tuple):
-        return [_field_json(v) for v in value]
-    if isinstance(value, CiQuery):
-        return query_to_json(value)
-    return value.to_json() if isinstance(value, Derivation) else value
+    cls = type(justification)
+    if cls not in _KINDS:
+        raise TypeError(f"derivation files have no kind for {cls.__name__}")
+    return {"kind": _KINDS[cls], **{k: w(getattr(justification, k)) for k, w, _ in _FIELDS[cls]}}
 
 
 def _justification_from_json(obj, where: str, terms: dict[str, Term]):
+    """The justification _justification_to_json wrote: its class by its
+    kind, then each field by its declared type."""
     if obj is None:
         return None
+    kind = _checked(obj, dict, "an object", f"{where}justification").get("kind")
+    cls = _CLASSES.get(kind) if isinstance(kind, str) else None  # a list is unhashable
+    if cls is None:
+        raise ExprError(f"unknown justification kind {kind!r}")
     at = f"{where}justification: "
-    kind = obj.get("kind")
-    if kind == "ci":
-        return CiJustification(query_from_json(obj["query"], f"{at}query"))
-    if kind == "consistency":
-        t = _integer(obj["t"], f"{at}t")
-        names = (_string(obj[k], f"{at}{k}") for k in ("target", "intervention", "value"))
-        return ConsistencyJustification(t, *names)
-    if kind == "drop_later":
-        checks = tuple(query_from_json(q, f"{at}checks") for q in obj["checks"])
-        return DropLaterJustification(_integer(obj["t"], f"{at}t"), checks)
-    if kind == "redundancy":
-        pairs = (_names(p, f"{at}pairs") for p in obj["pairs"])
-        return RedundancyJustification(tuple((t, o) for t, o in pairs))
-    if kind == "introduce":
-        pairs = (_names(p, f"{at}introduced") for p in obj["introduced"])
-        return IntroduceJustification(tuple((v, s) for v, s in pairs))
-    if kind == "product":
-        return SplitJustification(tuple(_names(g, f"{at}split") for g in obj["split"]))
-    if kind == "composition":
-        return CompositionJustification(
-            mediator_targets=_names(obj["mediator_targets"], f"{at}mediator_targets"),
-            binders=_names(obj["binders"], f"{at}binders"),
-            mediator_law=Derivation.from_json(
-                obj["mediator_law"], f"{where}mediator_law: ", terms
-            ),
-            outcome=Derivation.from_json(obj["outcome"], f"{where}outcome: ", terms),
-        )
-    raise ExprError(f"unknown justification kind {kind!r}")
-
-
-def _names(value, field: str) -> tuple[str, ...]:
-    """A field that lists names; a string is not read as its characters."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise SwigIdentError(f"malformed derivation: {field}: expected a list of names")
-    return tuple(value)
-
-
-def _string(value, field: str) -> str:
-    """A field that holds a string."""
-    if not isinstance(value, str):
-        raise SwigIdentError(
-            f"malformed derivation: {field}: expected a string, found {type(value).__name__}"
-        )
-    return value
-
-
-def _integer(value, field: str) -> int:
-    """A field that holds an integer, and not a float or a bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SwigIdentError(
-            f"malformed derivation: {field}: expected an integer, found {type(value).__name__}"
-        )
-    return value
+    return cls(*[read(obj[k], at + k, f"{where}{k}: ", terms) for k, _, read in _FIELDS[cls]])
 
 
 def is_identified(expr: ProbExpr, swig: Swig | None = None) -> bool:

@@ -931,10 +931,11 @@ class Dataset:
     @classmethod
     def read_csv(cls, fh) -> "Dataset":
         """Read what write_csv writes: a header of names, then rows of
-        integers (none, for a header alone)."""
+        integers (none, for a header alone).  The header's read decodes the
+        first buffered piece of the file, so it refuses a bad byte there."""
         try:
             header = next(csv.reader([fh.readline()]))
-        except csv.Error as e:
+        except (csv.Error, ValueError) as e:
             raise SwigIdentError(f"malformed CSV: {e}") from None
         if not header:
             raise SwigIdentError("malformed CSV: no column names on the first line")

@@ -373,8 +373,26 @@ INTEGER = "expected an integer, found"
 
 
 def _field(step, *keys):
-    """The path of a field of a step's justification."""
-    return ("steps", step, "justification", *keys)
+    """The path of a field of a step's justification in the back-door golden."""
+    return ("backdoor_fig1", "steps", step, "justification", *keys)
+
+
+# A JSON value of each type.
+JSON_VALUES = (7, 1.5, True, None, "Y1", ["Y1"], {"kind": "ci"})
+
+
+def _fields_of_another_type():
+    """Each justification field of each step of the back-door and the
+    composition goldens, set to each JSON value of another type than the
+    stored one, with the field the error must name."""
+    for golden in ("backdoor_fig1", "compose_fig2_n2"):
+        payload = json.loads((GOLDEN / f"{golden}.json").read_text())
+        for k, step in enumerate(payload["steps"]):
+            for key, stored in step["justification"].items():
+                for value in JSON_VALUES:
+                    if key != "kind" and type(value) is not type(stored):
+                        path = (golden, "steps", k, "justification", key)
+                        yield path, value, f"step {k + 1} justification: {key}: "
 
 
 @pytest.mark.parametrize(
@@ -390,20 +408,29 @@ def _field(step, *keys):
         (_field(4, "pairs"), ["D1"], f"step 5 justification: pairs: {NAMES}"),
         (_field(5, "t"), 0.0, f"step 6 justification: t: {INTEGER} float"),
         (_field(5, "checks", 0, "y"), "Do1", f"checks: y: {NAMES}"),
-        (("blocking",), {"regime": [1], "x": "L", "y": ["Do1"], "z": []}, f"blocking: x: {NAMES}"),
+        (
+            ("backdoor_fig1", "blocking"),
+            {"regime": [1], "x": "L", "y": ["Do1"], "z": []},
+            f"blocking: x: {NAMES}",
+        ),
+        (_field(4, "pairs"), [["D1", "Do1", "L"]], "step 5 justification: pairs: expected a pair"),
+        (_field(0, "introduced"), [["L"]], "step 1 justification: introduced: expected a pair"),
+        *_fields_of_another_type(),
     ],
 )
 def test_verify_reads_each_justification_field_with_its_type(path, value, found, tmp_path, capsys):
     # Each was read: a string as the list of its characters (split
     # ["Y1", "L"] as "chain rule over Y, 1 ; L"), a float truncated (t 1.9
-    # as 1), a bool as 0 or 1.
-    payload = json.loads((GOLDEN / "backdoor_fig1.json").read_text())
-    *parents, last = path
+    # as 1), a bool as 0 or 1.  A field that holds a JSON value of another
+    # type than its own, a nested derivation's included, or a pair of one or
+    # three names, is refused by name.
+    golden, *parents, last = path
+    payload = json.loads((GOLDEN / f"{golden}.json").read_text())
     functools.reduce(lambda blob, key: blob[key], parents, payload)[last] = value
     mutant = tmp_path / "mutant.json"
     mutant.write_text(json.dumps(payload))
-    graph = str(GOLDEN / "fixture_fig1.swig")
-    assert main(["verify", graph, str(mutant), "--models", "2"]) == 1
+    graph = {"backdoor_fig1": "fixture_fig1.swig", "compose_fig2_n2": "fixture_fig2_n2.swig"}
+    assert main(["verify", str(GOLDEN / graph[golden]), str(mutant), "--models", "2"]) == 1
     _one_error_line(capsys, "error: malformed derivation: ", found)
 
 
@@ -765,22 +792,40 @@ def test_verify_refuses_more_models_than_its_limit_before_drawing_any(
         assert err == f"error: verify takes at most {engine.MODEL_LIMIT} models, got {n}\n"
 
 
-def test_verify_of_a_term_tying_symbols_of_different_cardinality_exits_1(tmp_path, capsys):
-    # L has 3 levels and D1 2, so q0(Y1 | L=a, D1=a) cannot be evaluated.
+def _verify_on_fig1_with_three_levels_of_l(tmp_path, capsys, derivation: dict) -> str:
+    """verify's stderr for the derivation on fig1 with L at 3 levels, D1 at
+    2; it must exit 1 with no stdout."""
     graph = tmp_path / "fig1_l3.swig"
     main(["fixture", "fig1", "--out", str(graph)])
-    text = graph.read_text()
-    graph.write_text(text.replace("role=covariate;", "role=covariate levels=3;"))
-    tied = "q0(Y1 | L=a, D1=a)"
-    derivation = tmp_path / "tied.json"
-    derivation.write_text(json.dumps(
-        {"blocking": None, "estimand": tied, "final": tied, "status": "identified", "steps": []}
-    ))
+    graph.write_text(graph.read_text().replace("role=covariate;", "role=covariate levels=3;"))
+    path = tmp_path / "tied.json"
+    path.write_text(json.dumps(derivation))
     capsys.readouterr()
-    assert main(["verify", str(graph), str(derivation), "--models", "3"]) == 1
+    assert main(["verify", str(graph), str(path), "--models", "3"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
+    return err
+
+
+def test_verify_of_a_term_tying_symbols_of_different_cardinality_exits_1(tmp_path, capsys):
+    # L has 3 levels and D1 2, so q0(Y1 | L=a, D1=a) cannot be evaluated.
+    tied = "q0(Y1 | L=a, D1=a)"
+    derivation = {
+        "blocking": None, "estimand": tied, "final": tied, "status": "identified", "steps": [],
+    }
+    err = _verify_on_fig1_with_three_levels_of_l(tmp_path, capsys, derivation)
     assert err == "error: symbol 'a' used for variables of different cardinality\n"
+
+
+def test_verify_of_a_product_tying_symbols_of_different_cardinality_exits_1(tmp_path, capsys):
+    # Each factor alone is sound; the product ties L's 3 levels to D1's 2.
+    tied = "q0(L=a) * q0(D1=a)"
+    derivation = {
+        "blocking": None, "estimand": "q0(L, D1)", "final": tied, "status": "not_identified",
+        "steps": [{"rule": "product", "output": tied, "justification": None}],
+    }
+    err = _verify_on_fig1_with_three_levels_of_l(tmp_path, capsys, derivation)
+    assert err == "error: axis 'a' has inconsistent sizes 3 and 2\n"
 
 
 def test_verify_stats_flag_writes_one_json_line(fig1_path, tmp_path, capsys):

@@ -139,6 +139,19 @@ def test_query_returns_cpt_on_chain():
         assert np.allclose(query(model, Q0, ("B",), {"A": a}), table[a], atol=1e-12)
 
 
+def test_a_symbol_tying_factors_of_different_cardinality_is_refused():
+    # Each factor alone is sound; only the product ties A's 2 levels to B's 3.
+    base = BaseDag(
+        variables=(Variable("A", 0, Role.OTHER, True, 2), Variable("B", 1, Role.OTHER, True, 3)),
+        edges=frozenset({("A", "B")}),
+        targets=(),
+        name="chain",
+    )
+    model = random_model(to_swig(base), seed=4)
+    with pytest.raises(ExprError, match="^axis 'a' has inconsistent sizes 2 and 3$"):
+        eval_expr(model, parse_expr("q0(A=a) * q0(B=a)"))
+
+
 def test_query_zero_probability_event(fig1):
     model = random_model(fig1, seed=5)
     with pytest.raises(ZeroProbabilityError):
@@ -629,6 +642,18 @@ def test_read_csv_refuses_a_bare_carriage_return_in_the_header():
     # universal newlines.
     with pytest.raises(SwigIdentError, match="^malformed CSV: new-line character seen"):
         Dataset.read_csv(io.StringIO("L,D1\r0,1\r\n"))
+
+
+@pytest.mark.parametrize("offset", [7, 9_000])
+def test_read_csv_refuses_a_byte_that_is_not_utf8_wherever_it_is(offset, tmp_path):
+    # Reading the header decodes the first 8 KiB of the file: a bad byte
+    # there once escaped as UnicodeDecodeError, one past it was refused.
+    body = b"A,B\r\n" + b"".join(b"%d,%d\r\n" % (i % 2, i % 3) for i in range(4_000))
+    path = tmp_path / "bad.csv"
+    path.write_bytes(body[:offset] + b"\xff" + body[offset + 1 :])
+    with open(path, encoding="utf-8", newline="") as fh:
+        with pytest.raises(SwigIdentError, match="^malformed CSV.*can't decode byte 0xff"):
+            Dataset.read_csv(fh)
 
 
 FIG1_ROWS = "".join((GOLDEN / "simulate_fig1_r0.csv").read_text().splitlines(True)[:12])

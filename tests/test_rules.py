@@ -1,6 +1,8 @@
 """The six rewrite rules: licensed transformations and refused side
 conditions, each checked against the exact oracle."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from swigident import (
     BaseDag,
     CiQuery,
+    Derivation,
     ExprError,
     Lit,
     Regime,
@@ -185,6 +188,22 @@ def test_drop_later_refusals(fig1, fig2_n2):
     assert isinstance(exc.value.blocking, CiQuery)
 
 
+def test_drop_later_with_nothing_to_check_is_written_and_read_back(fig1):
+    # L precedes the dose, so no intervention after 0 reaches q1(L): the
+    # step stores no checks, and an empty list must read back as a tuple.
+    estimand = parse_expr("q1(L)")
+    step = rule_drop_later(fig1, estimand, (), 0)
+    assert to_text(step.output) == "q0(L)" and step.justification.checks == ()
+    assert str(step.justification) == "interventions after 0 do not reach the term"
+    d = Derivation(estimand, (step,), step.output, "identified")
+    stored = json.loads(json.dumps(d.to_json()))
+    assert stored["steps"][0]["justification"] == {"kind": "drop_later", "t": 0, "checks": []}
+    clone = Derivation.from_json(stored)
+    assert clone == d and clone.steps[0].justification.checks == ()
+    assert "1. drop_later: q0(L)  [interventions after 0 do not reach the term]" in clone.trace()
+    _preserves(fig1, step)
+
+
 def test_drop_later_refusal_is_real(fig2_n2):
     """The gated truncation would change the number: Y depends on Do2."""
     model = random_model(fig2_n2, seed=1)
@@ -223,6 +242,9 @@ def test_redundancy_refusals(fig1):
     # renaming a distribution-valued Do1 would rename the table's axis
     with pytest.raises(RuleRefusedError, match="axis 'Do1'"):
         rule_redundancy(fig1, parse_expr("q0(Y1 | Do1)"), ())
+    # with both bare there is no value to equate the copy to
+    with pytest.raises(RuleRefusedError, match="^'D1' and 'Do1' are both distribution-valued"):
+        rule_redundancy(fig1, parse_expr("q0(Y1 | D1, Do1)"), ())
 
 
 @pytest.mark.parametrize(
