@@ -107,6 +107,7 @@ class Derivation:
         derivations, so the steps share Term objects."""
         terms = {} if terms is None else terms
         with malformed("derivation"):
+            obj = _checked(obj, dict, "an object", where.removesuffix(": ") or "file")
             estimand = _stored_expr(obj["estimand"], f"{where}estimand", terms)
             if not isinstance(estimand, Term):
                 raise SwigIdentError(
@@ -115,9 +116,11 @@ class Derivation:
                 )
             steps: list[DerivationStep] = []
             prev: ProbExpr = estimand
-            for i, s in enumerate(obj["steps"], start=1):
-                rule = _checked(s["rule"], str, "a rule name", f"{where}step {i} rule")
-                output = _stored_expr(s["output"], f"{where}step {i} output", terms)
+            stored = _checked(obj.get("steps"), list, "a list", f"{where}steps")
+            for i, s in enumerate(stored, start=1):
+                s = _checked(s, dict, "an object", f"{where}step {i}")
+                rule = _checked(s.get("rule"), str, "a rule name", f"{where}step {i} rule")
+                output = _stored_expr(s.get("output"), f"{where}step {i} output", terms)
                 justification = _justification_from_json(
                     s.get("justification"), f"{where}step {i} ", terms
                 )

@@ -651,11 +651,14 @@ class StepReport:
 class VerifyStats:
     """What one verify did beyond its steps: the seconds spent evaluating
     the estimand (the final check's other side, the final formula, counts
-    in seconds alone), the oracle's conditionals built (over all batches;
-    one per regime, dependents, conditioners and tie pattern, so a term
-    whose conditioners share a symbol has its own, smaller table) and the
-    most entries one of them had, batch axis included, and the seconds in
-    all, after the models were drawn.  draw_seconds is the time verify took
+    in seconds alone), the oracle's conditionals built (over all batches
+    and nested reports; one per regime, dependents, conditioners and tie
+    pattern, so a term whose conditioners share a symbol has its own,
+    smaller table) and the most entries one of them had, batch axis
+    included, and the seconds in all, after the models were drawn.
+    conditionals_derived counts those of the conditionals that were read
+    as the diagonal of a live one under a finer tie pattern, with no
+    contraction (oracle._derived).  draw_seconds is the time verify took
     to draw the models' CPTs; a nested report reuses its parent's models and
     reads 0.  merges_computed sums the pairwise merges of expression
     contractions over all batches and nested reports.  path_searches counts
@@ -678,6 +681,7 @@ class VerifyStats:
     path_searches: int = 0
     peak_live_bytes: int = 0
     draw_seconds: float = 0.0
+    conditionals_derived: int = 0
 
 
 @dataclass(frozen=True)
@@ -811,12 +815,14 @@ def _verify_models(
         tol=TOL,
         stats=VerifyStats(
             float(found.seconds[0, 0]) if derivation.identified else 0.0,
-            found.counts.conditionals,
-            found.counts.largest,
+            found.counts.conditionals + sum(s.conditionals for s in nested_stats),
+            max([found.counts.largest, *(s.largest_table for s in nested_stats)]),
             time.perf_counter() - start,
             found.counts.merges + sum(s.merges_computed for s in nested_stats),
             found.path_searches + sum(s.path_searches for s in nested_stats),
             max([found.peak_bytes, *(s.peak_live_bytes for s in nested_stats)]),
+            conditionals_derived=found.counts.derived
+            + sum(s.conditionals_derived for s in nested_stats),
         ),
     )
 

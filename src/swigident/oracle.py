@@ -19,7 +19,11 @@ the contraction: a term hands its tie pattern (tie_pattern) to the table's
 provider, the factors are relabelled so that tied conditioners share one
 label, and the table has one axis per distinct conditioner.  Tables are
 memoised per tie pattern: the key is (regime, dependents, conditioners,
-pattern).
+pattern).  The memo answers what it can derive: a tied conditional whose
+(regime, dependents, conditioners) the memo holds under a finer pattern is
+that table's diagonal over the tied axes (_derived), copied, with no
+contraction and no arithmetic (after Halevy 2001, answering queries using
+views).
 
 A model may also be a batch: N models of one graph with their CPTs stacked
 on a leading axis, so that joints, conditionals and expression values carry
@@ -28,7 +32,8 @@ term is a view of the model's memoised conditional plus a per-model mask of
 the models for which it conditions on a zero-probability event, and each
 sum or product is contracted two tables at a time (one einsum over the
 batch axis and the pair's labels), along the path _plan finds; the
-batch's Contractor counts the merges.  Values are memoised per model (or
+batch's Contractor counts the merges and the conditionals built and
+derived.  Values are memoised per model (or
 batch), so each distinct expression is evaluated once; compare, verify's
 batch loop, drops each value and conditional after the last pair of
 expressions that uses it.  A single model is a batch of one.
@@ -40,12 +45,16 @@ model_batches cuts the stacked CPTs into batches as slices, each bounded so
 that its joint would have at most STATE_LIMIT entries, as large as one
 model's joint may be; every table the ancestral way builds is labelled by a
 subset of the variables, so that bound holds for it too.  Conditionals and
-expressions both contract through _run along _plan's paths.  A path depends
-on the contraction's shape alone, without the batch axis, so _plan memoises
-it once for the process: each shape is searched once, whatever the models,
-the batch sizes or the requests.
-_run refuses a merge whose einsum would take more than EINSUM_LABELS labels
-or whose table would have more than STATE_LIMIT entries for one model.
+expressions both contract through _run, which runs the program _plan
+compiles: the path, and for each merge its einsum subscripts and whether
+it takes einsum's matmul path, so _run is a loop of np.einsum calls.  A
+program depends on the contraction's shape alone, without the batch size,
+so _plan memoises it once for the process: each shape is searched and
+compiled once, whatever the models, the batch sizes or the requests (after
+opt_einsum, Smith & Gray 2018, which plans a path once per shape).
+_plan refuses a merge whose einsum would take more than EINSUM_LABELS labels
+or whose table would have more than STATE_LIMIT entries for one model, and
+_run raises that refusal before any merge runs.
 
 The data path does no Python work per row or cell.  sample draws the regime
 graph's variables in topological order, each from the cumulative sums of its
@@ -97,9 +106,10 @@ EINSUM_LABELS = 51
 # the batch, goes through einsum's matmul-backed path; below it, that path's
 # set-up costs more than einsum's plain loop (measured on seqfd fig2 n=3-6).
 MATMUL_ENTRIES = 4096
-# The contraction paths _plan keeps.  One verify of seqfd fig2 n=3, 5, 6 and
-# 7 meets 35, 65, 83 and 103 shapes (n=8 passes STATE_LIMIT), so this holds
-# the widest verify's paths with room for those of another graph.
+# The contraction programs _plan keeps.  One verify of seqfd fig2 n=3, 5, 6
+# and 7 meets 29, 45, 53 and 61 shapes (the tied conditionals it derives
+# need none; n=8 passes STATE_LIMIT), so this holds the widest verify's
+# programs with room for those of another graph.
 PLAN_CACHE = 256
 
 Cpt = tuple[tuple[str, ...], np.ndarray]
@@ -342,34 +352,60 @@ def ancestral_conditional(
     of them is cut to its diagonal (an inactive intervention's eye(k)
     becomes ones), and the table keeps only the conditioners tied to
     themselves: the diagonal of the untied table, taken as evidence before
-    the contraction, not after it.
+    the contraction, not after it.  When the memo holds the table under a
+    pattern that refines ties, no factor is contracted: the table is read
+    as that one's diagonal (_derived), and the contractor counts it as
+    derived as well as built.
     Raises StateSpaceLimitError when a table it needs has more than
     STATE_LIMIT entries for one model or a merge more than EINSUM_LABELS
     labels."""
     key = _conditional_key(regime, deps, conds, ties)
-    cached = model._conditionals.get(key)
+    memo = model._conditionals
+    cached = memo.get(key)
     if cached is not None:
         return cached
-    ties = key[3]
-    swig = model.swig
-    names = deps + conds
-    factors = regime_factors(model, regime, swig.regime_graph(regime).ancestors(names))
     lead = len(model.batch_shape)
-    tied = {c: conds[j] for i, (c, j) in enumerate(zip(conds, ties)) if j != i}
-    factors = [_diagonal(t, tuple(tied.get(n, n) for n in ls), lead) for t, ls in factors]
-    kept = deps + tuple(c for c in conds if c not in tied)
-    what = f"a conditional over {len(names)} variables"
-    m, _ = _run(factors, kept, lead, what)
-    # The merges leave m's axes in whatever memory order einsum's matmul path
-    # gave them; the division, and the merges that later read the table, run
-    # faster over it in C order.  m may be a view of a CPT (q0(L)); neither
-    # the copy nor _normalized writes into it.
-    m = np.ascontiguousarray(m)
-    out = model._conditionals[key] = _normalized(m, lead, len(deps))
     counts = model._contractor
+    out = _derived(memo, key, lead)
+    if out is not None:
+        counts.derived += 1
+    else:
+        ties = key[3]
+        names = deps + conds
+        swig = model.swig
+        factors = regime_factors(model, regime, swig.regime_graph(regime).ancestors(names))
+        tied = {c: conds[j] for i, (c, j) in enumerate(zip(conds, ties)) if j != i}
+        factors = [_diagonal(t, tuple(tied.get(n, n) for n in ls), lead) for t, ls in factors]
+        kept = deps + tuple(c for c in conds if c not in tied)
+        m, _ = _run(factors, kept, lead, f"a conditional over {len(names)} variables")
+        # The merges leave m's axes in whatever memory order einsum's matmul
+        # path gave them; the division, and the merges that later read the
+        # table, run faster over it in C order.  m may be a view of a CPT
+        # (q0(L)); neither the copy nor _normalized writes into it.
+        out = _normalized(np.ascontiguousarray(m), lead, len(deps))
+    memo[key] = out
     counts.conditionals += 1
     counts.largest = max(counts.largest, out.size)
     return out
+
+
+def _derived(memo: dict, key: tuple, lead: int) -> np.ndarray | None:
+    """The table under key (_conditional_key) read off one that memo holds,
+    or None: memo's first table with key's regime, dependents and
+    conditioners under a tie pattern that refines key's (each conditioner
+    tied only to one that key's pattern ties it to), cut to its diagonal
+    over the axes key's pattern ties, copied to C order and read-only.  Each
+    cell is one of that table's, NaN where it is NaN; no arithmetic is
+    done."""
+    regime, deps, conds, ties = key
+    for (r, d, c, p), table in memo.items():
+        if c == conds and d == deps and r == regime and p != ties:
+            if all(ties[j] == ties[i] for i, j in enumerate(p)):
+                axes = deps + tuple(conds[ties[i]] for i, j in enumerate(p) if i == j)
+                out = np.ascontiguousarray(_diagonal(table, axes, lead)[0])
+                out.flags.writeable = False
+                return out
+    return None
 
 
 def query(
@@ -469,42 +505,34 @@ def _eval_term(swig: Swig, t: Term, provider: TableProvider) -> LabeledTable:
 Operand = tuple[np.ndarray, tuple[str, ...]]
 
 
-def _merge(group: Sequence[Operand], out: tuple[str, ...], lead: int) -> np.ndarray:
-    """The product of the (table, labels) factors of group summed down to
-    the labels out, with the lead batch axes first, as one einsum.  A pair
-    whose product, over all models, has more than MATMUL_ENTRIES entries
-    goes through einsum's matmul-backed path."""
-    batch = list(range(lead))
-    subscript: dict[str, int] = {}
-    entries = math.prod(group[0][0].shape[:lead])
-    operands: list = []
-    for table, labels in group:
-        for n, k in zip(labels, table.shape[lead:]):
-            if n not in subscript:
-                subscript[n] = lead + len(subscript)
-                entries *= k
-        operands += [table, batch + [subscript[n] for n in labels]]
-    matmul = len(group) == 2 and entries > MATMUL_ENTRIES
-    return np.einsum(*operands, batch + [subscript[n] for n in out], optimize=matmul)
+# A merge as _plan compiles it: the positions it pops from the list of
+# factors, each popped factor's einsum subscripts, the result's, and the
+# entries of a pair's product for one model (0 for a single factor).
+Merge = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], int]
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
 def _plan(
-    subs: tuple[tuple[int, ...], ...], sizes: tuple[int, ...], out: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """A greedy contraction path for factors with the label numbers subs
-    (label i has sizes[i] levels) down to the labels out.  While two or more
-    factors are left, the pair whose product, summed over every label that
-    neither out nor another factor needs, has the fewest entries less those
-    of the pair is merged; while some pair shares a label, a pair that
-    shares none is not weighed.  numpy's greedy einsum path (after
-    opt_einsum) weighs merges the same way.  Label sets are bit masks.
-    Returns the merges: the positions taken, in descending order, from the
-    list of factors, whose result is appended, and the labels the result
-    keeps (out, in order, for the last).  A path depends on the shape
-    alone, not on the batch size or the tables, so the last PLAN_CACHE
-    shapes' paths are memoised for every model and batch of the process;
-    the cache's misses count the searches run."""
+    subs: tuple[tuple[int, ...], ...], sizes: tuple[int, ...], out: tuple[int, ...], lead: int
+) -> tuple[tuple[Merge, ...], tuple[int, int] | None]:
+    """The einsum program that contracts factors with the label numbers subs
+    (label i has sizes[i] levels), after lead batch axes, down to the labels
+    out, in out's order.  The path is greedy: while two or more factors are
+    left, the pair whose product, summed over every label that neither out
+    nor another factor needs, has the fewest entries less those of the pair
+    is merged; while some pair shares a label, a pair that shares none is
+    not weighed.  numpy's greedy einsum path (after opt_einsum) weighs
+    merges the same way.  Label sets are bit masks.  A lone factor is
+    summed down or reordered to out by one einsum.  Each merge pops its
+    positions, in descending order, and its result is appended; its
+    subscripts number the lead batch axes first, then its labels by first
+    use.  Returns the merges and None, or, if a merge's einsum would take
+    more than EINSUM_LABELS labels or keep more than STATE_LIMIT entries for
+    one model, no merges and the first such merge's labels kept and
+    entries.  A program depends on the shape alone, not on the batch size
+    or the tables, so the last PLAN_CACHE shapes' programs are memoised for
+    every model and batch of the process; the cache's misses count the
+    searches run."""
     out_mask = sum(1 << i for i in out)
     entries: dict[int, int] = {}
 
@@ -516,7 +544,7 @@ def _plan(
         return n
 
     live = [sum(1 << i for i in s) for s in subs]
-    steps = []
+    path = []
     while len(live) > 1:
         once = twice = thrice = 0  # labels held by at least 1, 2, 3 factors left
         for m in live:
@@ -541,10 +569,24 @@ def _plan(
         live.pop(i)
         live.append(keep)
         labels = out if len(live) == 1 else tuple(k for k in range(len(sizes)) if keep >> k & 1)
-        steps.append(((j, i), labels))
-    if live[0] != out_mask:
-        steps.append(((0,), out))
-    return tuple(steps)
+        path.append(((j, i), labels))
+    if len(subs) == 1 and subs[0] != out:
+        path.append(((0,), out))
+
+    held = list(subs)
+    program = []
+    for positions, kept in path:
+        group = [held.pop(p) for p in positions]
+        held.append(kept)
+        used = dict.fromkeys(label for labels in group for label in labels)
+        number = {label: lead + i for i, label in enumerate(used)}
+        states = math.prod(sizes[label] for label in kept)
+        if len(number) > EINSUM_LABELS or states > STATE_LIMIT:
+            return (), (len(kept), states)
+        operands = tuple((*range(lead), *map(number.get, labels)) for labels in group)
+        pair = math.prod(sizes[label] for label in number) if len(group) == 2 else 0
+        program.append((positions, operands, (*range(lead), *map(number.get, kept)), pair))
+    return tuple(program), None
 
 
 def _run(
@@ -552,44 +594,44 @@ def _run(
 ) -> tuple[np.ndarray, int]:
     """The product of ops summed down to the labels out, with the lead batch
     axes first and then out's labels in order, and how many merges ran.
-    The labels are numbered by first use, and _plan finds the path for
-    those numbers, out's and the label sizes (a path does not depend on
-    the batch size).  Each merge pops its positions, _merge computes their
-    product over the labels kept, and the result is appended.  A merge
-    whose einsum would take more than EINSUM_LABELS labels, or whose table
-    would have more than STATE_LIMIT entries for one model, raises
-    StateSpaceLimitError naming what is contracted."""
+    The labels are numbered by first use, and _plan compiles the program for
+    those numbers, out's, the label sizes and lead (a program does not
+    depend on the batch size).  Each merge pops its positions and appends
+    one np.einsum of them; a pair whose product has more than MATMUL_ENTRIES
+    entries over all models goes through einsum's matmul-backed path.  A
+    program _plan refuses raises StateSpaceLimitError naming what is
+    contracted, before any merge runs."""
     ids: dict[str, int] = {}
     subs = tuple(tuple(ids.setdefault(n, len(ids)) for n in labels) for _, labels in ops)
     sizes = {ids[n]: k for t, labels in ops for n, k in zip(labels, t.shape[lead:])}
-    plan = _plan(subs, tuple(sizes[i] for i in range(len(ids))), tuple(ids[n] for n in out))
-    names = list(ids)
-    for positions, keep in plan:
-        group = [ops.pop(p) for p in positions]
-        kept = tuple(names[i] for i in keep)
-        dims = {l: n for t, labels in group for l, n in zip(labels, t.shape[lead:])}
-        entries = math.prod(dims[l] for l in kept)
-        if len(dims) > EINSUM_LABELS or entries > STATE_LIMIT:
-            raise StateSpaceLimitError(
-                f"{what} needs a table over {len(kept)} variables ({entries} states); "
-                f"the limits are {EINSUM_LABELS} einsum subscripts and {STATE_LIMIT} states"
-            )
-        ops.append((_merge(group, kept, lead), kept))
-    values, labels = ops.pop()
-    if labels != out:
-        values = np.transpose(values, [*range(lead), *(lead + labels.index(l) for l in out)])
-    return values, len(plan)
+    # sizes holds label 0 first, then 1, ...: both walks take the same order
+    program, refused = _plan(subs, tuple(sizes.values()), tuple(ids[n] for n in out), lead)
+    if refused is not None:
+        raise StateSpaceLimitError(
+            f"{what} needs a table over {refused[0]} variables ({refused[1]} states); "
+            f"the limits are {EINSUM_LABELS} einsum subscripts and {STATE_LIMIT} states"
+        )
+    tables = [t for t, _ in ops]
+    models = math.prod(tables[0].shape[:lead])
+    for positions, operands, result, pair in program:
+        group = [tables.pop(p) for p in positions]
+        args = [x for table, subscripts in zip(group, operands) for x in (table, subscripts)]
+        tables.append(np.einsum(*args, result, optimize=pair * models > MATMUL_ENTRIES))
+    return tables[0], len(program)
 
 
 @dataclass(eq=False)
 class Contractor:
     """A batch's contraction counts (compare's one over all its batches):
-    how many merges its expressions computed, and how many ancestral
-    conditionals were built and the most entries one had."""
+    how many merges its expressions computed, how many ancestral
+    conditionals were built and the most entries one had, and how many of
+    those were derived from a live table (_derived) rather than
+    contracted."""
 
     merges: int = 0
     conditionals: int = 0
     largest: int = 0
+    derived: int = 0
 
 
 def _contract(

@@ -605,6 +605,39 @@ def test_verify_refuses_a_derivation_the_graph_cannot_evaluate(
     assert out == "" and err == message + "\n", err[:200]
 
 
+@pytest.mark.parametrize(
+    "steps, line",
+    [
+        ("", "steps: expected a list, found str"),
+        ({}, "steps: expected a list, found dict"),
+        (7, "steps: expected a list, found int"),
+        (["x"], "step 1: expected an object, found str"),
+        ([[1]], "step 1: expected an object, found list"),
+        ([{}], "step 1 rule: expected a rule name, found NoneType"),
+    ],
+)
+def test_verify_reads_the_steps_list_and_each_step_with_their_types(steps, line, tmp_path, capsys):
+    # An empty string or object was read as no steps (then refused as "final
+    # expression is not the last step output"); the rest printed unlocated
+    # TypeError and KeyError lines.
+    payload = json.loads((GOLDEN / "backdoor_fig1.json").read_text())
+    payload["steps"] = steps
+    mutant = tmp_path / "mutant.json"
+    mutant.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(GOLDEN / "fixture_fig1.swig"), str(mutant), "--models", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: malformed derivation: {line}\n"
+
+
+def test_verify_refuses_a_derivation_file_that_holds_no_object(tmp_path, capsys):
+    mutant = tmp_path / "mutant.json"
+    mutant.write_text("[]")
+    assert main(["verify", str(GOLDEN / "fixture_fig1.swig"), str(mutant)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: malformed derivation: file: expected an object, found list\n"
+
+
 def test_verify_rejects_a_final_that_is_not_the_last_output(fig1_path, tmp_path, capsys):
     derivation = _backdoor_derivation(fig1_path, tmp_path)
     with open(derivation) as fh:
@@ -844,9 +877,11 @@ def test_verify_stats_flag_writes_one_json_line(fig1_path, tmp_path, capsys):
     assert set(stats) == {
         "steps", "estimand_seconds", "conditionals", "largest_table", "seconds",
         "draw_seconds", "merges_computed", "path_searches", "peak_live_bytes",
+        "conditionals_derived",
     }
     assert isinstance(stats["draw_seconds"], float) and stats["draw_seconds"] > 0
     assert stats["conditionals"] > 0 and stats["largest_table"] > 0
+    assert 0 <= stats["conditionals_derived"] < stats["conditionals"]
     assert stats["merges_computed"] > 0
     assert stats["path_searches"] == _plan.cache_info().misses > 0
     assert main(argv + ["--stats"]) == 0

@@ -16,6 +16,7 @@ from swigident import (
     DerivationStep,
     Lit,
     Regime,
+    StateSpaceLimitError,
     Strategy,
     SwigIdentError,
     Sym,
@@ -457,9 +458,10 @@ def test_verify_counts_merges_and_path_searches(fig2_n2):
     report = verify(comp, fig2_n2, n_models=5, seed=4)
     assert report.stats.path_searches == oracle._plan.cache_info().misses
     (step,) = report.steps
-    for count in ("merges_computed", "path_searches"):
+    for count in ("merges_computed", "path_searches", "conditionals"):
         parts = [getattr(r.stats, count) for r in step.nested]
         assert getattr(report.stats, count) >= sum(parts) and min(parts) > 0
+    assert report.stats.largest_table >= max(r.stats.largest_table for r in step.nested)
     assert report.stats.peak_live_bytes >= max(r.stats.peak_live_bytes for r in step.nested)
 
 
@@ -478,6 +480,39 @@ def test_verify_frees_each_table_after_its_last_use():
     built = sum(table.nbytes for table in batch._conditionals.values())
     assert len(batch._conditionals) == report.stats.conditionals
     assert 0 < report.stats.peak_live_bytes < built
+
+
+def test_verify_derives_the_tied_conditionals_a_live_table_holds(monkeypatch):
+    # On seqfd fig2 n=5, 30 of the 92 conditionals verify builds are the
+    # diagonal of a live one under a finer tie pattern.  The report is the
+    # one of a verify that contracts all 92, deviations apart, which agree
+    # to 1e-15.
+    swig = to_swig(figure2(5))
+    d = identify(swig, dose_estimand(swig, ("Y",)), "sequential_frontdoor")
+    derived = verify(d, swig, n_models=5, seed=0)
+    assert derived.passed
+    assert (derived.stats.conditionals, derived.stats.conditionals_derived) == (92, 30)
+    monkeypatch.setattr(oracle, "_derived", lambda *args: None)
+    contracted = verify(d, swig, n_models=5, seed=0)
+    assert (contracted.stats.conditionals, contracted.stats.conditionals_derived) == (92, 0)
+    devs: list = []
+    want: list = []
+    assert _split_deviations(derived.to_json(), devs) == _split_deviations(
+        contracted.to_json(), want
+    )
+    assert np.allclose(devs, want, rtol=0, atol=1e-15)
+
+
+def test_verify_at_seqfd_n8_still_refuses_at_the_state_limit():
+    # The widest conditional needs 2^25 states for one model.
+    swig = to_swig(figure2(8))
+    d = identify(swig, dose_estimand(swig, ("Y",)), "sequential_frontdoor")
+    with pytest.raises(StateSpaceLimitError) as refused:
+        verify(d, swig, n_models=5, seed=0)
+    assert str(refused.value) == (
+        "a conditional over 25 variables needs a table over 25 variables (33554432 states); "
+        "the limits are 51 einsum subscripts and 4194304 states"
+    )
 
 
 def test_verify_flags_corruption(fig1, fig1_estimand):

@@ -62,8 +62,8 @@ from swigident.oracle import (
     MATMUL_ENTRIES,
     ZERO_EPS,
     Dataset,
-    _merge,
     _plan,
+    _run,
     ancestral_conditional,
     model_batches,
     model_from_base_cpts,
@@ -440,8 +440,9 @@ def test_brute_force_ci_matches_the_dense_joint(case, split):
 
 
 def reference_plan(subs, sizes, out):
-    """_plan as first written: every pair of factors is weighed, a pair that
-    shares no label behind every pair that shares one."""
+    """_plan's path as first written: every pair of factors is weighed, a
+    pair that shares no label behind every pair that shares one.  A lone
+    factor is summed down, or reordered, to out by a merge of its own."""
     out_mask = sum(1 << i for i in out)
 
     def size(mask):
@@ -469,7 +470,7 @@ def reference_plan(subs, sizes, out):
         live.append(keep)
         labels = out if len(live) == 1 else tuple(k for k in range(len(sizes)) if keep >> k & 1)
         steps.append(((j, i), labels))
-    if live[0] != out_mask:
+    if len(subs) == 1 and subs[0] != out:
         steps.append(((0,), out))
     return steps
 
@@ -486,17 +487,58 @@ def contraction_shapes(draw):
     return subs, sizes, out
 
 
-@given(contraction_shapes())
+@given(contraction_shapes(), st.integers(0, 1))
 @settings(max_examples=400, deadline=None)
-def test_plan_matches_the_exhaustive_pair_scan(shape):
-    path = _plan(*shape)
-    assert path == tuple(reference_plan(*shape))
-    # a shape met again is not searched again: every caller shares the path
+def test_plan_matches_the_exhaustive_pair_scan(shape, lead):
+    # Each compiled merge pops the reference path's positions, and its
+    # subscripts name, after the lead batch axes, the labels of the factors
+    # it pops and the ones the reference keeps.
+    subs, sizes, out = shape
+    program, refused = _plan(*shape, lead)
+    assert refused is None and len(program) == len(reference_plan(*shape))
+    held = list(subs)
+    for (positions, operands, result, pair), (want, kept) in zip(program, reference_plan(*shape)):
+        assert positions == want
+        group = [held.pop(p) for p in positions]
+        label = {}
+        for labels, subscripts in zip(group, operands):
+            assert subscripts[:lead] == tuple(range(lead))
+            for x, l in zip(subscripts[lead:], labels, strict=True):
+                assert label.setdefault(x, l) == l
+        assert result[:lead] == tuple(range(lead))
+        assert tuple(label[x] for x in result[lead:]) == tuple(kept)
+        assert pair == (math.prod(sizes[l] for l in label.values()) if len(group) == 2 else 0)
+        held.append(tuple(kept))
+    # a shape met again is not searched again: every caller shares the program
     misses = _plan.cache_info().misses
-    assert _plan(*shape) is path and _plan.cache_info().misses == misses
+    assert _plan(*shape, lead)[0] is program and _plan.cache_info().misses == misses
 
 
-def test_merge_sends_a_pair_past_matmul_entries_through_the_matmul_path(monkeypatch):
+@given(contraction_shapes(), st.integers(1, 3), st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_run_matches_one_einsum_over_every_factor(shape, models, seed):
+    # However _plan splits the contraction, its program gives what one
+    # np.einsum over all the factors gives, the batch axis included.
+    subs, sizes, out = shape
+    rng = np.random.default_rng(seed)
+    tables = [rng.random((models, *(sizes[l] for l in s))) for s in subs]
+    ops = [(t, tuple(f"l{l}" for l in s)) for t, s in zip(tables, subs)]
+    got, merges = _run(ops, tuple(f"l{l}" for l in out), 1, "a test product")
+    args = [x for t, s in zip(tables, subs) for x in (t, [len(sizes), *s])]
+    want = np.einsum(*args, [len(sizes), *out])
+    assert got.shape == want.shape and np.allclose(got, want, rtol=1e-12, atol=0)
+    assert merges == len(_plan(*_numbered(subs, sizes, out), 1)[0])
+
+
+def _numbered(subs, sizes, out):
+    """The shape _run plans for factors with the label numbers subs: the
+    labels numbered by first use."""
+    ids = {}
+    renumbered = tuple(tuple(ids.setdefault(l, len(ids)) for l in s) for s in subs)
+    return renumbered, tuple(sizes[l] for l in ids), tuple(ids[l] for l in out)
+
+
+def test_run_sends_a_pair_past_matmul_entries_through_the_matmul_path(monkeypatch):
     # Over all models, the pair (x) * (x, y) has batch * 2 * 2 entries: at
     # MATMUL_ENTRIES with the smaller batch, past it with the larger.  A
     # single table is never sent through the matmul path.
@@ -512,10 +554,11 @@ def test_merge_sends_a_pair_past_matmul_entries_through_the_matmul_path(monkeypa
     for batch in (MATMUL_ENTRIES // 4, MATMUL_ENTRIES // 4 + 1):
         a = rng.random((batch, 2))
         b = rng.random((batch, 2, 2))
-        got = _merge([(a, ("x",)), (b, ("x", "y"))], ("y",), 1)
-        assert np.allclose(got, einsum("mx,mxy->my", a, b))
+        got, merges = _run([(a, ("x",)), (b, ("x", "y"))], ("y",), 1, "a pair")
+        assert merges == 1 and np.allclose(got, einsum("mx,mxy->my", a, b))
     big = rng.random((MATMUL_ENTRIES, 2))
-    assert np.allclose(_merge([(big, ("x",))], (), 1), big.sum(axis=1))
+    got, merges = _run([(big, ("x",))], (), 1, "a table")
+    assert merges == 1 and np.allclose(got, big.sum(axis=1))
     assert flags == [False, True, False]
 
 
@@ -1035,6 +1078,82 @@ def test_a_tied_conditional_is_the_diagonal_of_the_dense_one(n, strategy):
         assert np.max(np.abs(np.nan_to_num(got) - np.nan_to_num(want)), initial=0.0) <= 1e-12
         nan_seen |= bool(np.isnan(got).any())
     assert nan_seen
+
+
+def _cells_of(source, n_deps, finer, ties):
+    """The cells of a batch table over deps and the conditioners the tie
+    pattern finer ties to themselves, at which each conditioner takes the
+    level of the one ties ties it to: a table over deps and the
+    conditioners ties ties to themselves."""
+    own = [i for i, j in enumerate(ties) if i == j]
+    axes = [i for i, j in enumerate(finer) if i == j]
+    head = source.shape[: 1 + n_deps]
+    out = np.empty(head + tuple(source.shape[1 + n_deps + axes.index(i)] for i in own))
+    for cell in np.ndindex(*out.shape[1 + n_deps :]):
+        level = dict(zip(own, cell))
+        out[(Ellipsis, *cell)] = source[(Ellipsis, *(level[ties[i]] for i in axes))]
+    return out
+
+
+# Y given Do1, D2, M1 and D1 on fig2 n=2, under a tie pattern a live table's
+# finer pattern derives: three conditioners tied, from the untied table and
+# from two partly tied ones, and two tied.
+DERIVED = [
+    ((0, 1, 2, 3), (0, 1, 1, 1)),
+    ((0, 1, 1, 3), (0, 1, 1, 1)),
+    ((0, 1, 2, 2), (0, 1, 1, 1)),
+    ((0, 1, 2, 3), (0, 0, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("regime", [Q0, Q1])
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("finer, ties", DERIVED)
+def test_a_derived_conditional_equals_a_contracted_one(fig2_n2, regime, deterministic, finer, ties):
+    # With a table under a finer tie pattern live, a tied conditional is
+    # read as its diagonal: each cell is the live table's cell, NaN where it
+    # is NaN, and it matches the conditional contracted on a batch with
+    # nothing live, NaN in the same cells (model 3 of the deterministic
+    # models never has M1=1 when Do1=0; under q0 Do1 copies D1).
+    deps, conds = ("Y",), ("Do1", "D2", "M1", "D1")
+    if deterministic:
+        cpts = _models_with_a_deterministic_row(fig2_n2, n=5)
+    else:
+        cpts = seeded_cpts(fig2_n2, 5, seed=8)
+    [batch] = model_batches(fig2_n2, cpts)
+    source = ancestral_conditional(batch, regime, deps, conds, finer)
+    got = ancestral_conditional(batch, regime, deps, conds, ties)
+    assert batch._contractor.derived == 1 and batch._contractor.conditionals == 2
+    assert got.flags.c_contiguous and not got.flags.writeable
+    assert not np.shares_memory(got, source)
+    assert np.array_equal(got, _cells_of(source, 1, finer, ties), equal_nan=True)
+    [fresh] = model_batches(fig2_n2, cpts)
+    want = ancestral_conditional(fresh, regime, deps, conds, ties)
+    assert fresh._contractor.derived == 0
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.max(np.abs(np.nan_to_num(got) - np.nan_to_num(want)), initial=0.0) <= 1e-12
+    assert np.isnan(got).any() == (deterministic or regime == Q0)
+
+
+def test_a_tied_conditional_with_no_finer_table_live_is_contracted(fig2_n2, monkeypatch):
+    # A table under a coarser pattern, or over other dependents,
+    # conditioners or regime, derives nothing: each is contracted.
+    deps, conds = ("Y",), ("Do1", "D2", "M1", "D1")
+    [batch] = model_batches(fig2_n2, seeded_cpts(fig2_n2, 3))
+    runs = []
+    run = oracle._run
+    monkeypatch.setattr(oracle, "_run", lambda *args: runs.append(args) or run(*args))
+    ancestral_conditional(batch, Q1, deps, conds, (0, 1, 1, 1))
+    ancestral_conditional(batch, Q1, deps, conds, (0, 1, 2, 2))
+    ancestral_conditional(batch, Q0, deps, conds, (0, 1, 1, 1))
+    ancestral_conditional(batch, Q1, ("M2",), conds, (0, 1, 1, 1))
+    ancestral_conditional(batch, Q1, deps, ("Do1", "D2", "M1", "L"), (0, 1, 1, 1))
+    assert len(runs) == 5 and batch._contractor.derived == 0
+    # dropped and asked for again, the first is read from the live
+    # (0, 1, 2, 2) table, which refines its pattern
+    batch._conditionals.pop((Q1, deps, conds, (0, 1, 1, 1)))
+    ancestral_conditional(batch, Q1, deps, conds, (0, 1, 1, 1))
+    assert len(runs) == 5 and batch._contractor.derived == 1
 
 
 @st.composite
