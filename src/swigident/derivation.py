@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
 from .dsl import parse_expr
-from .errors import ExprError, RuleRefusedError, SwigIdentError, malformed, parse_field
+from .errors import RuleRefusedError, SwigIdentError, malformed, parse_field
 from .expr import DerivationStep, ProbExpr, Term, free_variables, regimes_used, terms, to_text
 from .graphs import CiQuery
 from .model import BaseDag, Regime, Swig, to_swig
@@ -108,7 +108,7 @@ class Derivation:
         terms = {} if terms is None else terms
         with malformed("derivation"):
             obj = _checked(obj, dict, "an object", where.removesuffix(": ") or "file")
-            estimand = _stored_expr(obj["estimand"], f"{where}estimand", terms)
+            estimand = _stored_expr(_key(obj, "estimand", where), f"{where}estimand", terms)
             if not isinstance(estimand, Term):
                 raise SwigIdentError(
                     f"malformed derivation: {where}estimand: "
@@ -133,8 +133,8 @@ class Derivation:
                     )
                 steps.append(DerivationStep(rule, prev, output, justification))
                 prev = output
-            final = _stored_expr(obj["final"], f"{where}final", terms)
-            status = obj["status"]
+            final = _stored_expr(_key(obj, "final", where), f"{where}final", terms)
+            status = _key(obj, "status", where)
             if status not in (IDENTIFIED, NOT_IDENTIFIED):
                 raise SwigIdentError(
                     f"malformed derivation: {where}status: expected {IDENTIFIED!r} "
@@ -162,8 +162,17 @@ def query_to_json(query: CiQuery) -> dict:
 def query_from_json(obj, field: str) -> CiQuery:
     """The CI query query_to_json wrote, in the derivation file's named field."""
     obj = _checked(obj, dict, "an object", field)
-    regime = _each(obj["regime"], f"{field}: regime", _CODECS[int][1])
-    return CiQuery(Regime(frozenset(regime)), *(_names(obj[k], f"{field}: {k}") for k in "xyz"))
+    at = f"{field}: "
+    regime = _each(_key(obj, "regime", at), f"{at}regime", _CODECS[int][1])
+    return CiQuery(Regime(frozenset(regime)), *(_names(_key(obj, k, at), at + k) for k in "xyz"))
+
+
+def _key(obj: dict, key: str, at: str):
+    """obj[key], for a field of the derivation file whose name at prefixes;
+    a field that is not there is refused by name."""
+    if key not in obj:
+        raise SwigIdentError(f"malformed derivation: {at}{key}: missing")
+    return obj[key]
 
 
 def _checked(value, kind: type, what: str, field: str):
@@ -247,12 +256,16 @@ def _justification_from_json(obj, where: str, terms: dict[str, Term]):
     kind, then each field by its declared type."""
     if obj is None:
         return None
-    kind = _checked(obj, dict, "an object", f"{where}justification").get("kind")
+    at = f"{where}justification: "
+    kind = _key(_checked(obj, dict, "an object", f"{where}justification"), "kind", at)
     cls = _CLASSES.get(kind) if isinstance(kind, str) else None  # a list is unhashable
     if cls is None:
-        raise ExprError(f"unknown justification kind {kind!r}")
-    at = f"{where}justification: "
-    return cls(*[read(obj[k], at + k, f"{where}{k}: ", terms) for k, _, read in _FIELDS[cls]])
+        raise SwigIdentError(
+            f"malformed derivation: {at}kind: expected a justification kind, found {kind!r}"
+        )
+    return cls(*[
+        read(_key(obj, k, at), at + k, f"{where}{k}: ", terms) for k, _, read in _FIELDS[cls]
+    ])
 
 
 def is_identified(expr: ProbExpr, swig: Swig | None = None) -> bool:

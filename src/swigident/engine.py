@@ -47,7 +47,7 @@ from .expr import (
 )
 from .graphs import CiQuery, Graph
 from .model import Swig, Sym, ValueRef
-from .oracle import compare, model_count, random_cpt_batch
+from .oracle import Counts, compare, model_count, random_cpt_batch
 from .rules import (
     rule_ci_modify,
     rule_consistency,
@@ -647,41 +647,26 @@ class StepReport:
         return out
 
 
-@dataclass(frozen=True)
-class VerifyStats:
-    """What one verify did beyond its steps: the seconds spent evaluating
-    the estimand (the final check's other side, the final formula, counts
-    in seconds alone), the oracle's conditionals built (over all batches
-    and nested reports; one per regime, dependents, conditioners and tie
-    pattern, so a term whose conditioners share a symbol has its own,
-    smaller table) and the most entries one of them had, batch axis
-    included, and the seconds in all, after the models were drawn.
-    conditionals_derived counts those of the conditionals that were read
-    as the diagonal of a live one under a finer tie pattern, with no
-    contraction (oracle._derived).  draw_seconds is the time verify took
-    to draw the models' CPTs; a nested report reuses its parent's models and
-    reads 0.  merges_computed sums the pairwise merges of expression
-    contractions over all batches and nested reports.  path_searches counts
-    the contraction paths oracle._plan searched during the call, for
-    conditionals and expressions, nested reports included; _plan keeps the
-    paths for the process, so a shape met by an earlier request is not
-    searched again, and a repeated verify reports 0.  peak_live_bytes is
-    the most bytes of memoised conditionals and expression tables held at
-    once in a batch (each is released after the last check that uses it),
-    over all batches and nested reports.  A step skips a model for one
-    reason only: its expression conditions on an event of probability
-    exactly zero in that model (a zero in a CPT); a positive probability,
-    however small, is divided by."""
+@dataclass
+class VerifyStats(Counts):
+    """What one verify did beyond its steps: the oracle's counts (Counts)
+    over all batches and nested reports, and three timings.  A conditional
+    is built per regime, dependents, conditioners and tie pattern, so a term
+    whose conditioners share a symbol has its own, smaller table.  _plan
+    keeps the paths it searched for the process, so a shape met by an
+    earlier request is not searched again, and a repeated verify reports 0
+    path_searches.  estimand_seconds is the time spent evaluating the
+    estimand (the final check's other side, the final formula, counts in
+    seconds alone), seconds the time in all, after the models were drawn,
+    and draw_seconds the time verify took to draw the models' CPTs; a
+    nested report reuses its parent's models and reads 0.  A step skips a
+    model for one reason only: its expression conditions on an event of
+    probability exactly zero in that model (a zero in a CPT); a positive
+    probability, however small, is divided by."""
 
     estimand_seconds: float = 0.0
-    conditionals: int = 0
-    largest_table: int = 0
     seconds: float = 0.0
-    merges_computed: int = 0
-    path_searches: int = 0
-    peak_live_bytes: int = 0
     draw_seconds: float = 0.0
-    conditionals_derived: int = 0
 
 
 @dataclass(frozen=True)
@@ -785,7 +770,6 @@ def _verify_models(
         ok = ~(skip[a] | skip[b])
         dev.append(float(np.max(deviations[ok], initial=0.0)))
         used.append(int(ok.sum()))
-    nested_stats = [r.stats for reports in nested.values() for r in reports]
 
     reports: list[StepReport] = []
     all_passed = True
@@ -802,9 +786,14 @@ def _verify_models(
 
     final_dev = None
     final_used = 0
+    stats = VerifyStats()
     if derivation.identified:
         final_dev, final_used = dev[0], used[0]
         all_passed &= final_dev <= TOL and final_used > 0
+        stats.estimand_seconds = float(found.seconds[0, 0])
+    for counts in (found.counts, *(r.stats for inner in nested.values() for r in inner)):
+        stats.add(counts)
+    stats.seconds = time.perf_counter() - start
     return VerifyReport(
         steps=tuple(reports),
         final_deviation=final_dev,
@@ -813,17 +802,7 @@ def _verify_models(
         n_models=n_models,
         seed=seed,
         tol=TOL,
-        stats=VerifyStats(
-            float(found.seconds[0, 0]) if derivation.identified else 0.0,
-            found.counts.conditionals + sum(s.conditionals for s in nested_stats),
-            max([found.counts.largest, *(s.largest_table for s in nested_stats)]),
-            time.perf_counter() - start,
-            found.counts.merges + sum(s.merges_computed for s in nested_stats),
-            found.path_searches + sum(s.path_searches for s in nested_stats),
-            max([found.peak_bytes, *(s.peak_live_bytes for s in nested_stats)]),
-            conditionals_derived=found.counts.derived
-            + sum(s.conditionals_derived for s in nested_stats),
-        ),
+        stats=stats,
     )
 
 

@@ -27,16 +27,20 @@ views).
 
 A model may also be a batch: N models of one graph with their CPTs stacked
 on a leading axis, so that joints, conditionals and expression values carry
-one table per model.  Expressions are evaluated by one batched evaluator: a
-term is a view of the model's memoised conditional plus a per-model mask of
-the models for which it conditions on a zero-probability event, and each
-sum or product is contracted two tables at a time (one einsum over the
-batch axis and the pair's labels), along the path _plan finds; the
-batch's Contractor counts the merges and the conditionals built and
-derived.  Values are memoised per model (or
-batch), so each distinct expression is evaluated once; compare, verify's
-batch loop, drops each value and conditional after the last pair of
-expressions that uses it.  A single model is a batch of one.
+one table per model.  A single model is a batch of one: regime_factors gives
+its CPTs as views with a model axis of one, so every table the ancestral way
+builds carries the model axis, and ancestral_conditional hands a single
+model's caller the [0] view of the table it memoises.  Expressions are
+evaluated by one batched evaluator: a term is a view of the model's
+memoised conditional plus a per-model mask of the models for which it
+conditions on a zero-probability event, and each sum or product is
+contracted two tables at a time (one einsum over the model axis and the
+pair's labels), along the path _plan finds.  A model's Counts record counts
+the merges and the conditionals built and derived; compare fills one over
+all its batches, with the paths searched and the peak of live bytes.
+Values are memoised per model (or batch), so each distinct expression is
+evaluated once; compare, verify's batch loop, drops each value and
+conditional after the last pair of expressions that uses it.
 random_cpt_batch draws the CPTs of many random models at once, stacked on a
 leading model axis: each model's generator fills all of its variables with
 one standard_exponential call, and each variable is normalised over all
@@ -48,13 +52,15 @@ subset of the variables, so that bound holds for it too.  Conditionals and
 expressions both contract through _run, which runs the program _plan
 compiles: the path, and for each merge its einsum subscripts and whether
 it takes einsum's matmul path, so _run is a loop of np.einsum calls.  A
-program depends on the contraction's shape alone, without the batch size,
-so _plan memoises it once for the process: each shape is searched and
-compiled once, whatever the models, the batch sizes or the requests (after
-opt_einsum, Smith & Gray 2018, which plans a path once per shape).
+program depends on the contraction's shape alone, without the number of
+models, so _plan memoises it once for the process: each shape is searched
+and compiled once, whatever the models, single or batched, or the requests
+(after opt_einsum, Smith & Gray 2018, which plans a path once per shape).
 _plan refuses a merge whose einsum would take more than EINSUM_LABELS labels
 or whose table would have more than STATE_LIMIT entries for one model, and
-_run raises that refusal before any merge runs.
+_run raises that refusal before any merge runs.  The entry points that read
+one model's numbers (query, brute_force_ci, sample and model_to_json) refuse
+a batch.
 
 The data path does no Python work per row or cell.  sample draws the regime
 graph's variables in topological order, each from the cumulative sums of its
@@ -79,7 +85,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -100,19 +106,44 @@ from .model import BaseDag, Regime, Swig, Sym, to_swig
 STATE_LIMIT = 2**22
 ZERO_EPS = 1e-12
 CI_TOL = 1e-9  # largest cell deviation brute_force_ci reads as independence
-# np.einsum takes at most 52 subscripts; the batch axis takes one of them.
+# np.einsum takes at most 52 subscripts; the model axis takes one of them.
 EINSUM_LABELS = 51
 # A merge whose pair product has more entries than this, over all models of
 # the batch, goes through einsum's matmul-backed path; below it, that path's
 # set-up costs more than einsum's plain loop (measured on seqfd fig2 n=3-6).
 MATMUL_ENTRIES = 4096
-# The contraction programs _plan keeps.  One verify of seqfd fig2 n=3, 5, 6
-# and 7 meets 29, 45, 53 and 61 shapes (the tied conditionals it derives
-# need none; n=8 passes STATE_LIMIT), so this holds the widest verify's
-# programs with room for those of another graph.
+# The contraction programs _plan keeps, each serving single models and
+# batches alike.  One verify of seqfd fig2 n=3, 5, 6 and 7 meets 29, 45, 53
+# and 61 shapes (the tied conditionals it derives need none; n=8 passes
+# STATE_LIMIT), so this holds the widest verify's programs with room for
+# those of another graph.
 PLAN_CACHE = 256
 
 Cpt = tuple[tuple[str, ...], np.ndarray]
+
+
+@dataclass
+class Counts:
+    """The oracle's counts, named as verify --stats writes them: the
+    ancestral conditionals built and the most entries one had (model axis
+    included), how many of them were derived from a live table (_derived)
+    rather than contracted, the pairwise merges expressions computed, the
+    contraction paths _plan searched and the most bytes of conditionals and
+    expression tables one batch held at once.  add folds another record in:
+    largest_table and peak_live_bytes by their max, the rest by their sum."""
+
+    conditionals: int = 0
+    largest_table: int = 0
+    conditionals_derived: int = 0
+    merges_computed: int = 0
+    path_searches: int = 0
+    peak_live_bytes: int = 0
+
+    def add(self, other: "Counts") -> None:
+        for f in fields(Counts):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            peak = f.name in ("largest_table", "peak_live_bytes")
+            setattr(self, f.name, max(mine, theirs) if peak else mine + theirs)
 
 
 @dataclass(eq=False)
@@ -123,7 +154,7 @@ class DiscreteModel:
     None for a single model.  Joints, ancestral conditionals (keyed by
     regime, dependents, conditioners and tie pattern) and expression values
     are cached (compare drops conditionals and values after their last
-    use), and the Contractor counts the contraction work."""
+    use), and the Counts record counts the contraction work."""
 
     swig: Swig
     cpts: dict[str, Cpt]
@@ -131,16 +162,12 @@ class DiscreteModel:
     _joints: dict[Regime, "RegimeJoint"] = field(default_factory=dict, repr=False)
     _conditionals: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
     _values: dict[ProbExpr, "LabeledTable"] = field(default_factory=dict, repr=False)
-    _contractor: "Contractor" = field(default_factory=lambda: Contractor(), repr=False)
-
-    @property
-    def batch_shape(self) -> tuple[int, ...]:
-        """Shape of the leading batch axes: () or (batch,)."""
-        return () if self.batch is None else (self.batch,)
+    _counts: Counts = field(default_factory=Counts, repr=False)
 
     def __post_init__(self) -> None:
         swig = self.swig
         interventions = set(swig.target_of)
+        lead = () if self.batch is None else (self.batch,)
         for name in interventions & set(self.cpts):
             raise SwigIdentError(f"{name!r} is an intervention node and takes no CPT")
         for v in swig.variables:
@@ -155,7 +182,7 @@ class DiscreteModel:
                 raise SwigIdentError(
                     f"CPT parents for {v.name!r} do not match the graph"
                 )
-            want = self.batch_shape + tuple(swig.var(p).cardinality for p in parents)
+            want = lead + tuple(swig.var(p).cardinality for p in parents)
             want += (v.cardinality,)
             if table.shape != want:
                 raise SwigIdentError(
@@ -230,17 +257,14 @@ def _expand(arr: np.ndarray, axes: Sequence[int], rank: int) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def _diagonal(table: np.ndarray, labels: tuple[str, ...], lead: int) -> Operand:
+def _diagonal(table: np.ndarray, labels: tuple[str, ...]) -> Operand:
     """table over each of its labels once, in order of first use, after the
-    lead batch axes: where a label repeats, the diagonal of its axes (a
-    view)."""
+    model axis: where a label repeats, the diagonal of its axes (a view)."""
     distinct = tuple(dict.fromkeys(labels))
     if len(distinct) == len(labels):
         return table, labels
-    batch = list(range(lead))
-    sub = {l: lead + i for i, l in enumerate(distinct)}
-    out = [*batch, *(sub[l] for l in distinct)]
-    return np.einsum(table, batch + [sub[l] for l in labels], out), distinct
+    sub = {l: 1 + i for i, l in enumerate(distinct)}
+    return np.einsum(table, [0, *map(sub.get, labels)], [0, *sub.values()]), distinct
 
 
 def regime_factors(
@@ -250,23 +274,27 @@ def regime_factors(
     active_laws: Mapping[int, np.ndarray] | None = None,
 ) -> list[tuple[np.ndarray, tuple[str, ...]]]:
     """The factors of the regime-s joint that belong to the given variables,
-    each with the variables of its axes after the model's batch axis: a
-    CPT (parents, then the variable), eye(k) over (target, intervention
-    node) for an inactive intervention, and the uniform law of an active one
-    (or active_laws[i], which must have full support).  Intervention factors
-    are broadcast over the batch axis without a copy."""
+    each with the variables of its axes after the model axis: a CPT
+    (parents, then the variable), eye(k) over (target, intervention node)
+    for an inactive intervention, and the uniform law of an active one (or
+    active_laws[i], which must have full support).  A single model's CPTs
+    are views with a model axis of one, and intervention factors are
+    broadcast over the model axis, without a copy."""
     swig = model.swig
     names = set(names)
-    lead = model.batch_shape
+    single = model.batch is None
+    model_axis = (1,) if single else (model.batch,)
     out = [
-        (cpt, (*parents, name)) for name, (parents, cpt) in model.cpts.items() if name in names
+        (cpt[None] if single else cpt, (*parents, name))
+        for name, (parents, cpt) in model.cpts.items()
+        if name in names
     ]
     for i, (tgt, do) in enumerate(swig.pairs, start=1):
         if do not in names:
             continue
         k = swig.var(tgt).cardinality
         if i not in regime.active:
-            out.append((np.broadcast_to(np.eye(k), lead + (k, k)), (tgt, do)))
+            out.append((np.broadcast_to(np.eye(k), model_axis + (k, k)), (tgt, do)))
             continue
         law = np.full(k, 1.0 / k)
         if active_laws is not None and i in active_laws:
@@ -274,7 +302,7 @@ def regime_factors(
             if law.shape != (k,) or (law <= 0).any():
                 raise SwigIdentError(f"active law for index {i} must be full support")
             law = law / law.sum()
-        out.append((np.broadcast_to(law, lead + (k,)), (do,)))
+        out.append((np.broadcast_to(law, model_axis + (k,)), (do,)))
     return out
 
 
@@ -300,20 +328,19 @@ def joint(
     if size > STATE_LIMIT:
         raise StateSpaceLimitError(f"joint has {size} states (limit {STATE_LIMIT})")
 
-    lead = model.batch_shape
+    # The factors carry a model axis, of one for a single model, whose joint
+    # is the one table of that axis.
     axis = {n: i for i, n in enumerate(names)}
-    at = {n: len(lead) + i for n, i in axis.items()}  # table axis, after the batch axis
-    rank = len(lead) + len(names)
-    batch_axes = list(range(len(lead)))
-    table = np.ones(lead + tuple(swig.var(n).cardinality for n in names))
+    models = 1 if model.batch is None else model.batch
+    table = np.ones((models, *(swig.var(n).cardinality for n in names)))
     for factor, labels in regime_factors(model, regime, names, active_laws):
-        table *= _expand(factor, batch_axes + [at[n] for n in labels], rank)
+        table *= _expand(factor, [0, *(1 + axis[n] for n in labels)], table.ndim)
 
-    totals = table.reshape(lead + (-1,)).sum(axis=-1)
-    worst = totals.flat[np.argmax(np.abs(totals - 1.0))]
+    totals = table.reshape(models, -1).sum(axis=-1)
+    worst = totals[np.argmax(np.abs(totals - 1.0))]
     if abs(worst - 1.0) > 1e-9:
         raise SwigIdentError(f"joint does not normalize: sum = {worst!r}")
-    out = RegimeJoint(regime, names, table, axis)
+    out = RegimeJoint(regime, names, table if model.batch is not None else table[0], axis)
     if active_laws is None:
         model._joints[regime] = out
     return out
@@ -345,7 +372,9 @@ def ancestral_conditional(
     RegimeJoint.conditional gives it.  It is computed from the factors of
     the ancestors of deps and conds in the regime graph alone, contracted
     two at a time along _plan's path (as expressions are), so no dense
-    joint is built; memoised per model and tie pattern.
+    joint is built; memoised per model and tie pattern, with the model axis
+    (_conditional), so a single model's table is the [0] view of its
+    batch-of-one table.
     ties gives, for each conditioner, the position of the first conditioner
     that takes the same value (tie_pattern), or its own.  Tied conditioners
     share the first one's label before _run plans, so a factor holding two
@@ -354,42 +383,47 @@ def ancestral_conditional(
     themselves: the diagonal of the untied table, taken as evidence before
     the contraction, not after it.  When the memo holds the table under a
     pattern that refines ties, no factor is contracted: the table is read
-    as that one's diagonal (_derived), and the contractor counts it as
+    as that one's diagonal (_derived), and the model's Counts count it as
     derived as well as built.
     Raises StateSpaceLimitError when a table it needs has more than
     STATE_LIMIT entries for one model or a merge more than EINSUM_LABELS
     labels."""
-    key = _conditional_key(regime, deps, conds, ties)
+    table = _conditional(model, _conditional_key(regime, deps, conds, ties))
+    return table if model.batch is not None else table[0]
+
+
+def _conditional(model: DiscreteModel, key: tuple) -> np.ndarray:
+    """ancestral_conditional's memoised table under key (_conditional_key),
+    model axis first."""
     memo = model._conditionals
     cached = memo.get(key)
     if cached is not None:
         return cached
-    lead = len(model.batch_shape)
-    counts = model._contractor
-    out = _derived(memo, key, lead)
+    regime, deps, conds, ties = key
+    counts = model._counts
+    out = _derived(memo, key)
     if out is not None:
-        counts.derived += 1
+        counts.conditionals_derived += 1
     else:
-        ties = key[3]
         names = deps + conds
         swig = model.swig
         factors = regime_factors(model, regime, swig.regime_graph(regime).ancestors(names))
         tied = {c: conds[j] for i, (c, j) in enumerate(zip(conds, ties)) if j != i}
-        factors = [_diagonal(t, tuple(tied.get(n, n) for n in ls), lead) for t, ls in factors]
+        factors = [_diagonal(t, tuple(tied.get(n, n) for n in ls)) for t, ls in factors]
         kept = deps + tuple(c for c in conds if c not in tied)
-        m, _ = _run(factors, kept, lead, f"a conditional over {len(names)} variables")
+        m, _ = _run(factors, kept, f"a conditional over {len(names)} variables")
         # The merges leave m's axes in whatever memory order einsum's matmul
         # path gave them; the division, and the merges that later read the
         # table, run faster over it in C order.  m may be a view of a CPT
         # (q0(L)); neither the copy nor _normalized writes into it.
-        out = _normalized(np.ascontiguousarray(m), lead, len(deps))
+        out = _normalized(np.ascontiguousarray(m), 1, len(deps))
     memo[key] = out
     counts.conditionals += 1
-    counts.largest = max(counts.largest, out.size)
+    counts.largest_table = max(counts.largest_table, out.size)
     return out
 
 
-def _derived(memo: dict, key: tuple, lead: int) -> np.ndarray | None:
+def _derived(memo: dict, key: tuple) -> np.ndarray | None:
     """The table under key (_conditional_key) read off one that memo holds,
     or None: memo's first table with key's regime, dependents and
     conditioners under a tie pattern that refines key's (each conditioner
@@ -402,10 +436,16 @@ def _derived(memo: dict, key: tuple, lead: int) -> np.ndarray | None:
         if c == conds and d == deps and r == regime and p != ties:
             if all(ties[j] == ties[i] for i, j in enumerate(p)):
                 axes = deps + tuple(conds[ties[i]] for i, j in enumerate(p) if i == j)
-                out = np.ascontiguousarray(_diagonal(table, axes, lead)[0])
+                out = np.ascontiguousarray(_diagonal(table, axes)[0])
                 out.flags.writeable = False
                 return out
     return None
+
+
+def _one_model(model: DiscreteModel, what: str) -> None:
+    """Refuse a batch where one model's numbers are read."""
+    if model.batch is not None:
+        raise SwigIdentError(f"{what} takes one model, not a batch of {model.batch}")
 
 
 def query(
@@ -417,6 +457,7 @@ def query(
     """Exact conditional P(dependents | conditioners = values) of a single
     model; axes follow the dependents, in the order given.  It reads the
     ancestral conditional, so no dense joint is built."""
+    _one_model(model, "query")
     cond_items = sorted(dict(conditioners).items())
     table = ancestral_conditional(
         model, regime, tuple(dependents), tuple(n for n, _ in cond_items)
@@ -496,12 +537,12 @@ def _eval_term(swig: Swig, t: Term, provider: TableProvider) -> LabeledTable:
     # Pinned levels are basic indices and a label a dependent shares takes a
     # diagonal, so the term stays a view of the provider's (cached) table.
     table = provider(t.regime, t.dep_names(), t.cond_names(), ties)[tuple(idx)]
-    out, labels = _diagonal(table, tuple(axes), 1)
+    out, labels = _diagonal(table, tuple(axes))
     skipped = np.isnan(out).any(axis=tuple(range(1, out.ndim)))
     return LabeledTable(labels, out, skipped)
 
 
-# A factor as a plan runs: its table (lead batch axes first) and its labels.
+# A factor as a plan runs: its table (model axis first) and its labels.
 Operand = tuple[np.ndarray, tuple[str, ...]]
 
 
@@ -513,10 +554,10 @@ Merge = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], int
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
 def _plan(
-    subs: tuple[tuple[int, ...], ...], sizes: tuple[int, ...], out: tuple[int, ...], lead: int
+    subs: tuple[tuple[int, ...], ...], sizes: tuple[int, ...], out: tuple[int, ...]
 ) -> tuple[tuple[Merge, ...], tuple[int, int] | None]:
     """The einsum program that contracts factors with the label numbers subs
-    (label i has sizes[i] levels), after lead batch axes, down to the labels
+    (label i has sizes[i] levels), after the model axis, down to the labels
     out, in out's order.  The path is greedy: while two or more factors are
     left, the pair whose product, summed over every label that neither out
     nor another factor needs, has the fewest entries less those of the pair
@@ -525,14 +566,14 @@ def _plan(
     merges the same way.  Label sets are bit masks.  A lone factor is
     summed down or reordered to out by one einsum.  Each merge pops its
     positions, in descending order, and its result is appended; its
-    subscripts number the lead batch axes first, then its labels by first
-    use.  Returns the merges and None, or, if a merge's einsum would take
-    more than EINSUM_LABELS labels or keep more than STATE_LIMIT entries for
-    one model, no merges and the first such merge's labels kept and
-    entries.  A program depends on the shape alone, not on the batch size
-    or the tables, so the last PLAN_CACHE shapes' programs are memoised for
-    every model and batch of the process; the cache's misses count the
-    searches run."""
+    subscripts number the model axis 0, then its labels by first use.
+    Returns the merges and None, or, if a merge's einsum would take more
+    than EINSUM_LABELS labels or keep more than STATE_LIMIT entries for one
+    model, no merges and the first such merge's labels kept and entries.  A
+    program depends on the shape alone, not on the number of models or the
+    tables, so the last PLAN_CACHE shapes' programs are memoised for every
+    model and batch of the process; the cache's misses count the searches
+    run."""
     out_mask = sum(1 << i for i in out)
     entries: dict[int, int] = {}
 
@@ -579,40 +620,38 @@ def _plan(
         group = [held.pop(p) for p in positions]
         held.append(kept)
         used = dict.fromkeys(label for labels in group for label in labels)
-        number = {label: lead + i for i, label in enumerate(used)}
+        number = {label: 1 + i for i, label in enumerate(used)}
         states = math.prod(sizes[label] for label in kept)
         if len(number) > EINSUM_LABELS or states > STATE_LIMIT:
             return (), (len(kept), states)
-        operands = tuple((*range(lead), *map(number.get, labels)) for labels in group)
+        operands = tuple((0, *map(number.get, labels)) for labels in group)
         pair = math.prod(sizes[label] for label in number) if len(group) == 2 else 0
-        program.append((positions, operands, (*range(lead), *map(number.get, kept)), pair))
+        program.append((positions, operands, (0, *map(number.get, kept)), pair))
     return tuple(program), None
 
 
-def _run(
-    ops: list[Operand], out: tuple[str, ...], lead: int, what: str
-) -> tuple[np.ndarray, int]:
-    """The product of ops summed down to the labels out, with the lead batch
-    axes first and then out's labels in order, and how many merges ran.
-    The labels are numbered by first use, and _plan compiles the program for
-    those numbers, out's, the label sizes and lead (a program does not
-    depend on the batch size).  Each merge pops its positions and appends
+def _run(ops: list[Operand], out: tuple[str, ...], what: str) -> tuple[np.ndarray, int]:
+    """The product of ops summed down to the labels out, with the model axis
+    first and then out's labels in order, and how many merges ran.  The
+    labels are numbered by first use, and _plan compiles the program for
+    those numbers, out's and the label sizes (a program does not depend on
+    the number of models).  Each merge pops its positions and appends
     one np.einsum of them; a pair whose product has more than MATMUL_ENTRIES
     entries over all models goes through einsum's matmul-backed path.  A
     program _plan refuses raises StateSpaceLimitError naming what is
     contracted, before any merge runs."""
     ids: dict[str, int] = {}
     subs = tuple(tuple(ids.setdefault(n, len(ids)) for n in labels) for _, labels in ops)
-    sizes = {ids[n]: k for t, labels in ops for n, k in zip(labels, t.shape[lead:])}
+    sizes = {ids[n]: k for t, labels in ops for n, k in zip(labels, t.shape[1:])}
     # sizes holds label 0 first, then 1, ...: both walks take the same order
-    program, refused = _plan(subs, tuple(sizes.values()), tuple(ids[n] for n in out), lead)
+    program, refused = _plan(subs, tuple(sizes.values()), tuple(ids[n] for n in out))
     if refused is not None:
         raise StateSpaceLimitError(
             f"{what} needs a table over {refused[0]} variables ({refused[1]} states); "
             f"the limits are {EINSUM_LABELS} einsum subscripts and {STATE_LIMIT} states"
         )
     tables = [t for t, _ in ops]
-    models = math.prod(tables[0].shape[:lead])
+    models = len(tables[0])
     for positions, operands, result, pair in program:
         group = [tables.pop(p) for p in positions]
         args = [x for table, subscripts in zip(group, operands) for x in (table, subscripts)]
@@ -620,32 +659,18 @@ def _run(
     return tables[0], len(program)
 
 
-@dataclass(eq=False)
-class Contractor:
-    """A batch's contraction counts (compare's one over all its batches):
-    how many merges its expressions computed, how many ancestral
-    conditionals were built and the most entries one had, and how many of
-    those were derived from a live table (_derived) rather than
-    contracted."""
-
-    merges: int = 0
-    conditionals: int = 0
-    largest: int = 0
-    derived: int = 0
-
-
 def _contract(
-    swig: Swig, e: Sum | Product, provider: TableProvider, memo: dict, contractor: "Contractor"
+    swig: Swig, e: Sum | Product, provider: TableProvider, memo: dict, counts: Counts
 ) -> LabeledTable:
-    """A sum of products (or either alone) over the batch axis and the
+    """A sum of products (or either alone) over the model axis and the
     factors' labels, with the binders summed out.  _run merges the factors
-    two at a time along a path planned once per contraction shape, and the
-    contractor counts the merges; only the factors' tables are memoised,
-    not the partial products."""
+    two at a time along a path planned once per contraction shape, and
+    counts counts the merges; only the factors' tables are memoised, not
+    the partial products."""
     binders = e.binders if isinstance(e, Sum) else ()
     body = e.body if isinstance(e, Sum) else e
     factors = body.factors if isinstance(body, Product) else (body,)
-    tables = [_eval(swig, f, provider, memo, contractor) for f in factors]
+    tables = [_eval(swig, f, provider, memo, counts) for f in factors]
     sizes: dict[str, int] = {}
     for t in tables:
         for label, n in zip(t.labels, t.values.shape[1:]):
@@ -658,14 +683,14 @@ def _contract(
             raise ExprError(f"binder {b!r} never used in the sum body")
     kept = tuple(l for l in sizes if l not in binders)
     ops = [(t.values, t.labels) for t in tables]
-    values, merges = _run(ops, kept, 1, f"a product of {len(tables)} factors")
-    contractor.merges += merges
+    values, merges = _run(ops, kept, f"a product of {len(tables)} factors")
+    counts.merges_computed += merges
     skipped = np.logical_or.reduce([t.skipped for t in tables])
     return LabeledTable(kept, values, skipped)
 
 
 def _eval(
-    swig: Swig, e: ProbExpr, provider: TableProvider, memo: dict, contractor: "Contractor"
+    swig: Swig, e: ProbExpr, provider: TableProvider, memo: dict, counts: Counts
 ) -> LabeledTable:
     """Batch table of an expression, memoised by expression in memo; its
     values are read-only, as every later caller gets the same array."""
@@ -674,7 +699,7 @@ def _eval(
         if isinstance(e, Term):
             out = _eval_term(swig, e, provider)
         else:
-            out = _contract(swig, e, provider, memo, contractor)
+            out = _contract(swig, e, provider, memo, counts)
         out.values.flags.writeable = False
         memo[e] = out
     return out
@@ -688,11 +713,7 @@ def _only_model(out: LabeledTable) -> LabeledTable:
 
 
 def oracle_provider(model: DiscreteModel) -> TableProvider:
-    def provider(regime: Regime, deps: tuple[str, ...], conds: tuple[str, ...], ties):
-        table = ancestral_conditional(model, regime, deps, conds, ties)
-        return table if model.batch is not None else table[None]
-
-    return provider
+    return lambda regime, deps, conds, ties: _conditional(model, (regime, deps, conds, ties))
 
 
 def eval_expr(model: DiscreteModel, e: ProbExpr) -> LabeledTable:
@@ -702,7 +723,7 @@ def eval_expr(model: DiscreteModel, e: ProbExpr) -> LabeledTable:
     batch gives a batch table; a single model raises ZeroProbabilityError
     if the expression conditions on a zero-probability event.
     """
-    out = _eval(model.swig, e, oracle_provider(model), model._values, model._contractor)
+    out = _eval(model.swig, e, oracle_provider(model), model._values, model._counts)
     return _only_model(out) if model.batch is None else out
 
 
@@ -719,16 +740,13 @@ class Comparison:
     """deviations[i, m]: the largest absolute difference between the sides
     of pair i in model m, over the union of their axes (NaN where a term of
     either skips m); masks[t]: the models term t skips; seconds[i]: the
-    seconds spent on each side of pair i; counts: the batches' contraction
-    counts; peak_bytes: the most bytes of conditionals and expression
-    tables one batch held at once; path_searches: the paths _plan searched."""
+    seconds spent on each side of pair i; counts: the oracle's counts over
+    all the batches."""
 
     deviations: np.ndarray
     masks: dict[Term, np.ndarray]
     seconds: np.ndarray
-    counts: Contractor
-    peak_bytes: int
-    path_searches: int
+    counts: Counts
 
 
 def _last_uses(pairs: Sequence[tuple[ProbExpr, ProbExpr]]) -> list[list]:
@@ -770,10 +788,10 @@ def compare(
     deviations = np.empty((len(pairs), n))
     masks = {t: np.empty(n, dtype=bool) for pair in pairs for e in pair for _, t in terms(e)}
     seconds = np.zeros((len(pairs), 2))
-    counts = Contractor()
-    peak = start = 0
+    counts = Counts()
+    start = 0
     for batch in model_batches(swig, cpts):
-        batch._contractor = counts
+        batch._counts = counts
         values, held = batch._values, batch._conditionals
         models = slice(start, start + batch.batch)
         start += batch.batch
@@ -793,13 +811,13 @@ def compare(
             live = sum(t.nbytes for t in held.values()) + sum(
                 v.values.nbytes for e, v in values.items() if not isinstance(e, Term)
             )
-            peak = max(peak, live)
+            counts.peak_live_bytes = max(counts.peak_live_bytes, live)
             for item in dying[i]:
                 (held if isinstance(item, tuple) else values).pop(item, None)
         for t, mask in skipped.items():
             masks[t][models] = mask
-    searched = _plan.cache_info().misses - searched
-    return Comparison(deviations, masks, seconds, counts, peak, searched)
+    counts.path_searches = _plan.cache_info().misses - searched
+    return Comparison(deviations, masks, seconds, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +828,7 @@ def brute_force_ci(model: DiscreteModel, q: CiQuery) -> bool:
     CI_TOL, skipping conditioning cells of probability below ZERO_EPS.  It
     reads the ancestral marginal over x, y and z, so no dense joint is
     built."""
+    _one_model(model, "brute_force_ci")
     if not q.x or not q.y:
         return True
     x, y, z = sorted(q.x), sorted(q.y), sorted(q.z)
@@ -1020,6 +1039,7 @@ def sample(model: DiscreteModel, regime: Regime, n: int, seed: int = 0) -> Datas
     in the row its parents select, lies below a uniform u (at most k - 1).
     The cumulative sums are taken once over the CPT, and each sample's row
     is found by one ravel_multi_index over its parents' columns."""
+    _one_model(model, "sample")
     if n < 0:
         raise SwigIdentError(f"cannot draw a negative number of rows ({n})")
     swig = model.swig
@@ -1072,11 +1092,11 @@ def empirical_provider(dataset: Dataset, swig: Swig) -> TableProvider:
                     ) from None
             raise
         size = int(np.prod(cards))
-        counts = np.bincount(flat, minlength=size).reshape(cards).astype(float)
+        counts = np.bincount(flat, minlength=size).reshape((1, *cards)).astype(float)
         counts += 1.0
-        denom = counts.sum(axis=tuple(range(len(deps))))
+        denom = counts.sum(axis=tuple(range(1, 1 + len(deps))), keepdims=True)
         labels = tuple(deps) + tuple(conds[j] for j in ties)
-        return _diagonal(counts / denom, labels, 0)[0][None]
+        return _diagonal(counts / denom, labels)[0]
 
     return provider
 
@@ -1089,7 +1109,7 @@ def plugin_estimate(swig: Swig, e: ProbExpr, dataset: Dataset) -> LabeledTable:
     if bad:
         raise SwigIdentError("formula still uses interventional regimes; identify first")
     provider = empirical_provider(dataset, swig)
-    return _only_model(_eval(swig, e, provider, {}, Contractor()))
+    return _only_model(_eval(swig, e, provider, {}, Counts()))
 
 
 # ---------------------------------------------------------------------------
@@ -1098,6 +1118,7 @@ def plugin_estimate(swig: Swig, e: ProbExpr, dataset: Dataset) -> LabeledTable:
 def model_to_json(model: DiscreteModel) -> dict:
     """The graph as its graph document, and each CPT by its parents and its
     table flattened in C order (the variable's own level varies fastest)."""
+    _one_model(model, "model_to_json")
     return {
         "graph": emit_graph(model.swig.base),
         "cpts": {
@@ -1126,10 +1147,14 @@ def model_from_json(obj: dict) -> DiscreteModel:
 
 
 def save_model(model: DiscreteModel, fh) -> None:
+    """Write model_to_json's document to a path or a text file; a model it
+    refuses opens no file."""
+    text = json.dumps(model_to_json(model), sort_keys=True, indent=2)
     if isinstance(fh, (str, os.PathLike)):
         with open(fh, "w", encoding="utf-8") as f:
-            return save_model(model, f)
-    json.dump(model_to_json(model), fh, sort_keys=True, indent=2)
+            f.write(text)
+    else:
+        fh.write(text)
 
 
 def load_model(fh) -> DiscreteModel:

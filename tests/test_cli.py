@@ -434,6 +434,54 @@ def test_verify_reads_each_justification_field_with_its_type(path, value, found,
     _one_error_line(capsys, "error: malformed derivation: ", found)
 
 
+def _deleted_fields():
+    """Each key of each step's justification in the back-door golden, its
+    kind included, with the field the error must name."""
+    payload = json.loads((GOLDEN / "backdoor_fig1.json").read_text())
+    for k, step in enumerate(payload["steps"]):
+        for key in step["justification"]:
+            yield _field(k, key), f"step {k + 1} justification: {key}: missing"
+
+
+@pytest.mark.parametrize(
+    "path, line",
+    [
+        *_deleted_fields(),
+        *(
+            (_field(2, "query", key), f"step 3 justification: query: {key}: missing")
+            for key in ("regime", "x", "y", "z")
+        ),
+        (_field(5, "checks", 0, "z"), "step 6 justification: checks: z: missing"),
+        *((("backdoor_fig1", key), f"{key}: missing") for key in ("estimand", "final", "status")),
+    ],
+)
+def test_verify_names_a_deleted_derivation_field(path, line, tmp_path, capsys):
+    # Each printed an unlocated KeyError line (KeyError: 'query'), and a
+    # deleted kind "ExprError: unknown justification kind None".
+    golden, *parents, last = path
+    payload = json.loads((GOLDEN / f"{golden}.json").read_text())
+    del functools.reduce(lambda blob, key: blob[key], parents, payload)[last]
+    mutant = tmp_path / "mutant.json"
+    mutant.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(GOLDEN / "fixture_fig1.swig"), str(mutant), "--models", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: malformed derivation: {line}\n"
+
+
+@pytest.mark.parametrize("kind", [7, "no_such_kind", ["ci"]])
+def test_verify_names_an_unknown_justification_kind(kind, tmp_path, capsys):
+    payload = json.loads((GOLDEN / "backdoor_fig1.json").read_text())
+    payload["steps"][2]["justification"]["kind"] = kind
+    mutant = tmp_path / "mutant.json"
+    mutant.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(GOLDEN / "fixture_fig1.swig"), str(mutant), "--models", "2"]) == 1
+    out, err = capsys.readouterr()
+    line = f"step 3 justification: kind: expected a justification kind, found {kind!r}"
+    assert out == "" and err == f"error: malformed derivation: {line}\n"
+
+
 def test_verify_refuses_a_refusal_with_no_steps(tmp_path, capsys):
     # A not_identified file with no steps has nothing to check; it once
     # printed "verdict: pass" and exited 0.

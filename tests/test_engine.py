@@ -36,7 +36,7 @@ from swigident import (
     validate_derivation,
     verify,
 )
-from swigident import oracle
+from swigident import engine, oracle
 from swigident.cli import main
 from swigident.engine import VerifyStats, _verify_models
 from swigident.expr import terms
@@ -463,6 +463,36 @@ def test_verify_counts_merges_and_path_searches(fig2_n2):
         assert getattr(report.stats, count) >= sum(parts) and min(parts) > 0
     assert report.stats.largest_table >= max(r.stats.largest_table for r in step.nested)
     assert report.stats.peak_live_bytes >= max(r.stats.peak_live_bytes for r in step.nested)
+
+
+def test_verify_folds_every_count_over_nested_reports(fig2_n2, monkeypatch):
+    # Each count of a composition's stats is its own compare's count plus
+    # its nested reports', or their max for the two peaks.  Counts.add folds
+    # every field of the record, so a new counter cannot be left out, as
+    # conditionals and largest_table once were.
+    comp = identify(fig2_n2, dose_estimand(fig2_n2, ("Y",)), "mediator_intervention")
+    found = []
+
+    def recorded(*args):
+        found.append(oracle.compare(*args))
+        return found[-1]
+
+    monkeypatch.setattr(engine, "compare", recorded)
+    oracle._plan.cache_clear()
+    report = verify(comp, fig2_n2, n_models=5, seed=4)
+    (step,) = report.steps
+    # the nested derivations are compared first, the composition last
+    assert len(found) == 3 and len(step.nested) == 2
+    for f in dataclasses.fields(oracle.Counts):
+        for nested, comparison in zip(step.nested, found):
+            assert getattr(nested.stats, f.name) == getattr(comparison.counts, f.name)
+        own = getattr(found[-1].counts, f.name)
+        parts = [own, *(getattr(r.stats, f.name) for r in step.nested)]
+        peak = f.name in ("largest_table", "peak_live_bytes")
+        assert getattr(report.stats, f.name) == (max(parts) if peak else sum(parts)), f.name
+    timings = {f.name for f in dataclasses.fields(VerifyStats)}
+    timings -= {f.name for f in dataclasses.fields(oracle.Counts)}
+    assert timings == {"estimand_seconds", "seconds", "draw_seconds"}
 
 
 def test_verify_frees_each_table_after_its_last_use():

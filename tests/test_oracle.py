@@ -487,14 +487,14 @@ def contraction_shapes(draw):
     return subs, sizes, out
 
 
-@given(contraction_shapes(), st.integers(0, 1))
+@given(contraction_shapes())
 @settings(max_examples=400, deadline=None)
-def test_plan_matches_the_exhaustive_pair_scan(shape, lead):
+def test_plan_matches_the_exhaustive_pair_scan(shape):
     # Each compiled merge pops the reference path's positions, and its
-    # subscripts name, after the lead batch axes, the labels of the factors
-    # it pops and the ones the reference keeps.
+    # subscripts name, after the model axis 0, the labels of the factors it
+    # pops and the ones the reference keeps.
     subs, sizes, out = shape
-    program, refused = _plan(*shape, lead)
+    program, refused = _plan(*shape)
     assert refused is None and len(program) == len(reference_plan(*shape))
     held = list(subs)
     for (positions, operands, result, pair), (want, kept) in zip(program, reference_plan(*shape)):
@@ -502,16 +502,16 @@ def test_plan_matches_the_exhaustive_pair_scan(shape, lead):
         group = [held.pop(p) for p in positions]
         label = {}
         for labels, subscripts in zip(group, operands):
-            assert subscripts[:lead] == tuple(range(lead))
-            for x, l in zip(subscripts[lead:], labels, strict=True):
+            assert subscripts[0] == 0
+            for x, l in zip(subscripts[1:], labels, strict=True):
                 assert label.setdefault(x, l) == l
-        assert result[:lead] == tuple(range(lead))
-        assert tuple(label[x] for x in result[lead:]) == tuple(kept)
+        assert result[0] == 0
+        assert tuple(label[x] for x in result[1:]) == tuple(kept)
         assert pair == (math.prod(sizes[l] for l in label.values()) if len(group) == 2 else 0)
         held.append(tuple(kept))
     # a shape met again is not searched again: every caller shares the program
     misses = _plan.cache_info().misses
-    assert _plan(*shape, lead)[0] is program and _plan.cache_info().misses == misses
+    assert _plan(*shape)[0] is program and _plan.cache_info().misses == misses
 
 
 @given(contraction_shapes(), st.integers(1, 3), st.integers(0, 2**16))
@@ -523,11 +523,11 @@ def test_run_matches_one_einsum_over_every_factor(shape, models, seed):
     rng = np.random.default_rng(seed)
     tables = [rng.random((models, *(sizes[l] for l in s))) for s in subs]
     ops = [(t, tuple(f"l{l}" for l in s)) for t, s in zip(tables, subs)]
-    got, merges = _run(ops, tuple(f"l{l}" for l in out), 1, "a test product")
+    got, merges = _run(ops, tuple(f"l{l}" for l in out), "a test product")
     args = [x for t, s in zip(tables, subs) for x in (t, [len(sizes), *s])]
     want = np.einsum(*args, [len(sizes), *out])
     assert got.shape == want.shape and np.allclose(got, want, rtol=1e-12, atol=0)
-    assert merges == len(_plan(*_numbered(subs, sizes, out), 1)[0])
+    assert merges == len(_plan(*_numbered(subs, sizes, out))[0])
 
 
 def _numbered(subs, sizes, out):
@@ -554,10 +554,10 @@ def test_run_sends_a_pair_past_matmul_entries_through_the_matmul_path(monkeypatc
     for batch in (MATMUL_ENTRIES // 4, MATMUL_ENTRIES // 4 + 1):
         a = rng.random((batch, 2))
         b = rng.random((batch, 2, 2))
-        got, merges = _run([(a, ("x",)), (b, ("x", "y"))], ("y",), 1, "a pair")
+        got, merges = _run([(a, ("x",)), (b, ("x", "y"))], ("y",), "a pair")
         assert merges == 1 and np.allclose(got, einsum("mx,mxy->my", a, b))
     big = rng.random((MATMUL_ENTRIES, 2))
-    got, merges = _run([(big, ("x",))], (), 1, "a table")
+    got, merges = _run([(big, ("x",))], (), "a table")
     assert merges == 1 and np.allclose(got, big.sum(axis=1))
     assert flags == [False, True, False]
 
@@ -1123,13 +1123,13 @@ def test_a_derived_conditional_equals_a_contracted_one(fig2_n2, regime, determin
     [batch] = model_batches(fig2_n2, cpts)
     source = ancestral_conditional(batch, regime, deps, conds, finer)
     got = ancestral_conditional(batch, regime, deps, conds, ties)
-    assert batch._contractor.derived == 1 and batch._contractor.conditionals == 2
+    assert batch._counts.conditionals_derived == 1 and batch._counts.conditionals == 2
     assert got.flags.c_contiguous and not got.flags.writeable
     assert not np.shares_memory(got, source)
     assert np.array_equal(got, _cells_of(source, 1, finer, ties), equal_nan=True)
     [fresh] = model_batches(fig2_n2, cpts)
     want = ancestral_conditional(fresh, regime, deps, conds, ties)
-    assert fresh._contractor.derived == 0
+    assert fresh._counts.conditionals_derived == 0
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.max(np.abs(np.nan_to_num(got) - np.nan_to_num(want)), initial=0.0) <= 1e-12
     assert np.isnan(got).any() == (deterministic or regime == Q0)
@@ -1148,12 +1148,12 @@ def test_a_tied_conditional_with_no_finer_table_live_is_contracted(fig2_n2, monk
     ancestral_conditional(batch, Q0, deps, conds, (0, 1, 1, 1))
     ancestral_conditional(batch, Q1, ("M2",), conds, (0, 1, 1, 1))
     ancestral_conditional(batch, Q1, deps, ("Do1", "D2", "M1", "L"), (0, 1, 1, 1))
-    assert len(runs) == 5 and batch._contractor.derived == 0
+    assert len(runs) == 5 and batch._counts.conditionals_derived == 0
     # dropped and asked for again, the first is read from the live
     # (0, 1, 2, 2) table, which refines its pattern
     batch._conditionals.pop((Q1, deps, conds, (0, 1, 1, 1)))
     ancestral_conditional(batch, Q1, deps, conds, (0, 1, 1, 1))
-    assert len(runs) == 5 and batch._contractor.derived == 1
+    assert len(runs) == 5 and batch._counts.conditionals_derived == 1
 
 
 @st.composite
@@ -1393,3 +1393,61 @@ def test_a_factor_repeated_in_a_product_counts_twice(fig1):
     p_l = _fresh(fig1, cpts, parse_expr("q0(L=l)")).aligned(("Y1", "l"))
     want = (y_given_l * p_l**2).sum(axis=-1)
     np.testing.assert_allclose(got.aligned(("Y1",)), want, rtol=0, atol=1e-12)
+
+
+@pytest.fixture()
+def fig1_batch(fig1):
+    """Three models of fig1 as one batch."""
+    [batch] = model_batches(fig1, seeded_cpts(fig1, 3))
+    return batch
+
+
+ONE_MODEL = "takes one model, not a batch of 3"
+
+
+def test_query_refuses_a_batch(fig1_batch):
+    # It returned a 3x2 array that read the batch axis as Y1's.
+    with pytest.raises(SwigIdentError, match=f"^query {ONE_MODEL}$"):
+        query(fig1_batch, Q1, ["Y1"], {"Do1": 1})
+
+
+def test_brute_force_ci_refuses_a_batch(fig1, fig1_batch):
+    # It answered False for an independence that holds in every model.
+    q = CiQuery(Q0, {"Y1"}, {"D1"}, {"L", "M1"})
+    assert all(brute_force_ci(random_model(fig1, seed), q) for seed in range(3))
+    with pytest.raises(SwigIdentError, match=f"^brute_force_ci {ONE_MODEL}$"):
+        brute_force_ci(fig1_batch, q)
+
+
+def test_sample_refuses_a_batch(fig1_batch):
+    # It raised numpy's ValueError from ravel_multi_index.
+    with pytest.raises(SwigIdentError, match=f"^sample {ONE_MODEL}$"):
+        sample(fig1_batch, Q0, 5)
+
+
+def test_save_model_refuses_a_batch(fig1_batch, tmp_path):
+    # It wrote a file that load_model refused: a flat table of 12 entries
+    # read as a (2, 2) CPT.
+    path = tmp_path / "batch.json"
+    with pytest.raises(SwigIdentError, match=f"^model_to_json {ONE_MODEL}$"):
+        save_model(fig1_batch, path)
+    assert not path.exists()
+
+
+def test_a_single_model_runs_the_programs_planned_for_a_batch():
+    # A single model is a batch of one: its conditionals and expressions
+    # contract through the programs _plan compiled for the batch, so no
+    # shape is searched again (single models once planned their
+    # conditionals with no model axis, each shape a second time).
+    swig = to_swig(figure2(3))
+    d = identify(swig, dose_estimand(swig, ("Y",)), "sequential_frontdoor")
+    exprs = [d.estimand, *(step.output for step in d.steps)]
+    [batch] = model_batches(swig, seeded_cpts(swig, 4))
+    for e in exprs:
+        eval_expr(batch, e)
+    misses = _plan.cache_info().misses
+    single = random_model(swig, seed=0)
+    for e in exprs:
+        eval_expr(single, e)
+    assert single._counts.conditionals == batch._counts.conditionals > 0
+    assert _plan.cache_info().misses == misses
