@@ -116,19 +116,18 @@ class Derivation:
                 )
             steps: list[DerivationStep] = []
             prev: ProbExpr = estimand
-            stored = _checked(obj.get("steps"), list, "a list", f"{where}steps")
+            stored = _checked(_key(obj, "steps", where), list, "a list", f"{where}steps")
             for i, s in enumerate(stored, start=1):
+                at = f"{where}step {i} "
                 s = _checked(s, dict, "an object", f"{where}step {i}")
-                rule = _checked(s.get("rule"), str, "a rule name", f"{where}step {i} rule")
-                output = _stored_expr(s.get("output"), f"{where}step {i} output", terms)
-                justification = _justification_from_json(
-                    s.get("justification"), f"{where}step {i} ", terms
-                )
+                rule = _checked(_key(s, "rule", at), str, "a rule name", f"{at}rule")
+                output = _stored_expr(_key(s, "output", at), f"{at}output", terms)
+                justification = _justification_from_json(s.get("justification"), at, terms)
                 if rule == "mediator_composition" and not isinstance(
                     justification, CompositionJustification
                 ):
                     raise SwigIdentError(
-                        f"malformed derivation: {where}step {i} justification: expected "
+                        f"malformed derivation: {at}justification: expected "
                         f"a composition, found {_KINDS.get(type(justification), 'null')}"
                     )
                 steps.append(DerivationStep(rule, prev, output, justification))

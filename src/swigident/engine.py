@@ -446,6 +446,7 @@ class SearchStats:
 
     expanded: int = 0  # states whose moves were tried
     duplicates: int = 0  # states pruned as seen earlier in the pass at a budget at least as large
+    pruned: int = 0  # states pruned as needing more moves than their budget (_moves_left)
     dsep_hits: int = 0  # d_separated calls answered by the Swig's cache
     dsep_misses: int = 0  # d_separated calls worked out on the graph
     refusals: dict[str, int] = field(default_factory=dict)
@@ -458,14 +459,31 @@ class SearchStats:
         return asdict(self)
 
 
+def _moves_left(expr: ProbExpr) -> int:
+    """A lower bound on the moves a simplified expression needs to reach an
+    identified formula: its terms not in regime 0.  Each move rewrites one
+    term, an introduction leaves both of its terms in the regime they had,
+    and no rule removes a term."""
+    return sum(not t.regime.is_observational for _, t in terms(expr))
+
+
 def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
-    """Iterative deepening over the move set.  Each pass simplifies, tests
-    and expands the states it reaches afresh; the rules' d-separation and
-    drop-later answers come from the Swig's cache.  The one memo is each
-    simplified state's canonical key, kept for the later passes.  At budget
-    1 total_probability moves are skipped: they never refuse, and the term
-    they split keeps its active regime and conditioners, so their leaf
-    cannot be a goal.  A refusal reports the first blocking query met."""
+    """Iterative deepening over the move set, pruned by a lower bound on the
+    moves left (IDA*).  Each pass simplifies, tests and expands the states it
+    reaches afresh; the rules' d-separation and drop-later answers come from
+    the Swig's cache.  The one memo is each simplified state's canonical
+    key, kept for the later passes.  A refusal reports the first blocking
+    query met.
+
+    Once that query is recorded, a state whose terms outside regime 0
+    (_moves_left) outnumber its budget is pruned before its key is
+    computed: the subtree holds no goal within the budget, so the first
+    goal in depth-first order, and the derivation, stay the same.  Before
+    it, the traversal is the unpruned one, so the first refused move, and
+    the blocking query, stay the same too.  At budget 1 total_probability
+    moves are skipped, a special case of the bound applied before the move:
+    they never refuse, and the term they split keeps its active regime, so
+    their leaf has at least one term outside regime 0 and no budget."""
     observed = set(swig.observed)
     intervention_nodes = set(swig.target_of)
     first_blocking: CiQuery | None = None
@@ -557,6 +575,9 @@ def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
         if is_identified(expr, swig):
             return steps
         if budget <= 0:
+            return None
+        if first_blocking is not None and _moves_left(expr) > budget:
+            stats.pruned += 1
             return None
         key = keys.get(expr)
         if key is None:

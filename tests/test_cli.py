@@ -453,6 +453,8 @@ def _deleted_fields():
         ),
         (_field(5, "checks", 0, "z"), "step 6 justification: checks: z: missing"),
         *((("backdoor_fig1", key), f"{key}: missing") for key in ("estimand", "final", "status")),
+        (("backdoor_fig1", "steps"), "steps: missing"),
+        *((("backdoor_fig1", "steps", 0, key), f"step 1 {key}: missing") for key in ("rule", "output")),
     ],
 )
 def test_verify_names_a_deleted_derivation_field(path, line, tmp_path, capsys):
@@ -661,7 +663,7 @@ def test_verify_refuses_a_derivation_the_graph_cannot_evaluate(
         (7, "steps: expected a list, found int"),
         (["x"], "step 1: expected an object, found str"),
         ([[1]], "step 1: expected an object, found list"),
-        ([{}], "step 1 rule: expected a rule name, found NoneType"),
+        ([{}], "step 1 rule: missing"),
     ],
 )
 def test_verify_reads_the_steps_list_and_each_step_with_their_types(steps, line, tmp_path, capsys):

@@ -670,19 +670,22 @@ def test_search_outperforms_rigid_recipe_on_nonprefix_regime(fig2_n2):
 
 
 STATS_KEYS = {
-    "expanded", "duplicates", "dsep_hits", "dsep_misses",
+    "expanded", "duplicates", "pruned", "dsep_hits", "dsep_misses",
     "refusals", "depth", "keys", "key_seconds", "seconds",
 }
 
 
-def test_search_stats_stay_out_of_the_derivation(fig1_estimand):
+def test_search_stats_stay_out_of_the_derivation(fig1_estimand, fig2_n2):
     from swigident import figure1, to_swig
 
     swig = to_swig(figure1(l_observed=False))  # a fresh, empty cache
     d = identify(swig, fig1_estimand, "bottom_up")
     s = d.stats
     assert d.identified and set(s.to_json()) == STATS_KEYS
-    assert s.expanded > 0 and s.duplicates > 0 and s.seconds > 0
+    assert s.expanded > 0 and s.pruned > 0 and s.seconds > 0
+    # the bound leaves this search no duplicate; this one meets some
+    est = parse_estimand("q[2](M2 | do D1=d1, do D2=d2)", fig2_n2)
+    assert identify(fig2_n2, est, Strategy("bottom_up", depth=4)).stats.duplicates > 0
     moves = [st.rule for st in d.steps if st.rule not in ("product", "consistency", "redundancy")]
     assert s.depth >= len(moves)
     assert s.dsep_misses == len(swig.cache.d_separated) and s.dsep_hits > 0
@@ -715,18 +718,18 @@ def test_search_reexpands_a_state_seen_with_a_smaller_budget(fig2_n2):
     assert verify(d, fig2_n2, n_models=10).passed
 
 
-# (mode, graph, depth) -> (expanded, duplicates, keys, refusals, depth) of
-# the golden search cases; the traversal's counts, pinned.
+# (mode, graph, depth) -> (expanded, duplicates, pruned, keys, refusals,
+# depth) of the golden search cases; the traversal's counts, pinned.
 SEARCH_COUNTS = {
-    ("top_down", "fig1", 16): (7, 0, 5, {"drop_later": 8, "ci_modify": 8}, 3),
-    ("top_down", "fig1_hidden", 16): (47, 7, 43, {"drop_later": 116, "ci_modify": 148}, 6),
-    ("top_down", "fig2_n1", 16): (47, 7, 43, {"drop_later": 116, "ci_modify": 148}, 6),
-    ("top_down", "fig1_ablated", 16): (100, 0, 23, {"drop_later": 548, "ci_modify": 836}, 16),
-    ("bottom_up", "fig1", 16): (53, 10, 53, {"ci_modify": 173, "drop_later": 116}, 4),
-    ("bottom_up", "fig1_hidden", 16): (140, 57, 143, {"ci_modify": 678, "drop_later": 507}, 6),
-    ("bottom_up", "fig2_n1", 16): (140, 57, 143, {"ci_modify": 678, "drop_later": 507}, 6),
-    ("bottom_up", "fig1_ablated", 16): (100, 0, 23, {"ci_modify": 836, "drop_later": 548}, 16),
-    ("top_down", "fig2_n2", 4): (351, 71, 360, {"drop_later": 1962, "ci_modify": 2711}, 4),
+    ("top_down", "fig1", 16): (4, 0, 3, 3, {"drop_later": 4, "ci_modify": 2}, 3),
+    ("top_down", "fig1_hidden", 16): (12, 0, 10, 8, {"drop_later": 14, "ci_modify": 14}, 6),
+    ("top_down", "fig2_n1", 16): (12, 0, 10, 8, {"drop_later": 14, "ci_modify": 14}, 6),
+    ("top_down", "fig1_ablated", 16): (52, 0, 8, 12, {"drop_later": 148, "ci_modify": 228}, 8),
+    ("bottom_up", "fig1", 16): (5, 0, 10, 3, {"ci_modify": 4, "drop_later": 2}, 3),
+    ("bottom_up", "fig1_hidden", 16): (13, 0, 19, 9, {"ci_modify": 13, "drop_later": 8}, 6),
+    ("bottom_up", "fig2_n1", 16): (13, 0, 19, 9, {"ci_modify": 13, "drop_later": 8}, 6),
+    ("bottom_up", "fig1_ablated", 16): (53, 0, 7, 12, {"ci_modify": 230, "drop_later": 149}, 8),
+    ("top_down", "fig2_n2", 4): (13, 3, 70, 12, {"drop_later": 34, "ci_modify": 44}, 3),
 }
 
 
@@ -741,7 +744,17 @@ def test_search_counts_of_the_golden_cases(mode, graph, depth):
     swig = to_swig(base)
     dependent = "Y" if graph.startswith("fig2") else "Y1"
     s = identify(swig, dose_estimand(swig, (dependent,)), Strategy(mode, depth=depth)).stats
-    assert (s.expanded, s.duplicates, s.keys, s.refusals, s.depth) == SEARCH_COUNTS[mode, graph, depth]
+    counts = (s.expanded, s.duplicates, s.pruned, s.keys, s.refusals, s.depth)
+    assert counts == SEARCH_COUNTS[mode, graph, depth]
+
+
+def test_a_bare_intervention_node_is_refused_without_a_deep_search(fig1):
+    # No rule deactivates an index whose intervention node is bare, so the
+    # search refuses only once every state within the depth is spent; without
+    # the bound on the moves left that is 5,155 expanded states (about 5 s).
+    d = identify(fig1, parse_estimand("q[1](M1 | Do1)", fig1), Strategy("top_down", depth=6))
+    assert d.status == "not_identified" and str(d.blocking) == "q1: M1 _||_ Do1"
+    assert d.stats.expanded == 100
 
 
 @st.composite
@@ -793,6 +806,31 @@ def test_every_search_refusal_names_a_query_that_reads_back_and_fails(case):
     if not d.identified and d.blocking is not None:
         query = parse_ci_query(str(d.blocking), swig)
         assert d_separated(swig, query) is False, (d.trace(), mode, depth)
+
+
+@given(small_search_cases())
+@settings(max_examples=60, deadline=None)
+def test_no_state_on_a_returned_path_has_more_terms_outside_regime_0_than_moves_left(case):
+    # The search prunes a state whose terms outside regime 0 outnumber its
+    # budget, and only once it has met a refusal.  A move is a drop_later, a
+    # ci_modify (ci_insert, ci_change, ci_delete) or an introduction
+    # (total_probability, then product); the state each starts from has had
+    # its free steps.  With the bound at 0, nothing is pruned and the answer
+    # is the same.
+    swig, estimand, mode, depth = case
+    d = identify(swig, estimand, Strategy(mode, depth=depth))
+    if not d.stats.refusals:
+        assert d.stats.pruned == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_moves_left", lambda expr: 0)
+        blind = identify(swig, estimand, Strategy(mode, depth=depth))
+    assert blind.stats.pruned == 0 and blind == d, (d.trace(), mode, depth)
+    if not d.identified:
+        return
+    starts = [s.input for s in d.steps if s.rule not in ("product", "consistency", "redundancy")]
+    for left, state in enumerate(reversed(starts), start=1):
+        outside = sum(not t.regime.is_observational for _, t in terms(state))
+        assert outside <= left, (d.trace(), mode, depth)
 
 
 @given(small_search_cases())
