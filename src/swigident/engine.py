@@ -194,6 +194,30 @@ def _introduce(
     return dict(step.justification.introduced)
 
 
+def _settle(
+    swig: Swig, expr: ProbExpr, path: tuple[int, ...], steps: list[DerivationStep]
+) -> tuple[ProbExpr, list[DerivationStep]]:
+    """The recipes' and the search's one way to apply the free rules to the
+    term at path: consistency at each index whose target and intervention
+    node are pinned to the same value, latest first; then, once the term is
+    in regime 0 and still holds an intervention node, redundancy, unless it
+    refuses.  Both rewrite the term in place, so every path stays valid.
+    Returns the expression and a new list: steps plus the steps applied."""
+    term = subexpr_at(expr, path)
+    conds = dict(term.conditioners)
+    for j in sorted(term.regime.active, reverse=True):
+        if (v := conds.get(swig.target(j))) is not None and v == conds.get(swig.intervention(j)):
+            steps = steps + [rule_consistency(swig, expr, path, j)]
+            expr = steps[-1].output
+    if subexpr_at(expr, path).regime.is_observational and swig.target_of.keys() & conds.keys():
+        try:
+            steps = steps + [rule_redundancy(swig, expr, path)]
+        except RuleRefusedError:
+            return expr, steps
+        expr = steps[-1].output
+    return expr, steps
+
+
 def _reduce_factor(
     builder: _Builder,
     dep_names: tuple[str, ...],
@@ -204,8 +228,9 @@ def _reduce_factor(
     to regime 0.  Given a time, first drop the active interventions after
     the last one whose target is at or before it.  Then for each remaining
     index j apply the ci_modify move align(j, conditioners) returns
-    (target, action, value), if any; deactivate by consistency, latest
-    first; and erase the intervention nodes."""
+    (target, action, value), if any, and _settle the term.  A term that does
+    not settle to regime 0 free of intervention nodes is refused, with no
+    blocking query."""
     swig = builder.swig
     path = builder.path_of(dep_names)  # each rule below rewrites the term in place
     active = sorted(subexpr_at(builder.expr, path).regime.active)
@@ -218,10 +243,10 @@ def _reduce_factor(
         move = align(j, dict(subexpr_at(builder.expr, path).conditioners))
         if move is not None:
             builder.apply(rule_ci_modify, path, *move)
-    for j in reversed(active):
-        builder.apply(rule_consistency, path, j)
-    if any(do in dict(subexpr_at(builder.expr, path).conditioners) for _, do in swig.pairs):
-        builder.apply(rule_redundancy, path)
+    builder.expr, builder.steps = _settle(swig, builder.expr, path, builder.steps)
+    term = subexpr_at(builder.expr, path)
+    if not term.regime.is_observational or swig.target_of.keys() & term.cond_names():
+        raise RuleRefusedError(f"{to_text(term)} does not settle to regime 0")
 
 
 def _pin_targets(swig: Swig, do_values: dict[str, ValueRef]) -> AlignMove:
@@ -460,7 +485,7 @@ class SearchStats:
 
 
 def _moves_left(expr: ProbExpr) -> int:
-    """A lower bound on the moves a simplified expression needs to reach an
+    """A lower bound on the moves a settled expression needs to reach an
     identified formula: its terms not in regime 0.  Each move rewrites one
     term, an introduction leaves both of its terms in the regime they had,
     and no rule removes a term."""
@@ -469,11 +494,12 @@ def _moves_left(expr: ProbExpr) -> int:
 
 def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
     """Iterative deepening over the move set, pruned by a lower bound on the
-    moves left (IDA*).  Each pass simplifies, tests and expands the states it
-    reaches afresh; the rules' d-separation and drop-later answers come from
-    the Swig's cache.  The one memo is each simplified state's canonical
-    key, kept for the later passes.  A refusal reports the first blocking
-    query met.
+    moves left (IDA*).  Each pass settles (_settle on each term, free: it
+    only nears regime 0 and blocks no move), tests and expands the states
+    it reaches afresh; moves are (rule, path, arguments) data that attempt
+    applies.  The rules' d-separation and drop-later answers come from the
+    Swig's cache.  The one memo is each settled state's canonical key, kept
+    for the later passes.  A refusal reports the first blocking query met.
 
     Once that query is recorded, a state whose terms outside regime 0
     (_moves_left) outnumber its budget is pruned before its key is
@@ -493,85 +519,50 @@ def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
     start = time.perf_counter()
     keys: dict[ProbExpr, str] = {}
 
-    def simplify(expr: ProbExpr, steps: list[DerivationStep]):
-        """Apply consistency and redundancy greedily, in one sweep over the
-        terms: both strictly shrink the distance to regime 0 and never block
-        another rule we generate.  In a term, consistency deactivates each
-        index whose target and intervention node are pinned to the same
-        value, latest first; then, if the term is observational and holds an
-        intervention node, redundancy removes it unless it refuses.  Both
-        rewrite the term in place, so the paths stay valid."""
-        for path, term in terms(expr):
-            conds = dict(term.conditioners)
-            active = sorted(term.regime.active, reverse=True)
-            pinned = [
-                j for j in active
-                if (v := conds.get(swig.target(j))) is not None
-                and v == conds.get(swig.intervention(j))
-            ]
-            for j in pinned:
-                steps = steps + [rule_consistency(swig, expr, path, j)]
-                expr = steps[-1].output
-            if len(pinned) == len(active) and any(do in conds for _, do in swig.pairs):
-                try:
-                    steps = steps + [rule_redundancy(swig, expr, path)]
-                except RuleRefusedError:
-                    continue
-                expr = steps[-1].output
-        return expr, steps
-
-    def moves(expr: ProbExpr):
-        """(rule, attempt) pairs in the mode's order; attempt(expr) returns
-        the steps of the move."""
+    def moves(expr: ProbExpr) -> list[tuple[str, tuple[int, ...], tuple]]:
+        """The moves out of expr as (rule, path, arguments), in the mode's
+        order: drop_later (t,), ci_modify (var, action[, value]) and
+        introductions total_probability (var, dependents)."""
         drops, cis, intros = [], [], []
         for path, term in terms(expr):
-            conds = dict(term.conditioners)
-            deps = set(term.dep_names())
             if term.regime.is_observational:
                 continue
+            conds = dict(term.conditioners)
+            deps = term.dep_names()
             active = sorted(term.regime.active)
-            for t in range(active[-1]):
-                drops.append(lambda e, p=path, t=t: [rule_drop_later(swig, e, p, t)])
+            drops += [("drop_later", path, (t,)) for t in range(active[-1])]
             for j in active:
                 tgt, do = swig.target(j), swig.intervention(j)
                 if do in conds and conds[do] is not None:
                     if tgt not in conds and tgt not in deps:
-                        cis.append(
-                            lambda e, p=path, v=tgt, r=conds[do]: [
-                                rule_ci_modify(swig, e, p, v, "insert", r)
-                            ]
-                        )
+                        cis.append(("ci_modify", path, (tgt, "insert", conds[do])))
                     if tgt in conds and conds[tgt] is not None and conds[tgt] != conds[do]:
-                        cis.append(
-                            lambda e, p=path, v=do, r=conds[tgt]: [
-                                rule_ci_modify(swig, e, p, v, "change", r)
-                            ]
-                        )
-            for v in sorted(conds):
-                if v not in intervention_nodes:
-                    cis.append(
-                        lambda e, p=path, v=v: [rule_ci_modify(swig, e, p, v, "delete")]
-                    )
-            present = deps | set(conds)
-            for v in sorted(observed - present, key=lambda n: (swig.var(n).time, n)):
-                if v in intervention_nodes:
-                    continue
-
-                def intro(e, p=path, v=v, d=tuple(term.dep_names())):
-                    s1 = rule_total_probability(swig, e, p, (v,))
-                    s2 = rule_product(swig, s1.output, p + (0,), [list(d), [v]])
-                    return [s1, s2]
-
-                intros.append(intro)
-        groups = [("drop_later", drops), ("ci_modify", cis), ("total_probability", intros)]
+                        cis.append(("ci_modify", path, (do, "change", conds[tgt])))
+            kept = sorted(conds.keys() - intervention_nodes)
+            cis += [("ci_modify", path, (v, "delete")) for v in kept]
+            fresh = observed - intervention_nodes - set(deps) - set(conds)
+            intros += [("total_probability", path, (v, deps)) for v in _by_time(swig, fresh)]
+        groups = [drops, cis, intros]
         if mode != "top_down":
             groups.reverse()
-        return [(rule, attempt) for rule, group in groups for attempt in group]
+        return [move for group in groups for move in group]
+
+    def attempt(expr: ProbExpr, rule: str, path: tuple[int, ...], args: tuple):
+        """The steps of one move: one rule's, or an introduction's two, the
+        variable summed in and then split off by product."""
+        if rule == "drop_later":
+            return [rule_drop_later(swig, expr, path, *args)]
+        if rule == "ci_modify":
+            return [rule_ci_modify(swig, expr, path, *args)]
+        v, deps = args
+        intro = rule_total_probability(swig, expr, path, (v,))
+        return [intro, rule_product(swig, intro.output, path + (0,), [list(deps), [v]])]
 
     def dfs(expr: ProbExpr, steps: list[DerivationStep], budget: int, seen: dict[str, int], moved: int):
         nonlocal first_blocking
         stats.depth = max(stats.depth, moved)
-        expr, steps = simplify(expr, steps)
+        for path, _ in terms(expr):
+            expr, steps = _settle(swig, expr, path, steps)
         if is_identified(expr, swig):
             return steps
         if budget <= 0:
@@ -591,11 +582,11 @@ def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
             return None
         seen[key] = budget
         stats.expanded += 1
-        for rule, attempt in moves(expr):
+        for rule, path, args in moves(expr):
             if budget == 1 and rule == "total_probability":
                 continue
             try:
-                new_steps = attempt(expr)
+                new_steps = attempt(expr, rule, path, args)
             except RuleRefusedError as exc:
                 stats.refusals[rule] = stats.refusals.get(rule, 0) + 1
                 if first_blocking is None:

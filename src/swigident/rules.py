@@ -1,7 +1,9 @@
 """The six rewrite rules.
 
 Each rule takes the whole expression plus the path of the term it rewrites
-and returns a DerivationStep.  Rules whose soundness is conditional
+and returns a DerivationStep, built by _rewrite: the term at the path is
+replaced and every other node kept, so expr.site of the step's input and
+output is that path.  Rules whose soundness is conditional
 (ci modify, drop later, consistency, redundancy) check their side condition
 against the graph and raise RuleRefusedError when it fails; total
 probability and the product rule hold unconditionally.  A refusal carries
@@ -100,6 +102,17 @@ def _term_at(e: ProbExpr, path: tuple[int, ...]) -> Term:
     return sub
 
 
+def _rewrite(
+    rule: str, e: ProbExpr, path: tuple[int, ...], new: ProbExpr, justification
+) -> DerivationStep:
+    """The one way a rule builds its step: the term at path replaced by
+    new, every other node of e kept.  new is a term that differs from the
+    old one, or a sum or product in its place, so expr.site of the step's
+    input and output is exactly path: verify compares the two subtrees
+    there, and a checker may read the rule's path back from the step."""
+    return DerivationStep(rule, e, replace_at(e, path, new), justification)
+
+
 def rule_total_probability(
     swig: Swig,
     e: ProbExpr,
@@ -125,13 +138,8 @@ def rule_total_probability(
         introduced.append((name, sym))
         new_entries.append((name, Sym(sym)))
     new_term = Term(term.regime, term.dependents + tuple(new_entries), term.conditioners)
-    out = replace_at(e, path, Sum(tuple(s for _, s in introduced), new_term))
-    return DerivationStep(
-        rule="total_probability",
-        input=e,
-        output=out,
-        justification=IntroduceJustification(tuple(introduced)),
-    )
+    joint = Sum(tuple(s for _, s in introduced), new_term)
+    return _rewrite("total_probability", e, path, joint, IntroduceJustification(tuple(introduced)))
 
 
 def rule_product(
@@ -159,13 +167,7 @@ def rule_product(
             (n, by_name[n]) for g in groups[i + 1 :] for n in g
         )
         factors.append(Term(term.regime, deps, later + term.conditioners))
-    out = replace_at(e, path, Product(tuple(factors)))
-    return DerivationStep(
-        rule="product",
-        input=e,
-        output=out,
-        justification=SplitJustification(tuple(groups)),
-    )
+    return _rewrite("product", e, path, Product(tuple(factors)), SplitJustification(tuple(groups)))
 
 
 def rule_ci_modify(
@@ -217,13 +219,8 @@ def rule_ci_modify(
         new_conds = tuple(
             (n, value if n == var else r) for n, r in term.conditioners
         )
-    out = replace_at(e, path, Term(term.regime, term.dependents, new_conds))
-    return DerivationStep(
-        rule=f"ci_{action}",
-        input=e,
-        output=out,
-        justification=CiJustification(query),
-    )
+    new_term = Term(term.regime, term.dependents, new_conds)
+    return _rewrite(f"ci_{action}", e, path, new_term, CiJustification(query))
 
 
 def rule_consistency(
@@ -248,15 +245,9 @@ def rule_consistency(
             f"consistency needs {tgt!r} and {do!r} pinned to the same value, "
             f"found {conds[tgt]} and {conds[do]}"
         )
-    out = replace_at(
-        e, path, Term(term.regime.without(t), term.dependents, term.conditioners)
-    )
-    return DerivationStep(
-        rule="consistency",
-        input=e,
-        output=out,
-        justification=ConsistencyJustification(t, tgt, do, str(conds[tgt])),
-    )
+    new_term = Term(term.regime.without(t), term.dependents, term.conditioners)
+    why = ConsistencyJustification(t, tgt, do, str(conds[tgt]))
+    return _rewrite("consistency", e, path, new_term, why)
 
 
 def rule_drop_later(
@@ -279,13 +270,8 @@ def rule_drop_later(
 
     dropped = {swig.intervention(j) for j in later}
     new_conds = tuple((n, r) for n, r in term.conditioners if n not in dropped)
-    out = replace_at(e, path, Term(term.regime.truncated(t), term.dependents, new_conds))
-    return DerivationStep(
-        rule="drop_later",
-        input=e,
-        output=out,
-        justification=DropLaterJustification(t, checks),
-    )
+    new_term = Term(term.regime.truncated(t), term.dependents, new_conds)
+    return _rewrite("drop_later", e, path, new_term, DropLaterJustification(t, checks))
 
 
 def rule_redundancy(
@@ -330,10 +316,5 @@ def rule_redundancy(
         handled.append((tgt, do))
     if not handled:
         raise RuleRefusedError("no intervention node to remove")
-    out = replace_at(e, path, Term(term.regime, term.dependents, tuple(entries)))
-    return DerivationStep(
-        rule="redundancy",
-        input=e,
-        output=out,
-        justification=RedundancyJustification(tuple(handled)),
-    )
+    new_term = Term(term.regime, term.dependents, tuple(entries))
+    return _rewrite("redundancy", e, path, new_term, RedundancyJustification(tuple(handled)))
