@@ -334,15 +334,19 @@ def parse_expr(text: str, terms: dict[str, Term] | None = None) -> ProbExpr:
     for the expressions of one file share it, a term seen before is neither
     tokenized nor built again.  Any other layout, and text that layout
     refuses, is parsed token by token, which gives the same tree or the
-    error with its position."""
+    error with its position.  Text nested deeper than Python's recursion
+    limit allows is a ParseError."""
     try:
-        e, end = _parse_laid_out(text, 0, {} if terms is None else terms)
-        if end == len(text):
-            return e
-    except SwigIdentError:
-        pass
-    toks = _Tokens(text)
-    e = _parse_expression(toks)
+        try:
+            e, end = _parse_laid_out(text, 0, {} if terms is None else terms)
+            if end == len(text):
+                return e
+        except SwigIdentError:
+            pass
+        toks = _Tokens(text)
+        e = _parse_expression(toks)
+    except RecursionError:
+        raise ParseError("nested too deeply") from None
     kind, value, line, col = toks.peek()
     if kind != "eof":
         raise ParseError(f"trailing input {value!r}", line, col)

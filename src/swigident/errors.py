@@ -54,11 +54,13 @@ class ParseError(SwigIdentError):
 def malformed(what: str):
     """Report the errors that decoding a malformed document raises (a
     missing key, a value of the wrong type or shape, an infinite number
-    where an integer belongs, an expression the classes reject) as
-    SwigIdentError."""
+    where an integer belongs, an expression the classes reject, nesting too
+    deep to decode) as SwigIdentError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, OverflowError, AttributeError, ExprError) as exc:
+    except (
+        KeyError, TypeError, ValueError, OverflowError, AttributeError, RecursionError, ExprError
+    ) as exc:
         raise SwigIdentError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 

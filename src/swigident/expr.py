@@ -163,9 +163,10 @@ def site(a: ProbExpr, b: ProbExpr) -> tuple[int, ...]:
     """The path of the smallest subtree of a and b that holds every
     difference between them: descend while the two nodes have the same
     type, the same binders (sums) or arity (products), and exactly one
-    differing child.  A rule's output is replace_at(e, p, new), so the site
-    of e and its output extends p, and the two subtrees there are the
-    rewritten ones."""
+    differing child.  Every rule builds its output with rules._rewrite,
+    replace_at(e, p, new) with new a changed term or a sum or product in a
+    term's place, so the site of e and its output is p, and the two
+    subtrees there are the rewritten ones."""
     path: list[int] = []
     while type(a) is type(b) and not isinstance(a, Term):
         if isinstance(a, Sum) and a.binders != b.binders:

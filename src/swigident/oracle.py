@@ -859,7 +859,8 @@ def random_cpt_batch(base: BaseDag, rngs: Sequence[np.random.Generator]) -> dict
     and multiplies each by the reciprocal of its row's sum taken level by
     level.  So each generator fills its model's variables with one
     standard_exponential call, and each variable is normalised over all
-    models at once.  A variable of one level draws nothing.
+    models at once.  A variable of one level draws nothing.  Draws numpy
+    cannot allocate are refused with a SwigIdentError, as sample refuses rows.
 
     Keyed to the pre-split graph so that two splittings of the same skeleton
     share identical mechanisms."""
@@ -873,7 +874,10 @@ def random_cpt_batch(base: BaseDag, rngs: Sequence[np.random.Generator]) -> dict
         layout.append((v.name, parents, shape, size, cells))
         size += cells
     n = len(rngs)
-    draws = np.empty((n, size))
+    try:
+        draws = np.empty((n, size))
+    except (ValueError, MemoryError):
+        raise SwigIdentError(f"cannot hold {n} models of {size} CPT entries each") from None
     for rng, row in zip(rngs, draws):
         rng.standard_exponential(out=row)
     out: dict[str, Cpt] = {}

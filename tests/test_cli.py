@@ -851,6 +851,68 @@ def test_bad_numbers_exit_1(argv, message, fig1_path, tmp_path, capsys):
     assert message in err and len(err) < 200, err[:200]
 
 
+# X and W of 10^7 levels are parents of D of 10^6: D's CPT alone has 10^20
+# entries, more than numpy's dimensions hold, whatever the machine's memory.
+OVERSIZED = """graph big {
+  var X @0 levels=10000000;
+  var W @0 levels=10000000;
+  var D @1 role=target levels=1000000;
+  var Y @2 role=outcome;
+  edge X -> D;
+  edge W -> D;
+  edge D -> Y;
+  target D order=1;
+}
+"""
+BIG_ENTRIES = 10**7 + 10**7 + 10**20 + 10**6 * 2  # X, W, D and Y
+NESTED_FINALS = {
+    "parens_1200": "(" * 1200 + "q0(Y1)" + ")" * 1200,
+    "parens_5000": "(" * 5000 + "q0(Y1)" + ")" * 5000,
+    "sums_5000": "sum{a} " * 5000 + "q0(Y1)",
+}
+TOO_DEEP = "malformed derivation: final: nested too deeply"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "{graph}", "{deep}"], "malformed derivation: RecursionError: "),
+        (["simulate", "{graph}", "--model", "{deep}"], "malformed model: RecursionError: "),
+        (["verify", "{graph}", "{parens_1200}"], TOO_DEEP),
+        (["verify", "{graph}", "{parens_5000}"], TOO_DEEP),
+        (["verify", "{graph}", "{sums_5000}"], TOO_DEEP),
+        (["simulate", "{big}", "--n", "1"], f"cannot hold 1 models of {BIG_ENTRIES} CPT"),
+        (["verify", "{big}", "{big_derivation}"], f"cannot hold 100 models of {BIG_ENTRIES} CPT"),
+    ],
+    ids=[
+        "verify_deep_json",
+        "simulate_deep_json_model",
+        "verify_final_in_1200_parentheses",
+        "verify_final_in_5000_parentheses",
+        "verify_final_under_5000_sums",
+        "simulate_cpt_past_numpy_dimensions",
+        "verify_cpt_past_numpy_dimensions",
+    ],
+)
+def test_input_too_deep_or_too_large_to_hold_exits_1(argv, message, fig1_path, tmp_path, capsys):
+    # Decoding and parsing recurse once per nesting level, and a CPT is
+    # allocated whole: each is refused with one error line, not a traceback.
+    derivation = json.loads(Path(_backdoor_derivation(fig1_path, tmp_path)).read_text())
+    files = {"deep": "[" * 200000 + "]" * 200000, "big.swig": OVERSIZED}
+    for name, final in NESTED_FINALS.items():
+        files[name] = json.dumps({**derivation, "final": final})
+    paths = {name.partition(".")[0]: tmp_path / name for name in files}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths["big_derivation"] = tmp_path / "big.json"
+    query = "q[1](Y | do D=d)"
+    argv_big = ["identify", str(paths["big"]), query, "--strategy", "backdoor", "--json"]
+    assert main(argv_big + ["--out", str(paths["big_derivation"])]) == 0
+    capsys.readouterr()
+    assert main([a.format(graph=fig1_path, **paths) for a in argv]) == 1
+    _one_error_line(capsys, message)
+
+
 def test_verify_refuses_more_models_than_its_limit_before_drawing_any(
     fig1_path, tmp_path, capsys, monkeypatch
 ):

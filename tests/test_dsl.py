@@ -24,6 +24,7 @@ from swigident import (
     figure3,
     parse_ci_query,
     parse_estimand,
+    parse_expr,
     parse_graph,
     to_dot,
     to_swig,
@@ -187,6 +188,23 @@ def test_parse_estimand_errors(fig1):
         parse_estimand("q[1](Y1 | do L=0)", fig1)
     with pytest.raises(ParseError):
         parse_estimand("q[1](Y1 | do D1=d1", fig1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 5000 + "q0(Y1)" + ")" * 5000,
+        "sum{a} " * 5000 + "q0(Y1)",
+        "(" * 5000 + "q0(Y1) * q0(L)",
+    ],
+    ids=["parentheses", "sums", "unclosed_parentheses"],
+)
+def test_parse_expr_refuses_text_nested_past_the_recursion_limit(text):
+    # Both parsers recurse once per level; past the limit the text is a
+    # ParseError like any other, where a RecursionError once escaped.
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_expr(text)
+    assert parse_expr("(" * 100 + "q0(Y1)" + ")" * 100) == parse_expr("q0(Y1)")
 
 
 def test_parse_ci_query(fig1):

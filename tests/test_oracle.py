@@ -589,6 +589,30 @@ def test_a_negative_seed_or_a_row_count_past_numpy_is_refused(fig1, bundled_deri
         verify(d, swig, n_models=2, seed=-1)
 
 
+def test_a_cpt_past_numpy_dimensions_is_refused():
+    # D's CPT over parents of 10^7 levels each has 10^20 entries: numpy
+    # refuses the allocation whatever the machine's memory, and the library
+    # answers SwigIdentError naming the models and the entries per model.
+    base = BaseDag(
+        name="big",
+        variables=(
+            Variable("X", time=0, cardinality=10**7),
+            Variable("W", time=0, cardinality=10**7),
+            Variable("D", time=1, role=Role.TARGET, cardinality=10**6),
+            Variable("Y", time=2, role=Role.OUTCOME),
+        ),
+        edges=frozenset({("X", "D"), ("W", "D"), ("D", "Y")}),
+        targets=("D",),
+    )
+    swig = to_swig(base)
+    entries = 2 * 10**7 + 10**20 + 2 * 10**6
+    with pytest.raises(SwigIdentError, match=f"cannot hold 1 models of {entries} CPT entries"):
+        random_model(swig, seed=0)
+    d = identify(swig, Term.of(Regime.prefix(1), ("Y",), [("Do", Sym("d"))]), "backdoor")
+    with pytest.raises(SwigIdentError, match=f"cannot hold 3 models of {entries} CPT entries"):
+        verify(d, swig, n_models=3)
+
+
 def test_sampling_matches_joint_frequencies(fig1):
     model = random_model(fig1, seed=12)
     data = sample(model, Q0, 50_000, seed=4)

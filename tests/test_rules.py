@@ -319,10 +319,10 @@ def test_every_accepted_rule_application_is_sound_at_its_site(case, data):
     # From the estimand, the estimand with more conditioners, or an
     # expression a recipe's derivation of it passes through, up to six
     # rule applications drawn at random, on graphs of 2 or 3 levels per
-    # variable and up to two hidden ones.  Each one rules.py accepts
-    # rewrites only the subtree at its path, and that subtree keeps its
-    # value on random models (the ones a term of either side skips left
-    # out); the oracle refuses none of them.
+    # variable and up to two hidden ones.  Each one rules.py accepts is
+    # built by rules._rewrite, so its site is exactly its path, and the
+    # subtree there keeps its value on random models (the ones a term of
+    # either side skips left out); the oracle refuses none of them.
     swig, estimand, _, _ = case
     starts = [estimand]
     for recipe in ("backdoor", "frontdoor", "sequential_backdoor", "sequential_frontdoor"):
@@ -352,7 +352,7 @@ def test_every_accepted_rule_application_is_sound_at_its_site(case, data):
         except SwigIdentError:
             continue
         at = site(step.input, step.output)
-        assert at[: len(path)] == path, (step.rule, path, at)
+        assert at == path, (step.rule, path, at)
         a, b = subexpr_at(step.input, at), subexpr_at(step.output, at)
         for batch in model_batches(swig, cpts):
             ta, tb = eval_expr(batch, a), eval_expr(batch, b)
