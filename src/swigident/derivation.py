@@ -290,14 +290,21 @@ def require_identified(expr: ProbExpr, swig: Swig | None = None) -> None:
 
 def validate_derivation(derivation: Derivation, swig: Swig | None = None) -> None:
     """Check the step chain and, if the derivation is identified, its final
-    formula (require_identified)."""
+    formula (require_identified).  Expressions that parse but are nested
+    too deeply to compare are a malformed derivation, not a RecursionError."""
     prev = derivation.estimand
-    for i, step in enumerate(derivation.steps):
-        if step.input != prev:
-            raise SwigIdentError(f"step {i + 1} does not chain from the previous output")
-        prev = step.output
-    if derivation.final != prev:
-        raise SwigIdentError("final expression is not the last step output")
+    at = "final"
+    try:
+        for i, step in enumerate(derivation.steps):
+            at = f"step {i + 1} input"
+            if step.input != prev:
+                raise SwigIdentError(f"step {i + 1} does not chain from the previous output")
+            prev = step.output
+        at = "final"
+        if derivation.final != prev:
+            raise SwigIdentError("final expression is not the last step output")
+    except RecursionError:
+        raise SwigIdentError(f"malformed derivation: {at}: nested too deeply") from None
     if derivation.identified:
         require_identified(derivation.final, swig)
 

@@ -466,12 +466,13 @@ def _recipe(swig: Swig, estimand: Term, strategy: Strategy) -> Derivation:
 class SearchStats:
     """What one top_down or bottom_up search did.  Derivation carries it
     outside its JSON and trace, so the output of identify does not depend on
-    it.  Refusals count every refused move the search tried, in every
+    it.  Refusals count every refused move the search met, in every
     deepening pass, by rule."""
 
     expanded: int = 0  # states whose moves were tried
     duplicates: int = 0  # states pruned as seen earlier in the pass at a budget at least as large
     pruned: int = 0  # states pruned as needing more moves than their budget (_moves_left)
+    applied: int = 0  # moves attempt applied (refused ones too; not the found path's replay)
     dsep_hits: int = 0  # d_separated calls answered by the Swig's cache
     dsep_misses: int = 0  # d_separated calls worked out on the graph
     refusals: dict[str, int] = field(default_factory=dict)
@@ -484,6 +485,17 @@ class SearchStats:
         return asdict(self)
 
 
+@dataclass(slots=True)
+class _State:
+    """What the search learned of one settled state, kept for the whole
+    identify call: its canonical key, the indices of its refused moves as
+    a bitmask, and the settled child of each accepted move by index."""
+
+    key: str
+    refused: int = 0
+    children: dict[int, ProbExpr] = field(default_factory=dict)
+
+
 def _moves_left(expr: ProbExpr) -> int:
     """A lower bound on the moves a settled expression needs to reach an
     identified formula: its terms not in regime 0.  Each move rewrites one
@@ -494,22 +506,31 @@ def _moves_left(expr: ProbExpr) -> int:
 
 def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
     """Iterative deepening over the move set, pruned by a lower bound on the
-    moves left (IDA*).  Each pass settles (_settle on each term, free: it
-    only nears regime 0 and blocks no move), tests and expands the states
-    it reaches afresh; moves are (rule, path, arguments) data that attempt
-    applies.  The rules' d-separation and drop-later answers come from the
-    Swig's cache.  The one memo is each settled state's canonical key, kept
-    for the later passes.  A refusal reports the first blocking query met.
+    moves left (IDA*).  The estimand and each move's result are settled
+    (_settle on each term, free: it only nears regime 0 and blocks no
+    move); moves are (rule, path, arguments) data that attempt applies.
+    The rules' d-separation and drop-later answers come from the Swig's
+    cache.  Each settled state the search keys gets one record, kept for
+    the call (a transposition table of its expansion): its canonical key,
+    its refused moves and the settled child of each accepted move.  So each
+    move is applied at most once per call; a later pass counts a refusal
+    or descends into a recorded child with no rule applied.  The path is
+    carried as moves, and the derivation's steps are rebuilt once at the
+    end by applying the found path's moves and settles again.  A refusal
+    reports the first blocking query met.
 
     Once that query is recorded, a state whose terms outside regime 0
     (_moves_left) outnumber its budget is pruned before its key is
     computed: the subtree holds no goal within the budget, so the first
     goal in depth-first order, and the derivation, stay the same.  Before
     it, the traversal is the unpruned one, so the first refused move, and
-    the blocking query, stay the same too.  At budget 1 total_probability
-    moves are skipped, a special case of the bound applied before the move:
-    they never refuse, and the term they split keeps its active regime, so
-    their leaf has at least one term outside regime 0 and no budget."""
+    the blocking query, stay the same too.  An introduction's child has
+    exactly one more such term than its parent (the two new terms keep the
+    split term's regime, and the settle cannot move them: the binder is
+    fresh and the old conditioners were settled), so an introduction whose
+    child the bound would prune is skipped, and counted, before it is
+    applied.  At budget 1 introductions are skipped uncounted, as their
+    child would have no budget."""
     observed = set(swig.observed)
     intervention_nodes = set(swig.target_of)
     first_blocking: CiQuery | None = None
@@ -517,7 +538,7 @@ def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
     cache = swig.cache
     dsep_hits, dsep_size = cache.d_separated_hits, len(cache.d_separated)
     start = time.perf_counter()
-    keys: dict[ProbExpr, str] = {}
+    states: dict[ProbExpr, _State] = {}
 
     def moves(expr: ProbExpr) -> list[tuple[str, tuple[int, ...], tuple]]:
         """The moves out of expr as (rule, path, arguments), in the mode's
@@ -558,57 +579,80 @@ def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
         intro = rule_total_probability(swig, expr, path, (v,))
         return [intro, rule_product(swig, intro.output, path + (0,), [list(deps), [v]])]
 
-    def dfs(expr: ProbExpr, steps: list[DerivationStep], budget: int, seen: dict[str, int], moved: int):
-        nonlocal first_blocking
-        stats.depth = max(stats.depth, moved)
+    def settle(expr: ProbExpr, steps: list[DerivationStep]):
         for path, _ in terms(expr):
             expr, steps = _settle(swig, expr, path, steps)
+        return expr, steps
+
+    def dfs(expr: ProbExpr, route: list, budget: int, seen: dict[str, int]):
+        """The moves (state, rule, path, arguments) from the root to a goal
+        within budget of the settled expr, which route reaches; or None."""
+        nonlocal first_blocking
+        stats.depth = max(stats.depth, len(route))
         if is_identified(expr, swig):
-            return steps
+            return route
         if budget <= 0:
             return None
-        if first_blocking is not None and _moves_left(expr) > budget:
+        left = _moves_left(expr)
+        if first_blocking is not None and left > budget:
             stats.pruned += 1
             return None
-        key = keys.get(expr)
-        if key is None:
+        state = states.get(expr)
+        if state is None:
             key_start = time.perf_counter()
-            key = keys[expr] = to_text(canonicalize(expr))
+            state = states[expr] = _State(to_text(canonicalize(expr)))
             stats.keys += 1
             stats.key_seconds += time.perf_counter() - key_start
         # a state seen with a smaller budget may reach a goal now
-        if seen.get(key, -1) >= budget:
+        if seen.get(state.key, -1) >= budget:
             stats.duplicates += 1
             return None
-        seen[key] = budget
+        seen[state.key] = budget
         stats.expanded += 1
-        for rule, path, args in moves(expr):
-            if budget == 1 and rule == "total_probability":
+        for i, (rule, path, args) in enumerate(moves(expr)):
+            if rule == "total_probability" and budget == 1:
                 continue
-            try:
-                new_steps = attempt(expr, rule, path, args)
-            except RuleRefusedError as exc:
-                stats.refusals[rule] = stats.refusals.get(rule, 0) + 1
-                if first_blocking is None:
-                    first_blocking = exc.blocking
+            if rule == "total_probability" and first_blocking is not None and left + 1 > budget - 1:
+                stats.pruned += 1
+                stats.depth = max(stats.depth, len(route) + 1)
                 continue
-            found = dfs(new_steps[-1].output, steps + new_steps, budget - 1, seen, moved + 1)
+            if state.refused >> i & 1:
+                stats.refusals[rule] += 1
+                continue
+            child = state.children.get(i)
+            if child is None:
+                stats.applied += 1
+                try:
+                    output = attempt(expr, rule, path, args)[-1].output
+                except RuleRefusedError as exc:
+                    state.refused |= 1 << i
+                    stats.refusals[rule] = stats.refusals.get(rule, 0) + 1
+                    if first_blocking is None:
+                        first_blocking = exc.blocking
+                    continue
+                child = state.children[i] = settle(output, [])[0]
+            found = dfs(child, route + [(expr, rule, path, args)], budget - 1, seen)
             if found is not None:
                 return found
         return None
 
+    root, steps = settle(estimand, [])
     found = None
     budget = 0
     while found is None and budget < depth:
         budget = min(budget + 2, depth)
-        found = dfs(estimand, [], budget, {}, 0)
+        found = dfs(root, [], budget, {})
+    if found is not None:
+        for state, rule, path, args in found:
+            steps = steps + attempt(state, rule, path, args)
+            _, steps = settle(steps[-1].output, steps)
     stats.dsep_hits = cache.d_separated_hits - dsep_hits
     stats.dsep_misses = len(cache.d_separated) - dsep_size
     stats.seconds = time.perf_counter() - start
     if found is None:
         return Derivation(estimand, (), estimand, NOT_IDENTIFIED, first_blocking, stats)
-    final = found[-1].output if found else estimand
-    return Derivation(estimand, tuple(found), final, IDENTIFIED, stats=stats)
+    final = steps[-1].output if steps else estimand
+    return Derivation(estimand, tuple(steps), final, IDENTIFIED, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -830,8 +874,8 @@ def verify(
     from np.random.default_rng((seed, i)); random_cpt_batch draws all of
     them as one stacked batch, and stats.draw_seconds times it.  A
     not_identified derivation with no steps has nothing to check, and
-    raises SwigIdentError, as does a number of models outside
-    1..MODEL_LIMIT."""
+    raises SwigIdentError, as do a number of models outside 1..MODEL_LIMIT
+    and an expression nested too deeply to evaluate."""
     if n_models < 1:
         raise SwigIdentError(f"verify needs at least one model, got {n_models}")
     if n_models > MODEL_LIMIT:
@@ -842,5 +886,8 @@ def verify(
     rngs = [np.random.default_rng((seed, i)) for i in range(n_models)]
     cpts = random_cpt_batch(swig.base, rngs)
     drawn = time.perf_counter() - start
-    report = _verify_models(derivation, swig, cpts, seed)
+    try:
+        report = _verify_models(derivation, swig, cpts, seed)
+    except RecursionError:  # validate_derivation names the field it compares
+        raise SwigIdentError("malformed derivation: an expression is nested too deeply") from None
     return replace(report, stats=replace(report.stats, draw_seconds=drawn))

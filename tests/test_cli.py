@@ -791,6 +791,23 @@ def test_identify_stats_flag_writes_one_json_line(fig1_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_identify_stats_of_a_search_that_spends_its_depth(tmp_path, capsys):
+    # No derivation of fig2 n=2's outcome within 6 moves: the search
+    # spends its whole bounded space, and its counts pin the traversal.
+    path = tmp_path / "fig2_n2.swig"
+    assert main(["fixture", "fig2_n2", "--out", str(path)]) == 0
+    query = "q[2](Y | do D1=d1, do D2=d2)"
+    argv = ["identify", str(path), query, "--strategy", "top_down", "--depth", "6", "--stats"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "blocking: q2: Y _||_ Do2 | Do1" in out.splitlines()
+    stats = json.loads(err)
+    counts = {k: stats[k] for k in ("expanded", "pruned", "keys", "duplicates")}
+    assert counts == {"expanded": 167, "pruned": 1422, "keys": 158, "duplicates": 73}
+    assert type(stats["applied"]) is int and stats["applied"] > 0
+
+
 def _backdoor_derivation(fig1_path, tmp_path):
     path = tmp_path / "derivation.json"
     argv = ["identify", fig1_path, "q[1](Y1 | do D1=d1)", "--strategy", "backdoor:L"]
@@ -871,6 +888,11 @@ NESTED_FINALS = {
     "sums_5000": "sum{a} " * 5000 + "q0(Y1)",
 }
 TOO_DEEP = "malformed derivation: final: nested too deeply"
+# Parsed, but too deep for the comparison of final with the last output.
+NESTED_STEPS = {
+    "sums_600": "".join(f"sum{{a{k}}} " for k in range(600)) + "q0(Y1)",
+    "products_300": "q0(L) * (" * 300 + "q0(Y1)" + ")" * 300,
+}
 
 
 @pytest.mark.parametrize(
@@ -881,6 +903,8 @@ TOO_DEEP = "malformed derivation: final: nested too deeply"
         (["verify", "{graph}", "{parens_1200}"], TOO_DEEP),
         (["verify", "{graph}", "{parens_5000}"], TOO_DEEP),
         (["verify", "{graph}", "{sums_5000}"], TOO_DEEP),
+        (["verify", "{graph}", "{sums_600}", "--models", "2"], TOO_DEEP),
+        (["verify", "{graph}", "{products_300}", "--models", "2"], TOO_DEEP),
         (["simulate", "{big}", "--n", "1"], f"cannot hold 1 models of {BIG_ENTRIES} CPT"),
         (["verify", "{big}", "{big_derivation}"], f"cannot hold 100 models of {BIG_ENTRIES} CPT"),
     ],
@@ -890,17 +914,23 @@ TOO_DEEP = "malformed derivation: final: nested too deeply"
         "verify_final_in_1200_parentheses",
         "verify_final_in_5000_parentheses",
         "verify_final_under_5000_sums",
+        "verify_step_and_final_under_600_sums",
+        "verify_step_and_final_in_300_products",
         "simulate_cpt_past_numpy_dimensions",
         "verify_cpt_past_numpy_dimensions",
     ],
 )
 def test_input_too_deep_or_too_large_to_hold_exits_1(argv, message, fig1_path, tmp_path, capsys):
-    # Decoding and parsing recurse once per nesting level, and a CPT is
-    # allocated whole: each is refused with one error line, not a traceback.
+    # Decoding, parsing and comparing recurse once per nesting level, and a
+    # CPT is allocated whole: each is refused with one error line, not a
+    # traceback.
     derivation = json.loads(Path(_backdoor_derivation(fig1_path, tmp_path)).read_text())
     files = {"deep": "[" * 200000 + "]" * 200000, "big.swig": OVERSIZED}
     for name, final in NESTED_FINALS.items():
         files[name] = json.dumps({**derivation, "final": final})
+    for name, deep in NESTED_STEPS.items():
+        step = {"rule": "total_probability", "output": deep, "justification": None}
+        files[name] = json.dumps({**derivation, "estimand": "q0(Y1)", "steps": [step], "final": deep})
     paths = {name.partition(".")[0]: tmp_path / name for name in files}
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -39,7 +39,8 @@ from swigident import (
 from swigident import engine, oracle
 from swigident.cli import main
 from swigident.engine import VerifyStats, _verify_models
-from swigident.expr import terms
+from swigident.expr import subexpr_at, terms
+from swigident.rules import rule_product, rule_total_probability
 
 from conftest import corrupt_step, dose_estimand, model_cpts, seeded_cpts, with_row
 
@@ -670,7 +671,7 @@ def test_search_outperforms_rigid_recipe_on_nonprefix_regime(fig2_n2):
 
 
 STATS_KEYS = {
-    "expanded", "duplicates", "pruned", "dsep_hits", "dsep_misses",
+    "expanded", "duplicates", "pruned", "applied", "dsep_hits", "dsep_misses",
     "refusals", "depth", "keys", "key_seconds", "seconds",
 }
 
@@ -831,6 +832,61 @@ def test_no_state_on_a_returned_path_has_more_terms_outside_regime_0_than_moves_
     for left, state in enumerate(reversed(starts), start=1):
         outside = sum(not t.regime.is_observational for _, t in terms(state))
         assert outside <= left, (d.trace(), mode, depth)
+
+
+MOVE_RULES = ("rule_drop_later", "rule_ci_modify", "rule_total_probability")
+
+
+def _count_moves(patch, applied: list) -> None:
+    """Wrap the search's three move rules so each call is appended to
+    applied as (rule, expr, path, args), refused calls included."""
+    for name in MOVE_RULES:
+        def counted(swig, expr, path, *args, _rule=getattr(engine, name), _name=name):
+            applied.append((_name, expr, path, args))
+            return _rule(swig, expr, path, *args)
+
+        patch.setattr(engine, name, counted)
+
+
+@given(small_search_cases())
+@settings(max_examples=60, deadline=None)
+def test_an_introduction_out_of_a_settled_state_adds_one_term_outside_regime_0(case):
+    # The search skips an introduction unbuilt when its child would need
+    # more moves than the budget leaves, which is exact only if the settled
+    # child has exactly one more term outside regime 0 than its parent.
+    # With the bound at 0 every introduction out of a state with budget 2 or
+    # more is applied; each starts from a settled, expanded state.  applied
+    # counts each move the search applied once, not the found path's replay.
+    swig, estimand, mode, depth = case
+    applied: list = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_moves_left", lambda expr: 0)
+        _count_moves(patch, applied)
+        d = identify(swig, estimand, Strategy(mode, depth=depth))
+    replayed = sum(s.rule not in ("product", "consistency", "redundancy") for s in d.steps)
+    assert d.stats.applied == len(applied) - replayed
+    for rule, expr, path, args in applied:
+        if rule == "rule_total_probability":
+            ((v,),) = args  # total_probability(swig, expr, path, (v,))
+            deps = subexpr_at(expr, path).dep_names()
+            intro = rule_total_probability(swig, expr, path, (v,))
+            child = rule_product(swig, intro.output, path + (0,), [list(deps), [v]]).output
+            for at, _ in terms(child):
+                child, _ = engine._settle(swig, child, at, [])
+            assert engine._moves_left(child) == engine._moves_left(expr) + 1, (to_text(expr), v)
+
+
+def test_no_move_is_applied_twice_in_one_search(fig1_ablated):
+    # A refused move is remembered for the call, and an accepted one's
+    # settled child: without them each refused move out of fig1_ablated's
+    # states repeats in every one of the 8 deepening passes.
+    applied: list = []
+    with pytest.MonkeyPatch.context() as patch:
+        _count_moves(patch, applied)
+        d = identify(fig1_ablated, dose_estimand(fig1_ablated, ("Y1",)), Strategy("top_down"))
+    assert not d.identified  # no path to replay
+    assert applied and len(set(applied)) == len(applied) == d.stats.applied
+    assert d.stats.applied < sum(d.stats.refusals.values())
 
 
 @given(small_search_cases())
