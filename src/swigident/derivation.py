@@ -293,7 +293,6 @@ def validate_derivation(derivation: Derivation, swig: Swig | None = None) -> Non
     formula (require_identified).  Expressions that parse but are nested
     too deeply to compare are a malformed derivation, not a RecursionError."""
     prev = derivation.estimand
-    at = "final"
     try:
         for i, step in enumerate(derivation.steps):
             at = f"step {i + 1} input"

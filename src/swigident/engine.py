@@ -580,6 +580,7 @@ def _search(swig: Swig, estimand: Term, mode: str, depth: int) -> Derivation:
         return [intro, rule_product(swig, intro.output, path + (0,), [list(deps), [v]])]
 
     def settle(expr: ProbExpr, steps: list[DerivationStep]):
+        """_settle on each term of expr: the expression, and steps plus the steps applied."""
         for path, _ in terms(expr):
             expr, steps = _settle(swig, expr, path, steps)
         return expr, steps
@@ -888,6 +889,6 @@ def verify(
     drawn = time.perf_counter() - start
     try:
         report = _verify_models(derivation, swig, cpts, seed)
-    except RecursionError:  # validate_derivation names the field it compares
+    except RecursionError:  # in evaluation; validate_derivation names the field it compared
         raise SwigIdentError("malformed derivation: an expression is nested too deeply") from None
     return replace(report, stats=replace(report.stats, draw_seconds=drawn))

@@ -930,7 +930,8 @@ def test_input_too_deep_or_too_large_to_hold_exits_1(argv, message, fig1_path, t
         files[name] = json.dumps({**derivation, "final": final})
     for name, deep in NESTED_STEPS.items():
         step = {"rule": "total_probability", "output": deep, "justification": None}
-        files[name] = json.dumps({**derivation, "estimand": "q0(Y1)", "steps": [step], "final": deep})
+        chain = {"estimand": "q0(Y1)", "steps": [step], "final": deep}
+        files[name] = json.dumps({**derivation, **chain})
     paths = {name.partition(".")[0]: tmp_path / name for name in files}
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -834,13 +834,10 @@ def test_no_state_on_a_returned_path_has_more_terms_outside_regime_0_than_moves_
         assert outside <= left, (d.trace(), mode, depth)
 
 
-MOVE_RULES = ("rule_drop_later", "rule_ci_modify", "rule_total_probability")
-
-
 def _count_moves(patch, applied: list) -> None:
     """Wrap the search's three move rules so each call is appended to
     applied as (rule, expr, path, args), refused calls included."""
-    for name in MOVE_RULES:
+    for name in ("rule_drop_later", "rule_ci_modify", "rule_total_probability"):
         def counted(swig, expr, path, *args, _rule=getattr(engine, name), _name=name):
             applied.append((_name, expr, path, args))
             return _rule(swig, expr, path, *args)
